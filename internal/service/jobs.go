@@ -403,35 +403,42 @@ func (m *Manager) healthLoop() {
 // to re-enqueue, in submission order: everything that was queued or
 // running when the previous process died. Terminal jobs are restored
 // as-is; jobs evicted by the previous process stay gone.
+//
+// Submit records are applied first, in a pass of their own. SubmitAs
+// journals a job's submit record after the job is visible to workers, so
+// a fast job's start, checkpoint or even terminal record can precede it
+// in the file; replay must not drop those (a dropped terminal would
+// re-run a finished job after a restart).
 func (m *Manager) replay(recs []record) []*job {
 	for _, rec := range recs {
+		if rec.Type != recSubmit || rec.Req == nil || m.jobs[rec.Job] != nil {
+			continue
+		}
+		var n int64
+		if _, err := fmt.Sscanf(rec.Job, "job-%d", &n); err == nil && n > m.seq {
+			m.seq = n
+		}
+		// Pre-tenant (PR 4-era) records carry no tenant and no
+		// priority; both default to the legacy flow (anonymous,
+		// normal), so old journals replay unchanged.
+		class, err := classOf(rec.Req.Options.Priority)
+		if err != nil {
+			class = classNormal
+		}
+		j := &job{
+			id:      rec.Job,
+			req:     *rec.Req,
+			tenant:  rec.Tenant,
+			class:   class,
+			circuit: displayName(*rec.Req),
+			state:   StateQueued,
+			created: rec.Time,
+		}
+		m.jobs[j.id] = j
+		m.order = append(m.order, j.id)
+	}
+	for _, rec := range recs {
 		switch rec.Type {
-		case recSubmit:
-			if rec.Req == nil || m.jobs[rec.Job] != nil {
-				continue
-			}
-			var n int64
-			if _, err := fmt.Sscanf(rec.Job, "job-%d", &n); err == nil && n > m.seq {
-				m.seq = n
-			}
-			// Pre-tenant (PR 4-era) records carry no tenant and no
-			// priority; both default to the legacy flow (anonymous,
-			// normal), so old journals replay unchanged.
-			class, err := classOf(rec.Req.Options.Priority)
-			if err != nil {
-				class = classNormal
-			}
-			j := &job{
-				id:      rec.Job,
-				req:     *rec.Req,
-				tenant:  rec.Tenant,
-				class:   class,
-				circuit: displayName(*rec.Req),
-				state:   StateQueued,
-				created: rec.Time,
-			}
-			m.jobs[j.id] = j
-			m.order = append(m.order, j.id)
 		case recStart:
 			if j := m.jobs[rec.Job]; j != nil {
 				j.started = rec.Time

@@ -130,6 +130,72 @@ func TestJournalTornTail(t *testing.T) {
 	}
 }
 
+// TestJournalReplayRecordsBeforeSubmit replays a journal whose records
+// are out of order the way a live Manager can write them: a worker
+// journals a fast job's start and terminal records before SubmitAs gets
+// to its submit record. The finished job must come back done with its
+// result and must not be re-enqueued; a job whose start precedes its
+// submit is recovered and re-run as usual.
+func TestJournalReplayRecordsBeforeSubmit(t *testing.T) {
+	dir := t.TempDir()
+	jn, _, _, err := newJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.compact(nil); err != nil {
+		t.Fatal(err)
+	}
+	done, live := smallJob(11), smallJob(12)
+	res := &journalResult{Estimate: 1.31, CILow: 1.2, CIHigh: 1.42, RelErr: 0.04,
+		HyperSamples: 3, Units: 900, Converged: true, ObservedMax: 1.1875}
+	now := time.Now().UTC()
+	for _, rec := range []record{
+		{Type: recStart, Job: "job-000001", Time: now},
+		{Type: recTerminal, Job: "job-000001", Time: now, State: StateDone, Result: res},
+		{Type: recSubmit, Job: "job-000001", Time: now, Req: &done},
+		{Type: recStart, Job: "job-000002", Time: now},
+		{Type: recSubmit, Job: "job-000002", Time: now, Req: &live},
+	} {
+		if err := jn.append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jn.close()
+
+	mgr, err := NewManager(ManagerConfig{Workers: 1, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownManager(t, mgr)
+	if n := mgr.jobsRecovered.Load(); n != 1 {
+		t.Errorf("%d jobs re-enqueued, want 1 (only the unfinished job-000002)", n)
+	}
+	st, err := mgr.Status("job-000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateDone {
+		t.Errorf("job-000001 state = %s, want done", st.State)
+	}
+	got, err := mgr.Result("job-000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Estimate != res.Estimate || got.Units != res.Units {
+		t.Errorf("job-000001 result = %+v, want the journaled %+v", got, res)
+	}
+	if st := waitManagerTerminal(t, mgr, "job-000002"); st.State != StateDone {
+		t.Errorf("recovered job-000002 finished %s, want done", st.State)
+	}
+	id, err := mgr.Submit(smallJob(13))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != "job-000003" {
+		t.Errorf("new job ID %s, want job-000003 (after the replayed IDs)", id)
+	}
+}
+
 // TestJournalCompaction restarts a Manager over a journal that has
 // accumulated per-hyper-sample checkpoints and expects the rewritten
 // file to hold only the snapshot: one submit + one terminal/checkpoint

@@ -506,6 +506,11 @@ type ProgramCacheStats struct {
 // concurrent requests for one key share a single compilation and receive
 // the same *Program. Cached programs are immutable — callers run them
 // through per-goroutine Striped executors.
+//
+// Each entry can also hold idle prepared state built on its program (see
+// Park and Take): whole executors a caller parks between runs instead of
+// rebuilding them per run. Idle values belong to their entry, so LRU
+// eviction, a fingerprint replacement, or dropping the cache frees them.
 type ProgramCache struct {
 	// OnEvent, when non-nil, observes every Get outcome (compileNS is 0
 	// on hits). Set it before first use; the service mirrors the counters
@@ -522,7 +527,18 @@ type ProgramCache struct {
 type programEntry struct {
 	key  string
 	prog *Program
+	idle []idleValue // parked prepared state, oldest first
 }
+
+// idleValue is one parked value and the tag it was parked under.
+type idleValue struct {
+	tag, v any
+}
+
+// maxIdlePerProgram bounds the idle values one entry keeps, so parked
+// state stays proportional to the cache capacity even when callers park
+// under many tags or from many concurrent runs.
+const maxIdlePerProgram = 8
 
 // NewProgramCache builds a cache bounded to capacity entries (≤0 = 1).
 func NewProgramCache(capacity int) *ProgramCache {
@@ -566,6 +582,59 @@ func (pc *ProgramCache) Get(key string, fp uint64, build func() *Program) *Progr
 		delete(pc.items, oldest.Value.(*programEntry).key)
 	}
 	return prog
+}
+
+// Take removes and returns a value parked under (key, tag), or nil when
+// none is idle. Each parked value goes to one caller only, so concurrent
+// callers never share one. A successful Take serves the entry's program
+// without a compile or fingerprint walk, so it counts as a hit and
+// refreshes the entry's recency; an empty one counts as nothing (the
+// caller's Get will). The tag must be comparable and should identify
+// everything the value was built from beyond the program itself.
+func (pc *ProgramCache) Take(key string, tag any) any {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	el, ok := pc.items[key]
+	if !ok {
+		return nil
+	}
+	e := el.Value.(*programEntry)
+	for i := len(e.idle) - 1; i >= 0; i-- {
+		if e.idle[i].tag != tag {
+			continue
+		}
+		v := e.idle[i].v
+		last := len(e.idle) - 1
+		copy(e.idle[i:], e.idle[i+1:])
+		e.idle[last] = idleValue{} // drop the backing array's reference
+		e.idle = e.idle[:last]
+		pc.order.MoveToFront(el)
+		pc.stats.Hits++
+		if pc.OnEvent != nil {
+			pc.OnEvent(true, 0)
+		}
+		return v
+	}
+	return nil
+}
+
+// Park stores v idle under (key, tag) for a later Take. The value lives
+// and dies with key's entry: when key is not cached (never compiled, or
+// evicted while v was in use) v is dropped, and a full entry drops its
+// oldest idle value to make room.
+func (pc *ProgramCache) Park(key string, tag, v any) {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	el, ok := pc.items[key]
+	if !ok {
+		return
+	}
+	e := el.Value.(*programEntry)
+	if len(e.idle) == maxIdlePerProgram {
+		copy(e.idle, e.idle[1:])
+		e.idle = e.idle[:len(e.idle)-1]
+	}
+	e.idle = append(e.idle, idleValue{tag: tag, v: v})
 }
 
 // Len reports the current entry count.

@@ -189,3 +189,65 @@ func TestProgramCacheEventHook(t *testing.T) {
 		t.Fatalf("events = %v", events)
 	}
 }
+
+// TestProgramCacheParkTake: parked values come back only under their
+// key and tag, once each; a successful Take counts as a hit; an entry
+// holds a bounded number of idle values; and eviction or a fingerprint
+// replacement frees the entry's idle values with it.
+func TestProgramCacheParkTake(t *testing.T) {
+	c := bench.MustGenerate("C432")
+	get := func(pc *ProgramCache, key string, m delay.Model) {
+		pc.Get(key, FingerprintModel(c, m, CompileOptions{}), func() *Program { return CompileModel(c, m, CompileOptions{}) })
+	}
+	pc := NewProgramCache(2)
+	pc.Park("zero", "a", 1) // no entry yet: dropped
+	get(pc, "zero", delay.Zero{})
+	if v := pc.Take("zero", "a"); v != nil {
+		t.Fatalf("value parked before its entry existed came back: %v", v)
+	}
+	pc.Park("zero", "a", 1)
+	pc.Park("zero", "b", 2)
+	pc.Park("zero", "a", 3)
+	if v := pc.Take("zero", "c"); v != nil {
+		t.Fatalf("Take under an unparked tag returned %v", v)
+	}
+	if v := pc.Take("unit", "a"); v != nil {
+		t.Fatalf("Take under an uncached key returned %v", v)
+	}
+	for _, want := range []any{3, 1, nil} {
+		if v := pc.Take("zero", "a"); v != want {
+			t.Fatalf("Take = %v, want %v (newest first, each value once)", v, want)
+		}
+	}
+	if st := pc.Stats(); st.Hits != 2 || st.Misses != 1 {
+		t.Fatalf("stats hits=%d misses=%d, want 2/1 (a served Take is a hit)", st.Hits, st.Misses)
+	}
+
+	for i := 0; i < maxIdlePerProgram+2; i++ {
+		pc.Park("zero", "n", i)
+	}
+	n := 0
+	for pc.Take("zero", "n") != nil {
+		n++
+	}
+	if n != maxIdlePerProgram {
+		t.Fatalf("entry kept %d idle values, want %d", n, maxIdlePerProgram)
+	}
+	if v := pc.Take("zero", "b"); v != nil {
+		t.Fatalf("a full entry kept its oldest idle value %v", v)
+	}
+
+	// "zero" is most recent; two more keys evict it and its idle "b".
+	pc.Park("zero", "b", 2)
+	get(pc, "unit", delay.Unit{})
+	get(pc, "fanout", delay.FanoutLoaded{})
+	get(pc, "zero", delay.Zero{})
+	if v := pc.Take("zero", "b"); v != nil {
+		t.Fatalf("idle value survived its entry's eviction: %v", v)
+	}
+	pc.Park("zero", "b", 2)
+	get(pc, "zero", delay.Unit{}) // same key, other program: replaced
+	if v := pc.Take("zero", "b"); v != nil {
+		t.Fatalf("idle value survived a fingerprint replacement: %v", v)
+	}
+}

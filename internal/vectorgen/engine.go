@@ -10,32 +10,42 @@ import (
 )
 
 // evalEngine is the shared simulation backend of Build and
-// StreamSource.SampleBatch: it evaluates a slice of vector pairs into a
-// slice of cycle powers across a bounded worker pool, 64 pairs per
-// lane-packed pass — the bit-parallel settle engine for zero-delay models,
-// the word-level event-driven TimedBatch for every timed one. Each worker
-// slot owns a cloned evaluator, so the lane-packed engine (and its
-// per-clone scratch state) is built once and reused across calls.
+// StreamSource.SampleBatch: it evaluates a packed batch of vector pairs
+// into a slice of cycle powers across a bounded worker pool — compiled
+// stripes when the evaluator has kernels enabled, 64-lane blocks
+// otherwise. Each worker slot owns a cloned evaluator, so the lane
+// engine (and its per-clone scratch state) is built once and reused
+// across calls.
 //
-// Determinism: powers[i] depends only on pairs[i], and every write lands
+// Determinism: powers[i] depends only on pair i, and every write lands
 // at its own index, so the output is bit-identical for any worker count
 // and any goroutine schedule.
 type evalEngine struct {
-	workers int
-	evals   []*power.Evaluator // one clone per worker slot
+	proto   *power.Evaluator   // cloned into each new worker slot
+	workers int                // slots in use
+	evals   []*power.Evaluator // one clone per worker slot, len ≥ workers
 }
 
 // newEvalEngine clones eval into workers independent evaluators
 // (0 = NumCPU).
 func newEvalEngine(eval *power.Evaluator, workers int) *evalEngine {
+	e := &evalEngine{proto: eval}
+	e.setWorkers(workers)
+	return e
+}
+
+// setWorkers sets the worker budget (0 = NumCPU), cloning slots the pool
+// does not have yet. Slots beyond the budget stay built and idle: a
+// budget that shrinks and grows again reuses them, and their counters
+// stay in specStats, so cumulative counters never go backwards.
+func (e *evalEngine) setWorkers(workers int) {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	e := &evalEngine{workers: workers, evals: make([]*power.Evaluator, workers)}
-	for i := range e.evals {
-		e.evals[i] = eval.Clone()
+	for len(e.evals) < workers {
+		e.evals = append(e.evals, e.proto.Clone())
 	}
-	return e
+	e.workers = workers
 }
 
 // specStats sums the speculation counters across the pool's evaluator
@@ -50,59 +60,15 @@ func (e *evalEngine) specStats() sim.SpecStats {
 	return agg
 }
 
-// evaluate fills powers[i] with the cycle power (mW) of pairs[i]. The two
-// slices must have equal length. The first simulation error is returned;
-// indices whose chunk errored are left untouched.
-func (e *evalEngine) evaluate(pairs []Pair, powers []float64) error {
-	if len(pairs) != len(powers) {
-		return fmt.Errorf("vectorgen: %d pairs but %d power slots", len(pairs), len(powers))
-	}
-	n := len(pairs)
-	if n == 0 {
-		return nil
-	}
-	workers := e.workers
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		return evalChunk(e.evals[0], pairs, powers)
-	}
-	chunk := (n + workers - 1) / workers
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			errs[w] = evalChunk(e.evals[w], pairs[lo:hi], powers[lo:hi])
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // evaluatePacked fills powers[i] with the cycle power (mW) of pp's pair
-// i — the packed twin of evaluate, and the pipeline's native path: the
-// planes feed the lane engines directly, so no [][]bool and no per-call
-// transpose exist anywhere under it. Work is chunked across the worker
-// pool at 64-pair block granularity (each worker owns whole blocks, so
-// every write still lands at its own index and results stay bit-identical
-// for any worker count). The single-worker path runs inline and performs
-// zero heap allocations in steady state; multi-worker calls pay only the
+// i — the pipeline's native path: the planes feed the lane engines
+// directly, so no [][]bool and no per-call transpose exist anywhere under
+// it. A batch whose length disagrees with powers is refused with an
+// error, never truncated. Work is chunked across the worker pool at
+// engine-pass granularity (each worker owns whole passes, so every write
+// still lands at its own index and results stay bit-identical for any
+// worker count). The single-worker path runs inline and performs zero
+// heap allocations in steady state; multi-worker calls pay only the
 // goroutine fan-out.
 func (e *evalEngine) evaluatePacked(pp *sim.PackedPairs, powers []float64) error {
 	if pp.N != len(powers) {
@@ -181,34 +147,6 @@ func evalBlocks(ev *power.Evaluator, pp *sim.PackedPairs, lo, hi int, powers []f
 		if err := ev.PackedBlockMW(in1, in2, powers[b*64:b*64+lanes]); err != nil {
 			return fmt.Errorf("vectorgen: packed evaluation: %w", err)
 		}
-	}
-	return nil
-}
-
-// evalChunk evaluates one worker's contiguous share, 64 pairs per
-// lane-packed pass: every delay model goes through power.BatchMW (the
-// bit-parallel settle engine under zero delay, the event-driven TimedBatch
-// otherwise). Both engines guarantee results bit-identical to per-pair
-// CyclePowerMW calls, so that scalar path survives only as the
-// verification oracle (differential tests, StreamSource error recovery).
-func evalChunk(ev *power.Evaluator, pairs []Pair, powers []float64) error {
-	v1s := make([][]bool, 0, 64)
-	v2s := make([][]bool, 0, 64)
-	for base := 0; base < len(pairs); base += 64 {
-		end := base + 64
-		if end > len(pairs) {
-			end = len(pairs)
-		}
-		v1s, v2s = v1s[:0], v2s[:0]
-		for i := base; i < end; i++ {
-			v1s = append(v1s, pairs[i].V1)
-			v2s = append(v2s, pairs[i].V2)
-		}
-		batch, err := ev.BatchMW(v1s, v2s)
-		if err != nil {
-			return fmt.Errorf("vectorgen: lane-packed evaluation: %w", err)
-		}
-		copy(powers[base:end], batch)
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/delay"
 	"repro/internal/power"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -142,14 +143,14 @@ func TestEvalEngineLengthMismatch(t *testing.T) {
 	c := bench.MustGenerate("C432")
 	eval := power.NewEvaluator(c, delay.Zero{}, power.Params{})
 	eng := newEvalEngine(eval, 2)
-	pairs := make([]Pair, 3)
-	rng := stats.NewRNG(1)
 	gen := Uniform{N: c.NumInputs()}
-	for i := range pairs {
-		pairs[i] = gen.Generate(rng)
-	}
-	if err := eng.evaluate(pairs, make([]float64, 2)); err == nil {
-		t.Fatal("length mismatch accepted")
+	var pp sim.PackedPairs
+	pp.Reset(gen.Inputs(), 3)
+	GeneratePacked(gen, stats.NewRNG(1), &pp)
+	for _, n := range []int{2, 4} {
+		if err := eng.evaluatePacked(&pp, make([]float64, n)); err == nil {
+			t.Fatalf("%d power slots for 3 pairs accepted", n)
+		}
 	}
 }
 

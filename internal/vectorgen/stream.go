@@ -1,7 +1,6 @@
 package vectorgen
 
 import (
-	"runtime"
 	"sync/atomic"
 
 	"repro/internal/faultpoint"
@@ -50,10 +49,17 @@ type StreamSource struct {
 // generator. The evaluator is cloned, so the caller's instance stays
 // usable.
 func NewStreamSource(eval *power.Evaluator, gen Generator) (*StreamSource, error) {
-	if gen.Inputs() != eval.Circuit().NumInputs() {
-		return nil, &widthError{gen: gen.Inputs(), circuit: eval.Circuit().NumInputs(), name: eval.Circuit().Name}
+	if err := checkWidth(eval, gen); err != nil {
+		return nil, err
 	}
 	return &StreamSource{eval: eval.Clone(), gen: gen}, nil
+}
+
+func checkWidth(eval *power.Evaluator, gen Generator) error {
+	if gen.Inputs() != eval.Circuit().NumInputs() {
+		return &widthError{gen: gen.Inputs(), circuit: eval.Circuit().NumInputs(), name: eval.Circuit().Name}
+	}
+	return nil
 }
 
 type widthError struct {
@@ -107,17 +113,32 @@ func (s *StreamSource) SampleBatch(rng *stats.RNG, dst []float64) {
 	}
 }
 
-// engine returns the cached evaluation engine, rebuilding it when the
-// Workers budget changed since the last batch.
+// engine returns the cached evaluation engine, resized to the current
+// Workers budget (slots are added, never torn down).
 func (s *StreamSource) engine() *evalEngine {
-	w := s.Workers
-	if w <= 0 {
-		w = runtime.NumCPU()
-	}
-	if s.eng == nil || s.eng.workers != w {
-		s.eng = newEvalEngine(s.eval, w)
+	if s.eng == nil {
+		s.eng = newEvalEngine(s.eval, s.Workers)
+	} else {
+		s.eng.setWorkers(s.Workers)
 	}
 	return s.eng
+}
+
+// Rebind prepares the source for another run with a new generator: the
+// built evaluator clones, lane engines and batch buffer are kept, and
+// the per-run error state (BatchErr, BatchFallbacks) is cleared. The
+// generator must match the circuit's input width. DeclaredSize and
+// Workers are plain fields the caller sets alongside. Results after
+// Rebind are bit-identical to a fresh source's: the engines carry no
+// state from one batch to the next that a result depends on.
+func (s *StreamSource) Rebind(gen Generator) error {
+	if err := checkWidth(s.eval, gen); err != nil {
+		return err
+	}
+	s.gen = gen
+	s.batchErr = nil
+	s.batchFallbacks.Store(0)
+	return nil
 }
 
 // Size implements evt.Source.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 
-	"repro/internal/delay"
 	"repro/internal/evt"
 	"repro/internal/fleet"
 	"repro/internal/netlist"
@@ -147,40 +146,20 @@ func RunShard(ctx context.Context, pop *Population, opt EstimateOptions, sh Shar
 }
 
 // RunShardStreaming is RunShard against on-demand simulation: the
-// worker builds the circuit's streaming source (as
-// EstimateStreamingContext would) and runs the shard's hyper-samples
+// worker takes or builds the circuit's streaming source exactly as
+// EstimateStreamingContext does and runs the shard's hyper-samples
 // through it. Bit-identical for any Workers budget, like the streaming
 // estimator itself.
 func RunShardStreaming(ctx context.Context, c *netlist.Circuit, spec PopulationSpec, opt EstimateOptions, sh Shard, onHyper func(done int, rec HyperRecord) bool) ([]HyperRecord, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	if spec.DelayModel == "" {
-		spec.DelayModel = "fanout"
-	}
-	model, err := delay.ByName(spec.DelayModel)
-	if err != nil {
-		return nil, err
-	}
-	gen, err := generatorFor(c.NumInputs(), spec)
-	if err != nil {
-		return nil, err
-	}
-	src, err := vectorgen.NewStreamSource(kernelEvaluator(c, model, spec.Power, opt.Kernels), gen)
-	if err != nil {
-		return nil, err
-	}
-	src.DeclaredSize = spec.Size
-	src.Workers = opt.Workers
-	est, err := evt.New(src, opt.evtParams())
-	if err != nil {
-		return nil, err
-	}
-	recs, err := fleet.RunShard(ctx, est, sh, nil, onHyper)
-	reportBatchFallbacks(src, opt)
+	var recs []HyperRecord
+	err := withStreamSource(c, spec, opt, func(src *vectorgen.StreamSource) error {
+		est, err := evt.New(src, opt.evtParams())
+		if err != nil {
+			return err
+		}
+		recs, err = fleet.RunShard(ctx, est, sh, nil, onHyper)
+		return err
+	})
 	return recs, err
 }
 

@@ -161,9 +161,12 @@ func NewKernelCache(capacity int) *KernelCache { return sim.NewProgramCache(capa
 // it is the library default. Zero-delay programs settle either way.
 func kernelEvaluator(c *netlist.Circuit, model delay.Model, p power.Params, kc *KernelCache) *power.Evaluator {
 	ev := power.NewEvaluator(c, model, p)
-	ev.UseSpeculative(kc, c.Name+"/"+model.Name())
+	ev.UseSpeculative(kc, kernelKey(c, model))
 	return ev
 }
+
+// kernelKey is the kernel-cache key of a circuit under a delay model.
+func kernelKey(c *netlist.Circuit, model delay.Model) string { return c.Name + "/" + model.Name() }
 
 // BuildPopulation simulates a finite population of vector pairs on the
 // circuit and returns it ready for estimation.
@@ -277,9 +280,14 @@ type EstimateOptions struct {
 	// across runs: streaming estimation (and streaming shard workers)
 	// compile each (circuit, delay model) into a flat striped program
 	// either way, but a shared cache makes repeat runs skip the compile.
+	// The cache also keeps finished runs' streaming sources — evaluators,
+	// executors and batch buffers — idle in the program's entry, so the
+	// next run on the same circuit, delay model and Power parameters
+	// takes one instead of building it. Concurrent runs never share a
+	// source, and idle sources are freed with their entry or the cache.
 	// Results are unaffected — the compiled engine is bit-identical to
-	// the scalar oracle. Ignored by Estimate, whose population is already
-	// simulated.
+	// the scalar oracle, and a reused source to a fresh one. Ignored by
+	// Estimate, whose population is already simulated.
 	Kernels *KernelCache
 }
 
@@ -376,36 +384,77 @@ func EstimateStreaming(c *netlist.Circuit, spec PopulationSpec, opt EstimateOpti
 // against large designs, where each unit is a full event-driven
 // simulation.
 func EstimateStreamingContext(ctx context.Context, c *netlist.Circuit, spec PopulationSpec, opt EstimateOptions) (Result, error) {
+	var res Result
+	err := withStreamSource(c, spec, opt, func(src *vectorgen.StreamSource) error {
+		est, err := evt.New(src, opt.evtConfig())
+		if err != nil {
+			return err
+		}
+		res = est.RunContext(ctx, stats.NewRNG(opt.Seed))
+		return nil
+	})
+	return res, err
+}
+
+// sourceTag identifies a prepared streaming source inside the kernel
+// cache entry of its circuit name and delay model. The circuit is keyed
+// by identity, so a lookup never walks the netlist (and two circuits
+// cached under one name never trade sources); the electrical parameters
+// are baked into the source's evaluators. The generator, DeclaredSize
+// and Workers are rebound per run.
+type sourceTag struct {
+	c     *netlist.Circuit
+	power power.Params
+}
+
+// withStreamSource is the shared preamble of the streaming entry points.
+// It validates the inputs, takes an idle prepared source from
+// opt.Kernels (or builds one when there is none, or no cache), binds it
+// to this run's generator, DeclaredSize and Workers, runs fn on it,
+// reports batch fallbacks, and parks the source in the cache again. A
+// run that panics is not parked. Results are bit-identical whether the
+// source was taken or built: its engines hold no state a result depends
+// on between batches.
+func withStreamSource(c *netlist.Circuit, spec PopulationSpec, opt EstimateOptions, fn func(*vectorgen.StreamSource) error) error {
 	if err := spec.Validate(); err != nil {
-		return Result{}, err
+		return err
 	}
 	if err := opt.Validate(); err != nil {
-		return Result{}, err
+		return err
 	}
 	if spec.DelayModel == "" {
 		spec.DelayModel = "fanout"
 	}
 	model, err := delay.ByName(spec.DelayModel)
 	if err != nil {
-		return Result{}, err
+		return err
 	}
 	gen, err := generatorFor(c.NumInputs(), spec)
 	if err != nil {
-		return Result{}, err
+		return err
 	}
-	src, err := vectorgen.NewStreamSource(kernelEvaluator(c, model, spec.Power, opt.Kernels), gen)
+	key := kernelKey(c, model)
+	tag := sourceTag{c: c, power: spec.Power}
+	var src *vectorgen.StreamSource
+	if opt.Kernels != nil {
+		src, _ = opt.Kernels.Take(key, tag).(*vectorgen.StreamSource)
+	}
+	if src == nil {
+		src, err = vectorgen.NewStreamSource(kernelEvaluator(c, model, spec.Power, opt.Kernels), gen)
+	} else {
+		err = src.Rebind(gen)
+	}
 	if err != nil {
-		return Result{}, err
+		return err
 	}
 	src.DeclaredSize = spec.Size
 	src.Workers = opt.Workers
-	est, err := evt.New(src, opt.evtConfig())
-	if err != nil {
-		return Result{}, err
-	}
-	res := est.RunContext(ctx, stats.NewRNG(opt.Seed))
+	err = fn(src)
 	reportBatchFallbacks(src, opt)
-	return res, nil
+	if opt.Kernels != nil {
+		opt.Kernels.Park(key, tag, src)
+	}
+	return err
 }
 
 // reportBatchFallbacks surfaces a streaming source's silent
