@@ -16,6 +16,7 @@ package power
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/delay"
@@ -55,6 +56,26 @@ func Defaults() Params {
 		LeakNW:      0.5,
 		GlitchSwing: 0.1,
 	}
+}
+
+// Validate reports whether NewEvaluator accepts p: the zero value, which
+// selects Defaults, or constants that are all finite with a positive
+// supply voltage and clock period. Anything else would give non-finite
+// or meaningless powers.
+func (p Params) Validate() error {
+	if p == (Params{}) {
+		return nil
+	}
+	for _, v := range [...]float64{p.Vdd, p.ClockNS, p.IntrinsicF, p.InputCapF,
+		p.WireCapF, p.PadCapF, p.SCFraction, p.LeakNW, p.GlitchSwing} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("power: params must be finite, got %+v", p)
+		}
+	}
+	if p.Vdd <= 0 || p.ClockNS <= 0 {
+		return fmt.Errorf("power: Vdd and ClockNS must be positive (a zero Params selects the defaults), got Vdd %v, ClockNS %v", p.Vdd, p.ClockNS)
+	}
+	return nil
 }
 
 // kindCapScale makes complex gates heavier, echoing transistor counts.
@@ -124,11 +145,16 @@ type Evaluator struct {
 	// Compiled-kernel state (UseKernels): the immutable program is shared
 	// across clones and — through the cache — across evaluators for the
 	// same (circuit, delay model); the striped executor is per-instance
-	// mutable run state, built lazily like batch/timed.
+	// mutable run state, built lazily like batch/timed. slotEnergy is
+	// energyW in the program's slot order, resolved with the program and
+	// shared like it; acc is the per-instance stripe-sized accumulator
+	// of stripeMW.
 	useKernels bool
 	kernels    *sim.ProgramCache
 	kernelKey  string
 	prog       *sim.Program
+	slotEnergy []float64
+	acc        []float64
 	striped    *sim.Striped
 	// speculate selects the settle-then-patch executor for kernel
 	// stripes; spec is its lazily built per-instance run state (it owns
@@ -145,13 +171,14 @@ type Evaluator struct {
 
 // NewEvaluator builds an evaluator for the circuit under a delay model and
 // electrical parameters. Zero-valued params select Defaults(); nil model
-// selects delay.FanoutLoaded{}.
+// selects delay.FanoutLoaded{}. It panics on params Validate rejects, so
+// callers taking them from users validate first.
 func NewEvaluator(c *netlist.Circuit, m delay.Model, p Params) *Evaluator {
+	if err := p.Validate(); err != nil {
+		panic(fmt.Sprintf("power: invalid params %+v: %v", p, err))
+	}
 	if p == (Params{}) {
 		p = Defaults()
-	}
-	if p.Vdd <= 0 || p.ClockNS <= 0 {
-		panic(fmt.Sprintf("power: invalid params %+v", p))
 	}
 	caps := NodeCapsF(c, p)
 	energy := make([]float64, len(caps))
@@ -191,6 +218,7 @@ func (e *Evaluator) Clone() *Evaluator {
 		kernels:    e.kernels,
 		kernelKey:  e.kernelKey,
 		prog:       e.prog,
+		slotEnergy: e.slotEnergy,
 		speculate:  e.speculate,
 	}
 }
@@ -206,6 +234,7 @@ func (e *Evaluator) UseKernels(cache *sim.ProgramCache, key string) {
 	e.kernels = cache
 	e.kernelKey = key
 	e.prog = nil
+	e.slotEnergy = nil
 	e.striped = nil
 	e.speculate = false
 	e.spec = nil
@@ -245,8 +274,9 @@ func (e *Evaluator) SpecStats() sim.SpecStats {
 }
 
 // program resolves the compiled program, through the shared cache when
-// one was provided. Delays come from the simulator's own assignment, so
-// the compiled kernel is oracle-exact by construction.
+// one was provided, and the per-slot energies that go with it. Delays
+// come from the simulator's own assignment, so the compiled kernel is
+// oracle-exact by construction.
 func (e *Evaluator) program() *sim.Program {
 	if e.prog != nil {
 		return e.prog
@@ -256,12 +286,17 @@ func (e *Evaluator) program() *sim.Program {
 	delays := e.simulator.DelaysPS()
 	if e.kernels == nil {
 		e.prog = sim.Compile(c, delays, opt)
-		return e.prog
+	} else {
+		fp := sim.Fingerprint(c, delays, opt)
+		e.prog = e.kernels.Get(e.kernelKey, fp, func() *sim.Program {
+			return sim.Compile(c, delays, opt)
+		})
 	}
-	fp := sim.Fingerprint(c, delays, opt)
-	e.prog = e.kernels.Get(e.kernelKey, fp, func() *sim.Program {
-		return sim.Compile(c, delays, opt)
-	})
+	gates := e.prog.SlotGates()
+	e.slotEnergy = make([]float64, len(gates))
+	for s, g := range gates {
+		e.slotEnergy[s] = e.energyW[g]
+	}
 	return e.prog
 }
 
@@ -516,6 +551,9 @@ func (e *Evaluator) PackedStripeMW(pp *sim.PackedPairs, stripe int, out []float6
 	if lanes <= 0 || len(out) != lanes {
 		return fmt.Errorf("power: %d power slots for stripe %d of %d packed pairs", len(out), stripe, pp.N)
 	}
+	if len(e.acc) < sl {
+		e.acc = make([]float64, sl)
+	}
 	var r *sim.StripedResult
 	if e.speculate {
 		if e.spec == nil {
@@ -540,12 +578,16 @@ func (e *Evaluator) PackedStripeMW(pp *sim.PackedPairs, stripe int, out []float6
 // energy sum visits gates in ascending original order with one add per
 // toggled gate and the same eff expression as energyOf, so every lane's
 // float64 accumulation is bit-identical to the scalar path (compiled
-// slots ascend in gate id by construction).
+// slots ascend in gate id by construction). The sums build up in the
+// stripe-sized acc, one 64-lane view per word, so no toggle needs a
+// bounds check: lanes past the batch never toggle (their planes are
+// zero) and are simply not copied out.
 func (e *Evaluator) stripeMW(r *sim.StripedResult, out []float64) {
-	for i := range out {
-		out[i] = 0
-	}
 	aw := r.AW
+	acc := e.acc[:aw*64]
+	for i := range acc {
+		acc[i] = 0
+	}
 	// Glitch factors for the two in-block count values: lanes counting 2
 	// or 3 cover nearly every glitching lane, and their factors are the
 	// exact floats the per-lane formula produces (glitch·1 and glitch·2
@@ -554,28 +596,17 @@ func (e *Evaluator) stripeMW(r *sim.StripedResult, out []float64) {
 	// reconstruction for everything below the overflow threshold.
 	eff2 := 1 + e.glitch
 	eff3 := 1 + e.glitch*2
-	for s := 0; s < r.NSlots; s++ {
-		eg := e.energyW[r.Gates[s]]
-		base := s * aw
-		for k := 0; k < r.AW; k++ {
-			any := r.Any[base+k]
+	for s, eg := range e.slotEnergy[:r.NSlots] {
+		for k, any := range r.Any[s*aw : s*aw+aw] {
 			if any == 0 {
 				continue
 			}
-			lane0 := k * 64
-			if lane0 >= len(out) {
-				break // inert packing lanes beyond the batch
-			}
-			sub := out[lane0:]
+			lanes := (*[64]float64)(acc[k*64:])
 			// Single-toggle lanes have eff = 1 exactly (MultiMask is
 			// empty under zero delay, where counts live in Any alone).
 			multi := r.MultiMask(s, k)
 			for m := any &^ multi; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros64(m)
-				if lane >= len(sub) {
-					break
-				}
-				sub[lane] += eg
+				lanes[bits.TrailingZeros64(m)&63] += eg
 			}
 			if multi == 0 {
 				continue
@@ -583,35 +614,24 @@ func (e *Evaluator) stripeMW(r *sim.StripedResult, out []float64) {
 			b0, ov := r.CountBits(s, k)
 			e2 := eff2 * eg
 			for m := multi &^ b0 &^ ov; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros64(m)
-				if lane >= len(sub) {
-					break
-				}
-				sub[lane] += e2
+				lanes[bits.TrailingZeros64(m)&63] += e2
 			}
 			e3 := eff3 * eg
 			for m := multi & b0 &^ ov; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros64(m)
-				if lane >= len(sub) {
-					break
-				}
-				sub[lane] += e3
+				lanes[bits.TrailingZeros64(m)&63] += e3
 			}
 			// Overflow lanes (count ≥ 4) fall back to full count
 			// reconstruction — rare enough that the plane walk is noise.
 			for m := ov; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros64(m)
-				if lane >= len(sub) {
-					break
-				}
+				lane := bits.TrailingZeros64(m) & 63
 				n := r.Count(s, k, lane)
 				eff := 1 + e.glitch*float64(n-1)
-				sub[lane] += eff * eg
+				lanes[lane] += eff * eg
 			}
 		}
 	}
 	for i := range out {
-		out[i] = (out[i]/e.clockS + e.leakW) * 1e3
+		out[i] = (acc[i]/e.clockS + e.leakW) * 1e3
 	}
 }
 

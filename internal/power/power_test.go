@@ -2,6 +2,7 @@ package power
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -175,6 +176,36 @@ func TestNewEvaluatorPanicsOnBadParams(t *testing.T) {
 		}
 	}()
 	NewEvaluator(c, nil, Params{Vdd: -1, ClockNS: 10})
+}
+
+func TestParamsValidate(t *testing.T) {
+	ok := []Params{{}, Defaults(), {Vdd: 1, ClockNS: 1}}
+	for i, p := range ok {
+		if err := p.Validate(); err != nil {
+			t.Errorf("params %d rejected: %v", i, err)
+		}
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	withGlitch := Defaults()
+	withGlitch.GlitchSwing = nan
+	withLeak := Defaults()
+	withLeak.LeakNW = -inf
+	bad := []Params{
+		{Vdd: 3.3},                // partial: ClockNS stays 0
+		{Vdd: -1, ClockNS: 10},    //
+		{Vdd: nan, ClockNS: 10},   //
+		{Vdd: 3.3, ClockNS: inf},  //
+		{Vdd: 3.3, ClockNS: -inf}, //
+		withGlitch,
+		withLeak,
+	}
+	for i, p := range bad {
+		if err := p.Validate(); err == nil {
+			t.Errorf("params %d accepted: %+v", i, p)
+		} else if !strings.HasPrefix(err.Error(), "power: ") {
+			t.Errorf("params %d: error %q lacks the package prefix", i, err)
+		}
+	}
 }
 
 func TestPowerDeterministic(t *testing.T) {

@@ -470,6 +470,11 @@ func (p *Program) StripeLanes() int { return p.w * 64 }
 // ZeroDelay reports whether this is the settle-only glitch-free kernel.
 func (p *Program) ZeroDelay() bool { return p.zeroDelay }
 
+// SlotGates maps each compiled slot to its original gate id, ascending —
+// the indexing of StripedResult's per-slot arrays. It aliases the
+// immutable program: read it, never write it.
+func (p *Program) SlotGates() []int32 { return p.gates }
+
 // LiveGates returns the number of compiled slots — NumGates minus the
 // dead outputs eliminated against the Observe set.
 func (p *Program) LiveGates() int { return p.nLive }

@@ -24,6 +24,10 @@ type PackedPairs struct {
 	N int
 	// In1, In2 are the bit-plane arrays, Blocks()*Inputs words each.
 	In1, In2 []uint64
+
+	// rows is the pair-major row scratch BlockRows hands out: grown on
+	// first use, reused by every later block and batch.
+	rows []uint64
 }
 
 // Blocks returns the number of 64-lane blocks covering the batch.
@@ -113,9 +117,82 @@ func (p *PackedPairs) PairInto(i int, v1, v2 []bool) {
 	}
 }
 
+// RowWords returns the width of one pair-major bit row: ⌈Inputs/64⌉
+// words, input i at bit i%64 of word i/64. That is how a vector drawn as
+// uniform 64-bit words is laid out, so a generator can write a pair as
+// two rows and SetBlockRows turns 64 of them into a block's planes.
+func (p *PackedPairs) RowWords() int { return (p.Inputs + 63) / 64 }
+
+// BlockRows returns row scratch for one block: r1 and r2 each hold 64
+// rows of RowWords words, row l at [l·RowWords, (l+1)·RowWords), for the
+// first and second vectors. The scratch belongs to p, is allocated on
+// first use and reused after, and its contents on return are whatever
+// the previous block left there.
+func (p *PackedPairs) BlockRows() (r1, r2 []uint64) {
+	n := 64 * p.RowWords()
+	if cap(p.rows) < 2*n {
+		p.rows = make([]uint64, 2*n)
+	}
+	return p.rows[:n:n], p.rows[n : 2*n : 2*n]
+}
+
+// SetBlockRows writes block b's planes from pair-major rows in
+// BlockRows's layout: bit i%64 of word i/64 of row l becomes bit l of
+// plane word b·Inputs+i. r1 and r2 must hold at least the block's valid
+// lanes' rows; lanes past them are written zero, and row bits past
+// Inputs are ignored. Each 64-input column of the block is one 64×64
+// bit-matrix transpose.
+func (p *PackedPairs) SetBlockRows(b int, r1, r2 []uint64) {
+	w := p.RowWords()
+	lanes := p.N - b*64
+	if lanes > 64 {
+		lanes = 64
+	}
+	if b < 0 || lanes <= 0 || len(r1) < lanes*w || len(r2) < lanes*w {
+		panic(fmt.Sprintf("sim: SetBlockRows block %d of %d pairs with %d/%d row words", b, p.N, len(r1), len(r2)))
+	}
+	lo := b * p.Inputs
+	hi := lo + p.Inputs
+	transposeRows(p.In1[lo:hi], r1, w, lanes)
+	transposeRows(p.In2[lo:hi], r2, w, lanes)
+}
+
+// transposeRows fills plane (one block's words, one per input) from the
+// first lanes rows of w words each, lanes past them reading as zero.
+func transposeRows(plane, rows []uint64, w, lanes int) {
+	var a [64]uint64
+	for j := 0; j < w; j++ {
+		for l := 0; l < lanes; l++ {
+			a[l] = rows[l*w+j]
+		}
+		for l := lanes; l < 64; l++ {
+			a[l] = 0
+		}
+		transpose64(&a)
+		copy(plane[64*j:], a[:])
+	}
+}
+
+// transpose64 transposes the 64×64 bit matrix whose row r is a[r], bit c
+// being column c: afterwards bit r of a[c] is the former bit c of a[r].
+// It swaps the off-diagonal j×j blocks for j = 32, 16, …, 1, all blocks
+// of one size at once through the mask m of their low columns (Hacker's
+// Delight §7-3, with bit 0 as column 0).
+func transpose64(a *[64]uint64) {
+	m := uint64(0x00000000ffffffff)
+	for j := 32; j != 0; j, m = j>>1, m^m<<uint(j>>1) {
+		for k := 0; k < 64; k = (k + j + 1) &^ j {
+			t := (a[k]>>uint(j) ^ a[k+j]) & m
+			a[k] ^= t << uint(j)
+			a[k+j] ^= t
+		}
+	}
+}
+
 // MemoryBytes reports the backing-array footprint — the number the
 // population cache sizing argument rests on (∼2·Inputs·Blocks·8 bytes,
-// i.e. 2 bits per input bit versus 2 bytes on the [][]bool path).
+// i.e. 2 bits per input bit versus 2 bytes on the [][]bool path), plus
+// the 1024·RowWords bytes of row scratch once BlockRows has made it.
 func (p *PackedPairs) MemoryBytes() int {
-	return (cap(p.In1) + cap(p.In2)) * 8
+	return (cap(p.In1) + cap(p.In2) + cap(p.rows)) * 8
 }

@@ -112,3 +112,98 @@ func TestPackedPairsResetReuses(t *testing.T) {
 		t.Fatalf("MemoryBytes %d lost the grown capacity", pp.MemoryBytes())
 	}
 }
+
+// xorshiftWords returns n pseudo-random words from a fixed seed.
+func xorshiftWords(n int, seed uint64) []uint64 {
+	out := make([]uint64, n)
+	x := seed | 1
+	for i := range out {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		out[i] = x
+	}
+	return out
+}
+
+func TestTranspose64(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		var a [64]uint64
+		copy(a[:], xorshiftWords(64, seed))
+		orig := a
+		transpose64(&a)
+		for r := 0; r < 64; r++ {
+			for c := 0; c < 64; c++ {
+				if a[c]>>uint(r)&1 != orig[r]>>uint(c)&1 {
+					t.Fatalf("seed %d: entry (%d,%d) not transposed", seed, r, c)
+				}
+			}
+		}
+		transpose64(&a)
+		if a != orig {
+			t.Fatalf("seed %d: transposing twice is not the identity", seed)
+		}
+	}
+}
+
+// TestSetBlockRowsRoundTrip writes random pair-major rows through
+// SetBlockRows, full and partial blocks, over dirty planes, and reads
+// every pair back through PairInto: each bit must come back, and lanes
+// past the batch must read zero.
+func TestSetBlockRowsRoundTrip(t *testing.T) {
+	for _, tc := range []struct{ inputs, n int }{{1, 1}, {64, 64}, {65, 130}, {207, 300}, {300, 63}} {
+		var pp PackedPairs
+		pp.Reset(tc.inputs, tc.n)
+		for i := range pp.In1 {
+			pp.In1[i], pp.In2[i] = ^uint64(0), ^uint64(0)
+		}
+		w := pp.RowWords()
+		rows1 := xorshiftWords(pp.Blocks()*64*w, uint64(tc.inputs))
+		rows2 := xorshiftWords(pp.Blocks()*64*w, uint64(tc.n))
+		for b := 0; b < pp.Blocks(); b++ {
+			lanes := min(tc.n-64*b, 64)
+			lo, hi := b*64*w, (b*64+lanes)*w
+			pp.SetBlockRows(b, rows1[lo:hi], rows2[lo:hi])
+		}
+		v1 := make([]bool, tc.inputs)
+		v2 := make([]bool, tc.inputs)
+		for i := 0; i < tc.n; i++ {
+			pp.PairInto(i, v1, v2)
+			for j := 0; j < tc.inputs; j++ {
+				w1 := rows1[i*w+j/64]>>uint(j%64)&1 != 0
+				w2 := rows2[i*w+j/64]>>uint(j%64)&1 != 0
+				if v1[j] != w1 || v2[j] != w2 {
+					t.Fatalf("%d inputs, %d pairs: pair %d input %d is (%v,%v), row has (%v,%v)",
+						tc.inputs, tc.n, i, j, v1[j], v2[j], w1, w2)
+				}
+			}
+		}
+		if lanes := tc.n % 64; lanes != 0 {
+			in1, in2, _ := pp.Block(pp.Blocks() - 1)
+			for j := range in1 {
+				if (in1[j]|in2[j])>>uint(lanes) != 0 {
+					t.Fatalf("%d inputs, %d pairs: lanes past the batch set at input %d", tc.inputs, tc.n, j)
+				}
+			}
+		}
+	}
+}
+
+func TestBlockRowsReuses(t *testing.T) {
+	var pp PackedPairs
+	pp.Reset(207, 300)
+	r1, r2 := pp.BlockRows()
+	if len(r1) != 64*4 || len(r2) != 64*4 {
+		t.Fatalf("BlockRows lengths %d/%d, want %d", len(r1), len(r2), 64*4)
+	}
+	if cap(r1) != len(r1) || cap(r2) != len(r2) {
+		t.Fatal("BlockRows halves can grow into each other")
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		pp.Reset(207, 300)
+		pp.BlockRows()
+	})
+	if allocs != 0 {
+		t.Fatalf("BlockRows at steady state allocated %v times", allocs)
+	}
+}

@@ -47,15 +47,23 @@ func splitmix64(state uint64) (uint64, uint64) {
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
 	s := &r.s
-	result := rotl(s[1]*5, 7) * 9
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = rotl(s[3], 45)
-	return result
+	var x uint64
+	x, s[0], s[1], s[2], s[3] = next(s[0], s[1], s[2], s[3])
+	return x
+}
+
+// next is one xoshiro256** step on a state passed by value, so loops
+// that draw many words keep the state in registers: it returns the
+// output and the advanced state.
+func next(s0, s1, s2, s3 uint64) (x, n0, n1, n2, n3 uint64) {
+	x = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	return x, s0, s1, s2, rotl(s3, 45)
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
@@ -149,6 +157,56 @@ func mul64(a, b uint64) (hi, lo uint64) {
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool {
 	return r.Float64() < p
+}
+
+// Fill overwrites dst with successive Uint64 draws: the same words, and
+// the same end state, as len(dst) Uint64 calls. The state stays in
+// locals for the whole loop instead of round-tripping through r.
+func (r *RNG) Fill(dst []uint64) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := range dst {
+		dst[i], s0, s1, s2, s3 = next(s0, s1, s2, s3)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+}
+
+// BoolThreshold converts a probability into the integer threshold that
+// BoolBits compares against: Float64() < p holds exactly when the draw's
+// top 53 bits are below BoolThreshold(p). Float64 returns k·2⁻⁵³ for
+// k = Uint64()>>11, exactly (k < 2⁵³ converts without rounding and the
+// power-of-two scale is exact), and p·2⁵³ is exact too for p in (0, 1),
+// subnormals included. So k·2⁻⁵³ < p ⇔ k < p·2⁵³ ⇔ k < ⌈p·2⁵³⌉, the
+// last step because k is an integer. p ≤ 0 and NaN give 0 (no draw
+// passes, as no Float64 is below them); p ≥ 1 gives 2⁵³ (every draw
+// passes).
+func BoolThreshold(p float64) uint64 {
+	if !(p > 0) {
+		return 0
+	}
+	if p >= 1 {
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
+// BoolBits makes n ≤ 64 Bernoulli draws against the threshold t of
+// BoolThreshold(p) and returns them as bits: bit j is the j-th draw,
+// the value Bool(p) would have returned, and bits n..63 are zero. It
+// consumes the stream exactly like n Bool(p) calls. The comparison is
+// branch-free: k − t wraps to a value with the top bit set exactly when
+// k < t, as both are below 2⁵⁴.
+func (r *RNG) BoolBits(t uint64, n int) uint64 {
+	if n < 0 || n > 64 {
+		panic("stats: BoolBits needs 0 ≤ n ≤ 64")
+	}
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	var bits, x uint64
+	for j := 0; j < n; j++ {
+		x, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+		bits |= (x>>11 - t) >> 63 << uint(j)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return bits
 }
 
 // NormFloat64 returns a standard normal variate using the polar

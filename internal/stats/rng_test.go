@@ -334,3 +334,89 @@ func TestJumpDistinctPerShard(t *testing.T) {
 		r.Jump()
 	}
 }
+
+func TestFillMatchesUint64(t *testing.T) {
+	for _, n := range []int{0, 1, 3, 64, 257} {
+		a, b := NewRNG(uint64(n)+5), NewRNG(uint64(n)+5)
+		got := make([]uint64, n)
+		a.Fill(got)
+		for i, w := range got {
+			if want := b.Uint64(); w != want {
+				t.Fatalf("Fill(%d) word %d = %#x, Uint64 gives %#x", n, i, w, want)
+			}
+		}
+		if a.State() != b.State() {
+			t.Fatalf("Fill(%d) left a different state than %d Uint64 calls", n, n)
+		}
+	}
+}
+
+// boolProbes are the probabilities where the threshold identity is most
+// fragile: the clamps, subnormals, 2⁻⁵³ (the smallest non-zero Float64)
+// and its neighbours, and the top of the unit interval.
+var boolProbes = []float64{
+	-1, 0, 5e-324, 0x1p-1060,
+	math.Nextafter(0x1p-53, 0), 0x1p-53, math.Nextafter(0x1p-53, 1), 0x1p-52,
+	0.3, 0.5, 0.7, math.Nextafter(1-0x1p-53, 0), 1 - 0x1p-53, math.Nextafter(1, 0), 1, 2,
+	math.Inf(1), math.Inf(-1), math.NaN(),
+}
+
+// TestBoolThresholdIdentity checks Float64() < p ⇔ k < BoolThreshold(p)
+// for k = Uint64()>>11 directly at the integers where it could break:
+// both ends of [0, 2⁵³) and each side of the threshold.
+func TestBoolThresholdIdentity(t *testing.T) {
+	probes := append([]float64(nil), boolProbes...)
+	r := NewRNG(3)
+	for i := 0; i < 2000; i++ {
+		probes = append(probes, r.Float64(), math.Ldexp(r.Float64(), -r.Intn(80)))
+	}
+	for _, p := range probes {
+		th := BoolThreshold(p)
+		if th > 1<<53 {
+			t.Fatalf("BoolThreshold(%v) = %d exceeds 2^53", p, th)
+		}
+		for _, k := range []uint64{0, 1, 2, th - 2, th - 1, th, th + 1, th + 2, 1<<53 - 2, 1<<53 - 1} {
+			if k >= 1<<53 {
+				continue
+			}
+			want := float64(k)/(1<<53) < p
+			if got := k < th; got != want {
+				t.Fatalf("p = %v (threshold %d), k = %d: k < threshold is %v, Float64 < p is %v", p, th, k, got, want)
+			}
+		}
+	}
+}
+
+// TestBoolBitsMatchesBool requires BoolBits(BoolThreshold(p), n) to equal
+// n Bool(p) calls bit for bit, with zeros above bit n, and to leave the
+// same RNG state.
+func TestBoolBitsMatchesBool(t *testing.T) {
+	for _, p := range boolProbes {
+		for _, n := range []int{0, 1, 5, 63, 64} {
+			for seed := uint64(1); seed <= 20; seed++ {
+				a, b := NewRNG(seed), NewRNG(seed)
+				got := a.BoolBits(BoolThreshold(p), n)
+				for j := 0; j < n; j++ {
+					if bit := got>>uint(j)&1 != 0; bit != b.Bool(p) {
+						t.Fatalf("p = %v, n = %d, seed %d: bit %d is %v, Bool disagrees", p, n, seed, j, bit)
+					}
+				}
+				if n < 64 && got>>uint(n) != 0 {
+					t.Fatalf("p = %v, n = %d: bits above n set in %#x", p, n, got)
+				}
+				if a.State() != b.State() {
+					t.Fatalf("p = %v, n = %d, seed %d: BoolBits left a different state than Bool", p, n, seed)
+				}
+			}
+		}
+	}
+}
+
+func TestBoolBitsPanicsPast64(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("BoolBits(t, 65) did not panic")
+		}
+	}()
+	NewRNG(1).BoolBits(0, 65)
+}

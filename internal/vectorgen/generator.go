@@ -31,15 +31,23 @@ type Generator interface {
 	Generate(rng *stats.RNG) Pair
 }
 
-func randomVector(rng *stats.RNG, n int) []bool {
+// generateRows is the Generate of the built-in generators: one pair
+// drawn into fresh bit rows by the generator's draw routine, then
+// unpacked. Each generator has that one routine, so its []bool and
+// packed outputs cannot drift apart.
+func generateRows(g rowGenerator, rng *stats.RNG) Pair {
+	n := g.Inputs()
+	w := (n + 63) / 64
+	rows := make([]uint64, 2*w)
+	g.drawRows(rng, rows[:w], rows[w:])
+	return Pair{V1: unpackRow(rows[:w], n), V2: unpackRow(rows[w:], n)}
+}
+
+// unpackRow expands the first n bits of a bit row into a vector.
+func unpackRow(row []uint64, n int) []bool {
 	v := make([]bool, n)
-	var bits uint64
 	for i := range v {
-		if i%64 == 0 {
-			bits = rng.Uint64()
-		}
-		v[i] = bits&1 != 0
-		bits >>= 1
+		v[i] = row[i/64]>>uint(i%64)&1 != 0
 	}
 	return v
 }
@@ -58,8 +66,12 @@ func (u Uniform) Name() string { return "uniform" }
 func (u Uniform) Inputs() int { return u.N }
 
 // Generate implements Generator.
-func (u Uniform) Generate(rng *stats.RNG) Pair {
-	return Pair{V1: randomVector(rng, u.N), V2: randomVector(rng, u.N)}
+func (u Uniform) Generate(rng *stats.RNG) Pair { return generateRows(u, rng) }
+
+// drawRows implements rowGenerator: both rows are uniform words.
+func (u Uniform) drawRows(rng *stats.RNG, r1, r2 []uint64) {
+	rng.Fill(r1)
+	rng.Fill(r2)
 }
 
 // HighActivity draws v1 uniformly and flips each input with a per-pair
@@ -87,7 +99,11 @@ func (h HighActivity) Name() string { return fmt.Sprintf("high-activity(≥%.2g)
 func (h HighActivity) Inputs() int { return h.N }
 
 // Generate implements Generator.
-func (h HighActivity) Generate(rng *stats.RNG) Pair {
+func (h HighActivity) Generate(rng *stats.RNG) Pair { return generateRows(h, rng) }
+
+// drawRows implements rowGenerator: the pair's activity, the uniform
+// first row, then one flip draw per input in input order, 64 to a call.
+func (h HighActivity) drawRows(rng *stats.RNG, r1, r2 []uint64) {
 	lo := h.MinActivity
 	if lo < 0 {
 		lo = 0
@@ -99,17 +115,11 @@ func (h HighActivity) Generate(rng *stats.RNG) Pair {
 	if skew <= 0 {
 		skew = DefaultActivitySkew
 	}
-	act := lo + (1-lo)*math.Pow(rng.Float64(), skew)
-	v1 := randomVector(rng, h.N)
-	v2 := make([]bool, h.N)
-	for i, b := range v1 {
-		if rng.Bool(act) {
-			v2[i] = !b
-		} else {
-			v2[i] = b
-		}
+	t := stats.BoolThreshold(lo + (1-lo)*math.Pow(rng.Float64(), skew))
+	rng.Fill(r1)
+	for w := range r1 {
+		r2[w] = r1[w] ^ rng.BoolBits(t, min(h.N-64*w, 64))
 	}
-	return Pair{V1: v1, V2: v2}
 }
 
 // Constrained draws v1 uniformly and flips input i with probability
@@ -146,18 +156,16 @@ func (c Constrained) Name() string {
 func (c Constrained) Inputs() int { return len(c.Probs) }
 
 // Generate implements Generator.
-func (c Constrained) Generate(rng *stats.RNG) Pair {
-	n := len(c.Probs)
-	v1 := randomVector(rng, n)
-	v2 := make([]bool, n)
-	for i, b := range v1 {
-		if rng.Bool(c.Probs[i]) {
-			v2[i] = !b
-		} else {
-			v2[i] = b
-		}
+func (c Constrained) Generate(rng *stats.RNG) Pair { return generateRows(c, rng) }
+
+// drawRows implements rowGenerator: the uniform first row, then input
+// i's flip drawn with Probs[i], in input order.
+func (c Constrained) drawRows(rng *stats.RNG, r1, r2 []uint64) {
+	rng.Fill(r1)
+	copy(r2, r1)
+	for i, p := range c.Probs {
+		r2[i/64] ^= rng.BoolBits(stats.BoolThreshold(p), 1) << uint(i%64)
 	}
-	return Pair{V1: v1, V2: v2}
 }
 
 // Grouped models joint transition probabilities: inputs within one group
@@ -177,8 +185,9 @@ func (g Grouped) Name() string { return fmt.Sprintf("grouped(%d groups)", len(g.
 // Inputs implements Generator.
 func (g Grouped) Inputs() int { return g.N }
 
-// Validate checks group structure; Generate panics on invalid setups, so
-// callers constructing Grouped from user input should Validate first.
+// Validate checks group structure; Generate (and GeneratePacked) panic
+// on invalid setups, so callers constructing Grouped from user input
+// should Validate first.
 func (g Grouped) Validate() error {
 	if len(g.Groups) != len(g.Probs) {
 		return fmt.Errorf("vectorgen: %d groups but %d probabilities", len(g.Groups), len(g.Probs))
@@ -207,28 +216,32 @@ func (g Grouped) Validate() error {
 }
 
 // Generate implements Generator.
-func (g Grouped) Generate(rng *stats.RNG) Pair {
+func (g Grouped) Generate(rng *stats.RNG) Pair { return generateRows(g, rng) }
+
+// drawRows implements rowGenerator: the uniform first row, one flip draw
+// per group in group order, then one per ungrouped input in input order.
+// Unlike the other generators it validates and allocates per pair;
+// Grouped populations are built once, not streamed.
+func (g Grouped) drawRows(rng *stats.RNG, r1, r2 []uint64) {
 	if err := g.Validate(); err != nil {
 		panic(err)
 	}
-	v1 := randomVector(rng, g.N)
-	v2 := append([]bool(nil), v1...)
-	grouped := make([]bool, g.N)
+	rng.Fill(r1)
+	copy(r2, r1)
+	grouped := make([]uint64, len(r1))
 	for gi, grp := range g.Groups {
-		flip := rng.Bool(g.Probs[gi])
+		flip := rng.BoolBits(stats.BoolThreshold(g.Probs[gi]), 1)
 		for _, i := range grp {
-			grouped[i] = true
-			if flip {
-				v2[i] = !v2[i]
-			}
+			grouped[i/64] |= 1 << uint(i%64)
+			r2[i/64] ^= flip << uint(i%64)
 		}
 	}
-	for i := range v2 {
-		if !grouped[i] && rng.Bool(g.Default) {
-			v2[i] = !v2[i]
+	t := stats.BoolThreshold(g.Default)
+	for i := 0; i < g.N; i++ {
+		if grouped[i/64]>>uint(i%64)&1 == 0 {
+			r2[i/64] ^= rng.BoolBits(t, 1) << uint(i%64)
 		}
 	}
-	return Pair{V1: v1, V2: v2}
 }
 
 // Activity returns the fraction of inputs that differ between the pair's

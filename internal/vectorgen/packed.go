@@ -1,133 +1,58 @@
 package vectorgen
 
 import (
-	"math"
+	"fmt"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
-// planeGenerator is the packed fast path of Generator: generateInto
-// writes one pair straight into a block's bit planes (in1/in2, one word
-// per primary input) at the given lane, never materializing []bool.
+// rowGenerator is a Generator with a pair-major draw routine: drawRows
+// writes one pair as two bit rows r1 and r2 of ⌈Inputs/64⌉ words each,
+// input i at bit i%64 of word i/64 (sim.PackedPairs.RowWords), the
+// layout in which a uniform vector comes out of the RNG. Bits past
+// Inputs are unspecified. Every built-in generator has exactly this one
+// draw routine; its Generate unpacks the same rows.
 //
-// RNG draw-order invariant: generateInto must consume the RNG exactly as
-// Generate would for the same pair — one Uint64 per 64 input bits of a
-// uniform vector (bit i of the vector taken from bit i%64 of draw i/64),
-// then the per-input flip draws in input order. Under that invariant the
-// packed pipeline is bit-identical to the historical []bool one for any
-// seed, which the differential tests enforce for every generator.
-//
-// The target lane of both planes must be zero on entry (PackedPairs.Reset
-// guarantees it); generateInto may OR bits in without clearing.
-type planeGenerator interface {
+// RNG draw-order invariant: drawRows consumes the RNG exactly as the
+// generator's historical []bool Generate did: one Uint64 per 64 inputs
+// of a uniform vector, then the per-input flip draws in input order, one
+// Bool draw each. That keeps every population, streaming batch and
+// checkpoint bit-identical to earlier releases; the tests pin it against
+// those []bool bodies, kept there as the reference.
+type rowGenerator interface {
 	Generator
-	generateInto(rng *stats.RNG, in1, in2 []uint64, lane uint)
+	drawRows(rng *stats.RNG, r1, r2 []uint64)
 }
 
 // GeneratePacked fills pp with n = pp.N pairs drawn sequentially from
 // gen — the packed twin of n Generate calls, consuming the RNG
-// identically (lane-major: pair 0 first, each pair's draws in Generate's
-// order). pp must have been Reset to gen.Inputs() width. Generators
-// implementing planeGenerator write their bits directly into the planes
-// with zero heap allocations; any other Generator is adapted through
-// Generate + SetPair (same bits, same RNG stream, two transient slices
-// per pair).
+// identically (pair by pair, each pair's draws in Generate's order). pp
+// must have been Reset to gen.Inputs() width. Built-in generators draw
+// each 64-pair block as rows into pp's row scratch, and one bit-matrix
+// transpose per 64 inputs moves the block into the planes, with zero
+// heap allocations once the scratch exists (Grouped excepted, see its
+// drawRows). Any other Generator is adapted through Generate + SetPair
+// (same bits, same RNG stream, two transient slices per pair).
 func GeneratePacked(gen Generator, rng *stats.RNG, pp *sim.PackedPairs) {
-	pg, planar := gen.(planeGenerator)
-	inputs := pp.Inputs
-	for i := 0; i < pp.N; i++ {
-		if planar {
-			base := (i / 64) * inputs
-			pg.generateInto(rng, pp.In1[base:base+inputs], pp.In2[base:base+inputs], uint(i&63))
-			continue
+	if gen.Inputs() != pp.Inputs {
+		panic(fmt.Sprintf("vectorgen: %d-input generator for a %d-input batch", gen.Inputs(), pp.Inputs))
+	}
+	rg, ok := gen.(rowGenerator)
+	if !ok {
+		for i := 0; i < pp.N; i++ {
+			p := gen.Generate(rng)
+			pp.SetPair(i, p.V1, p.V2)
 		}
-		p := gen.Generate(rng)
-		pp.SetPair(i, p.V1, p.V2)
+		return
 	}
-}
-
-// randomPlane draws a uniform vector into bit lane of the plane words,
-// consuming the RNG exactly like randomVector: one Uint64 per 64 input
-// bits, vector bit i = bit i%64 of draw i/64. The plane's lane bit must
-// be zero on entry.
-func randomPlane(rng *stats.RNG, plane []uint64, lane uint) {
-	var bits uint64
-	for i := range plane {
-		if i%64 == 0 {
-			bits = rng.Uint64()
+	w := pp.RowWords()
+	r1, r2 := pp.BlockRows()
+	for b := 0; b < pp.Blocks(); b++ {
+		lanes := min(pp.N-64*b, 64)
+		for l := 0; l < lanes; l++ {
+			rg.drawRows(rng, r1[l*w:(l+1)*w], r2[l*w:(l+1)*w])
 		}
-		plane[i] |= (bits & 1) << lane
-		bits >>= 1
-	}
-}
-
-// generateInto implements planeGenerator.
-func (u Uniform) generateInto(rng *stats.RNG, in1, in2 []uint64, lane uint) {
-	randomPlane(rng, in1, lane)
-	randomPlane(rng, in2, lane)
-}
-
-// generateInto implements planeGenerator.
-func (h HighActivity) generateInto(rng *stats.RNG, in1, in2 []uint64, lane uint) {
-	lo := h.MinActivity
-	if lo < 0 {
-		lo = 0
-	}
-	if lo > 1 {
-		lo = 1
-	}
-	skew := h.Skew
-	if skew <= 0 {
-		skew = DefaultActivitySkew
-	}
-	act := lo + (1-lo)*math.Pow(rng.Float64(), skew)
-	randomPlane(rng, in1, lane)
-	for i := range in1 {
-		b := in1[i] >> lane & 1
-		if rng.Bool(act) {
-			b ^= 1
-		}
-		in2[i] |= b << lane
-	}
-}
-
-// generateInto implements planeGenerator.
-func (c Constrained) generateInto(rng *stats.RNG, in1, in2 []uint64, lane uint) {
-	randomPlane(rng, in1, lane)
-	for i := range in1 {
-		b := in1[i] >> lane & 1
-		if rng.Bool(c.Probs[i]) {
-			b ^= 1
-		}
-		in2[i] |= b << lane
-	}
-}
-
-// generateInto implements planeGenerator. Unlike the other generators it
-// allocates (Validate, the grouped membership scratch) exactly as
-// Generate does; Grouped populations are built once, not streamed.
-func (g Grouped) generateInto(rng *stats.RNG, in1, in2 []uint64, lane uint) {
-	if err := g.Validate(); err != nil {
-		panic(err)
-	}
-	randomPlane(rng, in1, lane)
-	for i := range in2 {
-		in2[i] |= ((in1[i] >> lane) & 1) << lane
-	}
-	grouped := make([]bool, g.N)
-	for gi, grp := range g.Groups {
-		flip := rng.Bool(g.Probs[gi])
-		for _, i := range grp {
-			grouped[i] = true
-			if flip {
-				in2[i] ^= 1 << lane
-			}
-		}
-	}
-	for i := range in2 {
-		if !grouped[i] && rng.Bool(g.Default) {
-			in2[i] ^= 1 << lane
-		}
+		pp.SetBlockRows(b, r1, r2)
 	}
 }

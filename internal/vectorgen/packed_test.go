@@ -1,6 +1,7 @@
 package vectorgen
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/bench"
@@ -10,14 +11,142 @@ import (
 	"repro/internal/stats"
 )
 
+// refGenerate draws one pair of a built-in generator with the []bool
+// bodies those generators had before they drew pair-major bit rows. It
+// is the reference of the RNG draw-order invariant: every population,
+// streaming batch and checkpoint must stay bit-identical to it.
+func refGenerate(g Generator, rng *stats.RNG) Pair {
+	randomVector := func(n int) []bool {
+		v := make([]bool, n)
+		var bits uint64
+		for i := range v {
+			if i%64 == 0 {
+				bits = rng.Uint64()
+			}
+			v[i] = bits&1 != 0
+			bits >>= 1
+		}
+		return v
+	}
+	flip := func(v1 []bool, prob func(i int) float64) []bool {
+		v2 := make([]bool, len(v1))
+		for i, b := range v1 {
+			if rng.Bool(prob(i)) {
+				v2[i] = !b
+			} else {
+				v2[i] = b
+			}
+		}
+		return v2
+	}
+	switch g := g.(type) {
+	case Uniform:
+		return Pair{V1: randomVector(g.N), V2: randomVector(g.N)}
+	case HighActivity:
+		lo := g.MinActivity
+		if lo < 0 {
+			lo = 0
+		}
+		if lo > 1 {
+			lo = 1
+		}
+		skew := g.Skew
+		if skew <= 0 {
+			skew = DefaultActivitySkew
+		}
+		act := lo + (1-lo)*math.Pow(rng.Float64(), skew)
+		v1 := randomVector(g.N)
+		return Pair{V1: v1, V2: flip(v1, func(int) float64 { return act })}
+	case Constrained:
+		v1 := randomVector(len(g.Probs))
+		return Pair{V1: v1, V2: flip(v1, func(i int) float64 { return g.Probs[i] })}
+	case Grouped:
+		if err := g.Validate(); err != nil {
+			panic(err)
+		}
+		v1 := randomVector(g.N)
+		v2 := append([]bool(nil), v1...)
+		grouped := make([]bool, g.N)
+		for gi, grp := range g.Groups {
+			flip := rng.Bool(g.Probs[gi])
+			for _, i := range grp {
+				grouped[i] = true
+				if flip {
+					v2[i] = !v2[i]
+				}
+			}
+		}
+		for i := range v2 {
+			if !grouped[i] && rng.Bool(g.Default) {
+				v2[i] = !v2[i]
+			}
+		}
+		return Pair{V1: v1, V2: v2}
+	}
+	panic("refGenerate: not a built-in generator: " + g.Name())
+}
+
+// checkAgainstReference draws n pairs from g three ways — GeneratePacked,
+// Generate, and the reference []bool bodies — from one seed, and fails
+// unless all three give the same bits and leave the same RNG state.
+func checkAgainstReference(t *testing.T, g Generator, n int, seed uint64) {
+	t.Helper()
+	inputs := g.Inputs()
+	refRNG := stats.NewRNG(seed)
+	var want sim.PackedPairs
+	want.Reset(inputs, n)
+	for i := 0; i < n; i++ {
+		p := refGenerate(g, refRNG)
+		want.SetPair(i, p.V1, p.V2)
+	}
+
+	packedRNG := stats.NewRNG(seed)
+	var got sim.PackedPairs
+	got.Reset(inputs, n)
+	GeneratePacked(g, packedRNG, &got)
+	for k := range want.In1 {
+		if got.In1[k] != want.In1[k] || got.In2[k] != want.In2[k] {
+			t.Fatalf("%s, %d inputs, %d pairs, seed %d: plane word %d is (%#x,%#x), reference (%#x,%#x)",
+				g.Name(), inputs, n, seed, k, got.In1[k], got.In2[k], want.In1[k], want.In2[k])
+		}
+	}
+	if packedRNG.State() != refRNG.State() {
+		t.Fatalf("%s, %d inputs, %d pairs, seed %d: GeneratePacked consumed the RNG differently",
+			g.Name(), inputs, n, seed)
+	}
+
+	genRNG := stats.NewRNG(seed)
+	v1 := make([]bool, inputs)
+	v2 := make([]bool, inputs)
+	for i := 0; i < n; i++ {
+		p := g.Generate(genRNG)
+		want.PairInto(i, v1, v2)
+		for j := 0; j < inputs; j++ {
+			if p.V1[j] != v1[j] || p.V2[j] != v2[j] {
+				t.Fatalf("%s, seed %d: Generate pair %d input %d is (%v,%v), reference (%v,%v)",
+					g.Name(), seed, i, j, p.V1[j], p.V2[j], v1[j], v2[j])
+			}
+		}
+	}
+	if genRNG.State() != refRNG.State() {
+		t.Fatalf("%s, seed %d: Generate consumed the RNG differently", g.Name(), seed)
+	}
+}
+
 // TestGeneratePackedMatchesGenerate pins the RNG draw-order invariant:
-// for every built-in generator, packing n pairs straight into bit planes
-// consumes the RNG exactly as n Generate calls and yields the same bits.
-// This is the foundation of the packed pipeline's bit-identity to the
-// historical []bool path.
+// for every built-in generator, packing n pairs into bit planes and n
+// Generate calls both consume the RNG exactly as the reference []bool
+// bodies and yield the same bits. This is the foundation of the packed
+// pipeline's bit-identity to the historical []bool path.
 func TestGeneratePackedMatchesGenerate(t *testing.T) {
 	const inputs, n = 70, 150
-	gens := []Generator{
+	for _, g := range builtinGenerators(inputs) {
+		checkAgainstReference(t, g, n, 42)
+	}
+}
+
+func builtinGenerators(inputs int) []Generator {
+	return []Generator{
 		Uniform{N: inputs},
 		HighActivity{N: inputs, MinActivity: 0.3},
 		HighActivity{N: inputs, MinActivity: 0.6, Skew: 1},
@@ -29,31 +158,70 @@ func TestGeneratePackedMatchesGenerate(t *testing.T) {
 			Default: 0.5,
 		},
 	}
-	for _, g := range gens {
-		scalarRNG := stats.NewRNG(42)
-		packedRNG := stats.NewRNG(42)
-		var pp sim.PackedPairs
-		pp.Reset(inputs, n)
-		GeneratePacked(g, packedRNG, &pp)
-		v1 := make([]bool, inputs)
-		v2 := make([]bool, inputs)
-		for i := 0; i < n; i++ {
-			want := g.Generate(scalarRNG)
-			pp.PairInto(i, v1, v2)
-			for j := 0; j < inputs; j++ {
-				if v1[j] != want.V1[j] || v2[j] != want.V2[j] {
-					t.Fatalf("%s pair %d input %d: packed (%v,%v) scalar (%v,%v)",
-						g.Name(), i, j, v1[j], v2[j], want.V1[j], want.V2[j])
-				}
-			}
-		}
-		if scalarRNG.State() != packedRNG.State() {
-			t.Fatalf("%s: packed generation consumed the RNG differently", g.Name())
-		}
-	}
 }
 
-// oddGenerator is a Generator without the planeGenerator fast path,
+// FuzzGeneratePacked checks the draw-order invariant over input widths
+// 1–300, batches of 1–200 pairs (so partial 64-pair blocks), seeds, and
+// activities and probabilities that include 0, 1, subnormals, 2⁻⁵³ and
+// NaN: GeneratePacked and Generate must match the reference []bool
+// bodies bit for bit, RNG end state included, for every built-in
+// generator.
+func FuzzGeneratePacked(f *testing.F) {
+	const tiny = 5e-324 // the smallest subnormal
+	for _, c := range []struct {
+		width, pairs uint16
+		seed         uint64
+		act, prob    float64
+		skew         float64
+		mix          uint64
+	}{
+		{1, 1, 1, 0.3, 0.5, 0, 0},
+		{36, 300, 2, 0.3, 0.7, 4, 1},
+		{64, 64, 3, 0, 1, 1, 2},
+		{65, 63, 4, 1, 0, 2, 3},
+		{70, 150, 42, 0.6, 0.2, 1, 4},
+		{128, 65, 5, tiny, tiny, 0.5, 5},
+		{207, 129, 6, 0x1p-53, 0x1p-53, 3, 6},
+		{300, 200, 7, math.NaN(), math.NaN(), math.NaN(), 7},
+		{299, 17, 8, 1 - 0x1p-53, math.Inf(1), math.Inf(1), 8},
+		{5, 3, 9, -1, math.Inf(-1), -2, 9},
+	} {
+		f.Add(c.width, c.pairs, c.seed, c.act, c.prob, c.skew, c.mix)
+	}
+	f.Fuzz(func(t *testing.T, width, pairs uint16, seed uint64, act, prob, skew float64, mix uint64) {
+		n := 1 + int(width)%300
+		count := 1 + int(pairs)%200
+		pick := stats.NewRNG(mix)
+		palette := []float64{0, 1, act, prob, tiny, 0x1p-53, 0.5, math.NaN()}
+		probs := make([]float64, n)
+		for i := range probs {
+			probs[i] = palette[pick.Intn(len(palette))]
+		}
+		gens := []Generator{
+			Uniform{N: n},
+			HighActivity{N: n, MinActivity: act, Skew: skew},
+			Constrained{Probs: probs},
+		}
+		// A Grouped generator over disjoint random groups; the reference
+		// panics on the shapes Validate rejects, so those are left out.
+		g := Grouped{N: n, Default: prob}
+		perm := pick.Perm(n)
+		for len(perm) > 0 && len(g.Groups) < 4 {
+			k := 1 + pick.Intn(len(perm))
+			g.Groups = append(g.Groups, perm[:k])
+			g.Probs = append(g.Probs, palette[pick.Intn(len(palette))])
+			perm = perm[k:]
+		}
+		if g.Validate() == nil {
+			gens = append(gens, g)
+		}
+		for _, g := range gens {
+			checkAgainstReference(t, g, count, seed)
+		}
+	})
+}
+
+// oddGenerator is a Generator without a row draw routine,
 // standing in for user-supplied generators: GeneratePacked must fall back
 // to Generate + SetPair with identical bits and RNG stream.
 type oddGenerator struct{ n int }

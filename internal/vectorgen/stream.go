@@ -21,9 +21,10 @@ import (
 // It also implements evt.BatchSource: SampleBatch generates the batch's
 // pairs sequentially from the RNG (so the random stream is consumed
 // exactly as the same number of SamplePower calls would consume it) and
-// then simulates them across Workers parallel evaluators, through the
-// 64-lane bit-parallel settle path when the delay model is zero-delay.
-// Results are bit-identical to the scalar path for any worker count.
+// then simulates them across Workers parallel evaluators, one compiled
+// stripe of up to 512 pairs per evaluator call when kernels are enabled
+// (64-lane blocks otherwise). Results are bit-identical to the scalar
+// path for any worker count.
 //
 // StreamSource is safe for sequential use only (like the estimator
 // itself); the underlying evaluator is cloned per instance.
@@ -38,8 +39,8 @@ type StreamSource struct {
 	// (0 = NumCPU). It never affects results, only wall time.
 	Workers int
 
-	eng            *evalEngine     // lazily built; rebuilt when Workers changes
-	packed         sim.PackedPairs // reused per batch: the bit-plane batch buffer
+	eng            *evalEngine     // lazily built; grows when Workers does, never shrinks
+	packed         sim.PackedPairs // reused per batch: the bit-plane batch buffer and its row scratch
 	simulated      atomic.Int64
 	batchFallbacks atomic.Int64
 	batchErr       error

@@ -20,6 +20,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"repro/internal/bench"
@@ -109,8 +110,10 @@ type PopulationSpec struct {
 
 // Validate rejects population specifications that no generator can
 // honor, with descriptive errors. Zero-valued fields are legal (they
-// take library defaults); out-of-range ones are not. The per-input
-// Probs width check needs the circuit and happens in BuildPopulation.
+// take library defaults); out-of-range and NaN ones are not, and
+// neither are electrical constants power.NewEvaluator would refuse.
+// The per-input Probs width check needs the circuit and happens in
+// BuildPopulation.
 func (spec PopulationSpec) Validate() error {
 	if spec.Size < 0 {
 		return fmt.Errorf("maxpower: population Size must be non-negative (0 = default 20000), got %d", spec.Size)
@@ -121,20 +124,28 @@ func (spec PopulationSpec) Validate() error {
 		return fmt.Errorf("maxpower: unknown population kind %q (want %q, %q or %q)",
 			spec.Kind, PopUniform, PopHighActivity, PopConstrained)
 	}
+	// The range checks are written so that NaN, which fails every
+	// comparison, fails them too.
 	if spec.Kind == PopHighActivity || spec.Kind == "" {
-		if spec.Activity < 0 || spec.Activity > 1 {
+		if !(spec.Activity >= 0 && spec.Activity <= 1) {
 			return fmt.Errorf("maxpower: high-activity floor Activity must be in [0,1] (0 = default 0.3), got %v", spec.Activity)
+		}
+		if math.IsNaN(spec.Skew) {
+			return fmt.Errorf("maxpower: high-activity Skew must be a number (0 = default %d), got %v", vectorgen.DefaultActivitySkew, spec.Skew)
 		}
 	}
 	if spec.Kind == PopConstrained && spec.Probs == nil {
-		if spec.Activity <= 0 || spec.Activity > 1 {
+		if !(spec.Activity > 0 && spec.Activity <= 1) {
 			return fmt.Errorf("maxpower: constrained population needs Activity in (0,1], got %v", spec.Activity)
 		}
 	}
 	for i, p := range spec.Probs {
-		if p < 0 || p > 1 {
+		if !(p >= 0 && p <= 1) {
 			return fmt.Errorf("maxpower: Probs[%d] = %v outside [0,1]", i, p)
 		}
+	}
+	if err := spec.Power.Validate(); err != nil {
+		return fmt.Errorf("maxpower: invalid Power: %w", err)
 	}
 	return nil
 }
@@ -305,10 +316,12 @@ func (opt EstimateOptions) Validate() error {
 	if opt.SamplesPerHyper < 0 || (opt.SamplesPerHyper > 0 && opt.SamplesPerHyper < 3) {
 		return fmt.Errorf("maxpower: SamplesPerHyper must be ≥ 3 for a 3-parameter fit (0 = default 10), got %d", opt.SamplesPerHyper)
 	}
-	if opt.Epsilon < 0 || opt.Epsilon >= 1 {
+	// NaN fails every comparison, so these checks are written to need
+	// them to pass.
+	if !(opt.Epsilon >= 0 && opt.Epsilon < 1) {
 		return fmt.Errorf("maxpower: Epsilon must be in (0,1) (0 = default 0.05), got %v", opt.Epsilon)
 	}
-	if opt.Confidence < 0 || opt.Confidence >= 1 {
+	if !(opt.Confidence >= 0 && opt.Confidence < 1) {
 		return fmt.Errorf("maxpower: Confidence must be in (0,1) (0 = default 0.90), got %v", opt.Confidence)
 	}
 	if opt.MaxHyperSamples < 0 {

@@ -2,10 +2,12 @@ package maxpower_test
 
 import (
 	"context"
+	"math"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/power"
 	"repro/maxpower"
 )
 
@@ -170,6 +172,7 @@ func TestSpecValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	nan := math.NaN()
 	bad := []maxpower.PopulationSpec{
 		{Size: -1},
 		{Kind: "nonsense"},
@@ -179,21 +182,38 @@ func TestSpecValidation(t *testing.T) {
 		{Kind: maxpower.PopConstrained, Activity: 1.5},               //
 		{Kind: maxpower.PopConstrained, Probs: []float64{0.5, -0.2}}, //
 		{Kind: maxpower.PopConstrained, Probs: []float64{0.5, 1.01}}, //
+		// NaN fails every comparison, so it must not pass a range check.
+		{Kind: maxpower.PopHighActivity, Activity: nan},
+		{Activity: math.Inf(1)},
+		{Kind: maxpower.PopHighActivity, Skew: nan},
+		{Kind: maxpower.PopConstrained, Activity: nan},
+		{Kind: maxpower.PopConstrained, Activity: math.Inf(-1)},
+		{Kind: maxpower.PopConstrained, Probs: []float64{0.5, nan}},
+		// Electrical constants power.NewEvaluator refuses must be an
+		// error here, never its panic.
+		{Power: power.Params{Vdd: 3.3}}, // partial: ClockNS stays 0
+		{Power: power.Params{Vdd: -1, ClockNS: 10}},
+		{Power: power.Params{Vdd: nan, ClockNS: 10}},
 	}
 	for i, spec := range bad {
 		if err := spec.Validate(); err == nil {
 			t.Errorf("spec %d accepted by Validate: %+v", i, spec)
+		} else if !strings.Contains(err.Error(), "maxpower:") {
+			t.Errorf("spec %d error not descriptive: %v", i, err)
 		}
 	}
-	// BuildPopulation must reject them too (the service trusts this).
+	// BuildPopulation and EstimateStreaming must reject them too (the
+	// service trusts this).
 	for i, spec := range bad {
+		if spec.Size == 0 {
+			spec.Size = 200
+		}
 		if _, err := maxpower.BuildPopulation(c, spec); err == nil {
 			t.Errorf("spec %d accepted by BuildPopulation: %+v", i, spec)
 		}
-	}
-	// EstimateStreaming shares the validation.
-	if _, err := maxpower.EstimateStreaming(c, maxpower.PopulationSpec{Size: -3}, maxpower.EstimateOptions{}); err == nil {
-		t.Error("EstimateStreaming accepted a negative nominal size")
+		if _, err := maxpower.EstimateStreaming(c, spec, maxpower.EstimateOptions{MaxHyperSamples: 3}); err == nil {
+			t.Errorf("spec %d accepted by EstimateStreaming: %+v", i, spec)
+		}
 	}
 	// Sanity: the defaults stay valid.
 	if err := (maxpower.PopulationSpec{}).Validate(); err != nil {
@@ -212,7 +232,12 @@ func TestEstimateOptionsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	nan := math.NaN()
 	bad := []maxpower.EstimateOptions{
+		{Epsilon: nan},
+		{Epsilon: math.Inf(1)},
+		{Confidence: nan},
+		{Confidence: math.Inf(-1)},
 		{Epsilon: -0.05},
 		{Epsilon: 1},
 		{Epsilon: 2.5},
