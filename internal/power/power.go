@@ -4,12 +4,14 @@
 // formulation: every output transition of gate g charges or discharges
 // that node's load capacitance, so
 //
-//	E_cycle = ½ · Vdd² · Σ_g C_g · toggles_g · (1 + scFrac) + P_leak·T
-//	P_cycle = E_cycle / T_clk
+//	E_cycle = ½ · Vdd² · Σ_{g: n_g>0} C_g · (1 + s·(n_g − 1)) · (1 + scFrac)
+//	P_cycle = E_cycle / T_clk + P_leak
 //
-// with C_g built from the gate's intrinsic drain capacitance plus the input
-// capacitance of each fanout (plus an output-pad load on primary outputs),
-// and scFrac an activity-proportional short-circuit adder. Absolute watts
+// with n_g the gate's toggles in the cycle, C_g built from the gate's
+// intrinsic drain capacitance plus the input capacitance of each fanout
+// (plus an output-pad load on primary outputs), s the GlitchSwing weight
+// of every toggle after a gate's first, and scFrac an
+// activity-proportional short-circuit adder. Absolute watts
 // are not calibrated to the paper's 0.35 µm testbed — only the shape of
 // the induced distribution matters to the estimator (see DESIGN.md).
 package power
@@ -35,11 +37,13 @@ type Params struct {
 	PadCapF    float64 // output pad load on primary outputs, fF
 	SCFraction float64 // short-circuit energy as a fraction of dynamic
 	LeakNW     float64 // leakage per gate, nanowatts
-	// GlitchSwing scales the energy of glitch transitions (a gate's
-	// toggles beyond its first two in a cycle). Narrow hazard pulses do
-	// not swing the node across the full rail, so transistor-level
+	// GlitchSwing scales the energy of glitch transitions, every toggle
+	// of a gate after its first in a cycle: n toggles weigh
+	// 1 + GlitchSwing·(n−1) full C·V² events. Narrow hazard pulses do not
+	// swing the node across the full rail, so transistor-level
 	// simulators such as PowerMill report them at a fraction of a full
-	// C·V² event. 1 counts glitches at full swing; Defaults uses 0.35.
+	// event. 1 counts glitches at full swing, 0 selects the Defaults
+	// value 0.1, and values above 1 clamp to 1.
 	GlitchSwing float64
 }
 
@@ -59,9 +63,10 @@ func Defaults() Params {
 }
 
 // Validate reports whether NewEvaluator accepts p: the zero value, which
-// selects Defaults, or constants that are all finite with a positive
-// supply voltage and clock period. Anything else would give non-finite
-// or meaningless powers.
+// selects Defaults, or constants that are all finite, with a positive
+// supply voltage and clock period and no negative capacitance,
+// short-circuit fraction, leakage or glitch swing. Anything else would
+// give non-finite or meaningless powers.
 func (p Params) Validate() error {
 	if p == (Params{}) {
 		return nil
@@ -74,6 +79,10 @@ func (p Params) Validate() error {
 	}
 	if p.Vdd <= 0 || p.ClockNS <= 0 {
 		return fmt.Errorf("power: Vdd and ClockNS must be positive (a zero Params selects the defaults), got Vdd %v, ClockNS %v", p.Vdd, p.ClockNS)
+	}
+	if p.IntrinsicF < 0 || p.InputCapF < 0 || p.WireCapF < 0 || p.PadCapF < 0 ||
+		p.SCFraction < 0 || p.LeakNW < 0 || p.GlitchSwing < 0 {
+		return fmt.Errorf("power: capacitances, SCFraction, LeakNW and GlitchSwing must not be negative, got %+v", p)
 	}
 	return nil
 }
@@ -187,7 +196,7 @@ func NewEvaluator(c *netlist.Circuit, m delay.Model, p Params) *Evaluator {
 		energy[i] = k * cf
 	}
 	glitch := p.GlitchSwing
-	if glitch <= 0 {
+	if glitch == 0 {
 		glitch = Defaults().GlitchSwing
 	}
 	if glitch > 1 {
@@ -574,61 +583,19 @@ func (e *Evaluator) PackedStripeMW(pp *sim.PackedPairs, stripe int, out []float6
 	return nil
 }
 
-// stripeMW folds a striped result into lane powers (mW). Per lane the
-// energy sum visits gates in ascending original order with one add per
-// toggled gate and the same eff expression as energyOf, so every lane's
-// float64 accumulation is bit-identical to the scalar path (compiled
-// slots ascend in gate id by construction). The sums build up in the
-// stripe-sized acc, one 64-lane view per word, so no toggle needs a
-// bounds check: lanes past the batch never toggle (their planes are
-// zero) and are simply not copied out.
+// stripeMW folds a striped result into lane powers (mW): the energy
+// sums build up in the stripe-sized acc, through the AVX-512 kernels
+// where the host has them and foldGo elsewhere (the two are
+// bit-identical), and are scaled into out in one loop. Lanes past the
+// batch never toggle (their planes are zero) and are simply not copied
+// out.
 func (e *Evaluator) stripeMW(r *sim.StripedResult, out []float64) {
-	aw := r.AW
-	acc := e.acc[:aw*64]
-	for i := range acc {
-		acc[i] = 0
-	}
-	// Glitch factors for the two in-block count values: lanes counting 2
-	// or 3 cover nearly every glitching lane, and their factors are the
-	// exact floats the per-lane formula produces (glitch·1 and glitch·2
-	// are exact scalings), so grouping a word's lanes by count keeps the
-	// sum bit-identical to the scalar walk while skipping per-lane Count
-	// reconstruction for everything below the overflow threshold.
-	eff2 := 1 + e.glitch
-	eff3 := 1 + e.glitch*2
-	for s, eg := range e.slotEnergy[:r.NSlots] {
-		for k, any := range r.Any[s*aw : s*aw+aw] {
-			if any == 0 {
-				continue
-			}
-			lanes := (*[64]float64)(acc[k*64:])
-			// Single-toggle lanes have eff = 1 exactly (MultiMask is
-			// empty under zero delay, where counts live in Any alone).
-			multi := r.MultiMask(s, k)
-			for m := any &^ multi; m != 0; m &= m - 1 {
-				lanes[bits.TrailingZeros64(m)&63] += eg
-			}
-			if multi == 0 {
-				continue
-			}
-			b0, ov := r.CountBits(s, k)
-			e2 := eff2 * eg
-			for m := multi &^ b0 &^ ov; m != 0; m &= m - 1 {
-				lanes[bits.TrailingZeros64(m)&63] += e2
-			}
-			e3 := eff3 * eg
-			for m := multi & b0 &^ ov; m != 0; m &= m - 1 {
-				lanes[bits.TrailingZeros64(m)&63] += e3
-			}
-			// Overflow lanes (count ≥ 4) fall back to full count
-			// reconstruction — rare enough that the plane walk is noise.
-			for m := ov; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros64(m) & 63
-				n := r.Count(s, k, lane)
-				eff := 1 + e.glitch*float64(n-1)
-				lanes[lane] += eff * eg
-			}
-		}
+	acc := e.acc[:r.AW*64]
+	clear(acc)
+	if haveAVX512 {
+		e.foldAVX512(r, acc)
+	} else {
+		e.foldGo(r, acc)
 	}
 	for i := range out {
 		out[i] = (acc[i]/e.clockS + e.leakW) * 1e3

@@ -179,10 +179,19 @@ func TestNewEvaluatorPanicsOnBadParams(t *testing.T) {
 }
 
 func TestParamsValidate(t *testing.T) {
-	ok := []Params{{}, Defaults(), {Vdd: 1, ClockNS: 1}}
+	ok := []Params{{}, Defaults(), {Vdd: 1, ClockNS: 1}, {Vdd: 1, ClockNS: 1, GlitchSwing: 7}}
 	for i, p := range ok {
 		if err := p.Validate(); err != nil {
 			t.Errorf("params %d rejected: %v", i, err)
+		}
+	}
+	// GlitchSwing 0 selects the default weight, and values above 1 clamp.
+	c := invChain(t, 3)
+	for _, tc := range []struct{ swing, want float64 }{{0, Defaults().GlitchSwing}, {7, 1}, {0.5, 0.5}} {
+		p := Defaults()
+		p.GlitchSwing = tc.swing
+		if got := NewEvaluator(c, delay.Unit{}, p).glitch; got != tc.want {
+			t.Errorf("GlitchSwing %v: weight %v, want %v", tc.swing, got, tc.want)
 		}
 	}
 	nan, inf := math.NaN(), math.Inf(1)
@@ -198,6 +207,23 @@ func TestParamsValidate(t *testing.T) {
 		{Vdd: 3.3, ClockNS: -inf}, //
 		withGlitch,
 		withLeak,
+	}
+	// Negative capacitances, short-circuit fraction, leakage or glitch
+	// swing give negative energies: C432 with IntrinsicF -60 and LeakNW -5
+	// had a negative TrueMax and an estimator that never converged.
+	for _, set := range []func(*Params){
+		func(p *Params) { p.IntrinsicF = -60 },
+		func(p *Params) { p.InputCapF = -1 },
+		func(p *Params) { p.WireCapF = -0.5 },
+		func(p *Params) { p.PadCapF = -40 },
+		func(p *Params) { p.SCFraction = -2 },
+		func(p *Params) { p.LeakNW = -5 },
+		func(p *Params) { p.GlitchSwing = -3 },
+		func(p *Params) { p.GlitchSwing = -5e-324 },
+	} {
+		p := Defaults()
+		set(&p)
+		bad = append(bad, p)
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

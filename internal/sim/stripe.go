@@ -163,18 +163,19 @@ func (r *StripedResult) Count(slot, word, lane int) int32 {
 	return n
 }
 
-// CountBits returns word-wide views of the toggle counters for one
-// (slot, word): b0 is count bit 0 and ov the lanes whose counts overflow
-// into the ≥ 4 range. Multi lanes outside ov therefore count exactly
-// 2 + b0-bit — the word-parallel shortcut the power accumulation uses
-// instead of per-lane Count walks. Zero-delay results have no counters;
-// their counts live in Any alone.
-func (r *StripedResult) CountBits(slot, word int) (b0, ov uint64) {
+// CountPlanes returns word-wide views of the toggle counters, laid out
+// like Any: b0[slot·AW+k] is count bit 0 of word k's lanes and
+// ov[slot·AW+k] the lanes whose counts overflow into the ≥ 4 range.
+// Multi lanes outside ov therefore count exactly 2 + their b0 bit — the
+// word-parallel shortcut the power accumulation uses instead of per-lane
+// Count walks. Both alias engine state under the aliasing contract
+// above. Zero-delay results have no counters (their counts live in Any
+// alone), so both are nil there.
+func (r *StripedResult) CountPlanes() (b0, ov []uint64) {
 	if r.zero || r.levels == 0 {
-		return 0, 0
+		return nil, nil
 	}
-	idx := slot*r.AW + word
-	return r.planes[idx], r.ovAny[idx]
+	return r.planes[:r.stride], r.ovAny[:r.stride]
 }
 
 // MultiMask returns the lanes of word where the slot's gate toggled more
@@ -204,6 +205,56 @@ func (r *StripedResult) Toggles(word, lane int, dst []int32) []int32 {
 		dst[gid] = r.Count(s, word, lane)
 	}
 	return dst
+}
+
+// NewStripedResult builds the result a run of aw words would leave for
+// the per-lane toggle counts counts[slot·aw+k][lane]: a timed run's, or
+// with zeroDelay a zero-delay run's, whose counts must be 0 or 1. Slot s
+// stands for gate s, and lane statistics are left out. Tests of result
+// consumers use it to reach count patterns no circuit produces on demand.
+func NewStripedResult(aw int, counts [][64]uint8, zeroDelay bool) *StripedResult {
+	n := len(counts)
+	if aw < 1 || n%aw != 0 {
+		panic(fmt.Sprintf("sim: %d count words do not split into %d-word slots", n, aw))
+	}
+	r := &StripedResult{W: aw, AW: aw, NSlots: n / aw, NGates: n / aw,
+		Gates: make([]int32, n/aw), Any: make([]uint64, n), stride: n, zero: zeroDelay}
+	for s := range r.Gates {
+		r.Gates[s] = int32(s)
+	}
+	if !zeroDelay {
+		r.levels = 8 // one plane per bit of a uint8 count
+		r.planes = make([]uint64, r.levels*n)
+		r.Multi = make([]uint64, n)
+		r.ovAny = make([]uint64, n)
+	}
+	for i, word := range counts {
+		for l, c := range word {
+			if c == 0 {
+				continue
+			}
+			bit := uint64(1) << uint(l)
+			r.Any[i] |= bit
+			if zeroDelay {
+				if c > 1 {
+					panic(fmt.Sprintf("sim: zero-delay count %d at word %d lane %d", c, i, l))
+				}
+				continue
+			}
+			for lvl := 0; c>>lvl != 0; lvl++ {
+				if c>>lvl&1 != 0 {
+					r.planes[lvl*n+i] |= bit
+				}
+			}
+			if c >= 2 {
+				r.Multi[i] |= bit
+			}
+			if c >= 4 {
+				r.ovAny[i] |= bit
+			}
+		}
+	}
+	return r
 }
 
 // NewStriped builds an executor for the program. Value and pending state
@@ -239,7 +290,7 @@ func NewStriped(p *Program) *Striped {
 	st.res.Multi = make([]uint64, capWords)
 	st.pend = make([]uint64, 2*capWords)
 	// Two full counter planes up front: every timed run has both count
-	// bits resident, so the aggregation pass and CountBits never branch on
+	// bits resident, so the aggregation pass and CountPlanes never branch on
 	// missing levels; deeper levels (counts ≥ 4) still grow lazily.
 	st.res.planes = make([]uint64, 0, 2*capWords)
 	st.res.ovAny = make([]uint64, capWords)

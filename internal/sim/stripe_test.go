@@ -281,3 +281,51 @@ func TestStripedZeroDelayEngine(t *testing.T) {
 		}
 	}
 }
+
+// TestNewStripedResultMatchesRun: a result built from a run's per-lane
+// counts must read back exactly like the run's own — Any, Multi,
+// CountPlanes and every Count — on every delay model, with counts deep
+// enough (C6288, unit delay) to reach the overflow planes.
+func TestNewStripedResultMatchesRun(t *testing.T) {
+	c := bench.MustGenerate("C6288")
+	v1s := xorshiftVectors(300, c.NumInputs(), 7)
+	v2s := xorshiftVectors(300, c.NumInputs(), 8)
+	pp := packVectors(c.NumInputs(), v1s, v2s)
+	for _, m := range []delay.Model{delay.Zero{}, delay.Unit{}, delay.FanoutLoaded{}, delay.StandardTable()} {
+		r := NewStriped(CompileModel(c, m, CompileOptions{})).Run(pp, 0)
+		n := r.NSlots * r.AW
+		counts := make([][64]uint8, n)
+		deepest := int32(0)
+		for i := range counts {
+			for l := range counts[i] {
+				cnt := r.Count(i/r.AW, i%r.AW, l)
+				counts[i][l] = uint8(cnt)
+				deepest = max(deepest, cnt)
+			}
+		}
+		got := NewStripedResult(r.AW, counts, r.Multi == nil)
+		if got.NSlots != r.NSlots || got.AW != r.AW {
+			t.Fatalf("%s: shape %d×%d, run %d×%d", m.Name(), got.NSlots, got.AW, r.NSlots, r.AW)
+		}
+		gb0, gov := got.CountPlanes()
+		rb0, rov := r.CountPlanes()
+		if (gb0 == nil) != (rb0 == nil) {
+			t.Fatalf("%s: CountPlanes nil %v, run nil %v", m.Name(), gb0 == nil, rb0 == nil)
+		}
+		for i := 0; i < n; i++ {
+			s, k := i/r.AW, i%r.AW
+			if got.Any[i] != r.Any[i] || got.MultiMask(s, k) != r.MultiMask(s, k) {
+				t.Fatalf("%s word %d: Any/Multi %x/%x, run %x/%x", m.Name(), i, got.Any[i], got.MultiMask(s, k), r.Any[i], r.MultiMask(s, k))
+			}
+			if rb0 != nil && (gb0[i] != rb0[i] || gov[i] != rov[i]) {
+				t.Fatalf("%s word %d: b0/ov %x/%x, run %x/%x", m.Name(), i, gb0[i], gov[i], rb0[i], rov[i])
+			}
+			for l := 0; l < 64; l++ {
+				if a, b := got.Count(s, k, l), r.Count(s, k, l); a != b {
+					t.Fatalf("%s Count(%d,%d,%d) = %d, run %d", m.Name(), s, k, l, a, b)
+				}
+			}
+		}
+		t.Logf("%s: deepest count %d", m.Name(), deepest)
+	}
+}

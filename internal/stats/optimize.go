@@ -43,10 +43,10 @@ func Bisect(f func(float64) float64, lo, hi, tol float64) (float64, error) {
 }
 
 // NewtonBisect finds a root of f in the bracket [lo, hi] using Newton steps
-// guarded by bisection. df is the derivative of f. The bracket must contain
-// a sign change.
-func NewtonBisect(f, df func(float64) float64, lo, hi, x0, tol float64) (float64, error) {
-	flo, fhi := f(lo), f(hi)
+// guarded by bisection. df is the derivative of f, and flo and fhi are
+// f(lo) and f(hi), which a caller has in hand from bracketing the root.
+// The bracket must contain a sign change.
+func NewtonBisect(f, df func(float64) float64, lo, hi, flo, fhi, x0, tol float64) (float64, error) {
 	if flo == 0 {
 		return lo, nil
 	}

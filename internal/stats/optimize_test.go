@@ -37,7 +37,7 @@ func TestNewtonBisect(t *testing.T) {
 	// cos(x) = x has root ≈ 0.7390851332151607.
 	f := func(x float64) float64 { return math.Cos(x) - x }
 	df := func(x float64) float64 { return -math.Sin(x) - 1 }
-	root, err := NewtonBisect(f, df, 0, 1, 0.5, 1e-14)
+	root, err := NewtonBisect(f, df, 0, 1, f(0), f(1), 0.5, 1e-14)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestNewtonBisectBadDerivative(t *testing.T) {
 	// Derivative returning zero must fall back to bisection and still work.
 	f := func(x float64) float64 { return x - 0.3 }
 	df := func(x float64) float64 { return 0 }
-	root, err := NewtonBisect(f, df, 0, 1, 0.9, 1e-12)
+	root, err := NewtonBisect(f, df, 0, 1, f(0), f(1), 0.9, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -241,24 +241,27 @@ func (ft *Fitter) shapeMLE(y []float64, alphaMin float64) (alpha, logBeta float6
 		alphaMin = 1e-6
 	}
 	var a float64
-	if f(alphaMin) <= 0 {
+	if flo := f(alphaMin); flo <= 0 {
 		// Constrained optimum on the boundary (likelihood decreasing in α
 		// beyond alphaMin).
 		a = alphaMin
 	} else {
 		lo, hi := alphaMin, math.Max(2*alphaMin, 1)
-		for f(hi) > 0 {
+		fhi := f(hi)
+		for fhi > 0 {
 			hi *= 2
 			if hi > 1e9 {
 				return 0, 0, false
 			}
+			fhi = f(hi)
 		}
 		// The profile equation is smooth and strictly decreasing in α, so
 		// guarded Newton converges in a handful of iterations where plain
 		// bisection to the same tolerance needs ~40 — and each iteration
-		// is a full Exp sweep over the sample.
+		// is a full Exp sweep over the sample. The bracket's end values
+		// are already in hand, so the solver does not sweep for them again.
 		var err error
-		a, err = stats.NewtonBisect(f, ft.shapeD, lo, hi, (lo+hi)/2, 1e-12)
+		a, err = stats.NewtonBisect(f, ft.shapeD, lo, hi, flo, fhi, (lo+hi)/2, 1e-12)
 		if err != nil {
 			return 0, 0, false
 		}

@@ -195,6 +195,7 @@ func TestSpecValidation(t *testing.T) {
 		{Power: power.Params{Vdd: -1, ClockNS: 10}},
 		{Power: power.Params{Vdd: nan, ClockNS: 10}},
 	}
+	bad = append(bad, negativePowerSpecs()...)
 	for i, spec := range bad {
 		if err := spec.Validate(); err == nil {
 			t.Errorf("spec %d accepted by Validate: %+v", i, spec)
@@ -219,6 +220,27 @@ func TestSpecValidation(t *testing.T) {
 	if err := (maxpower.PopulationSpec{}).Validate(); err != nil {
 		t.Errorf("zero spec rejected: %v", err)
 	}
+}
+
+// negativePowerSpecs are specs whose electrical constants are finite
+// but negative. C432 with IntrinsicF -60 and LeakNW -5 once built a
+// population with a negative TrueMax, and estimates on it never
+// converged.
+func negativePowerSpecs() []maxpower.PopulationSpec {
+	var specs []maxpower.PopulationSpec
+	for _, set := range []func(*power.Params){
+		func(p *power.Params) { p.IntrinsicF, p.LeakNW = -60, -5 },
+		func(p *power.Params) { p.InputCapF = -1 },
+		func(p *power.Params) { p.WireCapF = -1 },
+		func(p *power.Params) { p.PadCapF = -1 },
+		func(p *power.Params) { p.SCFraction = -2 },
+		func(p *power.Params) { p.GlitchSwing = -3 },
+	} {
+		p := power.Defaults()
+		set(&p)
+		specs = append(specs, maxpower.PopulationSpec{Size: 2000, Seed: 1, Power: p})
+	}
+	return specs
 }
 
 // TestEstimateOptionsValidation covers the library-level rejection of
@@ -257,8 +279,21 @@ func TestEstimateOptionsValidation(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "maxpower:") {
 			t.Errorf("options %d error not descriptive: %v", i, err)
 		}
+		if _, err := maxpower.EstimateStreaming(c, maxpower.PopulationSpec{}, opt); err == nil {
+			t.Errorf("options %d accepted by EstimateStreaming: %+v", i, opt)
+		}
 	}
 	if err := (maxpower.EstimateOptions{}).Validate(); err != nil {
 		t.Errorf("zero options rejected: %v", err)
+	}
+	// Valid options do not rescue a spec with negative electrical
+	// constants: both entry points refuse it before simulating a unit.
+	for i, spec := range negativePowerSpecs() {
+		if _, err := maxpower.BuildPopulation(c, spec); err == nil || !strings.Contains(err.Error(), "power: ") {
+			t.Errorf("negative-power spec %d: BuildPopulation error %v", i, err)
+		}
+		if _, err := maxpower.EstimateStreaming(c, spec, maxpower.EstimateOptions{}); err == nil || !strings.Contains(err.Error(), "power: ") {
+			t.Errorf("negative-power spec %d: EstimateStreaming error %v", i, err)
+		}
 	}
 }
