@@ -279,17 +279,22 @@ func (c Config) Defaults() Config {
 	return c
 }
 
-// Validate rejects nonsensical configurations.
+// Validate rejects nonsensical configurations. The range checks are
+// written so that NaN fails them.
 func (c Config) Validate() error {
 	c = c.Defaults()
 	if c.SamplesPerHyper < 3 {
 		return errors.New("evt: SamplesPerHyper must be at least 3 for a 3-parameter fit")
 	}
-	if c.Epsilon >= 1 {
+	if !(c.Epsilon > 0 && c.Epsilon < 1) {
 		return fmt.Errorf("evt: Epsilon %v must be in (0,1)", c.Epsilon)
 	}
-	if c.Confidence >= 1 {
+	if !(c.Confidence > 0 && c.Confidence < 1) {
 		return fmt.Errorf("evt: Confidence %v must be in (0,1)", c.Confidence)
+	}
+	// A negative AlphaMin is legal: it removes the shape constraint.
+	if math.IsNaN(c.AlphaMin) || math.IsInf(c.AlphaMin, 1) {
+		return fmt.Errorf("evt: AlphaMin %v must be a number below +Inf", c.AlphaMin)
 	}
 	if c.Resume != nil {
 		if err := c.Resume.Validate(); err != nil {

@@ -39,18 +39,28 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func TestConfigValidate(t *testing.T) {
+	nan := math.NaN()
 	bad := []Config{
 		{SamplesPerHyper: 2},
 		{Epsilon: 1.5},
 		{Confidence: 2},
+		{Epsilon: nan},
+		{Confidence: nan},
+		{Epsilon: math.Inf(1)},
+		{AlphaMin: nan},
+		{AlphaMin: math.Inf(1)},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d accepted: %+v", i, c)
 		}
 	}
-	if err := (Config{}).Validate(); err != nil {
-		t.Errorf("default config rejected: %v", err)
+	// Zero and negative values take the defaults; a negative AlphaMin is
+	// the unconstrained ablation.
+	for _, c := range []Config{{}, {Epsilon: -1, Confidence: -1}, {AlphaMin: -1}, {AlphaMin: math.Inf(-1)}} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", c, err)
+		}
 	}
 }
 
@@ -59,8 +69,11 @@ func TestNewRejects(t *testing.T) {
 		t.Error("nil source accepted")
 	}
 	pop := betaLikePopulation(100, 1)
-	if _, err := New(pop, Config{Epsilon: 2}); err == nil {
-		t.Error("bad config accepted")
+	nan := math.NaN()
+	for _, c := range []Config{{Epsilon: 2}, {Epsilon: nan}, {Confidence: nan}, {AlphaMin: nan}} {
+		if _, err := New(pop, c); err == nil {
+			t.Errorf("New accepted %+v", c)
+		}
 	}
 }
 

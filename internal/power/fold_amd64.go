@@ -1,33 +1,13 @@
 package power
 
-import "repro/internal/sim"
+import (
+	"repro/internal/cpufeat"
+	"repro/internal/sim"
+)
 
-// haveAVX512 reports whether this CPU and OS run the AVX-512 fold: the
-// CPU has AVX-512F and AVX-512BW, and the OS saves the opmask and ZMM
-// state across context switches. It is decided once, at init.
-var haveAVX512 = detectAVX512()
-
-func detectAVX512() bool {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
-	}
-	const osxsave = 1 << 27 // CPUID.1:ECX: XGETBV is enabled
-	if _, _, c, _ := cpuid(1, 0); c&osxsave == 0 {
-		return false
-	}
-	// XCR0: SSE, AVX, opmask, ZMM0–15 upper halves, ZMM16–31.
-	const zmmState = 1<<1 | 1<<2 | 1<<5 | 1<<6 | 1<<7
-	if xcr0, _ := xgetbv(); xcr0&zmmState != zmmState {
-		return false
-	}
-	const avx512f, avx512bw = 1 << 16, 1 << 30 // CPUID.(7,0):EBX
-	_, b, _, _ := cpuid(7, 0)
-	return b&(avx512f|avx512bw) == avx512f|avx512bw
-}
-
-func cpuid(leaf, sub uint32) (a, b, c, d uint32)
-
-func xgetbv() (lo, hi uint32)
+// haveAVX512 reports whether this CPU and OS run the AVX-512 fold. It is
+// decided once, at init.
+var haveAVX512 = cpufeat.AVX512()
 
 // foldZeroAVX512 folds a zero-delay stripe: for each slot in ascending
 // order and each of its aw words, one masked add of the slot's energy

@@ -16,27 +16,8 @@ import (
 // their own job.
 func TestAdversarialSubmissions(t *testing.T) {
 	srv, _ := newTestServer(t, ManagerConfig{Workers: 1})
-
-	cases := []struct {
-		name     string
-		body     string
-		wantCode int
-		wantErr  string
-	}{
-		{"empty body", ``, http.StatusBadRequest, "bad_json"},
-		{"not json", `certainly not json`, http.StatusBadRequest, "bad_json"},
-		{"truncated json", `{"circuit":"C432",`, http.StatusBadRequest, "bad_json"},
-		{"unknown field", `{"circuit":"C432","exploit":"yes"}`, http.StatusBadRequest, "bad_json"},
-		{"wrong field type", `{"circuit":17}`, http.StatusBadRequest, "bad_json"},
-		{"no circuit source", `{}`, http.StatusBadRequest, "invalid_request"},
-		{"both circuit and bench", `{"circuit":"C432","bench":"INPUT(1)"}`, http.StatusBadRequest, "invalid_request"},
-		{"unknown circuit", `{"circuit":"C666"}`, http.StatusBadRequest, "invalid_request"},
-		{"negative timeout", `{"circuit":"C432","options":{"timeout_ms":-1}}`, http.StatusBadRequest, "invalid_request"},
-		{"epsilon out of range", `{"circuit":"C432","options":{"epsilon":1.5}}`, http.StatusBadRequest, "invalid_request"},
-		{"confidence out of range", `{"circuit":"C432","options":{"confidence":2}}`, http.StatusBadRequest, "invalid_request"},
-		{"oversized body", `{"bench":"` + strings.Repeat("A", 9<<20) + `"}`, http.StatusRequestEntityTooLarge, "body_too_large"},
-	}
-
+	cases := append(adversarialBodies[:len(adversarialBodies):len(adversarialBodies)], adversarialBody{
+		"oversized body", `{"bench":"` + strings.Repeat("A", 9<<20) + `"}`, http.StatusRequestEntityTooLarge, "body_too_large"})
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			before := serviceStats(t, srv)
@@ -77,6 +58,72 @@ func TestAdversarialSubmissions(t *testing.T) {
 	if st := waitTerminal(t, srv, id); st.State != StateDone {
 		t.Fatalf("post-gauntlet job = %s (%s), want done", st.State, st.Error)
 	}
+}
+
+// adversarialBody is a hostile POST /v1/jobs body with the status and
+// error code it must get.
+type adversarialBody struct {
+	name     string
+	body     string
+	wantCode int
+	wantErr  string
+}
+
+// adversarialBodies are TestAdversarialSubmissions' bodies that reach
+// the decoder; they also seed FuzzJobRequest.
+var adversarialBodies = []adversarialBody{
+	{"empty body", ``, http.StatusBadRequest, "bad_json"},
+	{"not json", `certainly not json`, http.StatusBadRequest, "bad_json"},
+	{"truncated json", `{"circuit":"C432",`, http.StatusBadRequest, "bad_json"},
+	{"trailing garbage", `{"circuit":"C432"} garbage`, http.StatusBadRequest, "bad_json"},
+	{"second value", `{"circuit":"C432"}{"circuit":"C666"}`, http.StatusBadRequest, "bad_json"},
+	{"unknown field", `{"circuit":"C432","exploit":"yes"}`, http.StatusBadRequest, "bad_json"},
+	{"wrong field type", `{"circuit":17}`, http.StatusBadRequest, "bad_json"},
+	{"no circuit source", `{}`, http.StatusBadRequest, "invalid_request"},
+	{"both circuit and bench", `{"circuit":"C432","bench":"INPUT(1)"}`, http.StatusBadRequest, "invalid_request"},
+	{"unknown circuit", `{"circuit":"C666"}`, http.StatusBadRequest, "invalid_request"},
+	{"negative timeout", `{"circuit":"C432","options":{"timeout_ms":-1}}`, http.StatusBadRequest, "invalid_request"},
+	{"epsilon out of range", `{"circuit":"C432","options":{"epsilon":1.5}}`, http.StatusBadRequest, "invalid_request"},
+	{"confidence out of range", `{"circuit":"C432","options":{"confidence":2}}`, http.StatusBadRequest, "invalid_request"},
+}
+
+// FuzzJobRequest feeds arbitrary bodies to the job decoder behind
+// POST /v1/jobs and POST /v1/shards. Each must be rejected as bad_json
+// or invalid_request, or give a request that still validates after the
+// JSON round trip the journal puts it through. None may panic.
+func FuzzJobRequest(f *testing.F) {
+	for _, tc := range adversarialBodies {
+		f.Add([]byte(tc.body))
+	}
+	for _, body := range []string{
+		`{"circuit":"C432"}`,
+		`{"circuit":"C880","population":{"size":20000,"seed":1},"options":{"seed":2,"epsilon":0.05}}` + "\n",
+		`{"bench":"INPUT(1)\nOUTPUT(2)\n2 = NOT(1)\n","streaming":true,"options":{"priority":"batch","timeout_ms":500}}`,
+		`{"circuit":"C432","options":{"epsilon":1e-400}}`,
+		`{"circuit":"C432","options":{"confidence":0.9,"epsilon":-0}}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, code, err := decodeJobRequest(body)
+		if err != nil {
+			if code != "bad_json" && code != "invalid_request" {
+				t.Fatalf("%q: error %v with code %q", body, err, code)
+			}
+			return
+		}
+		b, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("%q: decoded request does not encode: %v", body, err)
+		}
+		var again JobRequest
+		if err := json.Unmarshal(b, &again); err != nil {
+			t.Fatalf("%q: round trip %s does not decode: %v", body, b, err)
+		}
+		if err := again.Validate(isBuiltinCircuit); err != nil {
+			t.Fatalf("%q: round trip %s fails validation: %v", body, b, err)
+		}
+	})
 }
 
 // TestAdversarialAuth throws hostile credentials at the tenant plane:

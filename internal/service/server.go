@@ -187,15 +187,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, tenant str
 		writeError(w, http.StatusBadRequest, "bad_body", err.Error())
 		return
 	}
-	var req JobRequest
-	if err := unmarshalStrict(body, &req); err != nil {
+	req, code, err := decodeJobRequest(body)
+	if err != nil {
 		s.mgr.NoteRejectedInvalid()
-		writeError(w, http.StatusBadRequest, "bad_json", err.Error())
-		return
-	}
-	if err := req.Validate(isBuiltinCircuit); err != nil {
-		s.mgr.NoteRejectedInvalid()
-		writeError(w, http.StatusBadRequest, "invalid_request", err.Error())
+		writeError(w, http.StatusBadRequest, code, err.Error())
 		return
 	}
 	id, err := s.mgr.SubmitAs(req, tenant)
@@ -313,15 +308,9 @@ func (s *Server) handleShardSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid_request", err.Error())
 		return
 	}
-	var jobReq JobRequest
-	if err := unmarshalStrict(req.Job, &jobReq); err != nil {
+	if _, code, err := decodeJobRequest(req.Job); err != nil {
 		s.mgr.NoteRejectedInvalid()
-		writeError(w, http.StatusBadRequest, "bad_json", "job payload: "+err.Error())
-		return
-	}
-	if err := jobReq.Validate(isBuiltinCircuit); err != nil {
-		s.mgr.NoteRejectedInvalid()
-		writeError(w, http.StatusBadRequest, "invalid_request", "job payload: "+err.Error())
+		writeError(w, http.StatusBadRequest, code, "job payload: "+err.Error())
 		return
 	}
 	st, err := s.mgr.SubmitShard(req)
@@ -394,12 +383,32 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// unmarshalStrict decodes JSON rejecting unknown fields, so typos in
-// request bodies fail loudly instead of silently taking defaults.
+// unmarshalStrict decodes one JSON value rejecting unknown fields, so
+// typos in request bodies fail loudly instead of silently taking
+// defaults, and rejects anything but whitespace after that value, so a
+// second value or trailing garbage is not silently dropped.
 func unmarshalStrict(body []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if rest := bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return fmt.Errorf("unexpected data after the JSON value at byte %d", len(body)-len(rest))
+	}
+	return nil
+}
+
+// decodeJobRequest decodes and validates a job request body. On failure
+// code is the API error code, bad_json or invalid_request.
+func decodeJobRequest(body []byte) (req JobRequest, code string, err error) {
+	if err := unmarshalStrict(body, &req); err != nil {
+		return JobRequest{}, "bad_json", err
+	}
+	if err := req.Validate(isBuiltinCircuit); err != nil {
+		return JobRequest{}, "invalid_request", err
+	}
+	return req, "", nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

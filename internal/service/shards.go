@@ -244,11 +244,8 @@ func (m *Manager) executeShardRecover(ctx context.Context, s *shardJob) (recs []
 // (shards of the same job, and repeated jobs over the same spec, build
 // the population once per worker).
 func (m *Manager) executeShard(ctx context.Context, s *shardJob) ([]evt.HyperRecord, error) {
-	var req JobRequest
-	if err := unmarshalStrict(s.req.Job, &req); err != nil {
-		return nil, fmt.Errorf("service: shard %s job payload: %w", s.req.ID, err)
-	}
-	if err := req.Validate(isBuiltinCircuit); err != nil {
+	req, _, err := decodeJobRequest(s.req.Job)
+	if err != nil {
 		return nil, fmt.Errorf("service: shard %s job payload: %w", s.req.ID, err)
 	}
 	c, err := m.resolveCircuit(req)

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // fuzzAlphaMins are the shape bounds FuzzFitMLEShape picks from: the
@@ -50,13 +52,50 @@ func narrowBytes(scaleExp int8, steps ...int16) []byte {
 	return b
 }
 
+// kernelSeedSamples draws the samples of FuzzFitMLEShape's kernel
+// differential: perFamily samples of m = 3–32 values from each of five
+// families.
+func kernelSeedSamples(perFamily int) [][]float64 {
+	rng := stats.NewRNG(1998)
+	var out [][]float64
+	for i := 0; i < perFamily; i++ {
+		alpha := 2.2 + 8*rng.Float64()
+		d := Dist{Alpha: alpha, Beta: 1 / math.Pow(0.05, alpha), Mu: 4.2}
+		for family := 0; family < 5; family++ {
+			xs := make([]float64, 3+rng.Intn(30))
+			for j := range xs {
+				switch family {
+				case 0: // reverse-Weibull maxima
+					xs[j] = d.Rand(rng)
+				case 1: // near-uniform
+					xs[j] = rng.Float64()
+				case 2: // huge spread
+					xs[j] = math.Exp(40 * rng.NormFloat64())
+				case 3: // ties
+					xs[j] = math.Round(4*rng.NormFloat64()) / 4
+				case 4: // narrow normal
+					xs[j] = 5.3 + 1e-9*rng.NormFloat64()
+				}
+			}
+			out = append(out, xs)
+		}
+	}
+	return out
+}
+
 // FuzzFitMLEShape checks that FitMLEShape never panics, fails only with
 // ErrDegenerate or ErrNoInteriorMax, and otherwise returns a proper fit:
 // α ≥ alphaMin, β > 0, a finite μ above the sample maximum and a finite
 // log-likelihood. A Fitter warmed on another sample must give the same
-// bits as a fresh one. mode selects the shape bound (low bits) and the
+// bits as a fresh one, and a Fitter on the Go sweep the same bits and
+// error as one on the AVX-512 Exp kernel. Beyond the edge cases, the
+// seed corpus holds 5,000 samples of five families for that
+// differential. mode selects the shape bound (low bits) and the
 // decoding (bit 3: wide).
 func FuzzFitMLEShape(f *testing.F) {
+	if !haveExpKernel {
+		f.Log("no AVX-512 Exp kernel on this host: the kernel differential compares the Go sweep with itself")
+	}
 	nan, inf := math.NaN(), math.Inf(1)
 	wide := [][]float64{
 		// estimator-shaped maxima, ties, a constant sample
@@ -88,6 +127,9 @@ func FuzzFitMLEShape(f *testing.F) {
 	f.Add(narrowBytes(-60, 1, 2, 3, 4, 5, 32767, -32768), uint8(2))
 	f.Add(narrowBytes(100, 1, 2, 3, 5, 8, 13), uint8(3))
 	f.Add(narrowBytes(-128, 1, 1, 2), uint8(4))
+	for i, xs := range kernelSeedSamples(1000) {
+		f.Add(wideBytes(xs...), uint8(8|i%len(fuzzAlphaMins)))
+	}
 	var warm [40]float64
 	for i := range warm {
 		warm[i] = 1 - math.Pow(float64(i+1)/41, 0.3)
@@ -109,6 +151,10 @@ func FuzzFitMLEShape(f *testing.F) {
 				!(got.Mu > xmax) || math.IsNaN(got.LogLik) || math.IsInf(got.LogLik, 0) {
 				t.Fatalf("FitMLEShape(%v, %v) = %+v: not a proper fit", xs, alphaMin, got)
 			}
+		}
+		ref, refErr := (&Fitter{goSweep: true}).FitMLEShape(xs, alphaMin)
+		if refErr != err || goldenBits(ref) != goldenBits(got) {
+			t.Fatalf("FitMLEShape(%v, %v): kernel %+v, %v; Go sweep %+v, %v", xs, alphaMin, got, err, ref, refErr)
 		}
 		var ft Fitter
 		ft.FitMLEShape(warm[:], alphaMin)

@@ -139,7 +139,7 @@ var ErrNoInteriorMax = errors.New("weibull: profile likelihood has no interior m
 // is NOT safe for concurrent use; the package-level FitMLE/FitMLEShape
 // wrappers construct a fresh one per call and remain goroutine-safe.
 type Fitter struct {
-	y, ys, logs []float64
+	y, ys, logs, pw []float64
 
 	// shapeEq inputs, hoisted to fields so the closures handed to the
 	// root solver are built once per Fitter rather than once per call.
@@ -150,7 +150,15 @@ type Fitter struct {
 	// Derivative cache: shapeF computes f'(α) as a by-product of the
 	// same Exp loop that computes f(α); the solver always asks for the
 	// derivative at the point it just evaluated, so shapeD is a lookup.
-	dAt, dVal float64
+	// dB is that sweep's Σ yᵢ^α, which shapeMLE's closing β reuses when
+	// the solve ends where it last swept.
+	dAt, dVal, dB float64
+
+	// goSweep makes every sweep call math.Exp even where the AVX-512
+	// kernel runs, and declined counts the sweeps the kernel handed back
+	// to math.Exp. Only the tests read them.
+	goSweep  bool
+	declined int
 
 	// negProfile inputs for the golden-section refine, same idea.
 	xs       []float64
@@ -160,14 +168,34 @@ type Fitter struct {
 }
 
 // scratch returns len-n views of the shift and scaled-sample buffers,
-// growing them only when the sample outgrows the capacity.
+// growing them, and the sweep's power buffer, only when the sample
+// outgrows the capacity.
 func (ft *Fitter) scratch(n int) (y, ys, logs []float64) {
 	if cap(ft.y) < n {
 		ft.y = make([]float64, n)
 		ft.ys = make([]float64, n)
 		ft.logs = make([]float64, n)
+		ft.pw = make([]float64, n)
 	}
 	return ft.y[:n], ft.ys[:n], ft.logs[:n]
+}
+
+// powers sets p[i] = yᵢ^a = math.Exp(a·logs[i]) and returns p. The
+// AVX-512 kernel computes the same float64s as math.Exp, eight at a
+// time; when it declines a sweep (a lane outside the normal range),
+// math.Exp makes the whole sweep.
+func (ft *Fitter) powers(logs []float64, a float64) []float64 {
+	p := ft.pw[:len(logs)]
+	if haveExpKernel && !ft.goSweep {
+		if expAVX512(&p[0], &logs[0], len(p), a) {
+			return p
+		}
+		ft.declined++
+	}
+	for i, l := range logs {
+		p[i] = math.Exp(a * l)
+	}
+	return p
 }
 
 // shapeMLE solves the profile shape equation for fixed μ on the shifted
@@ -213,19 +241,18 @@ func (ft *Fitter) shapeMLE(y []float64, alphaMin float64) (alpha, logBeta float6
 			var A, B, C float64
 			logs := ft.logs[:ft.n]
 			// yᵢ^α = exp(α·log yᵢ) over the cached logs: Exp costs roughly
-			// half a Pow, and the solver evaluates this sum a handful of
-			// times per fit — the single hottest loop of the estimator
-			// tail. The derivative terms A' = C and B' = A fall out of the
-			// same loop for two extra multiplies, so Newton steps come at
-			// bisection-step cost.
-			for _, l := range logs {
-				p := math.Exp(a * l)
-				pl := p * l
-				B += p
+			// half a Pow, and a fit makes about 830 of these sweeps — the
+			// single hottest loop of the estimator. The derivative terms
+			// A' = C and B' = A fall out of the same loop for two extra
+			// multiplies, so Newton steps come at bisection-step cost.
+			p := ft.powers(logs, a)
+			for i, l := range logs {
+				pl := p[i] * l
+				B += p[i]
 				A += pl
 				C += pl * l
 			}
-			ft.dAt = a
+			ft.dAt, ft.dB = a, B
 			ft.dVal = -ft.m/(a*a) - ft.m*(C*B-A*A)/(B*B)
 			return ft.m/a + ft.s0 - ft.m*A/B
 		}
@@ -266,9 +293,14 @@ func (ft *Fitter) shapeMLE(y []float64, alphaMin float64) (alpha, logBeta float6
 			return 0, 0, false
 		}
 	}
-	var B float64
-	for _, l := range logs {
-		B += math.Exp(a * l)
+	// B = Σ exp(α̂·log yᵢ), the sum the last sweep made when the solve
+	// ended where it last swept (always so on the α ≥ alphaMin clamp).
+	B := ft.dB
+	if a != ft.dAt {
+		B = 0
+		for _, v := range ft.powers(logs, a) {
+			B += v
+		}
 	}
 	// β = m / Σ y^α = m / (c^α · B).
 	logBeta = math.Log(m) - a*math.Log(c) - math.Log(B)
