@@ -274,10 +274,11 @@ func (s scalarStream) Size() int                          { return s.src.Size() 
 
 // BenchmarkEstimateStreaming measures the dominant hot path of real-design
 // estimation — on-demand simulation of every sampled unit — on the
-// C3540-scale circuit, comparing the scalar baseline against the batched
-// sampling seam at 1 and NumCPU workers. All variants are bit-identical in
-// results (TestEstimateStreamingDeterministicAcrossWorkers); only the cost
-// per unit changes. Most seeds run the full 8 hyper-samples (2400 units);
+// C3540-scale circuit under zero and fanout delay, comparing the scalar
+// baseline against the batched sampling seam at 1 and NumCPU workers. All
+// variants are bit-identical in results
+// (TestEstimateStreamingDeterministicAcrossWorkers); only the cost per
+// unit changes. Most seeds run the full 8 hyper-samples (2400 units);
 // a few converge a hyper-sample early, so the guard only rejects runs too
 // small to have exercised the streaming path at all. Compare runs at equal
 // -benchtime (the canonical protocol is -benchtime 3x, whose seeds all do
@@ -300,33 +301,10 @@ func BenchmarkEstimateStreaming(b *testing.B) {
 			}
 		}
 	}
-	newSource := func(b *testing.B, model delay.Model, workers int) *vectorgen.StreamSource {
-		b.Helper()
-		src, err := vectorgen.NewStreamSource(power.NewEvaluator(c, model, power.Params{}), gen)
-		if err != nil {
-			b.Fatal(err)
-		}
-		src.Workers = workers
-		return src
-	}
-	// Compiled variants run the multi-word striped kernel (sim.Program +
-	// sim.Striped) the production maxpower paths enable by default; the
-	// shared cache amortizes the one-time netlist compile across b.N.
+	// Every evaluator runs the compiled speculative engine; the shared
+	// cache amortizes the one-time netlist compile across b.N.
 	kernels := sim.NewProgramCache(4)
-	newCompiledSource := func(b *testing.B, model delay.Model, workers int) *vectorgen.StreamSource {
-		b.Helper()
-		ev := power.NewEvaluator(c, model, power.Params{})
-		ev.UseKernels(kernels, c.Name+"/"+model.Name())
-		src, err := vectorgen.NewStreamSource(ev, gen)
-		if err != nil {
-			b.Fatal(err)
-		}
-		src.Workers = workers
-		return src
-	}
-	// Speculative variants run the settle-then-patch executor
-	// (sim.Speculative) — the library default for timed models.
-	newSpeculativeSource := func(b *testing.B, model delay.Model, workers int) *vectorgen.StreamSource {
+	newSource := func(b *testing.B, model delay.Model, workers int) *vectorgen.StreamSource {
 		b.Helper()
 		ev := power.NewEvaluator(c, model, power.Params{})
 		ev.UseSpeculative(kernels, c.Name+"/"+model.Name())
@@ -337,45 +315,17 @@ func BenchmarkEstimateStreaming(b *testing.B) {
 		src.Workers = workers
 		return src
 	}
-
-	// Zero delay: the batch path packs 64 pairs per settle pass.
-	b.Run("zero/scalar", func(b *testing.B) {
-		run(b, scalarStream{src: newSource(b, delay.Zero{}, 1)})
-	})
-	b.Run("zero/batched-1", func(b *testing.B) {
-		run(b, newSource(b, delay.Zero{}, 1))
-	})
-	b.Run("zero/batched-ncpu", func(b *testing.B) {
-		run(b, newSource(b, delay.Zero{}, runtime.NumCPU()))
-	})
-	b.Run("zero/compiled-1", func(b *testing.B) {
-		run(b, newCompiledSource(b, delay.Zero{}, 1))
-	})
-	// Timed (fanout-loaded) delay: the lane-packed event-driven TimedBatch
-	// simulates 64 pairs per pass (sim/timedbatch.go), so the single-worker
-	// batched variant already captures the word-level speedup; ncpu adds
-	// the worker fan-out on top.
-	b.Run("fanout/scalar", func(b *testing.B) {
-		run(b, scalarStream{src: newSource(b, delay.FanoutLoaded{}, 1)})
-	})
-	b.Run("fanout/batched-1", func(b *testing.B) {
-		run(b, newSource(b, delay.FanoutLoaded{}, 1))
-	})
-	b.Run("fanout/batched-ncpu", func(b *testing.B) {
-		run(b, newSource(b, delay.FanoutLoaded{}, runtime.NumCPU()))
-	})
-	b.Run("fanout/compiled-1", func(b *testing.B) {
-		run(b, newCompiledSource(b, delay.FanoutLoaded{}, 1))
-	})
-	b.Run("fanout/compiled-ncpu", func(b *testing.B) {
-		run(b, newCompiledSource(b, delay.FanoutLoaded{}, runtime.NumCPU()))
-	})
-	b.Run("fanout/speculative-1", func(b *testing.B) {
-		run(b, newSpeculativeSource(b, delay.FanoutLoaded{}, 1))
-	})
-	b.Run("fanout/speculative-ncpu", func(b *testing.B) {
-		run(b, newSpeculativeSource(b, delay.FanoutLoaded{}, runtime.NumCPU()))
-	})
+	for _, model := range []delay.Model{delay.Zero{}, delay.FanoutLoaded{}} {
+		b.Run(model.Name()+"/scalar", func(b *testing.B) {
+			run(b, scalarStream{src: newSource(b, model, 1)})
+		})
+		b.Run(model.Name()+"/workers-1", func(b *testing.B) {
+			run(b, newSource(b, model, 1))
+		})
+		b.Run(model.Name()+"/workers-ncpu", func(b *testing.B) {
+			run(b, newSource(b, model, runtime.NumCPU()))
+		})
+	}
 }
 
 func BenchmarkAblationDelayModel(b *testing.B) {

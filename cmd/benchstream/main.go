@@ -2,12 +2,12 @@
 // cost of one full estimator run with on-demand simulation — and emits a
 // machine-readable JSON baseline (BENCH_streaming.json). CI runs it on
 // every push and uploads the file as an artifact, so regressions in the
-// lane-packed simulators show up as a diffable number instead of a vague
+// compiled batch engine show up as a diffable number instead of a vague
 // "feels slower".
 //
 // Usage:
 //
-//	benchstream                      # all circuit × delay-model × engine variants
+//	benchstream                      # all circuit × delay-model variants
 //	benchstream -circuits C432       # subset
 //	benchstream -iterations 3        # runs per timed block (fixed seed set)
 //	benchstream -reps 5              # interleaved blocks per variant (report the min)
@@ -18,30 +18,21 @@
 //
 // Protocol: each variant pins the estimator to 8 hyper-samples at
 // ε = 0.001 (the BenchmarkEstimateStreaming configuration), single
-// worker, so the number is the single-core cost of the lane-packed
-// engines — comparable across commits on the same machine, not across
-// machines. Every circuit × delay-model pair is measured on three
-// engines: "batched" (the interpreted packed-vector pipeline),
-// "compiled" (the flat striped event wheel), and "speculative"
-// (settle-then-patch, the library default), the compiled engines
-// sharing one program cache the way the service does.
+// worker, so the number is the single-core cost of the compiled
+// speculative engine every power.Evaluator runs — comparable across
+// commits on the same machine, not across machines. All variants share
+// one program cache the way the service does.
 //
-// Timing is interleaved min-of-reps: all engines of a pair are built
-// first, then -reps timed blocks of -iterations runs each alternate
-// round-robin between the engines, and ns_per_run is the fastest
-// block's mean. Interleaving keeps a host frequency or scheduling
-// swing from landing entirely on one engine (which would skew the
-// cross-engine ratios the baseline exists to track), and the min is
-// the stable summary of a noisy host — the runs are bit-identical, so
-// the fastest observation is the one closest to the machine's true
-// cost. Every engine runs the same fixed seed set, so blocks are the
-// same work everywhere: engine columns are directly comparable.
-// Allocation figures (allocs_per_run, bytes_per_run) come from a
-// separate counted pass after one untimed warm-up run, so they are
-// steady state — lazily built executor scratch is excluded, keeping
-// bytes comparable across engines. Speculative variants also record
-// the speculation counters of one run (stripes, patched words, wheel
-// fallbacks).
+// Timing is min-of-reps: after the estimator is built, -reps timed
+// blocks of -iterations runs each execute back to back, and ns_per_run
+// is the fastest block's mean. The min is the stable summary of a noisy
+// host — the runs are bit-identical, so the fastest observation is the
+// one closest to the machine's true cost. Every variant runs the same
+// fixed seed set. Allocation figures (allocs_per_run, bytes_per_run)
+// come from a separate counted pass after one untimed warm-up run, so
+// they are steady state — lazily built executor scratch is excluded.
+// Each variant also records the speculation counters of one run
+// (stripes, patched words, wheel fallbacks).
 //
 // -check gates on two axes against the committed baseline:
 //   - bytes_per_run: allocation volume is a property of the code and
@@ -66,42 +57,32 @@ import (
 	"repro/internal/bench"
 	"repro/internal/delay"
 	"repro/internal/evt"
+	"repro/internal/netlist"
 	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/vectorgen"
 )
 
-// Variant is one measured configuration. Engine is "batched" or
-// "compiled"; older baselines predate the field, and an empty value
-// reads as "batched" for gating.
+// Variant is one measured configuration.
 type Variant struct {
 	Circuit     string  `json:"circuit"`
 	Model       string  `json:"delay_model"`
-	Engine      string  `json:"engine,omitempty"`
 	NsPerOp     int64   `json:"ns_per_run"`
 	MsPerOp     float64 `json:"ms_per_run"`
 	Units       int     `json:"units_per_run"`
 	AllocsPerOp int64   `json:"allocs_per_run"`
 	BytesPerOp  int64   `json:"bytes_per_run"`
-	// Speculation counters of one estimator run (speculative engine
-	// only): timed stripes attempted, gate-words patched, stripes
-	// replayed on the event wheel after a misprediction.
+	// Speculation counters of one estimator run: timed stripes
+	// attempted, gate-words patched, stripes replayed on the event wheel
+	// after a misprediction.
 	SpecStripes   uint64 `json:"spec_stripes,omitempty"`
 	SpecPatched   uint64 `json:"spec_patched_words,omitempty"`
 	SpecFallbacks uint64 `json:"spec_fallbacks,omitempty"`
 }
 
-// key identifies a variant across baseline generations: an absent
-// engine field (pre-compiled-kernel baselines) gates the batched
-// engine.
-func (v Variant) key() string {
-	eng := v.Engine
-	if eng == "" {
-		eng = "batched"
-	}
-	return v.Circuit + "/" + v.Model + "/" + eng
-}
+// key identifies a variant across baseline generations.
+func (v Variant) key() string { return v.Circuit + "/" + v.Model }
 
 // Baseline is the emitted document.
 type Baseline struct {
@@ -119,7 +100,7 @@ func main() {
 	var (
 		circuits   = flag.String("circuits", "C432,C3540", "comma-separated benchmark circuits")
 		iterations = flag.Int("iterations", 3, "estimator runs per timed block (fixed seed set)")
-		reps       = flag.Int("reps", 7, "interleaved timed blocks per variant; ns_per_run is the fastest block")
+		reps       = flag.Int("reps", 7, "timed blocks per variant; ns_per_run is the fastest block")
 		out        = flag.String("o", "BENCH_streaming.json", "output file (- for stdout)")
 		check      = flag.String("check", "", "baseline file to gate against (fails if bytes_per_run grows >25% or ns_per_run >60%); suppresses output file")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the whole sweep to this file")
@@ -162,7 +143,6 @@ func main() {
 		Reps:       *reps,
 	}
 	models := []delay.Model{delay.Zero{}, delay.FanoutLoaded{}, delay.StandardTable()}
-	engines := []string{"batched", "compiled", "speculative"}
 	// One program cache for the whole sweep, shared the way the service
 	// shares its kernel cache: each (circuit, model) compiles once and
 	// every iteration after that hits.
@@ -177,15 +157,13 @@ func main() {
 			fatal(err)
 		}
 		for _, model := range models {
-			vs, err := measure(name, c.NumInputs(), model, engines, *iterations, *reps, kernels)
+			v, err := measure(c, model, *iterations, *reps, kernels)
 			if err != nil {
 				fatal(err)
 			}
-			for _, v := range vs {
-				fmt.Fprintf(os.Stderr, "%-8s %-14s %-9s %8.1f ms/run %10d B/run %6d allocs/run (%d units)\n",
-					v.Circuit, v.Model, v.Engine, v.MsPerOp, v.BytesPerOp, v.AllocsPerOp, v.Units)
-				base.Variants = append(base.Variants, v)
-			}
+			fmt.Fprintf(os.Stderr, "%-8s %-14s %8.1f ms/run %10d B/run %6d allocs/run (%d units)\n",
+				v.Circuit, v.Model, v.MsPerOp, v.BytesPerOp, v.AllocsPerOp, v.Units)
+			base.Variants = append(base.Variants, v)
 		}
 	}
 
@@ -220,7 +198,7 @@ func main() {
 // the baseline was refreshed on the reference machine, and it is
 // deliberately loose — it catches a kernel falling off a performance
 // cliff, not single-digit drift. Variants with no baseline entry (new
-// engines, new circuits) pass.
+// circuits or delay models) pass.
 func checkAgainst(path string, got []Variant) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -277,86 +255,59 @@ func checkAgainst(path string, got []Variant) error {
 }
 
 // measure times complete single-worker estimator runs of the
-// BenchmarkEstimateStreaming configuration for every engine of one
-// circuit × model pair. All engines are built first; then timed blocks
-// of `iterations` runs (seeds 1..iterations) alternate round-robin
-// between the engines for `reps` passes, and each engine reports its
-// fastest block — see the package comment for why interleaved
+// BenchmarkEstimateStreaming configuration for one circuit × model pair:
+// `reps` timed blocks of `iterations` runs (seeds 1..iterations), of
+// which the fastest block counts — see the package comment for why
 // min-of-reps is the protocol. Allocations are counted separately over
 // one fixed post-warm-up pass, outside any timed block.
-func measure(name string, inputs int, model delay.Model, engines []string, iterations, reps int, kernels *sim.ProgramCache) ([]Variant, error) {
-	circuit, err := bench.Generate(name)
+func measure(c *netlist.Circuit, model delay.Model, iterations, reps int, kernels *sim.ProgramCache) (Variant, error) {
+	v := Variant{Circuit: c.Name, Model: model.Name()}
+	gen := vectorgen.HighActivity{N: c.NumInputs(), MinActivity: 0.3}
+	ev := power.NewEvaluator(c, model, power.Params{})
+	ev.UseSpeculative(kernels, c.Name+"/"+model.Name())
+	src, err := vectorgen.NewStreamSource(ev, gen)
 	if err != nil {
-		return nil, err
+		return v, err
 	}
-	gen := vectorgen.HighActivity{N: inputs, MinActivity: 0.3}
-	cfg := evt.Config{Epsilon: 0.001, MaxHyperSamples: 8}
-	type engineRun struct {
-		est *evt.Estimator
-		v   Variant
+	src.Workers = 1
+	est, err := evt.New(src, evt.Config{Epsilon: 0.001, MaxHyperSamples: 8})
+	if err != nil {
+		return v, err
 	}
-	runs := make([]*engineRun, 0, len(engines))
-	for _, engine := range engines {
-		ev := power.NewEvaluator(circuit, model, power.Params{})
-		switch engine {
-		case "compiled":
-			ev.UseKernels(kernels, name+"/"+model.Name())
-		case "speculative":
-			ev.UseSpeculative(kernels, name+"/"+model.Name())
-		}
-		src, err := vectorgen.NewStreamSource(ev, gen)
-		if err != nil {
-			return nil, err
-		}
-		src.Workers = 1
-		est, err := evt.New(src, cfg)
-		if err != nil {
-			return nil, err
-		}
-		er := &engineRun{est: est, v: Variant{Circuit: name, Model: model.Name(), Engine: engine}}
-		// One untimed pass over the full seed set builds the lazily
-		// constructed engine state (packed buffers, compiled executors,
-		// scratch sized for the largest run any seed produces), so both
-		// the counted allocation pass and the timed blocks are steady
-		// state.
-		res := est.Run(stats.NewRNG(1))
-		er.v.Units = res.Units
-		er.v.SpecStripes = res.Engine.SpecStripes
-		er.v.SpecPatched = res.Engine.SpecPatched
-		er.v.SpecFallbacks = res.Engine.SpecFallbacks
-		for i := 1; i < iterations; i++ {
-			est.Run(stats.NewRNG(uint64(i) + 1))
-		}
-		// Counted allocation pass: TotalAlloc/Mallocs are monotonic, so
-		// the deltas are exact whatever the GC does in between.
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
+	// One untimed pass over the full seed set builds the lazily
+	// constructed engine state (packed buffers, the executor, scratch
+	// sized for the largest run any seed produces), so both the counted
+	// allocation pass and the timed blocks are steady state.
+	res := est.Run(stats.NewRNG(1))
+	v.Units = res.Units
+	v.SpecStripes = res.Engine.SpecStripes
+	v.SpecPatched = res.Engine.SpecPatched
+	v.SpecFallbacks = res.Engine.SpecFallbacks
+	for i := 1; i < iterations; i++ {
+		est.Run(stats.NewRNG(uint64(i) + 1))
+	}
+	// Counted allocation pass: TotalAlloc/Mallocs are monotonic, so the
+	// deltas are exact whatever the GC does in between.
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < iterations; i++ {
+		est.Run(stats.NewRNG(uint64(i) + 1))
+	}
+	runtime.ReadMemStats(&m1)
+	v.AllocsPerOp = int64(m1.Mallocs-m0.Mallocs) / int64(iterations)
+	v.BytesPerOp = int64(m1.TotalAlloc-m0.TotalAlloc) / int64(iterations)
+	for rep := 0; rep < reps; rep++ {
+		t0 := time.Now()
 		for i := 0; i < iterations; i++ {
 			est.Run(stats.NewRNG(uint64(i) + 1))
 		}
-		runtime.ReadMemStats(&m1)
-		er.v.AllocsPerOp = int64(m1.Mallocs-m0.Mallocs) / int64(iterations)
-		er.v.BytesPerOp = int64(m1.TotalAlloc-m0.TotalAlloc) / int64(iterations)
-		runs = append(runs, er)
-	}
-	for rep := 0; rep < reps; rep++ {
-		for _, er := range runs {
-			t0 := time.Now()
-			for i := 0; i < iterations; i++ {
-				er.est.Run(stats.NewRNG(uint64(i) + 1))
-			}
-			per := time.Since(t0).Nanoseconds() / int64(iterations)
-			if er.v.NsPerOp == 0 || per < er.v.NsPerOp {
-				er.v.NsPerOp = per
-			}
+		per := time.Since(t0).Nanoseconds() / int64(iterations)
+		if v.NsPerOp == 0 || per < v.NsPerOp {
+			v.NsPerOp = per
 		}
 	}
-	vs := make([]Variant, len(runs))
-	for i, er := range runs {
-		er.v.MsPerOp = float64(er.v.NsPerOp) / 1e6
-		vs[i] = er.v
-	}
-	return vs, nil
+	v.MsPerOp = float64(v.NsPerOp) / 1e6
+	return v, nil
 }
 
 func fatal(err error) {

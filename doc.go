@@ -6,8 +6,8 @@
 // vector-pair populations, hand-written statistics, the reverse-Weibull
 // MLE, and the EVT estimator itself). Sampling is batched end to end:
 // sources implementing evt.BatchSource supply each hyper-sample's m·n
-// unit powers in one call, simulated bit-parallel (64 pairs per settle
-// pass on zero-delay models) across a worker pool, bit-identical to the
+// unit powers in one call, simulated on the circuit's compiled program
+// (up to 512 pairs per stripe) across a worker pool, bit-identical to the
 // scalar path for any worker count. maxpowerd serves estimation jobs over
 // JSON/HTTP with per-job worker budgets. See README.md for a tour,
 // DESIGN.md for the system inventory, and EXPERIMENTS.md for the

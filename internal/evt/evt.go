@@ -40,7 +40,7 @@ type Source interface {
 // BatchSource is an optional upgrade of Source for bulk sampling: the
 // estimator requests all m·n unit powers of a hyper-sample as one
 // SampleBatch call instead of m·n scalar draws, letting the source
-// amortize per-unit cost (bit-parallel simulation, worker pools).
+// amortize per-unit cost (compiled stripe simulation, worker pools).
 //
 // Determinism contract: SampleBatch must consume the RNG exactly as
 // len(dst) sequential SamplePower calls would — i.e. any randomness is

@@ -8,188 +8,62 @@ import (
 	"repro/internal/sim"
 )
 
-func TestZeroDelayBatchMatchesSerial(t *testing.T) {
-	c := bench.MustGenerate("C1908")
-	e := NewEvaluator(c, delay.Zero{}, Params{})
-	nIn := c.NumInputs()
-	pattern := func(seed uint64) []bool {
-		v := make([]bool, nIn)
-		x := seed
-		for i := range v {
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
-			v[i] = x&1 != 0
-		}
-		return v
-	}
-	const lanes = 50
-	v1s := make([][]bool, lanes)
-	v2s := make([][]bool, lanes)
-	for l := 0; l < lanes; l++ {
-		v1s[l] = pattern(uint64(3*l + 1))
-		v2s[l] = pattern(uint64(3*l + 2))
-	}
-	batch, err := e.ZeroDelayBatchMW(v1s, v2s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != lanes {
-		t.Fatalf("%d results", len(batch))
-	}
-	for l := 0; l < lanes; l++ {
-		want := e.CyclePowerMW(v1s[l], v2s[l])
-		if batch[l] != want {
-			t.Fatalf("lane %d: batch %v serial %v", l, batch[l], want)
-		}
-	}
-}
-
-// TestTimedBatchMatchesSerial is the power-level differential for the
-// lane-packed timed path: glitch-weighted batch powers must be
-// bit-identical to per-pair CyclePowerMW under real delay models, at full
-// and partial batch widths.
-func TestTimedBatchMatchesSerial(t *testing.T) {
-	c := bench.MustGenerate("C880")
-	nIn := c.NumInputs()
-	pattern := func(seed uint64) []bool {
-		v := make([]bool, nIn)
-		x := seed
-		for i := range v {
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
-			v[i] = x&1 != 0
-		}
-		return v
-	}
-	for _, m := range []delay.Model{delay.Unit{}, delay.FanoutLoaded{}, delay.StandardTable()} {
-		for _, lanes := range []int{64, 17, 1} {
-			e := NewEvaluator(c, m, Params{})
-			v1s := make([][]bool, lanes)
-			v2s := make([][]bool, lanes)
-			for l := 0; l < lanes; l++ {
-				v1s[l] = pattern(uint64(5*l + 1))
-				v2s[l] = pattern(uint64(5*l + 3))
-			}
-			batch, err := e.TimedBatchMW(v1s, v2s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			via, err := e.BatchMW(v1s, v2s) // dispatcher must pick the same path
-			if err != nil {
-				t.Fatal(err)
-			}
-			for l := 0; l < lanes; l++ {
-				want := e.CyclePowerMW(v1s[l], v2s[l])
-				if batch[l] != want {
-					t.Fatalf("%s lanes=%d lane %d: batch %v serial %v", m.Name(), lanes, l, batch[l], want)
-				}
-				if via[l] != want {
-					t.Fatalf("%s lanes=%d lane %d: BatchMW %v serial %v", m.Name(), lanes, l, via[l], want)
-				}
-			}
-		}
-	}
-}
-
-// TestBatchMWDispatch checks the model-based dispatch: zero-delay models
-// take the settle engine, timed models the event-driven one, and both
-// reject the other's dedicated entry point.
-func TestBatchMWDispatch(t *testing.T) {
-	c := bench.MustGenerate("C432")
-	v := make([]bool, c.NumInputs())
-	w := make([]bool, c.NumInputs())
-	for i := range w {
-		w[i] = i%2 == 0
-	}
-	zero := NewEvaluator(c, delay.Zero{}, Params{})
-	if _, err := zero.TimedBatchMW([][]bool{v}, [][]bool{w}); err == nil {
-		t.Fatal("zero-delay evaluator accepted TimedBatchMW")
-	}
-	got, err := zero.BatchMW([][]bool{v}, [][]bool{w})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := zero.CyclePowerMW(v, w); got[0] != want {
-		t.Fatalf("zero dispatch: %v, want %v", got[0], want)
-	}
-	timed := NewEvaluator(c, delay.FanoutLoaded{}, Params{})
-	if _, err := timed.TimedBatchMW([][]bool{v}, nil); err == nil {
-		t.Fatal("mismatched timed batch accepted")
-	}
-}
-
-func TestZeroDelayBatchRejectsTimed(t *testing.T) {
-	c := bench.MustGenerate("C432")
-	e := NewEvaluator(c, delay.FanoutLoaded{}, Params{})
-	if e.ZeroDelay() {
-		t.Fatal("fanout evaluator claims zero delay")
-	}
-	v := make([]bool, c.NumInputs())
-	if _, err := e.ZeroDelayBatchMW([][]bool{v}, [][]bool{v}); err == nil {
-		t.Fatal("timed evaluator accepted batch call")
-	}
-	// Mismatched batch sizes.
-	e0 := NewEvaluator(c, delay.Zero{}, Params{})
-	if _, err := e0.ZeroDelayBatchMW([][]bool{v}, nil); err == nil {
-		t.Fatal("mismatched batch accepted")
-	}
-}
+// allModels lists the four delay models every batch differential covers.
+var allModels = []delay.Model{delay.Zero{}, delay.Unit{}, delay.FanoutLoaded{}, delay.StandardTable()}
 
 // TestBatchMWPackedMatchesSerial is the power-level differential for the
 // packed entry point: bit-plane batches must produce bit-identical powers
-// to per-pair CyclePowerMW on both engine classes, across full blocks and
-// a partial tail, and validate input shape.
+// to per-pair CyclePowerMW on all four delay models, for a single pair, a
+// partial block, a full block and two blocks with a ragged tail. Short
+// out slices, and batches one input wider than the circuit, must be
+// refused with an error, never a panic, through both packed entry points
+// and before and after the evaluator has run a batch.
 func TestBatchMWPackedMatchesSerial(t *testing.T) {
 	c := bench.MustGenerate("C880")
 	nIn := c.NumInputs()
-	pattern := func(seed uint64) []bool {
-		v := make([]bool, nIn)
-		x := seed
-		for i := range v {
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
-			v[i] = x&1 != 0
+	var wide sim.PackedPairs
+	wide.Reset(nIn+1, 64)
+	rejectWide := func(e *Evaluator, m delay.Model, when string) {
+		t.Helper()
+		if err := e.BatchMWPacked(&wide, make([]float64, 64)); err == nil {
+			t.Fatalf("%s %s: BatchMWPacked accepted a %d-input batch for %d inputs", m.Name(), when, nIn+1, nIn)
 		}
-		return v
+		if err := e.PackedStripeMW(&wide, 0, make([]float64, 64)); err == nil {
+			t.Fatalf("%s %s: PackedStripeMW accepted a %d-input batch for %d inputs", m.Name(), when, nIn+1, nIn)
+		}
 	}
-	const n = 150 // two full blocks plus a 22-lane tail
-	for _, m := range []delay.Model{delay.Zero{}, delay.FanoutLoaded{}, delay.StandardTable()} {
-		e := NewEvaluator(c, m, Params{})
-		var pp sim.PackedPairs
-		pp.Reset(nIn, n)
-		v1s := make([][]bool, n)
-		v2s := make([][]bool, n)
-		for i := 0; i < n; i++ {
-			v1s[i] = pattern(uint64(7*i + 1))
-			v2s[i] = pattern(uint64(7*i + 4))
-			pp.SetPair(i, v1s[i], v2s[i])
-		}
-		out := make([]float64, n)
-		if err := e.BatchMWPacked(&pp, out); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			if want := e.CyclePowerMW(v1s[i], v2s[i]); out[i] != want {
-				t.Fatalf("%s pair %d: packed %v serial %v", m.Name(), i, out[i], want)
+	for _, m := range allModels {
+		for _, n := range []int{1, 17, 64, 150} {
+			e := NewEvaluator(c, m, Params{})
+			rejectWide(e, m, "fresh")
+			var pp sim.PackedPairs
+			pp.Reset(nIn, n)
+			v1s := make([][]bool, n)
+			v2s := make([][]bool, n)
+			for i := 0; i < n; i++ {
+				v1s[i] = kernelPattern(nIn, uint64(7*i+1))
+				v2s[i] = kernelPattern(nIn, uint64(7*i+4))
+				pp.SetPair(i, v1s[i], v2s[i])
 			}
-		}
-		// Shape validation: wrong out length and wrong input width.
-		if err := e.BatchMWPacked(&pp, out[:n-1]); err == nil {
-			t.Fatal("short out slice accepted")
-		}
-		var bad sim.PackedPairs
-		bad.Reset(nIn+1, 64)
-		if err := e.BatchMWPacked(&bad, make([]float64, 64)); err == nil {
-			t.Fatal("width mismatch accepted")
+			out := make([]float64, n)
+			if err := e.BatchMWPacked(&pp, out); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				if want := e.CyclePowerMW(v1s[i], v2s[i]); out[i] != want {
+					t.Fatalf("%s n=%d pair %d: packed %v serial %v", m.Name(), n, i, out[i], want)
+				}
+			}
+			if err := e.BatchMWPacked(&pp, out[:n-1]); err == nil {
+				t.Fatalf("%s n=%d: short out slice accepted", m.Name(), n)
+			}
+			rejectWide(e, m, "warm")
 		}
 	}
 }
 
-// TestBatchMWPackedZeroAlloc guards the per-block core: with warm engine
-// scratch, evaluating a packed zero-delay block allocates nothing.
+// TestBatchMWPackedZeroAlloc guards the packed entry point: with a warm
+// executor, evaluating a packed zero-delay block allocates nothing.
 func TestBatchMWPackedZeroAlloc(t *testing.T) {
 	c := bench.MustGenerate("C432")
 	e := NewEvaluator(c, delay.Zero{}, Params{})
@@ -202,17 +76,16 @@ func TestBatchMWPackedZeroAlloc(t *testing.T) {
 		}
 		pp.SetPair(i, v, v)
 	}
-	in1, in2, _ := pp.Block(0)
 	out := make([]float64, 64)
-	if err := e.PackedBlockMW(in1, in2, out); err != nil {
-		t.Fatal(err) // warm the lane scratch
+	if err := e.BatchMWPacked(&pp, out); err != nil {
+		t.Fatal(err) // warm: compile and build the executor
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if err := e.PackedBlockMW(in1, in2, out); err != nil {
+		if err := e.BatchMWPacked(&pp, out); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("PackedBlockMW allocated %v objects per block, want 0", allocs)
+		t.Fatalf("BatchMWPacked allocated %v objects per block, want 0", allocs)
 	}
 }

@@ -21,20 +21,18 @@ func kernelPattern(nIn int, seed uint64) []bool {
 	return v
 }
 
-// TestKernelBatchMatchesSerial is the power-level differential for the
-// compiled striped path: with UseKernels on, BatchMWPacked must produce
-// bit-identical powers to per-pair CyclePowerMW on all four delay
-// models, across multi-stripe batches with a ragged tail — the same
-// contract the interpreted packed path carries.
+// TestKernelBatchMatchesSerial is the power-level differential for an
+// evaluator whose program comes from a shared cache: BatchMWPacked must
+// produce bit-identical powers to per-pair CyclePowerMW on all four
+// delay models, at the estimator's 300-pair batch shape.
 func TestKernelBatchMatchesSerial(t *testing.T) {
 	c := bench.MustGenerate("C880")
 	nIn := c.NumInputs()
 	const n = 300 // 5 blocks: one partial stripe, the estimator's shape
-	models := []delay.Model{delay.Zero{}, delay.Unit{}, delay.FanoutLoaded{}, delay.StandardTable()}
-	for _, m := range models {
+	kc := sim.NewProgramCache(len(allModels))
+	for _, m := range allModels {
 		e := NewEvaluator(c, m, Params{})
-		e.UseKernels(nil, "")
-		oracle := NewEvaluator(c, m, Params{})
+		e.UseSpeculative(kc, "C880/"+m.Name())
 		var pp sim.PackedPairs
 		pp.Reset(nIn, n)
 		v1s := make([][]bool, n)
@@ -48,32 +46,26 @@ func TestKernelBatchMatchesSerial(t *testing.T) {
 		if err := e.BatchMWPacked(&pp, out); err != nil {
 			t.Fatal(err)
 		}
-		interp := make([]float64, n)
-		if err := oracle.BatchMWPacked(&pp, interp); err != nil {
-			t.Fatal(err)
-		}
 		for i := 0; i < n; i++ {
-			want := oracle.CyclePowerMW(v1s[i], v2s[i])
-			if out[i] != want {
+			if want := e.CyclePowerMW(v1s[i], v2s[i]); out[i] != want {
 				t.Fatalf("%s pair %d: kernel %v serial %v", m.Name(), i, out[i], want)
-			}
-			if interp[i] != want {
-				t.Fatalf("%s pair %d: interpreted %v serial %v", m.Name(), i, interp[i], want)
 			}
 		}
 	}
 }
 
 // TestKernelCacheSharing: evaluators given one cache under one key share
-// a single compiled program, clones inherit it without recompiling, and
-// distinct delay models under distinct keys compile distinct programs.
+// a single compiled program, clones inherit it without recompiling (also
+// when cloned before any batch, when Clone resolves it once for all of
+// them), and distinct delay models under distinct keys compile distinct
+// programs.
 func TestKernelCacheSharing(t *testing.T) {
 	c := bench.MustGenerate("C432")
 	kc := sim.NewProgramCache(4)
 	a := NewEvaluator(c, delay.FanoutLoaded{}, Params{})
-	a.UseKernels(kc, "C432/fanout")
+	a.UseSpeculative(kc, "C432/fanout")
 	b := NewEvaluator(c, delay.FanoutLoaded{}, Params{})
-	b.UseKernels(kc, "C432/fanout")
+	b.UseSpeculative(kc, "C432/fanout")
 	if a.StripeWords() != sim.DefaultStripeWords || b.StripeWords() != a.StripeWords() {
 		t.Fatalf("stripe widths %d/%d", a.StripeWords(), b.StripeWords())
 	}
@@ -82,78 +74,67 @@ func TestKernelCacheSharing(t *testing.T) {
 		t.Fatalf("two evaluators, one key: hits=%d misses=%d, want 1/1", st.Hits, st.Misses)
 	}
 	cl := a.Clone()
-	if !cl.KernelsEnabled() {
-		t.Fatal("clone dropped the kernel configuration")
-	}
 	cl.StripeWords() // must not touch the cache: the program is inherited
-	if st := kc.Stats(); st.Misses != 1 {
-		t.Fatalf("clone recompiled (misses=%d)", st.Misses)
+	if st := kc.Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("clone went to the cache (hits=%d misses=%d)", st.Hits, st.Misses)
 	}
 	u := NewEvaluator(c, delay.Unit{}, Params{})
-	u.UseKernels(kc, "C432/unit")
-	u.StripeWords()
-	if st := kc.Stats(); st.Misses != 2 {
-		t.Fatalf("second delay model did not compile its own program (misses=%d)", st.Misses)
+	u.UseSpeculative(kc, "C432/unit")
+	clones := []*Evaluator{u.Clone(), u.Clone()}
+	for _, cl := range clones {
+		cl.StripeWords()
+	}
+	if st := kc.Stats(); st.Misses != 2 || st.Hits != 1 {
+		t.Fatalf("second delay model, two clones before any batch: hits=%d misses=%d, want 1/2", st.Hits, st.Misses)
 	}
 }
 
-// TestKernelStripeZeroAlloc guards the compiled and speculative steady
-// states: a warm striped evaluation of a full multi-word stripe
-// allocates nothing, whichever executor runs it.
+// TestKernelStripeZeroAlloc guards the steady state: a warm evaluation
+// of a multi-word stripe allocates nothing, under zero delay (the settle
+// kernel) and under a timed model (settle-then-patch).
 func TestKernelStripeZeroAlloc(t *testing.T) {
 	c := bench.MustGenerate("C432")
-	engines := []struct {
-		name   string
-		enable func(e *Evaluator)
-	}{
-		{"compiled", func(e *Evaluator) { e.UseKernels(nil, "") }},
-		{"speculative", func(e *Evaluator) { e.UseSpeculative(nil, "") }},
-	}
-	for _, eng := range engines {
-		for _, m := range []delay.Model{delay.Zero{}, delay.FanoutLoaded{}} {
-			e := NewEvaluator(c, m, Params{})
-			eng.enable(e)
-			const n = 300
-			var pp sim.PackedPairs
-			pp.Reset(c.NumInputs(), n)
-			for i := 0; i < n; i++ {
-				pp.SetPair(i, kernelPattern(c.NumInputs(), uint64(i+1)), kernelPattern(c.NumInputs(), uint64(i+500)))
-			}
-			out := make([]float64, n)
-			if err := e.BatchMWPacked(&pp, out); err != nil {
-				t.Fatal(err) // warm: compile + grow toggle planes
-			}
+	for _, m := range []delay.Model{delay.Zero{}, delay.FanoutLoaded{}} {
+		e := NewEvaluator(c, m, Params{})
+		const n = 300
+		var pp sim.PackedPairs
+		pp.Reset(c.NumInputs(), n)
+		for i := 0; i < n; i++ {
+			pp.SetPair(i, kernelPattern(c.NumInputs(), uint64(i+1)), kernelPattern(c.NumInputs(), uint64(i+500)))
+		}
+		out := make([]float64, n)
+		if err := e.BatchMWPacked(&pp, out); err != nil {
+			t.Fatal(err) // warm: compile + grow toggle planes
+		}
+		if err := e.BatchMWPacked(&pp, out); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
 			if err := e.BatchMWPacked(&pp, out); err != nil {
 				t.Fatal(err)
 			}
-			allocs := testing.AllocsPerRun(10, func() {
-				if err := e.BatchMWPacked(&pp, out); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				t.Fatalf("%s/%s: kernel BatchMWPacked allocated %v/op, want 0", eng.name, m.Name(), allocs)
-			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: BatchMWPacked allocated %v/op, want 0", m.Name(), allocs)
 		}
 	}
 }
 
 // TestKernelStripeShapeValidation: PackedStripeMW rejects wrong-shaped
-// out slices and refuses to run without UseKernels.
+// out slices and stripes outside the batch.
 func TestKernelStripeShapeValidation(t *testing.T) {
 	c := bench.MustGenerate("C432")
 	e := NewEvaluator(c, delay.FanoutLoaded{}, Params{})
 	var pp sim.PackedPairs
 	pp.Reset(c.NumInputs(), 100)
-	if err := e.PackedStripeMW(&pp, 0, make([]float64, 100)); err == nil {
-		t.Fatal("PackedStripeMW ran without UseKernels")
-	}
-	e.UseKernels(nil, "")
 	if err := e.PackedStripeMW(&pp, 0, make([]float64, 64)); err == nil {
 		t.Fatal("short out slice accepted")
 	}
 	if err := e.PackedStripeMW(&pp, 1, make([]float64, 100)); err == nil {
 		t.Fatal("out-of-range stripe accepted")
+	}
+	if err := e.PackedStripeMW(&pp, -1, make([]float64, 100)); err == nil {
+		t.Fatal("negative stripe accepted")
 	}
 	if err := e.PackedStripeMW(&pp, 0, make([]float64, 100)); err != nil {
 		t.Fatal(err)

@@ -14,12 +14,17 @@
 // activity-proportional short-circuit adder. Absolute watts
 // are not calibrated to the paper's 0.35 µm testbed — only the shape of
 // the induced distribution matters to the estimator (see DESIGN.md).
+//
+// An Evaluator computes single pairs on the scalar sim.Simulator, the
+// oracle, and packed batches on the circuit's compiled sim.Program run by
+// the sim.Speculative executor, folding each stripe's toggle planes into
+// energies in gate order. The two paths give bit-identical powers on
+// every delay model.
 package power
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"repro/internal/delay"
 	"repro/internal/netlist"
@@ -136,9 +141,12 @@ func NodeCapsF(c *netlist.Circuit, p Params) []float64 {
 	return caps
 }
 
-// Evaluator computes cycle power for vector pairs on one circuit. It wraps
-// a Simulator and is not safe for concurrent use; Clone gives each worker
-// an independent instance.
+// Evaluator computes cycle power for vector pairs on one circuit. The
+// scalar entry points run the event-driven Simulator; the packed batch
+// entry points run the circuit's compiled Program on the speculative
+// settle-then-patch executor, whose powers are bit-identical to the
+// scalar ones. An Evaluator is not safe for concurrent use; Clone gives
+// each worker an independent instance.
 type Evaluator struct {
 	simulator *sim.Simulator
 	params    Params
@@ -148,34 +156,20 @@ type Evaluator struct {
 	clockS  float64 // clock period, seconds
 	glitch  float64 // per-extra-toggle energy scale (partial swing)
 
-	batch *sim.BitParallel // lazily created 64-lane settle engine (zero delay)
-	timed *sim.TimedBatch  // lazily created 64-lane timed engine (glitch-aware)
-
-	// Compiled-kernel state (UseKernels): the immutable program is shared
-	// across clones and — through the cache — across evaluators for the
-	// same (circuit, delay model); the striped executor is per-instance
-	// mutable run state, built lazily like batch/timed. slotEnergy is
-	// energyW in the program's slot order, resolved with the program and
-	// shared like it; acc is the per-instance stripe-sized accumulator
-	// of stripeMW.
-	useKernels bool
+	// The compiled program is immutable and shared across clones and,
+	// through the cache when one is attached, across evaluators for the
+	// same (circuit, delay model). It is resolved on first batch use or
+	// at the first Clone. slotEnergy is energyW in the program's slot
+	// order, resolved and shared with it. acc (the stripe-sized energy
+	// accumulator of stripeMW) and spec (the executor, which owns a
+	// Striped for its settle kernel and misprediction fallback) are
+	// per-instance run state, built lazily.
 	kernels    *sim.ProgramCache
 	kernelKey  string
 	prog       *sim.Program
 	slotEnergy []float64
 	acc        []float64
-	striped    *sim.Striped
-	// speculate selects the settle-then-patch executor for kernel
-	// stripes; spec is its lazily built per-instance run state (it owns
-	// a wheel of its own for per-stripe misprediction fallback).
-	speculate bool
-	spec      *sim.Speculative
-
-	// pack1/pack2 are the [][]bool-adapter pack scratch, reused across
-	// calls so the legacy batch entry points stop allocating per call.
-	// The packed core never touches them: callers of the packed APIs own
-	// their planes (one PackedPairs per source, reused per batch).
-	pack1, pack2 []uint64
+	spec       *sim.Speculative
 }
 
 // NewEvaluator builds an evaluator for the circuit under a delay model and
@@ -213,9 +207,12 @@ func NewEvaluator(c *netlist.Circuit, m delay.Model, p Params) *Evaluator {
 }
 
 // Clone returns an independent evaluator sharing the immutable model data
-// — including any compiled kernel program, which is read-only and safe to
-// run from many clones at once (each clone builds its own executor).
+// and the compiled program, which Clone resolves first so that every
+// clone shares one program instead of compiling its own. The program is
+// read-only and safe to run from many clones at once; each clone builds
+// its own executor.
 func (e *Evaluator) Clone() *Evaluator {
+	e.program()
 	return &Evaluator{
 		simulator:  e.simulator.Clone(),
 		params:     e.params,
@@ -223,58 +220,30 @@ func (e *Evaluator) Clone() *Evaluator {
 		leakW:      e.leakW,
 		clockS:     e.clockS,
 		glitch:     e.glitch,
-		useKernels: e.useKernels,
 		kernels:    e.kernels,
 		kernelKey:  e.kernelKey,
 		prog:       e.prog,
 		slotEnergy: e.slotEnergy,
-		speculate:  e.speculate,
 	}
 }
 
-// UseKernels switches the packed batch entry points onto the compiled
-// multi-word striped engine. cache, when non-nil, deduplicates the
-// compile under key (the service keys on circuit identity + delay model);
-// a nil cache compiles privately on first use. Either way results stay
-// bit-identical to the interpreted per-block path — the engine's
-// differential tests guarantee it against the scalar oracle.
-func (e *Evaluator) UseKernels(cache *sim.ProgramCache, key string) {
-	e.useKernels = true
+// UseSpeculative attaches a program cache: the compile is deduplicated
+// through cache under key (the service keys on circuit identity + delay
+// model) instead of compiling privately, and a nil cache restores the
+// private compile. Any program already resolved is dropped and resolved
+// again on next use. Every evaluator runs the speculative executor
+// whether or not a cache is attached, so results do not change.
+func (e *Evaluator) UseSpeculative(cache *sim.ProgramCache, key string) {
 	e.kernels = cache
 	e.kernelKey = key
 	e.prog = nil
 	e.slotEnergy = nil
-	e.striped = nil
-	e.speculate = false
 	e.spec = nil
 }
-
-// KernelsEnabled reports whether the compiled striped engine is active.
-func (e *Evaluator) KernelsEnabled() bool { return e.useKernels }
-
-// UseSpeculative is UseKernels with the speculative settle-then-patch
-// executor selected for timed stripes: phase 1 settles both vectors on
-// the zero-delay compiled path, phase 2 patches toggle counts from
-// compile-time hazard analysis and per-gate-word waveform merges, and
-// any gate-word whose final waveform value disagrees with the settled
-// vector sends that stripe to the full event wheel. Results stay
-// bit-identical to the wheel — and so to the scalar oracle — on every
-// delay model (the misprediction check is exact, not heuristic); only
-// the execution strategy and speed change. Zero-delay programs are
-// unaffected (settling already is the whole computation there).
-func (e *Evaluator) UseSpeculative(cache *sim.ProgramCache, key string) {
-	e.UseKernels(cache, key)
-	e.speculate = true
-	e.spec = nil
-}
-
-// SpeculationEnabled reports whether kernel stripes run on the
-// settle-then-patch executor.
-func (e *Evaluator) SpeculationEnabled() bool { return e.useKernels && e.speculate }
 
 // SpecStats returns this evaluator's cumulative speculation counters
-// (zero when the speculative executor is off or not yet built). Clones
-// count independently; sum across a worker pool for run totals.
+// (zero before its first batch). Clones count independently; sum across
+// a worker pool for run totals.
 func (e *Evaluator) SpecStats() sim.SpecStats {
 	if e.spec == nil {
 		return sim.SpecStats{}
@@ -309,15 +278,9 @@ func (e *Evaluator) program() *sim.Program {
 	return e.prog
 }
 
-// StripeWords returns the active kernel's stripe width in 64-lane words
-// (1 when kernels are disabled — the interpreted path works block by
-// block). Worker pools split packed batches at this granularity.
-func (e *Evaluator) StripeWords() int {
-	if !e.useKernels {
-		return 1
-	}
-	return e.program().StripeWords()
-}
+// StripeWords returns the compiled program's stripe width in 64-lane
+// words. Worker pools split packed batches at this granularity.
+func (e *Evaluator) StripeWords() int { return e.program().StripeWords() }
 
 // Circuit returns the evaluated circuit.
 func (e *Evaluator) Circuit() *netlist.Circuit { return e.simulator.Circuit() }
@@ -356,184 +319,26 @@ func (e *Evaluator) CyclePowerMW(v1, v2 []bool) float64 {
 }
 
 // ZeroDelay reports whether the evaluator's delay model is glitch-free
-// (all gate delays zero), which enables the bit-parallel batch path.
+// (all gate delays zero), in which case the compiled program is the
+// zero-delay settle kernel.
 func (e *Evaluator) ZeroDelay() bool { return e.simulator.ZeroDelay() }
 
-// ZeroDelayBatchMW evaluates up to 64 vector pairs in one pass using the
-// 64-lane bit-parallel engine and returns their cycle powers in mW. It
-// requires a zero-delay evaluator (the timed path cannot be lane-packed);
-// results are bit-identical to calling CyclePowerMW per pair. It is a
-// thin [][]bool adapter over the packed core (zeroDelayBlockMW).
-func (e *Evaluator) ZeroDelayBatchMW(v1s, v2s [][]bool) ([]float64, error) {
-	if !e.ZeroDelay() {
-		return nil, fmt.Errorf("power: batch evaluation requires the zero-delay model")
-	}
-	if len(v1s) != len(v2s) {
-		return nil, fmt.Errorf("power: %d first vectors vs %d second", len(v1s), len(v2s))
-	}
-	if e.batch == nil {
-		e.batch = sim.NewBitParallel(e.Circuit())
-	}
-	var err error
-	if e.pack1, err = e.batch.PackInputsInto(e.pack1, v1s); err != nil {
-		return nil, err
-	}
-	if e.pack2, err = e.batch.PackInputsInto(e.pack2, v2s); err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(v1s))
-	e.zeroDelayBlockMW(e.pack1, e.pack2, out)
-	return out, nil
-}
-
-// zeroDelayBlockMW is the packed zero-delay core: one 64-lane block of
-// pre-packed bit planes (one word per primary input) in, len(out) ≤ 64
-// lane powers (mW) out, zero heap allocations in steady state. The energy
-// accumulation visits gates in ascending order with one add per toggled
-// gate, so every lane's float64 sum is bit-identical to the scalar
-// energyOf path.
-func (e *Evaluator) zeroDelayBlockMW(in1, in2 []uint64, out []float64) {
-	if e.batch == nil {
-		e.batch = sim.NewBitParallel(e.Circuit())
-	}
-	masks := e.batch.CycleDiff(in1, in2)
-	for i := range out {
-		out[i] = 0
-	}
-	for g, w := range masks {
-		if w == 0 {
-			continue
-		}
-		eg := e.energyW[g]
-		for w != 0 {
-			lane := bits.TrailingZeros64(w)
-			w &= w - 1
-			if lane < len(out) {
-				out[lane] += eg
-			}
-		}
-	}
-	for i := range out {
-		out[i] = (out[i]/e.clockS + e.leakW) * 1e3
-	}
-}
-
-// TimedBatchMW evaluates up to 64 vector pairs in one pass of the
-// lane-packed event-driven timed simulator (sim.TimedBatch) and returns
-// their cycle powers in mW, glitches included. It requires a timed
-// (non-zero) delay model; results are bit-identical to calling
-// CyclePowerMW per pair, because the engine's per-lane toggle counts match
-// the scalar simulator's and the glitch-weighted energy sum runs in the
-// same gate order with the same operations.
-func (e *Evaluator) TimedBatchMW(v1s, v2s [][]bool) ([]float64, error) {
-	if e.ZeroDelay() {
-		return nil, fmt.Errorf("power: timed batch evaluation requires a non-zero delay model (use ZeroDelayBatchMW)")
-	}
-	if len(v1s) != len(v2s) {
-		return nil, fmt.Errorf("power: %d first vectors vs %d second", len(v1s), len(v2s))
-	}
-	if e.timed == nil {
-		e.timed = sim.NewTimedBatchDelays(e.Circuit(), e.simulator.DelaysPS())
-	}
-	var err error
-	if e.pack1, err = e.timed.PackInputsInto(e.pack1, v1s); err != nil {
-		return nil, err
-	}
-	if e.pack2, err = e.timed.PackInputsInto(e.pack2, v2s); err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(v1s))
-	e.timedBlockMW(e.pack1, e.pack2, out)
-	return out, nil
-}
-
-// timedBlockMW is the packed timed core: one 64-lane block of pre-packed
-// bit planes in, len(out) ≤ 64 glitch-weighted lane powers (mW) out,
-// allocation-free in steady state (the TimedBatch engine reuses its
-// calendar and toggle planes across calls).
-func (e *Evaluator) timedBlockMW(in1, in2 []uint64, out []float64) {
-	if e.timed == nil {
-		e.timed = sim.NewTimedBatchDelays(e.Circuit(), e.simulator.DelaysPS())
-	}
-	res := e.timed.RunCycles(in1, in2)
-	for i := range out {
-		out[i] = 0
-	}
-	for g, any := range res.Any {
-		if any == 0 {
-			continue
-		}
-		eg := e.energyW[g]
-		// Lanes where the gate toggled exactly once (the common case) have
-		// eff = 1 + glitch·0 = 1 exactly, so adding eg unmodified is
-		// bit-identical to the scalar expression and skips the per-lane
-		// count reconstruction. Per lane the sum still runs in ascending
-		// gate order with one add per gate, matching energyOf.
-		multi := res.MultiMask(g)
-		for w := any &^ multi; w != 0; w &= w - 1 {
-			lane := bits.TrailingZeros64(w)
-			if lane >= len(out) {
-				break // inert packing lanes beyond the batch
-			}
-			out[lane] += eg
-		}
-		for w := multi; w != 0; w &= w - 1 {
-			lane := bits.TrailingZeros64(w)
-			if lane >= len(out) {
-				break
-			}
-			// Same expression and accumulation order as energyOf, so each
-			// lane's float64 sum is bit-identical to the scalar path.
-			n := res.Count(g, lane)
-			eff := 1 + e.glitch*float64(n-1)
-			out[lane] += eff * eg
-		}
-	}
-	for i := range out {
-		out[i] = (out[i]/e.clockS + e.leakW) * 1e3
-	}
-}
-
-// BatchMW evaluates up to 64 vector pairs through the delay model's
-// lane-packed engine: the bit-parallel settle path under zero delay, the
-// event-driven TimedBatch otherwise. Either way the results are
-// bit-identical to per-pair CyclePowerMW calls. It is the [][]bool
-// adapter; the sampling pipeline itself feeds pre-packed planes to
-// BatchMWPacked and never materializes [][]bool.
-func (e *Evaluator) BatchMW(v1s, v2s [][]bool) ([]float64, error) {
-	if e.ZeroDelay() {
-		return e.ZeroDelayBatchMW(v1s, v2s)
-	}
-	return e.TimedBatchMW(v1s, v2s)
-}
-
-// BatchMWPacked evaluates a whole packed batch — any number of pairs, in
-// 64-lane bit-plane blocks — into out (mW), which must be exactly pp.N
+// BatchMWPacked evaluates a whole packed batch — any number of pairs, one
+// compiled stripe at a time — into out (mW), which must be exactly pp.N
 // long. This is the native entry point of the sampling pipeline: no
-// [][]bool is materialized, no per-call transpose happens, and after the
-// lazily-built lane engine warms up the call performs zero heap
+// [][]bool is materialized, no per-call transpose happens, and once the
+// program is resolved and the executor warm the call performs zero heap
 // allocations. Results are bit-identical to per-pair CyclePowerMW calls
-// for every delay model.
+// for every delay model. A batch whose width is not the circuit's input
+// count is refused with an error.
 func (e *Evaluator) BatchMWPacked(pp *sim.PackedPairs, out []float64) error {
 	if len(out) != pp.N {
 		return fmt.Errorf("power: %d power slots for %d packed pairs", len(out), pp.N)
 	}
-	if e.useKernels {
-		sl := e.program().StripeLanes()
-		for b0 := 0; b0 < pp.N; b0 += sl {
-			end := b0 + sl
-			if end > pp.N {
-				end = pp.N
-			}
-			if err := e.PackedStripeMW(pp, b0/sl, out[b0:end]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for b := 0; b < pp.Blocks(); b++ {
-		in1, in2, lanes := pp.Block(b)
-		if err := e.PackedBlockMW(in1, in2, out[b*64:b*64+lanes]); err != nil {
+	sl := e.program().StripeLanes()
+	for b0 := 0; b0 < pp.N; b0 += sl {
+		end := min(b0+sl, pp.N)
+		if err := e.PackedStripeMW(pp, b0/sl, out[b0:end]); err != nil {
 			return err
 		}
 	}
@@ -541,45 +346,31 @@ func (e *Evaluator) BatchMWPacked(pp *sim.PackedPairs, out []float64) error {
 }
 
 // PackedStripeMW evaluates one stripe — StripeWords 64-lane blocks — of
-// the packed batch through the compiled striped engine into out, which
-// must cover exactly the stripe's lanes (shorter on the final partial
-// stripe). The striped analogue of PackedBlockMW, exposed at the same
-// seam so worker pools can split batches at stripe granularity;
-// allocation-free in steady state and bit-identical per lane to the
-// scalar oracle for every delay model.
+// the packed batch into out, which must cover exactly the stripe's lanes
+// (shorter on the final partial stripe). It is the seam at which worker
+// pools split batches; allocation-free in steady state and bit-identical
+// per lane to the scalar oracle for every delay model. A batch whose
+// width is not the circuit's input count is refused with an error.
 func (e *Evaluator) PackedStripeMW(pp *sim.PackedPairs, stripe int, out []float64) error {
-	if !e.useKernels {
-		return fmt.Errorf("power: PackedStripeMW requires UseKernels")
+	if n := e.Circuit().NumInputs(); pp.Inputs != n {
+		return fmt.Errorf("power: packed batch width %d, circuit has %d inputs", pp.Inputs, n)
 	}
 	p := e.program()
 	sl := p.StripeLanes()
-	lanes := pp.N - stripe*sl
-	if lanes > sl {
-		lanes = sl
-	}
-	if lanes <= 0 || len(out) != lanes {
+	lanes := min(pp.N-stripe*sl, sl)
+	if stripe < 0 || lanes <= 0 || len(out) != lanes {
 		return fmt.Errorf("power: %d power slots for stripe %d of %d packed pairs", len(out), stripe, pp.N)
 	}
 	if len(e.acc) < sl {
 		e.acc = make([]float64, sl)
 	}
-	var r *sim.StripedResult
-	if e.speculate {
-		if e.spec == nil {
-			e.spec = sim.NewSpeculative(p)
-			// Cycle energy needs only the toggle planes: skip the
-			// per-lane settle/event aggregation entirely.
-			e.spec.LaneStats = false
-		}
-		r = e.spec.Run(pp, stripe)
-	} else {
-		if e.striped == nil {
-			e.striped = sim.NewStriped(p)
-			e.striped.LaneStats = false
-		}
-		r = e.striped.Run(pp, stripe)
+	if e.spec == nil {
+		e.spec = sim.NewSpeculative(p)
+		// Cycle energy needs only the toggle planes: skip the per-lane
+		// settle/event aggregation entirely.
+		e.spec.LaneStats = false
 	}
-	e.stripeMW(r, out)
+	e.stripeMW(e.spec.Run(pp, stripe), out)
 	return nil
 }
 
@@ -600,27 +391,6 @@ func (e *Evaluator) stripeMW(r *sim.StripedResult, out []float64) {
 	for i := range out {
 		out[i] = (acc[i]/e.clockS + e.leakW) * 1e3
 	}
-}
-
-// PackedBlockMW evaluates one 64-lane block of pre-packed bit planes
-// (one word per primary input, lanes beyond len(out) inert) into out
-// (1–64 lane powers, mW), dispatching on the delay model exactly like
-// BatchMW. The workhorse of BatchMWPacked, exposed so a worker pool can
-// split a batch at block granularity; allocation-free in steady state.
-func (e *Evaluator) PackedBlockMW(in1, in2 []uint64, out []float64) error {
-	n := e.Circuit().NumInputs()
-	if len(in1) != n || len(in2) != n {
-		return fmt.Errorf("power: packed block width %d/%d, circuit has %d inputs", len(in1), len(in2), n)
-	}
-	if len(out) == 0 || len(out) > 64 {
-		return fmt.Errorf("power: packed block of %d lanes (want 1–64)", len(out))
-	}
-	if e.ZeroDelay() {
-		e.zeroDelayBlockMW(in1, in2, out)
-	} else {
-		e.timedBlockMW(in1, in2, out)
-	}
-	return nil
 }
 
 // CycleDetail returns cycle power (W) along with the simulator's settle

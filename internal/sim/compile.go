@@ -22,6 +22,26 @@ const DefaultStripeWords = 8
 // uint8 and per-call scratch arrays live on the stack.
 const maxStripeWords = 8
 
+// Fused opcodes: gate kind specialized on fan-in arity, so the dominant
+// two-input gates evaluate without a loop. One-input gates are folded into
+// the two-input opcodes through a duplicated fab pair — Buf is And2(a, a),
+// Not is Nand2(a, a) — so the fast path needs only the six boolean ops.
+const (
+	fopInput uint8 = iota
+	fopAnd2
+	fopNand2
+	fopOr2
+	fopNor2
+	fopXor2
+	fopXnor2
+	fopAndN
+	fopNandN
+	fopOrN
+	fopNorN
+	fopXorN
+	fopXnorN
+)
+
 // CompileOptions configures Compile. The zero value compiles the full
 // circuit at DefaultStripeWords for the timed kernel.
 type CompileOptions struct {
@@ -35,8 +55,8 @@ type CompileOptions struct {
 	Observe []int
 	// ZeroDelay compiles the glitch-free settle kernel (two topological
 	// passes, no calendar) instead of the event-driven timed kernel. It
-	// must match the delay model's zero-delay contract, exactly as
-	// power.Evaluator dispatches BitParallel vs TimedBatch.
+	// must match the delay model's zero-delay contract, the rule
+	// Simulator.ZeroDelay reports and CompileModel infers.
 	ZeroDelay bool
 }
 
@@ -105,7 +125,7 @@ type Program struct {
 }
 
 // CompileModel is Compile with the delay assignment drawn from a model
-// (nil = delay.FanoutLoaded{}, like New/NewTimedBatch). ZeroDelay is
+// (nil = delay.FanoutLoaded{}, like New). ZeroDelay is
 // inferred from the assignment, matching Simulator's dispatch rule.
 func CompileModel(c *netlist.Circuit, m delay.Model, opt CompileOptions) *Program {
 	if m == nil {
@@ -200,9 +220,13 @@ func Compile(c *netlist.Circuit, delaysPS []int64, opt CompileOptions) *Program 
 		inputSlot[i] = slotOf[idx]
 	}
 
-	// Timed tables: progress-guarded delays, GCD normalization, calendar
-	// geometry — identical math to NewTimedBatchDelays, restricted to the
-	// live cone so a dead region's delays cannot inflate the calendar.
+	// Timed tables: progress-guarded delays (non-positive logic-gate
+	// delays become 1 ps, the scalar timed path's guard), then GCD
+	// normalization and calendar geometry, restricted to the live cone so
+	// a dead region's delays cannot inflate the calendar. Event ordering,
+	// inertial filtering and toggle counts are invariant under uniform
+	// time scaling, so simulating in units of the GCD shrinks the calendar
+	// without changing any outcome; settle times scale back to ps.
 	var (
 		delays  []int64
 		gcdPS   int64
@@ -393,6 +417,13 @@ func Compile(c *netlist.Circuit, delaysPS []int64, opt CompileOptions) *Program 
 	}
 	p.compileNS = time.Since(start).Nanoseconds()
 	return p
+}
+
+func gcd64(a, b int64) int64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 // FingerprintModel is the checksum CompileModel would stamp on its

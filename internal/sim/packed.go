@@ -6,10 +6,9 @@ import "fmt"
 // currency of the sampling pipeline. Pairs are grouped into blocks of 64
 // lanes; within block b, plane word In1[b*Inputs+i] carries primary input
 // i across the block's 64 lanes, bit l holding pair (64b+l)'s first
-// vector at input i (In2 likewise for the second vector). This is exactly
-// the layout BitParallel.PackInputs and TimedBatch.PackInputs produce, so
-// a block slices straight into the lane-packed engines with no per-call
-// transpose or [][]bool materialization.
+// vector at input i (In2 likewise for the second vector). The compiled
+// executors load a stripe's input words straight from these planes, with
+// no per-call transpose or [][]bool materialization.
 //
 // Unused lanes of a partial final block stay zero in both planes, which
 // the engines treat as inert (identical vectors toggle nothing).

@@ -49,10 +49,10 @@ func TestPackedPairsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPackedPairsBlockLayoutMatchesPackInputs(t *testing.T) {
-	// The per-block planes must be byte-for-byte what the engines'
-	// PackInputs would produce for the same vectors — that is the whole
-	// point of the format.
+func TestPackedPairsBlockLayout(t *testing.T) {
+	// Block b's planes carry one word per primary input, whose bit l is
+	// that input's value in pair b·64+l; lanes past the batch are zero.
+	// That is the layout every compiled executor reads.
 	c := bench.MustGenerate("C432")
 	inputs := c.NumInputs()
 	var pp PackedPairs
@@ -70,20 +70,23 @@ func TestPackedPairsBlockLayoutMatchesPackInputs(t *testing.T) {
 		vecs1[i], vecs2[i] = v1, v2
 		pp.SetPair(i, v1, v2)
 	}
-	bp := NewBitParallel(c)
 	for b := 0; b < pp.Blocks(); b++ {
 		in1, in2, lanes := pp.Block(b)
-		want1, err := bp.PackInputs(vecs1[b*64 : b*64+lanes])
-		if err != nil {
-			t.Fatal(err)
-		}
-		want2, err := bp.PackInputs(vecs2[b*64 : b*64+lanes])
-		if err != nil {
-			t.Fatal(err)
+		if len(in1) != inputs || len(in2) != inputs {
+			t.Fatalf("block %d: %d/%d plane words, want %d", b, len(in1), len(in2), inputs)
 		}
 		for j := 0; j < inputs; j++ {
-			if in1[j] != want1[j] || in2[j] != want2[j] {
-				t.Fatalf("block %d input %d: plane (%#x,%#x) want (%#x,%#x)", b, j, in1[j], in2[j], want1[j], want2[j])
+			var want1, want2 uint64
+			for l := 0; l < lanes; l++ {
+				if vecs1[b*64+l][j] {
+					want1 |= 1 << uint(l)
+				}
+				if vecs2[b*64+l][j] {
+					want2 |= 1 << uint(l)
+				}
+			}
+			if in1[j] != want1 || in2[j] != want2 {
+				t.Fatalf("block %d input %d: plane (%#x,%#x) want (%#x,%#x)", b, j, in1[j], in2[j], want1, want2)
 			}
 		}
 	}

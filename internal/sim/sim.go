@@ -6,26 +6,31 @@
 // with single-pending-event inertial filtering (a pulse shorter than a
 // gate's delay is swallowed, as in real hardware).
 //
-// # Lane-packed engines
+// # Compiled batch engines
 //
-// Beyond the scalar Simulator the package provides two 64-lane batch
-// engines, both bit-identical per lane to the scalar path and built for
-// the streaming-estimation hot loop where thousands of independent vector
-// pairs are simulated per estimate:
+// Beyond the scalar Simulator the package compiles a circuit and its
+// delay assignment into a Program, a flat straight-line kernel, and runs
+// it over stripes of up to eight 64-lane words (512 vector pairs) read
+// from PackedPairs bit planes. Both executors are bit-identical per lane
+// to the scalar path and built for the estimation hot loop, where
+// thousands of independent vector pairs are simulated per estimate:
 //
-//   - BitParallel packs 64 pairs into one uint64 word per gate and settles
-//     them in two topological passes — valid only for zero-delay models,
-//     where no glitches exist.
-//   - TimedBatch runs the full event-driven inertial-delay simulation on
-//     64 pairs at once. Per-gate delays are lane-invariant, so all lanes'
-//     events for a gate share one calendar slot and the scalar
+//   - Striped settles a zero-delay program in two topological passes,
+//     where no glitches exist, and runs a timed program on an
+//     event-driven calendar. Per-gate delays are lane-invariant, so every
+//     lane's events for a gate share one calendar slot and the scalar
 //     single-pending-event rules become word-level mask algebra; toggle
-//     counts are kept as bit-plane ripple-carry counters. See the TimedBatch
-//     type documentation and DESIGN.md §7 for the algorithm.
+//     counts are kept as bit-plane ripple-carry counters.
+//   - Speculative settles both vectors of a timed stripe on the zero-delay
+//     kernel and patches toggle counts from static hazard analysis and
+//     per-gate waveform merges, falling back to the Striped calendar for
+//     the stripe on a misprediction. Zero-delay stripes run the settle
+//     kernel unchanged.
 //
-// power.Evaluator dispatches batches to the right engine via BatchMW; the
-// scalar Simulator remains the verification oracle (differential tests)
-// and the single-pair introspection path.
+// power.Evaluator runs every packed batch on Speculative; the scalar
+// Simulator remains the verification oracle (differential tests) and the
+// single-pair introspection path. DESIGN.md §§7–8 describe the
+// algorithms.
 package sim
 
 import (
@@ -158,9 +163,9 @@ func (s *Simulator) Circuit() *netlist.Circuit { return s.c }
 
 // DelaysPS returns the simulator's per-gate delay assignment in ps. The
 // slice is the simulator's own (immutable after construction) — callers
-// must not modify it. It lets a TimedBatch be built from the exact delays
-// of this scalar oracle (NewTimedBatchDelays) even when the delay model's
-// Assign is not deterministic.
+// must not modify it. It lets a Program be compiled from the exact delays
+// of this scalar oracle (Compile) even when the delay model's Assign is
+// not deterministic.
 func (s *Simulator) DelaysPS() []int64 { return s.delays }
 
 // ZeroDelay reports whether the simulator runs in the glitch-free

@@ -292,3 +292,77 @@ func BenchmarkRunCycleC6288Zero(b *testing.B) {
 		s.RunCycle(v1, v2)
 	}
 }
+
+// xorshiftVectors builds deterministic pseudo-random input vectors.
+func xorshiftVectors(n, width int, seed uint64) [][]bool {
+	out := make([][]bool, n)
+	x := seed*2862933555777941757 + 3037000493
+	for i := range out {
+		v := make([]bool, width)
+		for j := range v {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			v[j] = x&1 != 0
+		}
+		out[i] = v
+	}
+	return out
+}
+
+// fixedDelays is a test delay model with explicit per-gate delays, for
+// constructing exact inertial scenarios.
+type fixedDelays []int64
+
+func (fixedDelays) Name() string                        { return "fixed" }
+func (d fixedDelays) Assign(c *netlist.Circuit) []int64 { return append([]int64(nil), d...) }
+
+// hazardCircuit builds y = AND(a, NOT(a)): a rising a creates a pulse at
+// y's inputs that is notDelay long; whether y glitches depends on whether
+// the pulse survives y's inertial delay.
+func hazardCircuit(t *testing.T) *netlist.Circuit {
+	t.Helper()
+	b := netlist.NewBuilder("hazard")
+	a := b.Input("a")
+	na := b.Gate(netlist.Not, "na", a)
+	y := b.Gate(netlist.And, "y", a, na)
+	b.Output(y)
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestResultCopyToggles is the regression test for the Result.Toggles
+// aliasing hazard: the slice returned by RunCycle is simulator-owned and
+// rewritten by the next cycle; CopyToggles must produce a stable snapshot.
+func TestResultCopyToggles(t *testing.T) {
+	c := chain(t, 4)
+	s := New(c, delay.Unit{})
+	res := s.RunCycle([]bool{false}, []bool{true})
+	snap := res.CopyToggles(nil)
+	aliased := res.Toggles
+	// A quiet cycle rewrites the shared buffer to all zeros.
+	if r2 := s.RunCycle([]bool{true}, []bool{true}); r2.Events != 0 {
+		t.Fatalf("expected quiet cycle, got %d events", r2.Events)
+	}
+	sawOverwrite := false
+	for g := range snap {
+		if snap[g] != 1 { // every gate of the inverter chain toggles once
+			t.Fatalf("snapshot gate %d = %d, want 1", g, snap[g])
+		}
+		if aliased[g] != snap[g] {
+			sawOverwrite = true
+		}
+	}
+	if !sawOverwrite {
+		t.Fatal("Result.Toggles did not alias simulator scratch — the CopyToggles contract is stale")
+	}
+	// Reusing a big-enough dst must not allocate a new backing array.
+	dst := make([]int32, 0, c.NumGates())
+	out := s.RunCycle([]bool{true}, []bool{false}).CopyToggles(dst)
+	if &out[0] != &dst[:1][0] {
+		t.Fatal("CopyToggles ignored reusable dst")
+	}
+}

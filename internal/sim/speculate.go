@@ -2,10 +2,10 @@ package sim
 
 import "math/bits"
 
-// Speculative is the settle-then-patch timed executor: a third execution
-// strategy beside the interpreted TimedBatch and the compiled Striped
-// event wheel, built for the streaming power path where the wheel is
-// ~99% of a timed stripe's cost.
+// Speculative is the settle-then-patch timed executor: a second execution
+// strategy beside the Striped event wheel, built for the power path,
+// where the wheel is ~99% of a timed stripe's cost. power.Evaluator runs
+// every packed batch on it.
 //
 // Phase 1 settles both input vectors of a stripe through the straight-
 // line zero-delay kernel (borrowed from the owned Striped executor) —

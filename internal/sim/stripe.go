@@ -6,11 +6,11 @@ import (
 )
 
 // Striped executes a compiled Program over stripes of W 64-lane words —
-// up to 512 vector pairs per calendar pass. It is the multi-word
-// generalization of TimedBatch: per-gate delays are lane-invariant, so
-// all W·64 lanes of a gate share one calendar slot, one bucket entry, and
-// one occupancy bit, and the per-gate dispatch (opcode switch, fan-in
-// resolution, delay lookup) amortizes across the whole stripe. Within a
+// up to 512 vector pairs per calendar pass. Per-gate delays are
+// lane-invariant, so all W·64 lanes of a gate share one calendar slot,
+// one bucket entry, and one occupancy bit, and the per-gate dispatch
+// (opcode switch, fan-in resolution, delay lookup) amortizes across the
+// whole stripe. Within a
 // delta cycle the engine tracks which words of each changed gate actually
 // toggled and re-evaluates fan-outs only on that word mask — a word whose
 // fan-ins did not change would recompute its previous next-value and
@@ -99,13 +99,13 @@ type Striped struct {
 	res StripedResult
 }
 
-// StripedResult holds the per-lane outcomes of one Striped.Run — the
-// multi-word shape of BatchResult. Lane addressing is (word k, lane l)
+// StripedResult holds the per-lane outcomes of one Striped.Run, in the
+// shape of W·64 scalar Results. Lane addressing is (word k, lane l)
 // = pair k·64+l of the stripe; lanes beyond the packed batch stay inert.
 //
-// Aliasing contract (shared with TimedBatch's BatchResult): the result
-// and every slice in it are owned by the engine and overwritten by the
-// next Run on the same Striped — hold no reference across runs. Toggles
+// Aliasing contract: the result and every slice in it are owned by the
+// engine and overwritten by the next Run on the same Striped — hold no
+// reference across runs. Toggles
 // copies counts out into a caller-owned slice and is the safe way to keep
 // them, exactly like Result.CopyToggles on the scalar path.
 type StripedResult struct {
@@ -142,7 +142,7 @@ type StripedResult struct {
 }
 
 // Count returns the toggle count of the gate at slot in lane (word, lane)
-// — the striped equivalent of BatchResult.Count.
+// — the per-lane equivalent of Result.Toggles[g].
 func (r *StripedResult) Count(slot, word, lane int) int32 {
 	idx := slot*r.AW + word
 	if r.zero {
@@ -396,8 +396,9 @@ func (st *Striped) loadInputs(vals, plane []uint64, b0 int) {
 }
 
 // settle runs the straight-line settle program over the active words of
-// vals — the compiled, striped form of TimedBatch.settle. Instructions
-// are in levelized order; input slots carry no instruction.
+// vals: both vectors on the zero-delay kernel, the first vector's initial
+// state on the timed one. Instructions are in levelized order; input
+// slots carry no instruction.
 func (st *Striped) settle(vals []uint64) {
 	p := st.p
 	aw := st.aw
@@ -480,8 +481,8 @@ func (st *Striped) settleWide(vals []uint64, s, base int) {
 // resetResult zeroes the per-run accounting and reshapes the toggle
 // planes to the current stride (reinterpreting the existing buffer as
 // however many full levels it holds). Calendar state (arenas, occ,
-// pend-has, live) is self-cleaning across runs, exactly as in TimedBatch,
-// including across active-word changes: a run only ever touches words of
+// pend-has, live) is self-cleaning across runs, including across
+// active-word changes: a run only ever touches words of
 // its own layout, and leaves every touched word cleared.
 func (st *Striped) resetResult() {
 	res := &st.res
@@ -790,10 +791,10 @@ func (st *Striped) evaluateFanouts(changed []int32, masks []uint8, snow int) {
 }
 
 // evaluate recomputes slot f's words in wm at ring position snow and
-// applies the per-lane single-pending-event inertial rules as mask
-// algebra — the striped form of TimedBatch.evaluate. Words outside wm had
-// no fan-in change this delta cycle: they would recompute their previous
-// next-value and no-op, so skipping them is bit-exact. All words share
+// applies the scalar runTimed's single-pending-event inertial rules per
+// lane, as mask algebra. Words outside wm had no fan-in change this delta
+// cycle: they would recompute their previous next-value and no-op, so
+// skipping them is bit-exact. All words share
 // one calendar row (delays are lane-invariant), so scheduling costs one
 // bucket append and one occupancy update for the whole stripe.
 func (st *Striped) evaluate(f int, wm uint8, snow int) {
@@ -809,8 +810,8 @@ func (st *Striped) evaluate(f int, wm uint8, snow int) {
 	pend := st.pend
 	// One pass per masked word, nothing materialized across words: at
 	// most one fan-in changes per delta in steady state, so wm is usually
-	// a single bit and the call must cost like TimedBatch's single-word
-	// evaluate. The calendar row resolves lazily on the first scheduled
+	// a single bit and the call must cost like a single-word evaluate.
+	// The calendar row resolves lazily on the first scheduled
 	// word — the delay (and therefore the row) is word-invariant.
 	var row []uint64
 	for m := wm; m != 0; m &= m - 1 {

@@ -329,3 +329,197 @@ func TestNewStripedResultMatchesRun(t *testing.T) {
 		t.Logf("%s: deepest count %d", m.Name(), deepest)
 	}
 }
+
+// TestTimedInertialSemantics pins down the timed simulator's inertial
+// rules with hand-computed cases — pulse swallowing, simultaneous input
+// edges, and pending-event replacement with stale queue entries — on the
+// scalar path and on both compiled executors, the Striped event wheel and
+// the Speculative settle-then-patch engine, which must agree with the
+// scalar result in every lane.
+func TestTimedInertialSemantics(t *testing.T) {
+	type peak struct {
+		gate    string
+		toggles int32
+	}
+	cases := []struct {
+		name   string
+		build  func(t *testing.T) *netlist.Circuit
+		delays func(c *netlist.Circuit) fixedDelays // indexed by gate name
+		v1, v2 []bool
+		want   []peak
+		events int
+		settle int64
+	}{
+		{
+			// The NOT falls 2 ps after a rises; the AND's own delay is 5 ps,
+			// so the 2 ps input pulse is shorter than the gate's inertia and
+			// is swallowed: y never toggles.
+			name:  "pulse-swallowed",
+			build: hazardCircuit,
+			delays: func(c *netlist.Circuit) fixedDelays {
+				d := make(fixedDelays, c.NumGates())
+				d[c.GateIndex("na")] = 2
+				d[c.GateIndex("y")] = 5
+				return d
+			},
+			v1:     []bool{false},
+			v2:     []bool{true},
+			want:   []peak{{"na", 1}, {"y", 0}},
+			events: 2, // a toggles, na toggles; the y pulse is cancelled
+			settle: 2,
+		},
+		{
+			// Same hazard with a slow inverter: the 6 ps pulse outlives the
+			// AND's 5 ps delay, so y glitches up and back down.
+			name:  "pulse-propagates",
+			build: hazardCircuit,
+			delays: func(c *netlist.Circuit) fixedDelays {
+				d := make(fixedDelays, c.NumGates())
+				d[c.GateIndex("na")] = 6
+				d[c.GateIndex("y")] = 5
+				return d
+			},
+			v1:     []bool{false},
+			v2:     []bool{true},
+			want:   []peak{{"na", 1}, {"y", 2}},
+			events: 4,
+			settle: 11, // y falls at t = 6 + 5
+		},
+		{
+			// Both XOR inputs flip at t = 0. The delta-cycle rule applies
+			// both edges before re-evaluating, so the XOR sees them together
+			// and never schedules an event.
+			name: "simultaneous-edges-cancel",
+			build: func(t *testing.T) *netlist.Circuit {
+				t.Helper()
+				b := netlist.NewBuilder("simul")
+				a := b.Input("a")
+				bb := b.Input("b")
+				y := b.Gate(netlist.Xor, "y", a, bb)
+				b.Output(y)
+				c, err := b.Build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return c
+			},
+			delays: func(c *netlist.Circuit) fixedDelays {
+				d := make(fixedDelays, c.NumGates())
+				d[c.GateIndex("y")] = 3
+				return d
+			},
+			v1:     []bool{false, false},
+			v2:     []bool{true, true},
+			want:   []peak{{"y", 0}},
+			events: 2, // the two input toggles only
+			settle: 0,
+		},
+		{
+			// Staggered triple-XOR: x = XOR(a, b1, b2) with b1, b2 buffered
+			// copies of a at 1 and 2 ps, x at 5 ps. a rising schedules x up
+			// for t = 5; at t = 1 the b1 edge cancels it (inertial swallow,
+			// the queued t = 5 entry goes stale); at t = 2 the b2 edge
+			// schedules x up again for t = 7. Exactly one x toggle, at 7 ps
+			// — wrong lazy-cancellation bookkeeping fires the stale t = 5
+			// entry instead.
+			name: "stale-entry-replacement",
+			build: func(t *testing.T) *netlist.Circuit {
+				t.Helper()
+				b := netlist.NewBuilder("stale")
+				a := b.Input("a")
+				b1 := b.Gate(netlist.Buf, "b1", a)
+				b2 := b.Gate(netlist.Buf, "b2", a)
+				x := b.Gate(netlist.Xor, "x", a, b1, b2)
+				b.Output(x)
+				c, err := b.Build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return c
+			},
+			delays: func(c *netlist.Circuit) fixedDelays {
+				d := make(fixedDelays, c.NumGates())
+				d[c.GateIndex("b1")] = 1
+				d[c.GateIndex("b2")] = 2
+				d[c.GateIndex("x")] = 5
+				return d
+			},
+			v1:     []bool{false},
+			v2:     []bool{true},
+			want:   []peak{{"b1", 1}, {"b2", 1}, {"x", 1}},
+			events: 4,
+			settle: 7,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.build(t)
+			model := tc.delays(c)
+			s := New(c, model)
+			res := s.RunCycle(tc.v1, tc.v2)
+			for _, w := range tc.want {
+				if got := res.Toggles[c.GateIndex(w.gate)]; got != w.toggles {
+					t.Errorf("scalar %s: %d toggles, want %d", w.gate, got, w.toggles)
+				}
+			}
+			if res.Events != tc.events {
+				t.Errorf("scalar events = %d, want %d", res.Events, tc.events)
+			}
+			if res.SettleTime != tc.settle {
+				t.Errorf("scalar settle = %d, want %d", res.SettleTime, tc.settle)
+			}
+
+			// The same pair replicated over 300 lanes — five words, a
+			// partial stripe — must reproduce the scalar outcome in every
+			// lane of both executors.
+			const lanes = 300
+			v1s := make([][]bool, lanes)
+			v2s := make([][]bool, lanes)
+			for l := range v1s {
+				v1s[l], v2s[l] = tc.v1, tc.v2
+			}
+			pp := packVectors(c.NumInputs(), v1s, v2s)
+			p := Compile(c, s.DelaysPS(), CompileOptions{})
+			for _, ex := range []struct {
+				name string
+				run  func(*PackedPairs, int) *StripedResult
+			}{
+				{"striped", NewStriped(p).Run},
+				{"speculative", NewSpeculative(p).Run},
+			} {
+				r := ex.run(pp, 0)
+				var dst []int32
+				for l := 0; l < lanes; l++ {
+					dst = r.Toggles(l/64, l%64, dst)
+					for _, w := range tc.want {
+						if got := dst[c.GateIndex(w.gate)]; got != w.toggles {
+							t.Fatalf("%s lane %d %s: %d toggles, want %d", ex.name, l, w.gate, got, w.toggles)
+						}
+					}
+					if r.Events[l] != tc.events || r.SettleTime[l] != tc.settle {
+						t.Fatalf("%s lane %d: events %d settle %d, want %d/%d",
+							ex.name, l, r.Events[l], r.SettleTime[l], tc.events, tc.settle)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestStripedGCDNormalization checks that the timed kernel divides the
+// delay GCD out of its calendar but reports settle times in ps, on both
+// compiled executors.
+func TestStripedGCDNormalization(t *testing.T) {
+	c := chain(t, 3)
+	p := CompileModel(c, delay.Unit{Delay: 100}, CompileOptions{})
+	if p.GCDps() != 100 {
+		t.Fatalf("GCDps = %d, want 100", p.GCDps())
+	}
+	pp := packVectors(1, [][]bool{{false}}, [][]bool{{true}})
+	if r := NewStriped(p).Run(pp, 0); r.SettleTime[0] != 300 {
+		t.Fatalf("striped settle = %d ps, want 300", r.SettleTime[0])
+	}
+	if r := NewSpeculative(p).Run(pp, 0); r.SettleTime[0] != 300 {
+		t.Fatalf("speculative settle = %d ps, want 300", r.SettleTime[0])
+	}
+}

@@ -11,11 +11,10 @@ import (
 
 // evalEngine is the shared simulation backend of Build and
 // StreamSource.SampleBatch: it evaluates a packed batch of vector pairs
-// into a slice of cycle powers across a bounded worker pool — compiled
-// stripes when the evaluator has kernels enabled, 64-lane blocks
-// otherwise. Each worker slot owns a cloned evaluator, so the lane
-// engine (and its per-clone scratch state) is built once and reused
-// across calls.
+// into a slice of cycle powers across a bounded worker pool, one
+// compiled stripe of up to 512 pairs per evaluator call. Each worker slot
+// owns a cloned evaluator, so the executor (and its per-clone scratch
+// state) is built once and reused across calls.
 //
 // Determinism: powers[i] depends only on pair i, and every write lands
 // at its own index, so the output is bit-identical for any worker count
@@ -61,11 +60,11 @@ func (e *evalEngine) specStats() sim.SpecStats {
 }
 
 // evaluatePacked fills powers[i] with the cycle power (mW) of pp's pair
-// i — the pipeline's native path: the planes feed the lane engines
+// i — the pipeline's native path: the planes feed the compiled executors
 // directly, so no [][]bool and no per-call transpose exist anywhere under
 // it. A batch whose length disagrees with powers is refused with an
 // error, never truncated. Work is chunked across the worker pool at
-// engine-pass granularity (each worker owns whole passes, so every write
+// stripe granularity (each worker owns whole stripes, so every write
 // still lands at its own index and results stay bit-identical for any
 // worker count). The single-worker path runs inline and performs zero
 // heap allocations in steady state; multi-worker calls pay only the
@@ -77,11 +76,7 @@ func (e *evalEngine) evaluatePacked(pp *sim.PackedPairs, powers []float64) error
 	if pp.N == 0 {
 		return nil
 	}
-	// The work unit is one engine pass: a 64-lane block on the interpreted
-	// path, a StripeWords-block stripe on the compiled path (StripeWords
-	// reports 1 when kernels are off, so the chunking math is shared).
-	// Workers own whole units either way, so every write lands at its own
-	// index and results stay bit-identical for any worker count.
+	// The work unit is one stripe of StripeWords 64-lane blocks.
 	span := e.evals[0].StripeWords()
 	units := (pp.Blocks() + span - 1) / span
 	workers := e.workers
@@ -118,13 +113,9 @@ func (e *evalEngine) evaluatePacked(pp *sim.PackedPairs, powers []float64) error
 	return nil
 }
 
-// evalUnits evaluates work units [lo, hi) of pp into their power slots
-// through one worker's evaluator — compiled stripes when the evaluator
-// has kernels enabled, single 64-lane blocks otherwise.
+// evalUnits evaluates stripes [lo, hi) of pp into their power slots
+// through one worker's evaluator.
 func evalUnits(ev *power.Evaluator, pp *sim.PackedPairs, lo, hi int, powers []float64) error {
-	if !ev.KernelsEnabled() {
-		return evalBlocks(ev, pp, lo, hi, powers)
-	}
 	sl := ev.StripeWords() * 64
 	for s := lo; s < hi; s++ {
 		b0 := s * sl
@@ -134,18 +125,6 @@ func evalUnits(ev *power.Evaluator, pp *sim.PackedPairs, lo, hi int, powers []fl
 		}
 		if err := ev.PackedStripeMW(pp, s, powers[b0:end]); err != nil {
 			return fmt.Errorf("vectorgen: compiled stripe evaluation: %w", err)
-		}
-	}
-	return nil
-}
-
-// evalBlocks evaluates blocks [lo, hi) of pp into their power slots
-// through one worker's evaluator.
-func evalBlocks(ev *power.Evaluator, pp *sim.PackedPairs, lo, hi int, powers []float64) error {
-	for b := lo; b < hi; b++ {
-		in1, in2, lanes := pp.Block(b)
-		if err := ev.PackedBlockMW(in1, in2, powers[b*64:b*64+lanes]); err != nil {
-			return fmt.Errorf("vectorgen: packed evaluation: %w", err)
 		}
 	}
 	return nil

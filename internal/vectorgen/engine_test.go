@@ -10,8 +10,16 @@ import (
 	"repro/internal/stats"
 )
 
-// TestStreamSourceBatchMatchesScalar: for every delay model class (zero
-// delay → bit-parallel lanes, timed → event-driven per pair) and several
+// multiStripePairs sizes the multi-worker tests. The worker pool splits a
+// batch into 512-pair stripes and caps its workers at the stripe count,
+// so a batch of one stripe runs one worker whatever Workers says. 2,100
+// pairs are four full stripes and a 52-pair tail: every worker count up
+// to four runs that many workers, eight run five, and one of them takes
+// the ragged stripe.
+const multiStripePairs = 2100
+
+// TestStreamSourceBatchMatchesScalar: for both delay model classes (zero
+// delay → the settle kernel, timed → settle-then-patch) and several
 // worker counts, SampleBatch must be bit-identical to the same number of
 // sequential SamplePower calls under an equal RNG stream.
 func TestStreamSourceBatchMatchesScalar(t *testing.T) {
@@ -31,7 +39,7 @@ func TestStreamSourceBatchMatchesScalar(t *testing.T) {
 				t.Fatal(err)
 			}
 			rng := stats.NewRNG(17)
-			want := make([]float64, 300)
+			want := make([]float64, multiStripePairs)
 			for i := range want {
 				want[i] = scalarSrc.SamplePower(rng)
 			}
@@ -41,7 +49,7 @@ func TestStreamSourceBatchMatchesScalar(t *testing.T) {
 					t.Fatal(err)
 				}
 				src.Workers = workers
-				got := make([]float64, 300)
+				got := make([]float64, multiStripePairs)
 				src.SampleBatch(stats.NewRNG(17), got)
 				if err := src.BatchErr(); err != nil {
 					t.Fatalf("workers=%d: batch error %v", workers, err)
@@ -52,8 +60,8 @@ func TestStreamSourceBatchMatchesScalar(t *testing.T) {
 							workers, i, got[i], want[i])
 					}
 				}
-				if src.Simulated() != 300 {
-					t.Errorf("workers=%d: simulated = %d, want 300", workers, src.Simulated())
+				if src.Simulated() != multiStripePairs {
+					t.Errorf("workers=%d: simulated = %d, want %d", workers, src.Simulated(), multiStripePairs)
 				}
 			}
 		})
@@ -100,10 +108,10 @@ func TestPopulationSampleBatchMatchesScalar(t *testing.T) {
 }
 
 // TestTimedDifferentialBatchVsScalarC880 is the scalar-vs-batch
-// differential for the lane-packed *timed* simulator on a non-trivial
-// circuit and delay model (C880, fanout-loaded), run multi-worker so the
-// CI -race step exercises the TimedBatch lane-mask bookkeeping through
-// concurrently running per-worker engines.
+// differential for the compiled *timed* path on a non-trivial circuit
+// and delay model (C880, fanout-loaded), run multi-worker so the CI -race
+// step exercises the settle-then-patch executors and their shared
+// program through concurrently running per-worker evaluators.
 func TestTimedDifferentialBatchVsScalarC880(t *testing.T) {
 	c := bench.MustGenerate("C880")
 	eval := power.NewEvaluator(c, delay.FanoutLoaded{}, power.Params{})
@@ -112,7 +120,7 @@ func TestTimedDifferentialBatchVsScalarC880(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const units = 512
+	const units = multiStripePairs
 	want := make([]float64, units)
 	rng := stats.NewRNG(29)
 	for i := range want {
@@ -155,8 +163,8 @@ func TestEvalEngineLengthMismatch(t *testing.T) {
 }
 
 // TestBuildDeterministicAcrossWorkers: Build's documented contract —
-// generation is sequential, only simulation fans out — now enforced by
-// the shared engine for both delay classes.
+// generation is sequential, only simulation fans out — enforced by the
+// shared engine for both delay classes.
 func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 	c := bench.MustGenerate("C432")
 	for _, tc := range []struct {
@@ -169,12 +177,12 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			eval := power.NewEvaluator(c, tc.model, power.Params{})
 			gen := HighActivity{N: c.NumInputs(), MinActivity: 0.3}
-			base, err := Build(eval, gen, Options{Size: 500, Seed: 2, Workers: 1})
+			base, err := Build(eval, gen, Options{Size: multiStripePairs, Seed: 2, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{2, 8} {
-				pop, err := Build(eval, gen, Options{Size: 500, Seed: 2, Workers: workers})
+				pop, err := Build(eval, gen, Options{Size: multiStripePairs, Seed: 2, Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}

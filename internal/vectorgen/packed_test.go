@@ -270,7 +270,7 @@ func TestSampleBatchPackedDeterminism(t *testing.T) {
 	c := bench.MustGenerate("C880")
 	gen := HighActivity{N: c.NumInputs(), MinActivity: 0.3}
 	models := []delay.Model{delay.Zero{}, delay.FanoutLoaded{}, delay.StandardTable()}
-	const batch = 300
+	const batch = multiStripePairs
 	for _, m := range models {
 		eval := power.NewEvaluator(c, m, power.Params{})
 		newSrc := func(workers int) *StreamSource {
@@ -311,54 +311,9 @@ func TestSampleBatchPackedDeterminism(t *testing.T) {
 	}
 }
 
-// TestPackedVsBoolAdapterBitIdentical drives the same pairs through the
-// packed core (BatchMWPacked) and the legacy [][]bool adapter (BatchMW)
-// and requires bit-identical powers on all three delay-model classes.
-func TestPackedVsBoolAdapterBitIdentical(t *testing.T) {
-	c := bench.MustGenerate("C880")
-	gen := Uniform{N: c.NumInputs()}
-	const n = 150
-	for _, m := range []delay.Model{delay.Zero{}, delay.FanoutLoaded{}, delay.StandardTable()} {
-		eval := power.NewEvaluator(c, m, power.Params{})
-		var pp sim.PackedPairs
-		pp.Reset(c.NumInputs(), n)
-		GeneratePacked(gen, stats.NewRNG(3), &pp)
-
-		packed := make([]float64, n)
-		if err := eval.Clone().BatchMWPacked(&pp, packed); err != nil {
-			t.Fatal(err)
-		}
-
-		adapter := eval.Clone()
-		v1s := make([][]bool, 0, 64)
-		v2s := make([][]bool, 0, 64)
-		for base := 0; base < n; base += 64 {
-			end := base + 64
-			if end > n {
-				end = n
-			}
-			v1s, v2s = v1s[:0], v2s[:0]
-			for i := base; i < end; i++ {
-				v1, v2 := pp.Pair(i)
-				v1s = append(v1s, v1)
-				v2s = append(v2s, v2)
-			}
-			got, err := adapter.BatchMW(v1s, v2s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for k, p := range got {
-				if p != packed[base+k] {
-					t.Fatalf("%s pair %d: adapter %v, packed %v", m.Name(), base+k, p, packed[base+k])
-				}
-			}
-		}
-	}
-}
-
-// TestSampleBatchZeroAlloc is the ISSUE's allocation guard: the
-// steady-state zero-delay sampling loop — packed generation plus
-// lane-packed evaluation at Workers=1 — must allocate nothing per batch.
+// TestSampleBatchZeroAlloc is the allocation guard of the sampling loop:
+// the steady-state zero-delay loop — packed generation plus compiled
+// stripe evaluation at Workers=1 — must allocate nothing per batch.
 func TestSampleBatchZeroAlloc(t *testing.T) {
 	c := bench.MustGenerate("C432")
 	eval := power.NewEvaluator(c, delay.Zero{}, power.Params{})

@@ -42,9 +42,9 @@ type Population struct {
 // Build generates a population with gen and evaluates every unit's cycle
 // power with eval (in parallel). The result is deterministic in
 // Options.Seed regardless of worker count because generation is
-// sequential and only simulation is parallel. Simulation errors from the
-// batch engine (compiled stripes or 64-lane blocks) are propagated, not
-// masked.
+// sequential and only simulation is parallel, one compiled stripe of up
+// to 512 pairs per worker call. Simulation errors from the batch engine
+// are propagated, not masked.
 func Build(eval *power.Evaluator, gen Generator, opt Options) (*Population, error) {
 	if opt.Size <= 0 {
 		return nil, fmt.Errorf("vectorgen: population size must be positive, got %d", opt.Size)

@@ -22,9 +22,8 @@ import (
 // pairs sequentially from the RNG (so the random stream is consumed
 // exactly as the same number of SamplePower calls would consume it) and
 // then simulates them across Workers parallel evaluators, one compiled
-// stripe of up to 512 pairs per evaluator call when kernels are enabled
-// (64-lane blocks otherwise). Results are bit-identical to the scalar
-// path for any worker count.
+// stripe of up to 512 pairs per evaluator call. Results are bit-identical
+// to the scalar path for any worker count.
 //
 // StreamSource is safe for sequential use only (like the estimator
 // itself); the underlying evaluator is cloned per instance.
@@ -126,8 +125,8 @@ func (s *StreamSource) engine() *evalEngine {
 }
 
 // Rebind prepares the source for another run with a new generator: the
-// built evaluator clones, lane engines and batch buffer are kept, and
-// the per-run error state (BatchErr, BatchFallbacks) is cleared. The
+// built evaluator clones, their executors and the batch buffer are kept,
+// and the per-run error state (BatchErr, BatchFallbacks) is cleared. The
 // generator must match the circuit's input width. DeclaredSize and
 // Workers are plain fields the caller sets alongside. Results after
 // Rebind are bit-identical to a fresh source's: the engines carry no

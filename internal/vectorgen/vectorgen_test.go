@@ -225,15 +225,15 @@ func TestBuildDeterministicAcrossWorkerCounts(t *testing.T) {
 	c := bench.MustGenerate("C432")
 	eval := power.NewEvaluator(c, delay.FanoutLoaded{}, power.Params{})
 	gen := HighActivity{N: c.NumInputs(), MinActivity: 0.3}
-	p1, err := Build(eval, gen, Options{Size: 200, Seed: 11, Workers: 1})
+	p1, err := Build(eval, gen, Options{Size: multiStripePairs, Seed: 11, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p8, err := Build(eval, gen, Options{Size: 200, Seed: 11, Workers: 8})
+	p8, err := Build(eval, gen, Options{Size: multiStripePairs, Seed: 11, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 200; i++ {
+	for i := 0; i < multiStripePairs; i++ {
 		if p1.Power(i) != p8.Power(i) {
 			t.Fatalf("unit %d differs between worker counts", i)
 		}
@@ -241,8 +241,8 @@ func TestBuildDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestBuildZeroDelayBatchPathMatchesSerial(t *testing.T) {
-	// Populations built under the zero-delay model go through the 64-lane
-	// bit-parallel path; every unit must equal the serial evaluation.
+	// Populations built under the zero-delay model go through the compiled
+	// settle kernel; every unit must equal the serial evaluation.
 	c := bench.MustGenerate("C432")
 	eval := power.NewEvaluator(c, delay.Zero{}, power.Params{})
 	gen := HighActivity{N: c.NumInputs(), MinActivity: 0.3}

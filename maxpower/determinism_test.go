@@ -17,8 +17,8 @@ func sameResult(t *testing.T, label string, a, b maxpower.Result) {
 
 // TestEstimateStreamingDeterministicAcrossWorkers is the tentpole's
 // headline contract: for any seed, streaming estimation with Workers=8
-// must be bit-identical to Workers=1, on both the bit-parallel zero-delay
-// path and the per-worker-clone timed path.
+// must be bit-identical to Workers=1, on both the zero-delay settle
+// kernel and the timed settle-then-patch path.
 func TestEstimateStreamingDeterministicAcrossWorkers(t *testing.T) {
 	c, err := maxpower.Circuit("C432")
 	if err != nil {
