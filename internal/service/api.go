@@ -243,13 +243,15 @@ type Stats struct {
 	SpecPatchedWords int64 `json:"spec_patched_words"`
 	SpecFallbacks    int64 `json:"spec_fallbacks"`
 	// Robustness counters (PR 4). JobsRecovered counts jobs re-enqueued
-	// from the journal after a restart; JobsEvicted, terminal jobs
-	// dropped by the retention policy; DeadlineExceeded, jobs stopped by
-	// their wall-time cap; Panics, worker panics converted to failed
-	// jobs. The Rejected* trio splits refused submissions by cause, and
+	// from the journal after a restart, and JournalSkipped the journal
+	// lines that replay skipped as torn, corrupt or overlong;
+	// JobsEvicted, terminal jobs dropped by the retention policy;
+	// DeadlineExceeded, jobs stopped by their wall-time cap; Panics,
+	// worker panics converted to failed jobs. The Rejected* trio splits refused submissions by cause, and
 	// JournalErrors counts journal appends that failed (jobs proceed —
 	// durability degrades, availability does not).
 	JobsRecovered    int64 `json:"jobs_recovered"`
+	JournalSkipped   int64 `json:"journal_lines_skipped"`
 	JobsEvicted      int64 `json:"jobs_evicted"`
 	DeadlineExceeded int64 `json:"jobs_deadline_exceeded"`
 	Panics           int64 `json:"panics"`

@@ -223,6 +223,7 @@ type Manager struct {
 	jobsFailed       atomic.Int64
 	jobsCancelled    atomic.Int64
 	jobsRecovered    atomic.Int64
+	journalSkipped   atomic.Int64
 	jobsEvicted      atomic.Int64
 	jobsDeadline     atomic.Int64
 	panics           atomic.Int64
@@ -313,25 +314,8 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	}, func(tenant string) float64 {
 		return m.tenantsByName[tenant].weight()
 	})
-	var pending []*job
 	if cfg.DataDir != "" {
-		jn, recs, _, err := newJournal(cfg.DataDir)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		m.journal = jn
-		pending = m.replay(recs)
-	}
-	// Interrupted jobs are re-admitted past the depth bounds: work that
-	// was already accepted (and checkpointed) is never shed by a
-	// restart. The queue may start over capacity — degraded mode — which
-	// blocks new submissions until the recovered backlog drains.
-	for _, j := range pending {
-		m.sched.enqueueRecovered(j)
-	}
-	if m.journal != nil {
-		if err := m.journal.compact(m.snapshotRecords()); err != nil {
+		if err := m.recoverJournal(cfg.DataDir); err != nil {
 			cancel()
 			return nil, err
 		}
@@ -397,6 +381,26 @@ func (m *Manager) healthLoop() {
 			m.fleetCoord.ProbeWorkers(m.baseCtx)
 		}
 	}
+}
+
+// recoverJournal opens the journal in dir, replays it into the job
+// table, re-admits the interrupted jobs and compacts the file.
+// Interrupted jobs are re-admitted past the depth bounds: work that was
+// already accepted (and checkpointed) is never shed by a restart. The
+// queue may start over capacity — degraded mode — which blocks new
+// submissions until the recovered backlog drains.
+func (m *Manager) recoverJournal(dir string) error {
+	jn, recs, skipped, err := newJournal(dir)
+	if err != nil {
+		return err
+	}
+	m.journal = jn
+	m.journalSkipped.Add(int64(skipped))
+	expJournalSkipped.Add(int64(skipped))
+	for _, j := range m.replay(recs) {
+		m.sched.enqueueRecovered(j)
+	}
+	return jn.compact(m.snapshotRecords())
 }
 
 // replay folds journal records into the job table and returns the jobs
@@ -569,9 +573,17 @@ func (m *Manager) SubmitAs(req JobRequest, tenant string) (string, error) {
 		}
 		return "", rle
 	}
-	m.seq++
+	// A replayed journal can hold any ID, even the one after a counter
+	// that wrapped at the top of its range; never hand out a taken one.
+	var id string
+	for {
+		m.seq++
+		if id = fmt.Sprintf("job-%06d", m.seq); m.jobs[id] == nil {
+			break
+		}
+	}
 	j := &job{
-		id:      fmt.Sprintf("job-%06d", m.seq),
+		id:      id,
 		req:     req,
 		tenant:  tenant,
 		class:   class,
@@ -842,6 +854,7 @@ func (m *Manager) Stats() Stats {
 		SpecFallbacks:     m.specFallbacks.Load(),
 
 		JobsRecovered:    m.jobsRecovered.Load(),
+		JournalSkipped:   m.journalSkipped.Load(),
 		JobsEvicted:      m.jobsEvicted.Load(),
 		DeadlineExceeded: m.jobsDeadline.Load(),
 		Panics:           m.panics.Load(),

@@ -2,8 +2,10 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -134,9 +136,16 @@ func newJournal(dir string) (*journal, []record, int, error) {
 	return jn, recs, skipped, nil
 }
 
+// maxJournalLine bounds the length of a journal line replay parses,
+// newline included. Checkpoint lines can be long, but none comes near
+// it; a longer line is corrupt (a crash can leave a zero-filled tail of
+// any length).
+const maxJournalLine = 64 << 20
+
 // readRecords parses a journal file line by line. Unparsable lines —
-// the torn tail of a crash mid-write, or bit rot anywhere — are skipped
-// and counted, never fatal: recovery proceeds from what survives.
+// the torn tail of a crash mid-write, bit rot anywhere, or a line over
+// maxJournalLine — are skipped and counted, never fatal: recovery
+// proceeds from what survives.
 func readRecords(path string) ([]record, int, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -149,25 +158,41 @@ func readRecords(path string) ([]record, int, error) {
 	var (
 		recs    []record
 		skipped int
+		line    []byte
+		tooLong bool
 	)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20) // checkpoint lines can be long
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
+	br := bufio.NewReaderSize(f, 1<<20)
+	for {
+		chunk, err := br.ReadSlice('\n')
+		if err != nil && err != bufio.ErrBufferFull && err != io.EOF {
+			return nil, 0, fmt.Errorf("service: read journal: %w", err)
 		}
+		switch {
+		case tooLong:
+		case len(line)+len(chunk) > maxJournalLine:
+			tooLong, line = true, line[:0]
+		default:
+			line = append(line, chunk...)
+		}
+		if err == bufio.ErrBufferFull {
+			continue // the line goes on
+		}
+		line = bytes.TrimSuffix(bytes.TrimSuffix(line, []byte("\n")), []byte("\r"))
 		var rec record
-		if err := json.Unmarshal(line, &rec); err != nil || rec.Type == "" || rec.Job == "" {
+		switch {
+		case tooLong:
 			skipped++
-			continue
+		case len(line) == 0:
+		case json.Unmarshal(line, &rec) != nil || rec.Type == "" || rec.Job == "":
+			skipped++
+		default:
+			recs = append(recs, rec)
 		}
-		recs = append(recs, rec)
+		if err == io.EOF {
+			return recs, skipped, nil
+		}
+		line, tooLong = line[:0], false
 	}
-	if err := sc.Err(); err != nil {
-		return nil, 0, fmt.Errorf("service: read journal: %w", err)
-	}
-	return recs, skipped, nil
 }
 
 // compact atomically replaces the journal with the given records (the

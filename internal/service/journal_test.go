@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -127,6 +129,75 @@ func TestJournalTornTail(t *testing.T) {
 	}
 	if len(recs) != 2 || recs[0].Type != recSubmit || recs[1].Type != recStart {
 		t.Fatalf("surviving records = %+v, want the submit and start", recs)
+	}
+}
+
+// TestJournalOverlongLine replays a journal whose middle line is 65 MiB
+// of zero bytes, the zero-filled tail a crash can leave, with a valid
+// record after it. Replay must skip that line like any other corrupt
+// one and keep both valid records, and the Manager must start and
+// report the skipped line in its stats and on /debug/vars.
+func TestJournalOverlongLine(t *testing.T) {
+	dir := t.TempDir()
+	req := smallJob(15)
+	now := time.Now().UTC()
+	var raw bytes.Buffer
+	for _, rec := range []record{
+		{Type: recSubmit, Job: "job-000001", Time: now, Req: &req},
+		{Type: recStart, Job: "job-000001", Time: now},
+	} {
+		b, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw.Write(append(b, '\n'))
+	}
+	first := raw.Bytes()[:bytes.IndexByte(raw.Bytes(), '\n')+1]
+	f, err := os.Create(filepath.Join(dir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(b []byte) {
+		if _, err := f.Write(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(first)
+	zeros := make([]byte, 1<<20)
+	for i := 0; i < 65; i++ {
+		write(zeros)
+	}
+	write([]byte{'\n'})
+	write(raw.Bytes()[len(first):])
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	recs, skipped, err := readRecords(filepath.Join(dir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if skipped != 1 {
+		t.Errorf("skipped = %d, want 1 (the overlong line)", skipped)
+	}
+	if len(recs) != 2 || recs[0].Type != recSubmit || recs[1].Type != recStart {
+		t.Fatalf("surviving records = %+v, want the submit and start", recs)
+	}
+
+	before := expJournalSkipped.Value()
+	mgr, err := NewManager(ManagerConfig{Workers: 1, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownManager(t, mgr)
+	if got := mgr.Stats().JournalSkipped; got != 1 {
+		t.Errorf("Stats().JournalSkipped = %d, want 1", got)
+	}
+	if got := expJournalSkipped.Value() - before; got != 1 {
+		t.Errorf("maxpowerd_journal_lines_skipped rose by %d, want 1", got)
+	}
+	if n := mgr.jobsRecovered.Load(); n != 1 {
+		t.Errorf("%d jobs re-enqueued, want 1", n)
 	}
 }
 

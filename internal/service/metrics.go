@@ -29,12 +29,15 @@ var (
 	expSimNS = expvar.NewInt("maxpowerd_sim_ns")
 	expMLENS = expvar.NewInt("maxpowerd_mle_ns")
 	// Robustness counters: recovered = jobs re-enqueued from the journal
-	// after a restart; evicted = terminal jobs dropped by the retention
-	// policy; deadline = jobs stopped by their wall-time cap; panics =
-	// worker panics converted to job failures (the daemon kept serving);
+	// after a restart; journal_lines_skipped = journal lines replay
+	// skipped as torn, corrupt or overlong; evicted = terminal jobs
+	// dropped by the retention policy; deadline = jobs stopped by their
+	// wall-time cap; panics = worker panics converted to job failures
+	// (the daemon kept serving);
 	// rejected_* = submissions refused at the edge, split by cause;
 	// journal_errors = journal appends that failed (the job proceeded).
 	expJobsRecovered    = expvar.NewInt("maxpowerd_jobs_recovered")
+	expJournalSkipped   = expvar.NewInt("maxpowerd_journal_lines_skipped")
 	expJobsEvicted      = expvar.NewInt("maxpowerd_jobs_evicted")
 	expJobsDeadline     = expvar.NewInt("maxpowerd_jobs_deadline_exceeded")
 	expPanics           = expvar.NewInt("maxpowerd_panics")

@@ -84,7 +84,8 @@ func (c ChiSquare) Quantile(p float64) float64 {
 
 // VarianceCI returns a two-sided confidence interval for a population
 // variance given the unbiased sample variance s2 from n observations,
-// using the χ² pivot: [(n−1)s²/χ²_{(1+l)/2}, (n−1)s²/χ²_{(1−l)/2}].
+// using the χ² pivot: [(n−1)s²/χ²_{(1+l)/2}, (n−1)s²/χ²_{(1−l)/2}]. The
+// two quantiles are memoised.
 func VarianceCI(s2 float64, n int, confidence float64) (lo, hi float64) {
 	if n < 2 {
 		panic("stats: VarianceCI needs n ≥ 2")
@@ -92,9 +93,8 @@ func VarianceCI(s2 float64, n int, confidence float64) (lo, hi float64) {
 	if confidence <= 0 || confidence >= 1 {
 		panic("stats: confidence must be in (0,1)")
 	}
-	c := ChiSquare{K: float64(n - 1)}
-	upper := c.Quantile((1 + confidence) / 2)
-	lower := c.Quantile((1 - confidence) / 2)
 	df := float64(n - 1)
+	upper := memoQuantile(memoChiSquare, (1+confidence)/2, df)
+	lower := memoQuantile(memoChiSquare, (1-confidence)/2, df)
 	return df * s2 / upper, df * s2 / lower
 }

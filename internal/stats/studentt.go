@@ -102,7 +102,7 @@ func (t StudentT) Quantile(p float64) float64 {
 
 // TwoSidedT returns t_{l, nu} such that P(−t ≤ T ≤ t) = l for a Student-t
 // variable with nu degrees of freedom. This is the factor used in the
-// paper's Eqn. (3.8) confidence interval.
+// paper's Eqn. (3.8) confidence interval. The quantile is memoised.
 func TwoSidedT(l float64, nu float64) float64 {
 	if l <= 0 || l >= 1 {
 		panic("stats: confidence level must be in (0,1)")
@@ -110,5 +110,5 @@ func TwoSidedT(l float64, nu float64) float64 {
 	if nu <= 0 {
 		panic("stats: degrees of freedom must be positive")
 	}
-	return StudentT{Nu: nu}.Quantile((1 + l) / 2)
+	return memoQuantile(memoT, (1+l)/2, nu)
 }

@@ -92,17 +92,47 @@ func TestStreamSourceBatchReusesRNGLikeScalar(t *testing.T) {
 	}
 }
 
-// TestPopulationSampleBatchMatchesScalar checks the trivial index-draw
-// batch on a finite population.
+// TestPopulationSampleBatchMatchesScalar checks the batched index draw
+// on finite populations, with batches on both sides of SampleBatch's
+// chunk: the same draws as SamplePower, and the same RNG end state.
 func TestPopulationSampleBatchMatchesScalar(t *testing.T) {
-	powers := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	pop := FromPowers("p", powers)
-	r1, r2 := stats.NewRNG(8), stats.NewRNG(8)
-	batch := make([]float64, 100)
-	pop.SampleBatch(r1, batch)
-	for i := range batch {
-		if p := pop.SamplePower(r2); p != batch[i] {
-			t.Fatalf("draw %d: batch %v != scalar %v", i, batch[i], p)
+	for _, c := range []struct{ size, draws int }{{8, 100}, {160_000, 1000}} {
+		powers := make([]float64, c.size)
+		for i := range powers {
+			powers[i] = float64(i + 1)
+		}
+		pop := FromPowers("p", powers)
+		r1, r2 := stats.NewRNG(8), stats.NewRNG(8)
+		batch := make([]float64, c.draws)
+		pop.SampleBatch(r1, batch)
+		for i := range batch {
+			if p := pop.SamplePower(r2); p != batch[i] {
+				t.Fatalf("|V|=%d draw %d: batch %v != scalar %v", c.size, i, batch[i], p)
+			}
+		}
+		if r1.State() != r2.State() {
+			t.Fatalf("|V|=%d: SampleBatch left the RNG elsewhere than SamplePower", c.size)
+		}
+	}
+}
+
+// TestDrawIndicesMatchesIntn checks the batched index draw against
+// rng.Intn: the same values and the same RNG end state, for bounds from
+// 1 to 1<<62 + 1, which rejects about a quarter of its words.
+func TestDrawIndicesMatchesIntn(t *testing.T) {
+	for _, n := range []int{1, 3, 160_000, 1<<62 + 1} {
+		for _, size := range []int{1, 7, 255, 256, 1000} {
+			got, want := stats.NewRNG(uint64(n)^uint64(size)), stats.NewRNG(uint64(n)^uint64(size))
+			idx := make([]uint64, size)
+			drawIndices(got, uint64(n), idx)
+			for i, v := range idx {
+				if w := want.Intn(n); v != uint64(w) {
+					t.Fatalf("n=%d size=%d draw %d: %d, Intn %d", n, size, i, v, w)
+				}
+			}
+			if got.State() != want.State() {
+				t.Fatalf("n=%d size=%d: end state %x, Intn's %x", n, size, got.State(), want.State())
+			}
 		}
 	}
 }

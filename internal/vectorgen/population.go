@@ -2,6 +2,7 @@ package vectorgen
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/power"
 	"repro/internal/sim"
@@ -174,8 +175,38 @@ func (p *Population) SamplePower(rng *stats.RNG) float64 {
 // number of SamplePower calls would, so batched and scalar sampling are
 // interchangeable bit for bit.
 func (p *Population) SampleBatch(rng *stats.RNG, dst []float64) {
-	for i := range dst {
-		dst[i] = p.powers[rng.Intn(len(p.powers))]
+	var idx [256]uint64
+	for len(dst) > 0 {
+		k := min(len(dst), len(idx))
+		drawIndices(rng, uint64(len(p.powers)), idx[:k])
+		for i, j := range idx[:k] {
+			dst[i] = p.powers[j]
+		}
+		dst = dst[k:]
+	}
+}
+
+// drawIndices fills idx with uniform draws from [0, n), n > 0: the
+// values, and the RNG end state, of len(idx) rng.Intn(n) calls. Intn is
+// Lemire's method: it accepts a word x when the low half of the 128-bit
+// x·n is at least 2⁶⁴ mod n (a test it makes only once the low half is
+// below n, which 2⁶⁴ mod n is too), and returns the high half. The
+// words come from Fill, which keeps the generator's state in locals, in
+// rounds of one word per index still missing, so no round draws a word
+// the Intn calls would not; accepted indices overwrite words already
+// read.
+func drawIndices(rng *stats.RNG, n uint64, idx []uint64) {
+	threshold := -n % n
+	for got := 0; got < len(idx); {
+		words := idx[got:]
+		rng.Fill(words)
+		for _, x := range words {
+			hi, lo := bits.Mul64(x, n)
+			if lo >= threshold {
+				idx[got] = hi
+				got++
+			}
+		}
 	}
 }
 

@@ -87,14 +87,15 @@ func kernelSeedSamples(perFamily int) [][]float64 {
 // ErrDegenerate or ErrNoInteriorMax, and otherwise returns a proper fit:
 // α ≥ alphaMin, β > 0, a finite μ above the sample maximum and a finite
 // log-likelihood. A Fitter warmed on another sample must give the same
-// bits as a fresh one, and a Fitter on the Go sweep the same bits and
-// error as one on the AVX-512 Exp kernel. Beyond the edge cases, the
+// bits as a fresh one, and a Fitter on math.Exp and math.Log the same
+// bits and error as one on the AVX-512 Exp and Log kernels. Beyond the
+// edge cases, the
 // seed corpus holds 5,000 samples of five families for that
 // differential. mode selects the shape bound (low bits) and the
 // decoding (bit 3: wide).
 func FuzzFitMLEShape(f *testing.F) {
-	if !haveExpKernel {
-		f.Log("no AVX-512 Exp kernel on this host: the kernel differential compares the Go sweep with itself")
+	if !haveExpKernel || !haveLogKernel {
+		f.Logf("AVX-512 Exp kernel %v, Log kernel %v on this host: the kernel differential compares the Go path with itself where one is absent", haveExpKernel, haveLogKernel)
 	}
 	nan, inf := math.NaN(), math.Inf(1)
 	wide := [][]float64{

@@ -139,7 +139,10 @@ var ErrNoInteriorMax = errors.New("weibull: profile likelihood has no interior m
 // is NOT safe for concurrent use; the package-level FitMLE/FitMLEShape
 // wrappers construct a fresh one per call and remain goroutine-safe.
 type Fitter struct {
-	y, ys, logs, pw []float64
+	// in holds a profile evaluation's log arguments, the shifted sample
+	// y = μ − x in in[:n] and the scaled sample y/max y in in[n:], and
+	// logs their logarithms; pw holds a sweep's powers.
+	in, logs, pw []float64
 
 	// shapeEq inputs, hoisted to fields so the closures handed to the
 	// root solver are built once per Fitter rather than once per call.
@@ -154,9 +157,10 @@ type Fitter struct {
 	// the solve ends where it last swept.
 	dAt, dVal, dB float64
 
-	// goSweep makes every sweep call math.Exp even where the AVX-512
-	// kernel runs, and declined counts the sweeps the kernel handed back
-	// to math.Exp. Only the tests read them.
+	// goSweep makes every sweep call math.Exp, and every log pass
+	// math.Log, even where the AVX-512 kernels run; declined counts the
+	// sweeps the Exp kernel handed back to math.Exp. Only the tests read
+	// them.
 	goSweep  bool
 	declined int
 
@@ -167,17 +171,28 @@ type Fitter struct {
 	negF     func(float64) float64
 }
 
-// scratch returns len-n views of the shift and scaled-sample buffers,
-// growing them, and the sweep's power buffer, only when the sample
-// outgrows the capacity.
-func (ft *Fitter) scratch(n int) (y, ys, logs []float64) {
-	if cap(ft.y) < n {
-		ft.y = make([]float64, n)
-		ft.ys = make([]float64, n)
-		ft.logs = make([]float64, n)
+// scratch returns the len-2n log-argument and log buffers for a sample
+// of n, growing them, and the sweep's power buffer, only when the
+// sample outgrows the capacity.
+func (ft *Fitter) scratch(n int) (in, logs []float64) {
+	if cap(ft.pw) < n {
+		ft.in = make([]float64, 2*n)
+		ft.logs = make([]float64, 2*n)
 		ft.pw = make([]float64, n)
 	}
-	return ft.y[:n], ft.ys[:n], ft.logs[:n]
+	return ft.in[:2*n], ft.logs[:2*n]
+}
+
+// logAll sets out[i] = math.Log(in[i]). The AVX-512 kernel computes the
+// same float64s as math.Log, eight at a time; when it declines (a value
+// that is not positive and finite), math.Log makes the whole pass.
+func (ft *Fitter) logAll(out, in []float64) {
+	if haveLogKernel && !ft.goSweep && logAVX512(&out[0], &in[0], len(in)) {
+		return
+	}
+	for i, v := range in {
+		out[i] = math.Log(v)
+	}
 }
 
 // powers sets p[i] = yᵢ^a = math.Exp(a·logs[i]) and returns p. The
@@ -199,31 +214,32 @@ func (ft *Fitter) powers(logs []float64, a float64) []float64 {
 }
 
 // shapeMLE solves the profile shape equation for fixed μ on the shifted
-// sample y = μ − x (all entries must be positive):
+// sample y = μ − x held in ft.in[:n] (all entries must be positive):
 //
 //	m/α + Σ log yᵢ − m·(Σ yᵢ^α log yᵢ)/(Σ yᵢ^α) = 0
 //
 // subject to α ≥ alphaMin. The left side is strictly decreasing in α, so
 // when it is already non-positive at alphaMin the constrained optimum sits
-// on the boundary. Returns (α, logβ, ok).
-func (ft *Fitter) shapeMLE(y []float64, alphaMin float64) (alpha, logBeta float64, ok bool) {
-	m := float64(len(y))
+// on the boundary. Returns (α, logβ, ok). On success ft.logs[:n] holds
+// log yᵢ.
+func (ft *Fitter) shapeMLE(n int, alphaMin float64) (alpha, logBeta float64, ok bool) {
+	in, logs := ft.in[:2*n], ft.logs[:2*n]
+	y, ys := in[:n], in[n:]
+	m := float64(n)
 	// Scale by the maximum for overflow safety; the equation is
 	// scale-invariant, and β is recovered in log space afterwards.
-	c := 0.0
-	for _, v := range y {
+	c, ci := 0.0, 0
+	for i, v := range y {
 		if v > c {
-			c = v
+			c, ci = v, i
 		}
 	}
 	if c == 0 {
 		return 0, 0, false
 	}
-	_, ys, logs := ft.scratch(len(y))
 	allEqual := true
 	for i, v := range y {
 		ys[i] = v / c
-		logs[i] = math.Log(ys[i])
 		if v != y[0] {
 			allEqual = false
 		}
@@ -231,15 +247,17 @@ func (ft *Fitter) shapeMLE(y []float64, alphaMin float64) (alpha, logBeta float6
 	if allEqual {
 		return 0, 0, false
 	}
+	// One pass logs y and y/c; log c is then the lane of c itself.
+	ft.logAll(logs, in)
 	var s0 float64
-	for _, l := range logs {
+	for _, l := range logs[n:] {
 		s0 += l
 	}
-	ft.n, ft.m, ft.s0 = len(y), m, s0
+	ft.n, ft.m, ft.s0 = n, m, s0
 	if ft.shapeF == nil {
 		ft.shapeF = func(a float64) float64 {
 			var A, B, C float64
-			logs := ft.logs[:ft.n]
+			logs := ft.logs[ft.n : 2*ft.n]
 			// yᵢ^α = exp(α·log yᵢ) over the cached logs: Exp costs roughly
 			// half a Pow, and a fit makes about 830 of these sweeps — the
 			// single hottest loop of the estimator. The derivative terms
@@ -298,12 +316,12 @@ func (ft *Fitter) shapeMLE(y []float64, alphaMin float64) (alpha, logBeta float6
 	B := ft.dB
 	if a != ft.dAt {
 		B = 0
-		for _, v := range ft.powers(logs, a) {
+		for _, v := range ft.powers(logs[n:], a) {
 			B += v
 		}
 	}
 	// β = m / Σ y^α = m / (c^α · B).
-	logBeta = math.Log(m) - a*math.Log(c) - math.Log(B)
+	logBeta = math.Log(m) - a*logs[ci] - math.Log(B)
 	return a, logBeta, true
 }
 
@@ -311,21 +329,24 @@ func (ft *Fitter) shapeMLE(y []float64, alphaMin float64) (alpha, logBeta float6
 // the log-likelihood maximized over (α ≥ alphaMin, β) for that μ.
 // ℓ*(μ) = m·log α̂ + m·log β̂ + (α̂−1)·Σ log yᵢ − m.
 func (ft *Fitter) profileLogLik(xs []float64, mu, alphaMin float64) (ll float64, d Dist, ok bool) {
-	m := float64(len(xs))
-	y, _, _ := ft.scratch(len(xs))
-	var s0 float64
+	n := len(xs)
+	in, logs := ft.scratch(n)
 	for i, x := range xs {
 		v := mu - x
 		if v <= 0 {
 			return math.Inf(-1), Dist{}, false
 		}
-		y[i] = v
-		s0 += math.Log(v)
+		in[i] = v
 	}
-	a, logB, ok := ft.shapeMLE(y, alphaMin)
+	a, logB, ok := ft.shapeMLE(n, alphaMin)
 	if !ok {
 		return math.Inf(-1), Dist{}, false
 	}
+	var s0 float64
+	for _, l := range logs[:n] {
+		s0 += l
+	}
+	m := float64(n)
 	ll = m*math.Log(a) + m*logB + (a-1)*s0 - m
 	return ll, Dist{Alpha: a, Beta: math.Exp(logB), Mu: mu}, true
 }
