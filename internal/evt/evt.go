@@ -279,12 +279,32 @@ func (c Config) Defaults() Config {
 	return c
 }
 
+// maxSamplesPerHyper and maxUnitsPerHyper bound m and m·n. A
+// hyper-sample draws its m·n units into one buffer, and an allocation
+// past the machine's memory kills the process instead of failing the
+// call, so a service must turn such sizes away before it runs them.
+// 4,194,304 units is a 32 MiB buffer; the paper uses m = 10 and n = 30,
+// and nothing in this repository more than 50 of either.
+const (
+	maxSamplesPerHyper = 1 << 16
+	maxUnitsPerHyper   = 1 << 22
+)
+
 // Validate rejects nonsensical configurations. The range checks are
 // written so that NaN fails them.
 func (c Config) Validate() error {
 	c = c.Defaults()
 	if c.SamplesPerHyper < 3 {
 		return errors.New("evt: SamplesPerHyper must be at least 3 for a 3-parameter fit")
+	}
+	if c.SamplesPerHyper > maxSamplesPerHyper {
+		return fmt.Errorf("evt: SamplesPerHyper %d exceeds %d", c.SamplesPerHyper, maxSamplesPerHyper)
+	}
+	// Both are positive here, so the quotient tests m·n > max without
+	// overflowing.
+	if c.SampleSize > maxUnitsPerHyper/c.SamplesPerHyper {
+		return fmt.Errorf("evt: SampleSize·SamplesPerHyper = %d·%d exceeds %d units per hyper-sample",
+			c.SampleSize, c.SamplesPerHyper, maxUnitsPerHyper)
 	}
 	if !(c.Epsilon > 0 && c.Epsilon < 1) {
 		return fmt.Errorf("evt: Epsilon %v must be in (0,1)", c.Epsilon)

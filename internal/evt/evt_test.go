@@ -64,6 +64,35 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestConfigValidateSize checks the bound on a hyper-sample's size: at
+// most 65,536 samples and 4,194,304 units, the product checked without
+// overflow. m = 2¹⁸ samples of n = 2²² units each once passed and then
+// died allocating 2⁴⁰ float64s.
+func TestConfigValidateSize(t *testing.T) {
+	for _, c := range []Config{
+		{SampleSize: 1 << 22, SamplesPerHyper: 1 << 18},
+		{SampleSize: 1 << 31, SamplesPerHyper: 1 << 31},
+		{SampleSize: math.MaxInt, SamplesPerHyper: 3},
+		{SampleSize: 1, SamplesPerHyper: 1<<16 + 1},
+		{SampleSize: 65, SamplesPerHyper: 1 << 16},
+		{SampleSize: 4194304/3 + 1, SamplesPerHyper: 3},
+		{SampleSize: 1 << 22}, // m defaults to 10
+	} {
+		if err := c.Validate(); err == nil {
+			t.Errorf("m = %d, n = %d accepted", c.SamplesPerHyper, c.SampleSize)
+		}
+	}
+	for _, c := range []Config{
+		{SampleSize: 64, SamplesPerHyper: 1 << 16},
+		{SampleSize: 4194304 / 3, SamplesPerHyper: 3},
+		{SampleSize: 1 << 22 / 10}, // m defaults to 10
+	} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("m = %d, n = %d rejected: %v", c.SamplesPerHyper, c.SampleSize, err)
+		}
+	}
+}
+
 func TestNewRejects(t *testing.T) {
 	if _, err := New(nil, Config{}); err == nil {
 		t.Error("nil source accepted")

@@ -85,12 +85,16 @@ var adversarialBodies = []adversarialBody{
 	{"negative timeout", `{"circuit":"C432","options":{"timeout_ms":-1}}`, http.StatusBadRequest, "invalid_request"},
 	{"epsilon out of range", `{"circuit":"C432","options":{"epsilon":1.5}}`, http.StatusBadRequest, "invalid_request"},
 	{"confidence out of range", `{"circuit":"C432","options":{"confidence":2}}`, http.StatusBadRequest, "invalid_request"},
+	// m·n = 2⁴⁰ units: admitted, it killed the daemon when a worker
+	// allocated the hyper-sample.
+	{"oversized hyper-sample", `{"circuit":"C432","options":{"sample_size":4194304,"samples_per_hyper":262144}}`, http.StatusBadRequest, "invalid_request"},
 }
 
 // FuzzJobRequest feeds arbitrary bodies to the job decoder behind
 // POST /v1/jobs and POST /v1/shards. Each must be rejected as bad_json
 // or invalid_request, or give a request that still validates after the
-// JSON round trip the journal puts it through. None may panic.
+// JSON round trip the journal puts it through and whose hyper-sample
+// fits the estimator's size bound. None may panic.
 func FuzzJobRequest(f *testing.F) {
 	for _, tc := range adversarialBodies {
 		f.Add([]byte(tc.body))
@@ -122,6 +126,18 @@ func FuzzJobRequest(f *testing.F) {
 		}
 		if err := again.Validate(isBuiltinCircuit); err != nil {
 			t.Fatalf("%q: round trip %s fails validation: %v", body, b, err)
+		}
+		// A request that validates draws at most 4,194,304 units per
+		// hyper-sample, in at most 65,536 samples.
+		m, n := req.Options.SamplesPerHyper, req.Options.SampleSize
+		if m == 0 {
+			m = 10
+		}
+		if n == 0 {
+			n = 30
+		}
+		if m > 1<<16 || n > (1<<22)/m {
+			t.Fatalf("%q: validated with m = %d, n = %d", body, m, n)
 		}
 	})
 }

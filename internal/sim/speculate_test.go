@@ -77,11 +77,13 @@ func diffSpeculative(t *testing.T, c *netlist.Circuit, m delay.Model, width, lan
 
 // TestSpeculativeDifferentialScalar runs the speculative engine's
 // bit-identity contract on the ISCAS circuits across all four delay
-// models, full and ragged stripes. CI runs the C880 subtree under -race
-// as the speculative differential step.
+// models, full and ragged stripes: C3540 is the circuit of the
+// stream-timed benchmark, whose waveform merges take most of its time.
+// CI runs the C880 and C3540 subtrees under -race as the speculative
+// differential step.
 func TestSpeculativeDifferentialScalar(t *testing.T) {
 	models := []delay.Model{delay.Zero{}, delay.Unit{}, delay.FanoutLoaded{}, delay.StandardTable()}
-	for _, name := range []string{"C432", "C880"} {
+	for _, name := range []string{"C432", "C880", "C3540"} {
 		c := bench.MustGenerate(name)
 		for _, m := range models {
 			t.Run(name+"/"+m.Name(), func(t *testing.T) {

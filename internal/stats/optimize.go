@@ -42,48 +42,70 @@ func Bisect(f func(float64) float64, lo, hi, tol float64) (float64, error) {
 	return (lo + hi) / 2, nil
 }
 
-// NewtonBisect finds a root of f in the bracket [lo, hi] using Newton steps
-// guarded by bisection. df is the derivative of f, and flo and fhi are
-// f(lo) and f(hi), which a caller has in hand from bracketing the root.
-// The bracket must contain a sign change.
-func NewtonBisect(f, df func(float64) float64, lo, hi, flo, fhi, x0, tol float64) (float64, error) {
+// NewtonBisect finds a root of f in a bracket [lo, hi] by Newton steps
+// guarded by bisection, one evaluation at a time: Start checks the
+// bracket and names the first point, and each Step takes f and f′ at
+// the point last named and names the next, until the root is found. A
+// caller with several roots to find keeps one NewtonBisect per root and
+// can evaluate their points together. The zero value is ready for Start.
+type NewtonBisect struct {
+	lo, hi, flo, tol, x float64
+	steps               int
+}
+
+// Start begins a solve on [lo, hi] from x0, or from the midpoint when x0
+// is not inside the bracket. flo and fhi are f(lo) and f(hi), which a
+// caller has in hand from bracketing the root; they must differ in sign,
+// or Start returns ErrNoBracket. It returns the point at which to
+// evaluate f and f′ next or, when done, the root.
+func (s *NewtonBisect) Start(lo, hi, flo, fhi, x0, tol float64) (x float64, done bool, err error) {
 	if flo == 0 {
-		return lo, nil
+		return lo, true, nil
 	}
 	if fhi == 0 {
-		return hi, nil
+		return hi, true, nil
 	}
 	if (flo > 0) == (fhi > 0) {
-		return 0, ErrNoBracket
+		return 0, true, ErrNoBracket
 	}
-	x := x0
+	x = x0
 	if x <= lo || x >= hi {
 		x = (lo + hi) / 2
 	}
-	for i := 0; i < 200; i++ {
-		fx := f(x)
-		if fx == 0 {
-			return x, nil
-		}
-		if (fx > 0) == (flo > 0) {
-			lo = x
-		} else {
-			hi = x
-		}
-		d := df(x)
-		var next float64
-		if d != 0 {
-			next = x - fx/d
-		}
-		if d == 0 || next <= lo || next >= hi || math.IsNaN(next) {
-			next = (lo + hi) / 2
-		}
-		if math.Abs(next-x) <= tol*(1+math.Abs(x)) {
-			return next, nil
-		}
-		x = next
+	*s = NewtonBisect{lo: lo, hi: hi, flo: flo, tol: tol, x: x}
+	return x, false, nil
+}
+
+// Step takes fx = f(x) and dfx = f′(x) at the point x that Start or the
+// last Step returned, and returns the next point or, when done, the
+// root. A Newton step that leaves the shrinking bracket, or a zero or
+// NaN derivative, bisects instead. The solve ends when a step moves x
+// by at most tol·(1 + |x|), and fails with ErrNoConverge after 200
+// steps.
+func (s *NewtonBisect) Step(fx, dfx float64) (next float64, done bool, err error) {
+	x := s.x
+	if fx == 0 {
+		return x, true, nil
 	}
-	return x, ErrNoConverge
+	if (fx > 0) == (s.flo > 0) {
+		s.lo = x
+	} else {
+		s.hi = x
+	}
+	if dfx != 0 {
+		next = x - fx/dfx
+	}
+	if dfx == 0 || next <= s.lo || next >= s.hi || math.IsNaN(next) {
+		next = (s.lo + s.hi) / 2
+	}
+	if math.Abs(next-x) <= s.tol*(1+math.Abs(x)) {
+		return next, true, nil
+	}
+	s.x = next
+	if s.steps++; s.steps == 200 {
+		return next, true, ErrNoConverge
+	}
+	return next, false, nil
 }
 
 // GoldenSection minimizes a unimodal function f on [lo, hi] to x-tolerance

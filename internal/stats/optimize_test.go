@@ -33,16 +33,51 @@ func TestBisectExactEndpoints(t *testing.T) {
 	}
 }
 
+// newtonRoot drives a NewtonBisect on f and df from [lo, hi] to the end.
+func newtonRoot(f, df func(float64) float64, lo, hi, x0, tol float64) (root float64, steps int, err error) {
+	var s NewtonBisect
+	x, done, err := s.Start(lo, hi, f(lo), f(hi), x0, tol)
+	for !done {
+		x, done, err = s.Step(f(x), df(x))
+		steps++
+	}
+	return x, steps, err
+}
+
 func TestNewtonBisect(t *testing.T) {
 	// cos(x) = x has root ≈ 0.7390851332151607.
 	f := func(x float64) float64 { return math.Cos(x) - x }
 	df := func(x float64) float64 { return -math.Sin(x) - 1 }
-	root, err := NewtonBisect(f, df, 0, 1, f(0), f(1), 0.5, 1e-14)
+	root, _, err := newtonRoot(f, df, 0, 1, 0.5, 1e-14)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !almostEqual(root, 0.7390851332151607, 1e-10) {
 		t.Errorf("root = %v", root)
+	}
+	// The bracket's ends: a zero end is the root, equal signs no bracket.
+	g := func(x float64) float64 { return x }
+	one := func(float64) float64 { return 1 }
+	if root, steps, err := newtonRoot(g, one, 0, 1, 0.5, 1e-12); root != 0 || steps != 0 || err != nil {
+		t.Errorf("root at lo: %v after %d steps, %v", root, steps, err)
+	}
+	if root, steps, err := newtonRoot(g, one, -1, 0, 0.5, 1e-12); root != 0 || steps != 0 || err != nil {
+		t.Errorf("root at hi: %v after %d steps, %v", root, steps, err)
+	}
+	if _, _, err := newtonRoot(g, one, 1, 2, 1.5, 1e-12); err != ErrNoBracket {
+		t.Errorf("err = %v, want ErrNoBracket", err)
+	}
+	// A NaN f never settles the bracket to tol 0 within 200 steps.
+	nan := func(float64) float64 { return math.NaN() }
+	var s NewtonBisect
+	x, done, err := s.Start(0, 1, 1, -1, 0.5, 0)
+	steps := 0
+	for !done {
+		x, done, err = s.Step(nan(x), 1)
+		steps++
+	}
+	if err != ErrNoConverge || steps != 200 {
+		t.Errorf("NaN f: err %v after %d steps, want ErrNoConverge after 200", err, steps)
 	}
 }
 
@@ -50,7 +85,7 @@ func TestNewtonBisectBadDerivative(t *testing.T) {
 	// Derivative returning zero must fall back to bisection and still work.
 	f := func(x float64) float64 { return x - 0.3 }
 	df := func(x float64) float64 { return 0 }
-	root, err := NewtonBisect(f, df, 0, 1, f(0), f(1), 0.9, 1e-12)
+	root, _, err := newtonRoot(f, df, 0, 1, 0.9, 1e-12)
 	if err != nil {
 		t.Fatal(err)
 	}

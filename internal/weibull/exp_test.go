@@ -1,7 +1,9 @@
 package weibull
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/stats"
@@ -162,29 +164,40 @@ func BenchmarkFitMLE(b *testing.B) {
 	}
 }
 
-// BenchmarkShapeSweep times one sweep of the shape equation over ten
-// logs, the estimator's m, through the kernel and through math.Exp.
-func BenchmarkShapeSweep(b *testing.B) {
+// BenchmarkProfileLanes evaluates the profile likelihood of
+// estimator-shaped maxima (m = 10) at their 60 grid values of μ in
+// lockstep chunks of 1 to 60 lanes, through the kernels where they run.
+// ns/op is per evaluation.
+func BenchmarkProfileLanes(b *testing.B) {
 	rng := stats.NewRNG(12)
-	var y [10]float64
-	for i := range y {
-		y[i] = 0.01 + rng.Float64()
+	d := Dist{Alpha: 3, Beta: 1 / math.Pow(0.05, 3), Mu: 4.2}
+	const samples, gridN = 64, 60
+	xs := make([][]float64, samples)
+	mus := make([][]float64, samples)
+	for i := range xs {
+		xs[i] = make([]float64, 10)
+		for j := range xs[i] {
+			xs[i][j] = d.Rand(rng)
+		}
+		xmax, xmin := slices.Max(xs[i]), slices.Min(xs[i])
+		loOff, hiOff := (xmax-xmin)*1e-6, (xmax-xmin)*1e4
+		ratio := math.Pow(hiOff/loOff, 1/float64(gridN-1))
+		off := loOff
+		for j := 0; j < gridN; j++ {
+			mus[i] = append(mus[i], xmax+off)
+			off *= ratio
+		}
 	}
-	for _, sweep := range []struct {
-		name    string
-		goSweep bool
-	}{{"kernel", false}, {"go", true}} {
-		b.Run(sweep.name, func(b *testing.B) {
-			if !sweep.goSweep {
-				kernelOrSkip(b)
-			}
-			ft := Fitter{goSweep: sweep.goSweep}
-			in, _ := ft.scratch(len(y))
-			copy(in, y[:])
-			ft.shapeMLE(len(y), DefaultAlphaMin)
+	for _, k := range []int{1, 3, 6, 12, maxLanes, 60} {
+		b.Run(fmt.Sprintf("lanes=%d", k), func(b *testing.B) {
+			var ft Fitter
+			buf, st := make([]float64, laneFloats(10, k)), make([]lane, k)
+			out := make([]profile, gridN)
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ft.shapeF(2 + float64(i&7))
+			for i := 0; i < b.N; i += gridN {
+				s := (i / gridN) % samples
+				ls := makeLanes(buf, st, xs[s], DefaultAlphaMin)
+				ft.profiles(&ls, mus[s], out)
 			}
 		})
 	}

@@ -97,39 +97,8 @@ func FuzzFitMLEShape(f *testing.F) {
 	if !haveExpKernel || !haveLogKernel {
 		f.Logf("AVX-512 Exp kernel %v, Log kernel %v on this host: the kernel differential compares the Go path with itself where one is absent", haveExpKernel, haveLogKernel)
 	}
-	nan, inf := math.NaN(), math.Inf(1)
-	wide := [][]float64{
-		// estimator-shaped maxima, ties, a constant sample
-		{4.17, 4.12, 4.19, 4.05, 4.16, 4.11, 4.18, 4.02, 4.14, 4.15},
-		{1, 1, 2, 2, 3, 3},
-		{7, 7, 7, 7},
-		// NaN and ±Inf
-		{1, 2, nan, 3},
-		{nan, 1, 2, 3},
-		{1, 2, 3, inf},
-		{-inf, 1, 2, 3},
-		// subnormals and the smallest normals
-		{5e-324, 1e-323, 1.5e-323, 2e-323, 2.5e-323},
-		{2.2250738585072014e-308, 1e-300, 3e-300, 5e-300},
-		// huge spreads, values a few ulps apart, mixed signs
-		{-1e300, 0, 1e300, 5e299},
-		{1e-300, 1, 1e300},
-		{1e15, 1e15 + 2, 1e15 + 4, 1e15 + 4, 1e15 + 8},
-		{-3, -2, -1, -1, 0},
-		{0.5, 0.7, 0.9, 0.95, 0.99, 0.999, 0.9999},
-	}
-	for _, xs := range wide {
-		for sel := range fuzzAlphaMins {
-			f.Add(wideBytes(xs...), uint8(8|sel))
-		}
-	}
-	f.Add(narrowBytes(-10, 400, 410, 410, 405, 399, 412, 390, 411, 408, 409), uint8(0))
-	f.Add(narrowBytes(0, 3, 3, 3, 2), uint8(1))
-	f.Add(narrowBytes(-60, 1, 2, 3, 4, 5, 32767, -32768), uint8(2))
-	f.Add(narrowBytes(100, 1, 2, 3, 5, 8, 13), uint8(3))
-	f.Add(narrowBytes(-128, 1, 1, 2), uint8(4))
-	for i, xs := range kernelSeedSamples(1000) {
-		f.Add(wideBytes(xs...), uint8(8|i%len(fuzzAlphaMins)))
+	for _, s := range fitFuzzSeeds() {
+		f.Add(s.data, s.mode)
 	}
 	var warm [40]float64
 	for i := range warm {
@@ -173,4 +142,53 @@ func FuzzFitMLEShape(f *testing.F) {
 func goldenBits(r FitResult) [4]uint64 {
 	return [4]uint64{math.Float64bits(r.Alpha), math.Float64bits(r.Beta),
 		math.Float64bits(r.Mu), math.Float64bits(r.LogLik)}
+}
+
+// fitSeed is one FuzzFitMLEShape input.
+type fitSeed struct {
+	data []byte
+	mode uint8
+}
+
+// fitFuzzSeeds returns FuzzFitMLEShape's seed corpus, in the order the
+// target adds it: edge cases at every shape bound, narrow samples, then
+// the 5,000 samples of the kernel differential.
+func fitFuzzSeeds() []fitSeed {
+	var seeds []fitSeed
+	nan, inf := math.NaN(), math.Inf(1)
+	wide := [][]float64{
+		// estimator-shaped maxima, ties, a constant sample
+		{4.17, 4.12, 4.19, 4.05, 4.16, 4.11, 4.18, 4.02, 4.14, 4.15},
+		{1, 1, 2, 2, 3, 3},
+		{7, 7, 7, 7},
+		// NaN and ±Inf
+		{1, 2, nan, 3},
+		{nan, 1, 2, 3},
+		{1, 2, 3, inf},
+		{-inf, 1, 2, 3},
+		// subnormals and the smallest normals
+		{5e-324, 1e-323, 1.5e-323, 2e-323, 2.5e-323},
+		{2.2250738585072014e-308, 1e-300, 3e-300, 5e-300},
+		// huge spreads, values a few ulps apart, mixed signs
+		{-1e300, 0, 1e300, 5e299},
+		{1e-300, 1, 1e300},
+		{1e15, 1e15 + 2, 1e15 + 4, 1e15 + 4, 1e15 + 8},
+		{-3, -2, -1, -1, 0},
+		{0.5, 0.7, 0.9, 0.95, 0.99, 0.999, 0.9999},
+	}
+	for _, xs := range wide {
+		for sel := range fuzzAlphaMins {
+			seeds = append(seeds, fitSeed{wideBytes(xs...), uint8(8 | sel)})
+		}
+	}
+	seeds = append(seeds,
+		fitSeed{narrowBytes(-10, 400, 410, 410, 405, 399, 412, 390, 411, 408, 409), 0},
+		fitSeed{narrowBytes(0, 3, 3, 3, 2), 1},
+		fitSeed{narrowBytes(-60, 1, 2, 3, 4, 5, 32767, -32768), 2},
+		fitSeed{narrowBytes(100, 1, 2, 3, 5, 8, 13), 3},
+		fitSeed{narrowBytes(-128, 1, 1, 2), 4})
+	for i, xs := range kernelSeedSamples(1000) {
+		seeds = append(seeds, fitSeed{wideBytes(xs...), uint8(8 | i%len(fuzzAlphaMins))})
+	}
+	return seeds
 }

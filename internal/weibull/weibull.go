@@ -132,55 +132,338 @@ var ErrDegenerate = errors.New("weibull: degenerate sample")
 // back to the empirical maximum.
 var ErrNoInteriorMax = errors.New("weibull: profile likelihood has no interior maximum")
 
-// Fitter owns the scratch buffers and reusable closures of the
-// profile-likelihood machinery, so a long-lived caller that refits after
-// every hyper-sample (the estimator's steady state) allocates nothing per
-// fit once the buffers are warm. The zero value is ready to use. A Fitter
-// is NOT safe for concurrent use; the package-level FitMLE/FitMLEShape
-// wrappers construct a fresh one per call and remain goroutine-safe.
+// Fitter holds what a fit keeps between calls: the lane scratch of
+// samples too large for FitMLEShape's stack buffer. A long-lived caller
+// that refits after every hyper-sample (the estimator's steady state)
+// allocates nothing per fit once that scratch is warm, and a fit of a
+// small sample allocates nothing at all, so a new Fitter costs nothing
+// either. The zero value is ready to use. A Fitter is NOT safe for
+// concurrent use; the package-level FitMLE/FitMLEShape wrappers
+// construct a fresh one per call and remain goroutine-safe.
 type Fitter struct {
-	// in holds a profile evaluation's log arguments, the shifted sample
-	// y = μ − x in in[:n] and the scaled sample y/max y in in[n:], and
-	// logs their logarithms; pw holds a sweep's powers.
-	in, logs, pw []float64
-
-	// shapeEq inputs, hoisted to fields so the closures handed to the
-	// root solver are built once per Fitter rather than once per call.
-	n      int
-	m, s0  float64
-	shapeF func(float64) float64
-	shapeD func(float64) float64
-	// Derivative cache: shapeF computes f'(α) as a by-product of the
-	// same Exp loop that computes f(α); the solver always asks for the
-	// derivative at the point it just evaluated, so shapeD is a lookup.
-	// dB is that sweep's Σ yᵢ^α, which shapeMLE's closing β reuses when
-	// the solve ends where it last swept.
-	dAt, dVal, dB float64
+	heap []float64
 
 	// goSweep makes every sweep call math.Exp, and every log pass
 	// math.Log, even where the AVX-512 kernels run; declined counts the
-	// sweeps the Exp kernel handed back to math.Exp. Only the tests read
+	// rounds the Exp kernel handed back to math.Exp. Only the tests read
 	// them.
 	goSweep  bool
 	declined int
-
-	// negProfile inputs for the golden-section refine, same idea.
-	xs       []float64
-	xmax     float64
-	alphaMin float64
-	negF     func(float64) float64
 }
 
-// scratch returns the len-2n log-argument and log buffers for a sample
-// of n, growing them, and the sweep's power buffer, only when the
-// sample outgrows the capacity.
-func (ft *Fitter) scratch(n int) (in, logs []float64) {
-	if cap(ft.pw) < n {
-		ft.in = make([]float64, 2*n)
-		ft.logs = make([]float64, 2*n)
-		ft.pw = make([]float64, n)
+// maxLanes is how many profile evaluations advance in lockstep. One
+// evaluation's sweeps form a chain of Exp calls, each waiting on the
+// last; a round of 15 lanes runs 15 independent chains through one
+// call, so their latencies overlap. 6 to 60 lanes cost about the same
+// per evaluation.
+const maxLanes = 15
+
+// stackFloats is the lane scratch FitMLEShape keeps on its stack: 15
+// lanes up to m = 17, at least one up to m = 256. Larger samples take
+// the Fitter's heap scratch, bounded by laneBudget.
+const (
+	stackFloats = 1 << 10
+	laneBudget  = 8 << 10 // 64 KiB
+)
+
+// laneFloats is the lane scratch of k lanes on a sample of m: per lane
+// 2m logs, m exponents and m powers.
+func laneFloats(m, k int) int { return 4 * k * m }
+
+// laneCount is how many lanes of a sample of m fit in budget float64s,
+// at least one and at most maxLanes.
+func laneCount(m, budget int) int {
+	return max(1, min(maxLanes, budget/(4*m)))
+}
+
+// profile is one profile-likelihood evaluation: at its μ, the shape α̂
+// and log β̂ that maximise the likelihood, and the log-likelihood ll
+// there; ok is false when the sample does not support them.
+type profile struct {
+	ll, alpha, logBeta float64
+	ok                 bool
+}
+
+// Steps of a lane's shape solve.
+const (
+	solveMin     = iota // sweep at alphaMin
+	solveBracket        // double hi until f(hi) ≤ 0
+	solveNewton         // the guarded Newton solve
+	solveClose          // one sweep for Σ yᵢ^α̂
+)
+
+// lane is one profile evaluation in flight: the sample shifted to
+// y = μ − x and scaled to y/c by c = max y, and the solve of the shape
+// equation on it for fixed μ,
+//
+//	f(α) = m/α + Σ log(yᵢ/c) − m·(Σ (yᵢ/c)^α log(yᵢ/c))/(Σ (yᵢ/c)^α) = 0
+//
+// subject to α ≥ alphaMin. f is strictly decreasing in α, so when it is
+// already non-positive at alphaMin the constrained optimum sits on the
+// boundary; otherwise doubling brackets the root and guarded Newton
+// finds it. The scaling guards against overflow: the equation is
+// scale-invariant, and β is recovered in log space afterwards. The lane
+// asks for one sweep at a time, at a.
+type lane struct {
+	j, s         int     // its μ and result are the j-th, its logs in slot s
+	ci           int     // the index of c
+	logC, s0, sy float64 // log c, Σ log(yᵢ/c), Σ log yᵢ
+	step         int
+	a            float64 // the α of the next sweep
+	A, B, C      float64 // the last sweep's sums
+	lo, hi, flo  float64
+	nb           stats.NewtonBisect
+}
+
+// advance takes the sweep at l.a, A = Σ pᵢ·lᵢ, B = Σ pᵢ and C = Σ pᵢ·lᵢ²
+// for pᵢ = (yᵢ/c)^a and lᵢ = log(yᵢ/c), and moves the solve one step. It
+// returns whether the lane needs another sweep, at l.a; when it does
+// not, out holds the lane's result.
+func (l *lane) advance(m, logM, A, B, C float64, out *profile) bool {
+	a := l.a
+	f := m/a + l.s0 - m*A/B
+	var (
+		x    float64
+		done bool
+		err  error
+	)
+	switch l.step {
+	case solveMin:
+		if f <= 0 {
+			// Constrained optimum on the boundary (likelihood
+			// decreasing in α beyond alphaMin).
+			return l.finish(m, logM, a, B, out)
+		}
+		l.lo, l.hi, l.flo = a, math.Max(2*a, 1), f
+		l.step, l.a = solveBracket, l.hi
+		return true
+	case solveBracket:
+		if f > 0 {
+			l.hi *= 2
+			if l.hi > 1e9 {
+				return false
+			}
+			l.a = l.hi
+			return true
+		}
+		// The profile equation is smooth and strictly decreasing in α,
+		// so guarded Newton converges in a handful of iterations where
+		// plain bisection to the same tolerance needs ~40, and each
+		// iteration is a full Exp sweep over the sample. The bracket's
+		// end values are already in hand, so the solver does not sweep
+		// for them again.
+		x, done, err = l.nb.Start(l.lo, l.hi, l.flo, f, (l.lo+l.hi)/2, 1e-12)
+	case solveNewton:
+		// The derivative terms A' = C and B' = A fall out of the same
+		// sweep for two extra multiplies, so Newton steps come at
+		// bisection-step cost.
+		df := -m/(a*a) - m*(C*B-A*A)/(B*B)
+		x, done, err = l.nb.Step(f, df)
+	case solveClose:
+		return l.finish(m, logM, a, B, out)
 	}
-	return ft.in[:2*n], ft.logs[:2*n]
+	switch {
+	case err != nil:
+		return false
+	case !done:
+		l.step, l.a = solveNewton, x
+		return true
+	case x == a:
+		// The solve ended where it last swept, so that sweep's B is
+		// Σ (yᵢ/c)^α̂.
+		return l.finish(m, logM, a, B, out)
+	}
+	l.step, l.a = solveClose, x
+	return true
+}
+
+// finish sets out from α̂ = a and B = Σ (yᵢ/c)^α̂: β̂ = m / Σ yᵢ^α̂ =
+// m / (c^α̂·B), and the profile log-likelihood
+// ℓ*(μ) = m·log α̂ + m·log β̂ + (α̂−1)·Σ log yᵢ − m.
+func (l *lane) finish(m, logM, a, B float64, out *profile) bool {
+	logBeta := logM - a*l.logC - math.Log(B)
+	ll := m*math.Log(a) + m*logBeta + (a-1)*l.sy - m
+	*out = profile{ll: ll, alpha: a, logBeta: logBeta, ok: true}
+	return false
+}
+
+// lanes is the scratch of up to len(st) profile evaluations of one
+// sample in lockstep. The lanes hold no pointers, so that the scratch
+// can live on FitMLEShape's stack.
+type lanes struct {
+	xs       []float64
+	m        float64
+	logM     float64 // log m, taken once per fit
+	alphaMin float64
+	logs     []float64 // 2m per lane: log y, then log(y/c)
+	// tp is t‖p: while lanes are set up, 2m per lane of y, then y/c;
+	// then t holds m per lane of a round's α·log(yᵢ/c), p their exps.
+	tp, t, p []float64
+	st       []lane
+}
+
+// makeLanes carves the scratch of len(st) lanes on the sample xs out of
+// buf, which holds at least laneFloats(len(xs), len(st)) float64s.
+// alphaMin ≤ 0 selects 1e-6.
+func makeLanes(buf []float64, st []lane, xs []float64, alphaMin float64) lanes {
+	n, k := len(xs), len(st)
+	if alphaMin <= 0 {
+		alphaMin = 1e-6
+	}
+	m := float64(n)
+	tp := buf[2*k*n : 4*k*n]
+	return lanes{
+		xs: xs, m: m, logM: math.Log(m), alphaMin: alphaMin,
+		logs: buf[:2*k*n],
+		tp:   tp, t: tp[:k*n], p: tp[k*n:],
+		st: st,
+	}
+}
+
+// profiles evaluates the profile log-likelihood at each μ of mus into
+// out, len(ls.st) lanes at a time.
+func (ft *Fitter) profiles(ls *lanes, mus []float64, out []profile) {
+	for len(mus) > 0 {
+		k := min(len(ls.st), len(mus))
+		ft.lockstep(ls, mus[:k], out[:k])
+		mus, out = mus[k:], out[k:]
+	}
+}
+
+// lockstep evaluates the profiles of up to len(ls.st) values of μ
+// together. It sets every lane up and logs all their values in one
+// pass. Then a round takes the powers of every unfinished lane in one
+// call, sums each lane, and only then moves each lane's solve one step,
+// so the lanes' chains of dependent sweeps overlap and the solves'
+// branches stay out of the summing. Unfinished lanes are kept first in
+// ls.st, and lane r's exponents at t[r·m:(r+1)·m].
+func (ft *Fitter) lockstep(ls *lanes, mus []float64, out []profile) {
+	n := len(ls.xs)
+	live := 0
+	for j, mu := range mus {
+		out[j] = profile{ll: math.Inf(-1)}
+		if ci, ok := ls.shift(live, mu); ok {
+			ls.st[live] = lane{j: j, s: live, ci: ci}
+			live++
+		}
+	}
+	if live == 0 {
+		return
+	}
+	ft.logAll(ls.logs[:2*live*n], ls.tp[:2*live*n])
+	for r := range ls.st[:live] {
+		ls.start(r)
+	}
+	for live > 1 {
+		st, p := ls.st[:live], ls.p[:live*n]
+		ft.exps(p, ls.t[:live*n], 1)
+		for r := range st {
+			st[r].A, st[r].B, st[r].C = sums(p[r*n:(r+1)*n], ls.lys(st[r].s))
+		}
+		for r := 0; r < live; {
+			l := &st[r]
+			if l.advance(ls.m, ls.logM, l.A, l.B, l.C, &out[l.j]) {
+				ls.exponents(r)
+				r++
+				continue
+			}
+			live--
+			st[r] = st[live]
+		}
+	}
+	if live == 1 {
+		// The last lane alone: the kernel's own multiply rounds
+		// α·log(yᵢ/c) as the exponents do, and the sums go straight to
+		// the solve.
+		l, p := &ls.st[0], ls.p[:n]
+		lys := ls.lys(l.s)
+		for {
+			ft.exps(p, lys, l.a)
+			A, B, C := sums(p, lys)
+			if !l.advance(ls.m, ls.logM, A, B, C, &out[l.j]) {
+				return
+			}
+		}
+	}
+}
+
+// shift writes y = μ − x, then y/c for c = max y, to set-up slot r and
+// returns the index of c. It returns false when the sample does not
+// support a fit at μ: some y ≤ 0, or every y equal.
+func (ls *lanes) shift(r int, mu float64) (ci int, ok bool) {
+	n := len(ls.xs)
+	in := ls.tp[2*r*n : 2*(r+1)*n]
+	y, ys := in[:n], in[n:]
+	for i, x := range ls.xs {
+		v := mu - x
+		if v <= 0 {
+			return 0, false
+		}
+		y[i] = v
+	}
+	c := 0.0
+	for i, v := range y {
+		if v > c {
+			c, ci = v, i
+		}
+	}
+	if c == 0 {
+		return 0, false
+	}
+	allEqual := true
+	for i, v := range y {
+		ys[i] = v / c
+		if v != y[0] {
+			allEqual = false
+		}
+	}
+	return ci, !allEqual
+}
+
+// start begins lane r's solve once its logs are in: log c is the log of
+// y's largest value, and the solve's first sweep is at alphaMin.
+func (ls *lanes) start(r int) {
+	l := &ls.st[r]
+	n := len(ls.xs)
+	logs := ls.logs[2*l.s*n : 2*(l.s+1)*n]
+	var s0, sy float64
+	for _, v := range logs[n:] {
+		s0 += v
+	}
+	for _, v := range logs[:n] {
+		sy += v
+	}
+	l.logC, l.s0, l.sy, l.step, l.a = logs[l.ci], s0, sy, solveMin, ls.alphaMin
+	ls.exponents(r)
+}
+
+// sums returns A = Σ pᵢ·lᵢ, B = Σ pᵢ and C = Σ pᵢ·lᵢ², summed in index
+// order.
+func sums(p, lys []float64) (A, B, C float64) {
+	p = p[:len(lys)]
+	for i, l := range lys {
+		pl := p[i] * l
+		B += p[i]
+		A += pl
+		C += pl * l
+	}
+	return A, B, C
+}
+
+// exponents writes lane r's α·log(yᵢ/c) to its place in t, well before
+// the round that takes their powers.
+func (ls *lanes) exponents(r int) {
+	a, lys := ls.st[r].a, ls.lys(ls.st[r].s)
+	t := ls.t[r*len(lys) : (r+1)*len(lys)]
+	for i, l := range lys {
+		t[i] = a * l
+	}
+}
+
+// lys returns log(yᵢ/c) of log slot s, the input of a lane's sweeps.
+func (ls *lanes) lys(s int) []float64 {
+	n := len(ls.xs)
+	return ls.logs[(2*s+1)*n : 2*(s+1)*n]
 }
 
 // logAll sets out[i] = math.Log(in[i]). The AVX-512 kernel computes the
@@ -195,160 +478,20 @@ func (ft *Fitter) logAll(out, in []float64) {
 	}
 }
 
-// powers sets p[i] = yᵢ^a = math.Exp(a·logs[i]) and returns p. The
-// AVX-512 kernel computes the same float64s as math.Exp, eight at a
-// time; when it declines a sweep (a lane outside the normal range),
-// math.Exp makes the whole sweep.
-func (ft *Fitter) powers(logs []float64, a float64) []float64 {
-	p := ft.pw[:len(logs)]
+// exps sets p[i] = math.Exp(a·x[i]). The AVX-512 kernel computes the
+// same float64s as math.Exp, eight at a time; at a = 1 it reads x[i]
+// exactly. When it declines a round (a lane outside the normal range),
+// math.Exp makes the whole round.
+func (ft *Fitter) exps(p, x []float64, a float64) {
 	if haveExpKernel && !ft.goSweep {
-		if expAVX512(&p[0], &logs[0], len(p), a) {
-			return p
+		if expAVX512(&p[0], &x[0], len(x), a) {
+			return
 		}
 		ft.declined++
 	}
-	for i, l := range logs {
-		p[i] = math.Exp(a * l)
+	for i, v := range x {
+		p[i] = math.Exp(a * v)
 	}
-	return p
-}
-
-// shapeMLE solves the profile shape equation for fixed μ on the shifted
-// sample y = μ − x held in ft.in[:n] (all entries must be positive):
-//
-//	m/α + Σ log yᵢ − m·(Σ yᵢ^α log yᵢ)/(Σ yᵢ^α) = 0
-//
-// subject to α ≥ alphaMin. The left side is strictly decreasing in α, so
-// when it is already non-positive at alphaMin the constrained optimum sits
-// on the boundary. Returns (α, logβ, ok). On success ft.logs[:n] holds
-// log yᵢ.
-func (ft *Fitter) shapeMLE(n int, alphaMin float64) (alpha, logBeta float64, ok bool) {
-	in, logs := ft.in[:2*n], ft.logs[:2*n]
-	y, ys := in[:n], in[n:]
-	m := float64(n)
-	// Scale by the maximum for overflow safety; the equation is
-	// scale-invariant, and β is recovered in log space afterwards.
-	c, ci := 0.0, 0
-	for i, v := range y {
-		if v > c {
-			c, ci = v, i
-		}
-	}
-	if c == 0 {
-		return 0, 0, false
-	}
-	allEqual := true
-	for i, v := range y {
-		ys[i] = v / c
-		if v != y[0] {
-			allEqual = false
-		}
-	}
-	if allEqual {
-		return 0, 0, false
-	}
-	// One pass logs y and y/c; log c is then the lane of c itself.
-	ft.logAll(logs, in)
-	var s0 float64
-	for _, l := range logs[n:] {
-		s0 += l
-	}
-	ft.n, ft.m, ft.s0 = n, m, s0
-	if ft.shapeF == nil {
-		ft.shapeF = func(a float64) float64 {
-			var A, B, C float64
-			logs := ft.logs[ft.n : 2*ft.n]
-			// yᵢ^α = exp(α·log yᵢ) over the cached logs: Exp costs roughly
-			// half a Pow, and a fit makes about 830 of these sweeps — the
-			// single hottest loop of the estimator. The derivative terms
-			// A' = C and B' = A fall out of the same loop for two extra
-			// multiplies, so Newton steps come at bisection-step cost.
-			p := ft.powers(logs, a)
-			for i, l := range logs {
-				pl := p[i] * l
-				B += p[i]
-				A += pl
-				C += pl * l
-			}
-			ft.dAt, ft.dB = a, B
-			ft.dVal = -ft.m/(a*a) - ft.m*(C*B-A*A)/(B*B)
-			return ft.m/a + ft.s0 - ft.m*A/B
-		}
-		ft.shapeD = func(a float64) float64 {
-			if a != ft.dAt {
-				ft.shapeF(a)
-			}
-			return ft.dVal
-		}
-	}
-	f := ft.shapeF
-	if alphaMin <= 0 {
-		alphaMin = 1e-6
-	}
-	var a float64
-	if flo := f(alphaMin); flo <= 0 {
-		// Constrained optimum on the boundary (likelihood decreasing in α
-		// beyond alphaMin).
-		a = alphaMin
-	} else {
-		lo, hi := alphaMin, math.Max(2*alphaMin, 1)
-		fhi := f(hi)
-		for fhi > 0 {
-			hi *= 2
-			if hi > 1e9 {
-				return 0, 0, false
-			}
-			fhi = f(hi)
-		}
-		// The profile equation is smooth and strictly decreasing in α, so
-		// guarded Newton converges in a handful of iterations where plain
-		// bisection to the same tolerance needs ~40 — and each iteration
-		// is a full Exp sweep over the sample. The bracket's end values
-		// are already in hand, so the solver does not sweep for them again.
-		var err error
-		a, err = stats.NewtonBisect(f, ft.shapeD, lo, hi, flo, fhi, (lo+hi)/2, 1e-12)
-		if err != nil {
-			return 0, 0, false
-		}
-	}
-	// B = Σ exp(α̂·log yᵢ), the sum the last sweep made when the solve
-	// ended where it last swept (always so on the α ≥ alphaMin clamp).
-	B := ft.dB
-	if a != ft.dAt {
-		B = 0
-		for _, v := range ft.powers(logs[n:], a) {
-			B += v
-		}
-	}
-	// β = m / Σ y^α = m / (c^α · B).
-	logBeta = math.Log(m) - a*logs[ci] - math.Log(B)
-	return a, logBeta, true
-}
-
-// profileLogLik returns the profile log-likelihood at location mu, i.e.
-// the log-likelihood maximized over (α ≥ alphaMin, β) for that μ.
-// ℓ*(μ) = m·log α̂ + m·log β̂ + (α̂−1)·Σ log yᵢ − m.
-func (ft *Fitter) profileLogLik(xs []float64, mu, alphaMin float64) (ll float64, d Dist, ok bool) {
-	n := len(xs)
-	in, logs := ft.scratch(n)
-	for i, x := range xs {
-		v := mu - x
-		if v <= 0 {
-			return math.Inf(-1), Dist{}, false
-		}
-		in[i] = v
-	}
-	a, logB, ok := ft.shapeMLE(n, alphaMin)
-	if !ok {
-		return math.Inf(-1), Dist{}, false
-	}
-	var s0 float64
-	for _, l := range logs[:n] {
-		s0 += l
-	}
-	m := float64(n)
-	ll = m*math.Log(a) + m*logB + (a-1)*s0 - m
-	return ll, Dist{Alpha: a, Beta: math.Exp(logB), Mu: mu}, true
 }
 
 // DefaultAlphaMin is the shape lower bound used by FitMLE. The paper's
@@ -376,8 +519,9 @@ func FitMLE(xs []float64) (FitResult, error) {
 }
 
 // FitMLEShape is the goroutine-safe form of Fitter.FitMLEShape: it builds
-// a fresh Fitter per call, trading per-fit scratch allocations for
-// statelessness. Hot loops hold a Fitter instead.
+// a fresh Fitter per call. A sample of up to 256 values keeps all its
+// scratch on the stack, so this costs nothing; hot loops over larger
+// samples hold a Fitter instead.
 func FitMLEShape(xs []float64, alphaMin float64) (FitResult, error) {
 	var ft Fitter
 	return ft.FitMLEShape(xs, alphaMin)
@@ -390,9 +534,9 @@ func FitMLEShape(xs []float64, alphaMin float64) (FitResult, error) {
 // values. When the profile likelihood has no interior maximum over μ it
 // returns ErrNoInteriorMax. Passing alphaMin ≤ 0 removes the constraint
 // (which reintroduces the unbounded-likelihood pathology for small
-// samples — useful only for ablation). The fit does not retain xs. At
-// steady state (warm scratch, same sample size) it performs no heap
-// allocations.
+// samples — useful only for ablation). The fit does not retain xs. It
+// performs no heap allocations on a sample of up to 256 values, and on
+// a larger one none once the Fitter's scratch is warm.
 func (ft *Fitter) FitMLEShape(xs []float64, alphaMin float64) (FitResult, error) {
 	if len(xs) < 3 {
 		return FitResult{}, ErrDegenerate
@@ -411,25 +555,50 @@ func (ft *Fitter) FitMLEShape(xs []float64, alphaMin float64) (FitResult, error)
 	}
 	spread := xmax - xmin
 
+	// Lane scratch on the stack, or for a large sample on the Fitter's
+	// heap, so that neither a warm Fitter nor a new one allocates.
+	var (
+		stack [stackFloats]float64
+		st    [maxLanes]lane
+	)
+	m := len(xs)
+	buf, k := stack[:], laneCount(m, stackFloats)
+	if laneFloats(m, k) > stackFloats {
+		k = laneCount(m, laneBudget)
+		if need := laneFloats(m, k); cap(ft.heap) < need {
+			ft.heap = make([]float64, need)
+		}
+		buf = ft.heap
+	}
+	ls := makeLanes(buf, st[:k], xs, alphaMin)
+
 	// Geometric grid of candidate offsets δ = μ − xmax spanning from a
-	// small fraction of the spread to far beyond it.
+	// small fraction of the spread to far beyond it, evaluated in
+	// lockstep.
 	const gridN = 60
 	loOff := spread * 1e-6
 	hiOff := spread * 1e4
 	ratio := math.Pow(hiOff/loOff, 1/float64(gridN-1))
+	var (
+		offs, mus [gridN]float64
+		prof      [gridN]profile
+	)
+	off := loOff
+	for i := range offs {
+		offs[i], mus[i] = off, xmax+off
+		off *= ratio
+	}
+	ft.profiles(&ls, mus[:], prof[:])
 	type pt struct {
 		off float64
 		ll  float64
 	}
-	var gridArr [gridN]pt // stack-resident: the grid never escapes
+	var gridArr [gridN]pt
 	grid := gridArr[:0]
-	off := loOff
-	for i := 0; i < gridN; i++ {
-		ll, _, ok := ft.profileLogLik(xs, xmax+off, alphaMin)
-		if ok {
-			grid = append(grid, pt{off: off, ll: ll})
+	for i, p := range prof {
+		if p.ok {
+			grid = append(grid, pt{off: offs[i], ll: p.ll})
 		}
-		off *= ratio
 	}
 	if len(grid) < 3 {
 		return FitResult{}, ErrNoInteriorMax
@@ -446,26 +615,27 @@ func (ft *Fitter) FitMLEShape(xs []float64, alphaMin float64) (FitResult, error)
 		return FitResult{}, ErrNoInteriorMax
 	}
 
-	// Golden-section refine on log-offset between the bracket neighbours.
-	lo := math.Log(grid[best-1].off)
-	hi := math.Log(grid[best+1].off)
-	ft.xs, ft.xmax, ft.alphaMin = xs, xmax, alphaMin
-	if ft.negF == nil {
-		ft.negF = func(t float64) float64 {
-			ll, _, ok := ft.profileLogLik(ft.xs, ft.xmax+math.Exp(t), ft.alphaMin)
-			if !ok {
-				return math.Inf(1)
-			}
-			return -ll
-		}
+	// Golden-section refine on log-offset between the bracket
+	// neighbours, one lane per evaluation.
+	var one [1]profile
+	at := func(mu float64) profile {
+		ft.profiles(&ls, []float64{mu}, one[:])
+		return one[0]
 	}
-	tOpt := stats.GoldenSection(ft.negF, lo, hi, 1e-10)
-	ft.xs = nil // do not retain the caller's sample past the call
-	ll, d, ok := ft.profileLogLik(xs, xmax+math.Exp(tOpt), alphaMin)
-	if !ok || !d.Valid() {
+	tOpt := stats.GoldenSection(func(t float64) float64 {
+		p := at(xmax + math.Exp(t))
+		if !p.ok {
+			return math.Inf(1)
+		}
+		return -p.ll
+	}, math.Log(grid[best-1].off), math.Log(grid[best+1].off), 1e-10)
+	mu := xmax + math.Exp(tOpt)
+	p := at(mu)
+	d := Dist{Alpha: p.alpha, Beta: math.Exp(p.logBeta), Mu: mu}
+	if !p.ok || !d.Valid() {
 		return FitResult{}, ErrNoInteriorMax
 	}
-	return FitResult{Dist: d, LogLik: ll, AlphaBelow2: d.Alpha <= 2}, nil
+	return FitResult{Dist: d, LogLik: p.ll, AlphaBelow2: d.Alpha <= 2}, nil
 }
 
 // FitLSQ fits by least squares between the model CDF and the empirical

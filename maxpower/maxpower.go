@@ -330,6 +330,10 @@ func (opt EstimateOptions) Validate() error {
 	if opt.Workers < 0 {
 		return fmt.Errorf("maxpower: Workers must be non-negative (0 = NumCPU), got %d", opt.Workers)
 	}
+	// The bound on m and m·n is the estimator's own.
+	if err := opt.evtParams().Validate(); err != nil {
+		return err
+	}
 	if opt.Checkpoint != nil {
 		if err := opt.Checkpoint.Validate(); err != nil {
 			return err

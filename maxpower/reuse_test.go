@@ -223,3 +223,38 @@ func TestEstimateStreamingWarmAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestEstimateWarmAllocs guards what a warm Estimate on a built C880
+// population allocates. Each call builds a new estimator, and with it a
+// new Weibull fitter, so scratch a fit keeps on the heap would be
+// garbage once per estimate; the fit keeps its lanes' scratch and its
+// μ grid on the stack instead. The bounds are what the serial fit, with
+// its heap scratch and closures, allocated here: 14 objects and 3,945
+// bytes per call (the lockstep fit: 8 and about 3,340).
+func TestEstimateWarmAllocs(t *testing.T) {
+	const maxAllocs, maxBytes = 14, 3945
+	c, err := maxpower.Circuit("C880")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pop, err := maxpower.BuildPopulation(c, maxpower.PopulationSpec{Kind: maxpower.PopHighActivity, Size: 20000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := maxpower.EstimateOptions{Seed: 2}
+	run := func() {
+		if _, err := maxpower.Estimate(pop, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(20, run)
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / 21 // AllocsPerRun adds a warm-up call
+	t.Logf("%.0f allocs, %d bytes per warm call", allocs, bytes)
+	if allocs > maxAllocs || bytes > maxBytes {
+		t.Errorf("%.0f allocs and %d bytes per warm call, want at most %d and %d", allocs, bytes, maxAllocs, maxBytes)
+	}
+}

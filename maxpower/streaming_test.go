@@ -297,3 +297,41 @@ func TestEstimateOptionsValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestOptionsRejectOversizedHyperSample checks that Validate, and so the
+// service's admission, turns away a hyper-sample too large to allocate:
+// at most 65,536 samples and 4,194,304 units per hyper-sample. With
+// m = 2¹⁸ samples of n = 2²² units, Validate once returned nil and
+// Estimate then died allocating 2⁴⁰ float64s, a fatal error rather than
+// a recoverable panic.
+func TestOptionsRejectOversizedHyperSample(t *testing.T) {
+	c, err := maxpower.Circuit("C432")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pop, err := maxpower.BuildPopulation(c, maxpower.PopulationSpec{Size: 1000, Seed: 1, DelayModel: "zero"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, opt := range []maxpower.EstimateOptions{
+		{SampleSize: 1 << 22, SamplesPerHyper: 1 << 18},
+		{SampleSize: 1 << 31, SamplesPerHyper: 1 << 31},
+		{SampleSize: 1, SamplesPerHyper: 1<<16 + 1},
+		{SampleSize: 4194304/3 + 1, SamplesPerHyper: 3},
+	} {
+		if err := opt.Validate(); err == nil {
+			t.Errorf("m = %d, n = %d accepted by Validate", opt.SamplesPerHyper, opt.SampleSize)
+		}
+		if _, err := maxpower.Estimate(pop, opt); err == nil {
+			t.Errorf("m = %d, n = %d accepted by Estimate", opt.SamplesPerHyper, opt.SampleSize)
+		}
+	}
+	for _, opt := range []maxpower.EstimateOptions{
+		{SampleSize: 64, SamplesPerHyper: 1 << 16},
+		{SampleSize: 4194304 / 3, SamplesPerHyper: 3},
+	} {
+		if err := opt.Validate(); err != nil {
+			t.Errorf("m = %d, n = %d rejected: %v", opt.SamplesPerHyper, opt.SampleSize, err)
+		}
+	}
+}
