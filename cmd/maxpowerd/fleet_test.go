@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"net/http"
 	"os"
 	"os/exec"
@@ -85,7 +86,7 @@ func TestFleetProcesses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := maxpower.EstimateDistributed(pop,
+	direct, err := maxpower.EstimateDistributed(context.Background(), maxpower.FromPopulation(pop),
 		maxpower.EstimateOptions{Seed: 13, Epsilon: 0.03, MaxHyperSamples: 24},
 		maxpower.DistributedOptions{ShardSize: 6})
 	if err != nil {

@@ -565,99 +565,70 @@ func (e *Estimator) RunContext(ctx context.Context, rng *stats.RNG) Result {
 
 func (e *Estimator) runContext(ctx context.Context, rng *stats.RNG) Result {
 	cfg := e.cfg
-	var (
-		res       Result
-		estimates []float64
-	)
-	res.ObservedMax = math.Inf(-1)
+	f := fold{cfg: cfg, res: Result{ObservedMax: math.Inf(-1)}}
 	if cp := cfg.Resume; cp != nil {
-		estimates = append(estimates, cp.Estimates...)
-		res.Units = cp.Units
-		res.ObservedMax = cp.ObservedMax
-		res.SimTime = time.Duration(cp.SimNS)
-		res.FitTime = time.Duration(cp.FitNS)
+		f.estimates = append(f.estimates, cp.Estimates...)
+		f.res.Units = cp.Units
+		f.res.ObservedMax = cp.ObservedMax
+		f.res.SimTime = time.Duration(cp.SimNS)
+		f.res.FitTime = time.Duration(cp.FitNS)
 		rng.SetState(cp.RNG)
-		if len(estimates) >= 2 {
-			// Recompute the interval the interrupted run last saw, so a
-			// checkpoint taken at (or past) the stopping point — a crash
-			// between the final checkpoint and the terminal record — resumes
-			// straight to the identical converged Result without drawing.
-			e.updateInterval(&res, estimates)
-			if res.Converged {
-				return res
-			}
+		// Recompute the interval the interrupted run last saw, so a
+		// checkpoint taken at (or past) the stopping point — a crash
+		// between the final checkpoint and the terminal record — resumes
+		// straight to the identical converged Result without drawing.
+		f.interval()
+		if f.res.Converged {
+			return f.res
 		}
 	}
-	for k := len(estimates) + 1; k <= cfg.MaxHyperSamples; k++ {
+	for k := len(f.estimates) + 1; k <= cfg.MaxHyperSamples; k++ {
 		if ctx.Err() != nil {
 			break
 		}
 		hs := e.HyperSample(rng)
-		res.Trace = append(res.Trace, hs)
-		res.Units += hs.Units
-		res.SimTime += hs.SimTime
-		res.FitTime += hs.FitTime
-		if hs.ObservedMax > res.ObservedMax {
-			res.ObservedMax = hs.ObservedMax
-		}
-		estimates = append(estimates, hs.Estimate)
-		if k >= 2 {
-			e.updateInterval(&res, estimates)
-		}
+		f.res.Trace = append(f.res.Trace, hs)
+		f.res.SimTime += hs.SimTime
+		f.res.FitTime += hs.FitTime
+		f.add(hs.Record())
 		if cfg.Observer != nil {
-			if k < 2 {
-				cfg.Observer.HyperSampleDone(Progress{
-					HyperSamples: 1,
-					Estimate:     estimates[0],
-					CILow:        math.Inf(-1),
-					CIHigh:       math.Inf(1),
-					RelErr:       math.Inf(1),
-					Units:        res.Units,
-				})
-			} else {
-				cfg.Observer.HyperSampleDone(Progress{
-					HyperSamples: k,
-					Estimate:     res.Estimate,
-					CILow:        res.CILow,
-					CIHigh:       res.CIHigh,
-					RelErr:       res.RelErr,
-					Units:        res.Units,
-					Converged:    res.Converged,
-				})
-			}
+			cfg.Observer.HyperSampleDone(f.res.Progress())
 		}
 		if cfg.OnCheckpoint != nil {
 			cfg.OnCheckpoint(Checkpoint{
-				Estimates:   append([]float64(nil), estimates...),
-				Units:       res.Units,
-				ObservedMax: res.ObservedMax,
+				Estimates:   append([]float64(nil), f.estimates...),
+				Units:       f.res.Units,
+				ObservedMax: f.res.ObservedMax,
 				RNG:         rng.State(),
-				SimNS:       int64(res.SimTime),
-				FitNS:       int64(res.FitTime),
+				SimNS:       int64(f.res.SimTime),
+				FitNS:       int64(f.res.FitTime),
 			})
 		}
-		if res.Converged {
-			return res
+		if f.res.Converged {
+			break
 		}
 	}
-	// MaxHyperSamples == 1 (or a resume that already exhausted the cap
-	// with a single estimate): no deviation exists; report the single
-	// hyper-sample with an unbounded interval rather than zeros.
-	if res.HyperSamples == 0 && len(estimates) > 0 {
-		res.Estimate = estimates[0]
-		res.CILow = math.Inf(-1)
-		res.CIHigh = math.Inf(1)
-		res.RelErr = math.Inf(1)
-		res.HyperSamples = len(estimates)
+	return f.res
+}
+
+// Progress is the snapshot of r an Observer receives.
+func (r Result) Progress() Progress {
+	return Progress{
+		HyperSamples: r.HyperSamples,
+		Estimate:     r.Estimate,
+		CILow:        r.CILow,
+		CIHigh:       r.CIHigh,
+		RelErr:       r.RelErr,
+		Units:        r.Units,
+		Converged:    r.Converged,
 	}
-	return res
 }
 
 // HyperRecord is the transportable outcome of one hyper-sample: exactly
 // the per-iteration state the sequential procedure folds into its
 // running Result. A shard executed on a remote worker returns its
 // hyper-samples as HyperRecords; FoldRecords replays the stopping rule
-// over them with the same arithmetic as RunContext, which is what makes
+// over them with the same fold step as RunContext, which is what makes
 // a sharded (fleet) run bit-identical to a single-node run consuming
 // the same substreams in the same order. All fields are finite after a
 // completed hyper-sample, so the struct JSON-round-trips exactly (Go
@@ -683,63 +654,69 @@ func (h HyperSampleResult) Record() HyperRecord {
 // same substreams in the same global order, FoldRecords returns a
 // Result whose statistical fields (Estimate, CI, RelErr, HyperSamples,
 // Units, Converged, SigmaSq*, ObservedMax) are bit-identical to
-// RunContext's, because both run the identical foldInterval arithmetic
-// over the identical estimate prefixes. Records beyond the stopping
-// point (shards that ran past fleet-wide convergence) or beyond
-// MaxHyperSamples are ignored, exactly as a sequential run would never
-// have drawn them. Trace and wall-clock timings are not reconstructed.
+// RunContext's, because both advance the same fold step over the same
+// records. Records beyond the stopping point (shards that ran past
+// fleet-wide convergence) or beyond MaxHyperSamples are ignored, exactly
+// as a sequential run would never have drawn them. Trace and wall-clock
+// timings are not reconstructed.
 func FoldRecords(cfg Config, recs []HyperRecord) Result {
 	cfg = cfg.Defaults()
 	if len(recs) > cfg.MaxHyperSamples {
 		recs = recs[:cfg.MaxHyperSamples]
 	}
-	var res Result
-	res.ObservedMax = math.Inf(-1)
-	estimates := make([]float64, 0, len(recs))
-	for k := 1; k <= len(recs); k++ {
-		rec := recs[k-1]
-		res.Units += rec.Units
-		if rec.ObservedMax > res.ObservedMax {
-			res.ObservedMax = rec.ObservedMax
-		}
-		estimates = append(estimates, rec.Estimate)
-		if k >= 2 {
-			foldInterval(cfg, &res, estimates)
-		}
-		if res.Converged {
-			return res
+	f := fold{cfg: cfg, res: Result{ObservedMax: math.Inf(-1)}, estimates: make([]float64, 0, len(recs))}
+	for _, rec := range recs {
+		f.add(rec)
+		if f.res.Converged {
+			break
 		}
 	}
-	if res.HyperSamples == 0 && len(estimates) > 0 {
+	return f.res
+}
+
+// fold is the running state of Figure 4's loop between hyper-samples:
+// the estimate list and the Result folded from it. RunContext and
+// FoldRecords both advance it one record at a time, which is what lets
+// the fleet promise bit-identical merged results.
+type fold struct {
+	cfg       Config
+	res       Result
+	estimates []float64
+}
+
+// add folds one hyper-sample: its cost, its observed maximum and its
+// estimate.
+func (f *fold) add(rec HyperRecord) {
+	f.res.Units += rec.Units
+	if rec.ObservedMax > f.res.ObservedMax {
+		f.res.ObservedMax = rec.ObservedMax
+	}
+	f.estimates = append(f.estimates, rec.Estimate)
+	f.interval()
+}
+
+// interval folds the estimate list into the Result: the running mean,
+// the Student-t interval (Eqn. 3.8), the σ² estimate with its χ²
+// interval, and the stopping decision. With one estimate no deviation
+// exists, so the interval is unbounded and the run cannot stop. Pure
+// arithmetic — no randomness.
+func (f *fold) interval() {
+	res, estimates := &f.res, f.estimates
+	k := len(estimates)
+	if k == 1 {
 		res.Estimate = estimates[0]
 		res.CILow = math.Inf(-1)
 		res.CIHigh = math.Inf(1)
 		res.RelErr = math.Inf(1)
-		res.HyperSamples = len(estimates)
+		res.HyperSamples = 1
+		return
 	}
-	return res
-}
-
-// updateInterval folds the current estimate list into res via the shared
-// foldInterval arithmetic.
-func (e *Estimator) updateInterval(res *Result, estimates []float64) {
-	foldInterval(e.cfg, res, estimates)
-}
-
-// foldInterval folds the current estimate list into res: the running
-// mean, the Student-t interval (Eqn. 3.8), the σ² estimate with its χ²
-// interval, and the stopping decision. Pure arithmetic — no randomness.
-// It is shared verbatim by the sequential loop (RunContext) and the
-// distributed merge (FoldRecords); keeping one implementation is what
-// lets the fleet promise bit-identical merged results.
-func foldInterval(cfg Config, res *Result, estimates []float64) {
-	k := len(estimates)
 	mean, sd := stats.MeanStd(estimates)
-	tq := stats.TwoSidedT(cfg.Confidence, float64(k-1))
+	tq := stats.TwoSidedT(f.cfg.Confidence, float64(k-1))
 	half := tq * sd / math.Sqrt(float64(k))
 	res.Estimate = mean
 	res.SigmaSq = sd * sd
-	res.SigmaSqLow, res.SigmaSqHi = stats.VarianceCI(res.SigmaSq, k, cfg.Confidence)
+	res.SigmaSqLow, res.SigmaSqHi = stats.VarianceCI(res.SigmaSq, k, f.cfg.Confidence)
 	res.CILow = mean - half
 	res.CIHigh = mean + half
 	if mean != 0 {
@@ -748,7 +725,7 @@ func foldInterval(cfg Config, res *Result, estimates []float64) {
 		res.RelErr = math.Inf(1)
 	}
 	res.HyperSamples = k
-	res.Converged = res.RelErr <= cfg.Epsilon
+	res.Converged = res.RelErr <= f.cfg.Epsilon
 }
 
 // RelativeError returns (estimate − actual)/actual, the quantity reported

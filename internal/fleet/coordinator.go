@@ -293,7 +293,7 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, job json.RawMessage
 		}
 		res := evt.FoldRecords(cfg, flattenPrefix(results, prefix))
 		if onProgress != nil {
-			onProgress(progressOf(res))
+			onProgress(res.Progress())
 		}
 		if res.Converged {
 			cancelRun()
@@ -310,18 +310,6 @@ func flattenPrefix(results [][]evt.HyperRecord, prefix int) []evt.HyperRecord {
 		recs = append(recs, s...)
 	}
 	return recs
-}
-
-func progressOf(res evt.Result) evt.Progress {
-	return evt.Progress{
-		HyperSamples: res.HyperSamples,
-		Estimate:     res.Estimate,
-		CILow:        res.CILow,
-		CIHigh:       res.CIHigh,
-		RelErr:       res.RelErr,
-		Units:        res.Units,
-		Converged:    res.Converged,
-	}
 }
 
 // runShard drives one shard to completion: dispatch to a worker, poll,

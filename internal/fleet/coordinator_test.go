@@ -172,7 +172,7 @@ func (w *fakeWorker) startLocked(fs *fakeShard) {
 			w.finish(fs, nil, err)
 			return
 		}
-		recs, err := fleet.RunShard(ctx, est, fs.req.Shard, nil, func(done int, _ evt.HyperRecord) bool {
+		recs, err := fleet.RunShard(ctx, est, fs.req.Shard, func(done int, _ evt.HyperRecord) bool {
 			if w.perHyper > 0 {
 				// Stagger by shard index so tail shards are strictly
 				// slower than the converging prefix — otherwise all

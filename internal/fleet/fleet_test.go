@@ -61,7 +61,7 @@ func referenceRun(t *testing.T, pop *vectorgen.Population, cfg evt.Config, plan 
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = fleet.RunShard(context.Background(), est, sh, nil, func(_ int, rec evt.HyperRecord) bool {
+		_, err = fleet.RunShard(context.Background(), est, sh, func(_ int, rec evt.HyperRecord) bool {
 			all = append(all, rec)
 			converged = evt.FoldRecords(cfg, all).Converged
 			return !converged
@@ -157,7 +157,7 @@ func TestRunShardDeterministicAcrossReruns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			runs[i], err = fleet.RunShard(context.Background(), est, sh, nil, nil)
+			runs[i], err = fleet.RunShard(context.Background(), est, sh, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,92 +170,6 @@ func TestRunShardDeterministicAcrossReruns(t *testing.T) {
 				t.Fatalf("shard %d record %d differs across reruns: %+v vs %+v",
 					sh.Index, i, runs[0][i], runs[1][i])
 			}
-		}
-	}
-}
-
-// TestRunShardResume: a shard resumed from a checkpoint taken after any
-// prefix — including hyper-sample 0, where no work has happened yet —
-// completes with records identical to the uninterrupted shard.
-func TestRunShardResume(t *testing.T) {
-	pop := testPopulation(20000, 31)
-	cfg := evt.Config{}
-	plan := fleet.Plan{Seed: 3, ShardSize: 6, MaxHyperSamples: 6}
-	shards, err := plan.Shards()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := shards[0]
-
-	// The uninterrupted shard, capturing the RNG state at every
-	// hyper-sample boundary (the state a worker checkpoint would hold).
-	est, err := evt.New(pop, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := stats.NewRNG(0)
-	rng.SetState(sh.RNG)
-	states := [][4]uint64{rng.State()} // states[d] = state after d hyper-samples
-	var want []evt.HyperRecord
-	for i := 0; i < sh.Count; i++ {
-		want = append(want, est.HyperSample(rng).Record())
-		states = append(states, rng.State())
-	}
-
-	for done := 0; done < sh.Count; done++ {
-		cp := &fleet.ShardCheckpoint{
-			Done:    done,
-			RNG:     states[done],
-			Records: append([]evt.HyperRecord(nil), want[:done]...),
-		}
-		if done == 0 {
-			// A checkpoint at hyper-sample 0 carries no state at all; the
-			// runner must fall back to the shard's planned substream.
-			cp.RNG = [4]uint64{}
-			cp.Records = nil
-		}
-		if err := cp.Validate(sh); err != nil {
-			t.Fatalf("checkpoint at %d invalid: %v", done, err)
-		}
-		rest, err := evt.New(pop, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := fleet.RunShard(context.Background(), rest, sh, cp, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("resume at %d: %d records, want %d", done, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("resume at %d: record %d = %+v, want %+v", done, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestShardCheckpointValidate(t *testing.T) {
-	sh := fleet.Shard{Index: 1, Start: 6, Count: 6, RNG: [4]uint64{1, 2, 3, 4}}
-	rec := evt.HyperRecord{Estimate: 4, Units: 300, ObservedMax: 3.9}
-	cases := []struct {
-		name string
-		cp   fleet.ShardCheckpoint
-		ok   bool
-	}{
-		{"at zero", fleet.ShardCheckpoint{}, true},
-		{"mid", fleet.ShardCheckpoint{Done: 1, RNG: [4]uint64{9}, Records: []evt.HyperRecord{rec}}, true},
-		{"negative done", fleet.ShardCheckpoint{Done: -1}, false},
-		{"past the shard", fleet.ShardCheckpoint{Done: 7, RNG: [4]uint64{9}}, false},
-		{"record count mismatch", fleet.ShardCheckpoint{Done: 2, RNG: [4]uint64{9}, Records: []evt.HyperRecord{rec}}, false},
-		{"zero rng mid-shard", fleet.ShardCheckpoint{Done: 1, Records: []evt.HyperRecord{rec}}, false},
-		{"NaN estimate", fleet.ShardCheckpoint{Done: 1, RNG: [4]uint64{9}, Records: []evt.HyperRecord{{Estimate: math.NaN(), Units: 300}}}, false},
-		{"non-positive units", fleet.ShardCheckpoint{Done: 1, RNG: [4]uint64{9}, Records: []evt.HyperRecord{{Estimate: 4, Units: 0}}}, false},
-	}
-	for _, tc := range cases {
-		if err := tc.cp.Validate(sh); (err == nil) != tc.ok {
-			t.Errorf("%s: Validate = %v, want ok=%v", tc.name, err, tc.ok)
 		}
 	}
 }
@@ -278,7 +192,7 @@ func TestMergeShards(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		perShard[i], err = fleet.RunShard(context.Background(), est, sh, nil, nil)
+		perShard[i], err = fleet.RunShard(context.Background(), est, sh, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,90 +2,35 @@ package fleet
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/evt"
 	"repro/internal/stats"
 )
-
-// ShardCheckpoint is the resumable state of a partially executed shard:
-// the records completed so far and the RNG state to continue from.
-// Unlike evt.Checkpoint, Done == 0 is legal — a shard checkpointed
-// before its first hyper-sample simply restarts from the shard's
-// planned substream state, so an early crash loses nothing.
-type ShardCheckpoint struct {
-	// Done is how many of the shard's hyper-samples have completed.
-	Done int `json:"done"`
-	// RNG is the substream state after the Done-th hyper-sample
-	// (ignored when Done == 0: the shard's planned state is used).
-	RNG [4]uint64 `json:"rng"`
-	// Records are the completed hyper-samples, in shard order.
-	Records []evt.HyperRecord `json:"records,omitempty"`
-}
-
-// Validate rejects checkpoints that cannot have been produced by
-// RunShard against the given shard.
-func (cp *ShardCheckpoint) Validate(sh Shard) error {
-	if cp.Done < 0 || cp.Done > sh.Count {
-		return fmt.Errorf("fleet: shard checkpoint done=%d outside [0,%d]", cp.Done, sh.Count)
-	}
-	if len(cp.Records) != cp.Done {
-		return fmt.Errorf("fleet: shard checkpoint has %d records for done=%d", len(cp.Records), cp.Done)
-	}
-	if cp.Done > 0 && cp.RNG == ([4]uint64{}) {
-		return errors.New("fleet: shard checkpoint RNG state is all zero")
-	}
-	for i, rec := range cp.Records {
-		if math.IsNaN(rec.Estimate) || math.IsInf(rec.Estimate, 0) {
-			return fmt.Errorf("fleet: shard checkpoint record %d estimate is %v", i, rec.Estimate)
-		}
-		if rec.Units <= 0 {
-			return fmt.Errorf("fleet: shard checkpoint record %d has non-positive units %d", i, rec.Units)
-		}
-	}
-	return nil
-}
 
 // RunShard executes hyper-samples [sh.Start, sh.Start+sh.Count) of a
 // sharded estimation against est, drawing from the shard's substream.
 // onHyper, when non-nil, is invoked after every completed hyper-sample
 // with the shard-local completion count and the new record; returning
 // false stops the shard early (the single-node reference uses this for
-// convergence-driven early stop; workers track progress with it). A nil
-// cp or one with Done == 0 starts from the shard's planned state; a
-// later checkpoint resumes mid-shard bit-identically, because the RNG
-// state is the shard's entire inter-hyper-sample memory.
+// convergence-driven early stop; workers track progress with it).
 //
 // The returned records always cover the completed prefix, even when ctx
 // is cancelled mid-shard (err reports the cancellation).
-func RunShard(ctx context.Context, est *evt.Estimator, sh Shard, cp *ShardCheckpoint, onHyper func(done int, rec evt.HyperRecord) bool) ([]evt.HyperRecord, error) {
+func RunShard(ctx context.Context, est *evt.Estimator, sh Shard, onHyper func(done int, rec evt.HyperRecord) bool) ([]evt.HyperRecord, error) {
 	if err := sh.Validate(); err != nil {
 		return nil, err
 	}
 	rng := stats.NewRNG(0)
 	rng.SetState(sh.RNG)
 	var records []evt.HyperRecord
-	done := 0
-	if cp != nil {
-		if err := cp.Validate(sh); err != nil {
-			return nil, err
-		}
-		if cp.Done > 0 {
-			rng.SetState(cp.RNG)
-			records = append(records, cp.Records...)
-			done = cp.Done
-		}
-	}
-	for ; done < sh.Count; done++ {
+	for len(records) < sh.Count {
 		if err := ctx.Err(); err != nil {
 			return records, err
 		}
-		hs := est.HyperSample(rng)
-		rec := hs.Record()
+		rec := est.HyperSample(rng).Record()
 		records = append(records, rec)
-		if onHyper != nil && !onHyper(done+1, rec) {
+		if onHyper != nil && !onHyper(len(records), rec) {
 			break
 		}
 	}

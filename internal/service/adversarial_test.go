@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -53,6 +54,25 @@ func TestAdversarialSubmissions(t *testing.T) {
 		}
 	})
 
+	// A netlist of 40,000 inputs with m·n = 2²² passes edge validation:
+	// one hyper-sample's packed planes would take 42 GB. The planes
+	// bound must fail the job before it allocates them.
+	t.Run("wide netlist fails its own job only", func(t *testing.T) {
+		var b strings.Builder
+		for i := 0; i < 40000; i++ {
+			fmt.Fprintf(&b, "INPUT(i%d)\n", i)
+		}
+		b.WriteString("OUTPUT(y)\ny = AND(i0, i1)\n")
+		id := submitJob(t, srv, JobRequest{
+			Bench:     b.String(),
+			Streaming: true,
+			Options:   EstimateOptions{SampleSize: 64, SamplesPerHyper: 1 << 16},
+		})
+		if st := waitTerminal(t, srv, id); st.State != StateFailed || !strings.Contains(st.Error, "packed planes") {
+			t.Fatalf("wide netlist job = %s (%q), want failed by the planes bound", st.State, st.Error)
+		}
+	})
+
 	// After the whole gauntlet the daemon still estimates.
 	id := submitJob(t, srv, smallJob(99))
 	if st := waitTerminal(t, srv, id); st.State != StateDone {
@@ -88,13 +108,16 @@ var adversarialBodies = []adversarialBody{
 	// m·n = 2⁴⁰ units: admitted, it killed the daemon when a worker
 	// allocated the hyper-sample.
 	{"oversized hyper-sample", `{"circuit":"C432","options":{"sample_size":4194304,"samples_per_hyper":262144}}`, http.StatusBadRequest, "invalid_request"},
+	// |V| = 2³⁴: admitted, it killed the daemon when a worker built the
+	// population.
+	{"oversized population", `{"circuit":"C432","population":{"size":17179869184}}`, http.StatusBadRequest, "invalid_request"},
 }
 
 // FuzzJobRequest feeds arbitrary bodies to the job decoder behind
 // POST /v1/jobs and POST /v1/shards. Each must be rejected as bad_json
 // or invalid_request, or give a request that still validates after the
 // JSON round trip the journal puts it through and whose hyper-sample
-// fits the estimator's size bound. None may panic.
+// and population fit the library's size bounds. None may panic.
 func FuzzJobRequest(f *testing.F) {
 	for _, tc := range adversarialBodies {
 		f.Add([]byte(tc.body))
@@ -138,6 +161,10 @@ func FuzzJobRequest(f *testing.F) {
 		}
 		if m > 1<<16 || n > (1<<22)/m {
 			t.Fatalf("%q: validated with m = %d, n = %d", body, m, n)
+		}
+		// It also has a population of at most 4,194,304 pairs.
+		if size := req.Population.Size; size > 1<<22 {
+			t.Fatalf("%q: validated with population size %d", body, size)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/faultpoint"
+	"repro/internal/fleet"
 	"repro/maxpower"
 )
 
@@ -24,19 +26,24 @@ func fleetJobRequest() JobRequest {
 }
 
 // fleetReference computes the single-node sharded reference the fleet
-// must bit-match: maxpower.EstimateDistributed over the same population,
-// options, and shard plan.
+// must bit-match: maxpower.EstimateDistributed over the same source
+// (the built population, or the circuit streamed), options, and shard
+// plan.
 func fleetReference(t *testing.T, req JobRequest, shardSize int) maxpower.Result {
 	t.Helper()
 	c, err := maxpower.Circuit(req.Circuit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pop, err := maxpower.BuildPopulation(c, req.Population.toLib(0))
-	if err != nil {
-		t.Fatal(err)
+	src := maxpower.Stream(c, req.Population.toLib(0))
+	if !req.Streaming {
+		pop, err := maxpower.BuildPopulation(c, req.Population.toLib(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		src = maxpower.FromPopulation(pop)
 	}
-	res, err := maxpower.EstimateDistributed(pop, req.Options.toLib(), maxpower.DistributedOptions{ShardSize: shardSize})
+	res, err := maxpower.EstimateDistributed(context.Background(), src, req.Options.toLib(), maxpower.DistributedOptions{ShardSize: shardSize})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,8 +241,8 @@ func TestFleetWorkerDeathReassigns(t *testing.T) {
 }
 
 // TestFleetStreamingJob: sharded streaming estimation (no precomputed
-// population) merges to the same bits as the local shard-by-shard
-// streaming reference.
+// population) merges to the same bits as the single-node streaming
+// reference.
 func TestFleetStreamingJob(t *testing.T) {
 	req := JobRequest{
 		Circuit:    "C432",
@@ -243,27 +250,7 @@ func TestFleetStreamingJob(t *testing.T) {
 		Options:    EstimateOptions{Seed: 13, Epsilon: 0.0001, MaxHyperSamples: 6, Workers: 1},
 		Streaming:  true,
 	}
-	c, err := maxpower.Circuit(req.Circuit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := req.Options.toLib()
-	shards, err := maxpower.PlanShards(opt, maxpower.DistributedOptions{ShardSize: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var perShard [][]maxpower.HyperRecord
-	for _, sh := range shards {
-		recs, err := maxpower.RunShardStreaming(context.Background(), c, req.Population.toLib(0), opt, sh, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		perShard = append(perShard, recs)
-	}
-	want, err := maxpower.MergeShardRecords(opt, perShard)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := fleetReference(t, req, 2)
 
 	coord, _, _, _ := newFleet(t, 2, 2)
 	id := submitJob(t, coord, req)
@@ -272,6 +259,57 @@ func TestFleetStreamingJob(t *testing.T) {
 		t.Fatalf("fleet streaming job finished %s: %s", st.State, st.Error)
 	}
 	assertResultMatches(t, "streaming", fetchResult(t, coord, id), want)
+}
+
+// TestShardPairsSimulated: a worker counts a finished streaming shard
+// the way it counts a streaming job — every unit was a live pair
+// simulation — while a population shard adds only its population's
+// build to pairs_simulated.
+func TestShardPairsSimulated(t *testing.T) {
+	for _, streaming := range []bool{true, false} {
+		req := fleetJobRequest()
+		req.Streaming = streaming
+		payload, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards, err := maxpower.PlanShards(req.Options.toLib(), maxpower.DistributedOptions{ShardSize: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, mgr := newTestServer(t, ManagerConfig{Workers: 1})
+		if _, err := mgr.SubmitShard(fleet.ShardRequest{ID: "j-s0", Job: payload, Shard: shards[0]}); err != nil {
+			t.Fatal(err)
+		}
+		var st fleet.ShardStatus
+		for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+			if st, err = mgr.ShardStatusOf("j-s0"); err != nil {
+				t.Fatal(err)
+			}
+			if st.State.Terminal() {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("shard never finished")
+			}
+		}
+		if st.State != fleet.ShardDone {
+			t.Fatalf("streaming=%v: shard finished %s: %s", streaming, st.State, st.Error)
+		}
+		units := int64(0)
+		for _, rec := range st.Records {
+			units += int64(rec.Units)
+		}
+		stats := serviceStats(t, srv)
+		want := units
+		if !streaming {
+			want = int64(req.Population.Size)
+		}
+		if stats.UnitsSimulated != units || stats.PairsSimulated != want {
+			t.Errorf("streaming=%v: units_simulated %d, pairs_simulated %d; want %d and %d",
+				streaming, stats.UnitsSimulated, stats.PairsSimulated, units, want)
+		}
+	}
 }
 
 // TestShardAPIValidation: the worker edge rejects malformed shard

@@ -1075,21 +1075,18 @@ func (m *Manager) executeRecover(ctx context.Context, j *job) (res maxpower.Resu
 	return m.execute(ctx, j)
 }
 
-// execute resolves the circuit, picks streaming vs. population mode,
-// and runs the estimator with the progress observer attached. In
-// coordinator mode (cfg.FleetWorkers set) the job is instead sharded
-// and fanned out to the fleet.
+// execute resolves the job's source and runs the estimator with the
+// progress observer and the checkpoint hooks attached. In coordinator
+// mode (cfg.FleetWorkers set) the job is instead sharded and fanned out
+// to the fleet.
 func (m *Manager) execute(ctx context.Context, j *job) (maxpower.Result, bool, error) {
 	if m.fleetCoord != nil {
 		return m.executeFleet(ctx, j)
 	}
-	c, err := m.resolveCircuit(j.req)
+	src, opt, hit, err := m.source(j.req)
 	if err != nil {
 		return maxpower.Result{}, false, err
 	}
-	spec := j.req.Population.toLib(m.cfg.SimWorkers)
-	opt := j.req.Options.toLib()
-	opt.Kernels = m.kernels
 	opt.Progress = func(p maxpower.ProgressSnapshot) { m.recordProgress(j, p) }
 	// Resume from the last journaled checkpoint when replay attached one;
 	// the estimator continues the interrupted run bit-identically.
@@ -1102,26 +1099,34 @@ func (m *Manager) execute(ctx context.Context, j *job) (maxpower.Result, bool, e
 			m.journalAppend(record{Type: recCheckpoint, Job: j.id, Time: time.Now(), Checkpoint: &cp})
 		}
 	}
-
-	if j.req.Streaming {
-		// Job-level worker budget: the request picks its parallelism, the
-		// manager's SimWorkers is the ceiling. Worker count never changes
-		// the result (the batched sampling seam is deterministic), so this
-		// is purely a resource-isolation knob.
-		if budget := m.cfg.SimWorkers; budget > 0 && (opt.Workers <= 0 || opt.Workers > budget) {
-			opt.Workers = budget
-		}
-		opt.OnBatchFallback = m.noteBatchFallbacks
-		res, err := maxpower.EstimateStreamingContext(ctx, c, spec, opt)
-		return res, false, err
-	}
-
-	pop, hit, err := m.resolvePopulation(c, j.req, spec)
-	if err != nil {
-		return maxpower.Result{}, false, err
-	}
-	res, err := maxpower.EstimateContext(ctx, pop, opt)
+	res, err := maxpower.Run(ctx, src, opt)
 	return res, hit, err
+}
+
+// source resolves what a job or shard request samples, and the options
+// it runs with. A streaming request simulates its circuit on demand: the
+// request picks its worker budget and the manager's SimWorkers is the
+// ceiling — worker count never changes the result (the batched sampling
+// seam is deterministic), so this is purely a resource-isolation knob —
+// and batch fallbacks are counted. Otherwise the request samples its
+// population, taken from the LRU or built now; hit reports a cache hit.
+func (m *Manager) source(req JobRequest) (src maxpower.Source, opt maxpower.EstimateOptions, hit bool, err error) {
+	c, err := m.resolveCircuit(req)
+	if err != nil {
+		return src, opt, false, err
+	}
+	spec := req.Population.toLib(m.cfg.SimWorkers)
+	opt = req.Options.toLib()
+	opt.Kernels = m.kernels
+	if !req.Streaming {
+		pop, hit, err := m.resolvePopulation(c, req, spec)
+		return maxpower.FromPopulation(pop), opt, hit, err
+	}
+	if budget := m.cfg.SimWorkers; budget > 0 && (opt.Workers <= 0 || opt.Workers > budget) {
+		opt.Workers = budget
+	}
+	opt.OnBatchFallback = m.noteBatchFallbacks
+	return maxpower.Stream(c, spec), opt, false, nil
 }
 
 // resolvePopulation returns the job's finite population, reusing built

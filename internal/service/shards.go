@@ -30,6 +30,8 @@ type shardJob struct {
 	finished  time.Time
 	cancel    context.CancelFunc
 	cancelled bool
+	// streaming is the decoded request's mode, set by its executor.
+	streaming bool
 }
 
 func (s *shardJob) statusLocked() fleet.ShardStatus {
@@ -195,8 +197,15 @@ func (m *Manager) runShard(s *shardJob) {
 		s.done = len(recs)
 		m.shardsExecuted.Add(1)
 		expShardsExecuted.Add(1)
-		m.unitsSimulated.Add(unitsOf(recs))
-		expUnitsSimulated.Add(unitsOf(recs))
+		units := unitsOf(recs)
+		m.unitsSimulated.Add(units)
+		expUnitsSimulated.Add(units)
+		if s.streaming {
+			// As for a streaming job, every unit was a live pair
+			// simulation.
+			m.pairsSimulated.Add(units)
+			expPairsSimulated.Add(units)
+		}
 	case ctx.Err() != nil || s.cancelled:
 		s.state = fleet.ShardCancelled
 		m.shardsCancelled.Add(1)
@@ -240,41 +249,25 @@ func (m *Manager) executeShardRecover(ctx context.Context, s *shardJob) (recs []
 }
 
 // executeShard decodes the embedded job request and runs the shard's
-// hyper-samples, reusing the worker's circuit and population LRU caches
-// (shards of the same job, and repeated jobs over the same spec, build
-// the population once per worker).
+// hyper-samples over its source, reusing the worker's circuit and
+// population LRU caches (shards of the same job, and repeated jobs over
+// the same spec, build the population once per worker).
 func (m *Manager) executeShard(ctx context.Context, s *shardJob) ([]evt.HyperRecord, error) {
 	req, _, err := decodeJobRequest(s.req.Job)
 	if err != nil {
 		return nil, fmt.Errorf("service: shard %s job payload: %w", s.req.ID, err)
 	}
-	c, err := m.resolveCircuit(req)
+	src, opt, _, err := m.source(req)
 	if err != nil {
 		return nil, err
 	}
-	spec := req.Population.toLib(m.cfg.SimWorkers)
-	opt := req.Options.toLib()
-	opt.Kernels = m.kernels
-	onHyper := func(done int, _ maxpower.HyperRecord) bool {
+	s.streaming = req.Streaming
+	return maxpower.RunShard(ctx, src, opt, s.req.Shard, func(done int, _ maxpower.HyperRecord) bool {
 		m.mu.Lock()
 		s.done = done
 		m.mu.Unlock()
 		return ctx.Err() == nil
-	}
-
-	if req.Streaming {
-		if budget := m.cfg.SimWorkers; budget > 0 && (opt.Workers <= 0 || opt.Workers > budget) {
-			opt.Workers = budget
-		}
-		opt.OnBatchFallback = m.noteBatchFallbacks
-		return maxpower.RunShardStreaming(ctx, c, spec, opt, s.req.Shard, onHyper)
-	}
-
-	pop, _, err := m.resolvePopulation(c, req, spec)
-	if err != nil {
-		return nil, err
-	}
-	return maxpower.RunShard(ctx, pop, opt, s.req.Shard, onHyper)
+	})
 }
 
 // noteBatchFallbacks is the manager's OnBatchFallback sink: silent

@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/evt"
 	"repro/internal/fleet"
-	"repro/internal/netlist"
-	"repro/internal/vectorgen"
 )
 
 // Shard is one dispatchable slice of a sharded estimation; see
@@ -54,24 +52,22 @@ func shardPlan(opt EstimateOptions, dopt DistributedOptions) fleet.Plan {
 	}
 }
 
-// EstimateDistributed runs the estimator shard by shard on this
-// machine — the single-node reference a fleet run must bit-match. With
-// a one-shard plan (ShardSize ≥ MaxHyperSamples) it degenerates to
-// Estimate with the same options, bit for bit.
-func EstimateDistributed(pop *Population, opt EstimateOptions, dopt DistributedOptions) (Result, error) {
-	return EstimateDistributedContext(context.Background(), pop, opt, dopt)
-}
-
-// EstimateDistributedContext is EstimateDistributed with cancellation:
-// the run stops at the next hyper-sample boundary and returns the
-// completed prefix folded into a partial Result (err stays nil),
-// mirroring EstimateContext.
+// EstimateDistributed runs the estimator over src shard by shard on
+// this machine — the single-node reference a fleet run must bit-match.
+// Each shard runs through the same preamble and shard runner a worker
+// uses (RunShard), so the records cannot depend on which process ran a
+// shard. With a one-shard plan (ShardSize ≥ MaxHyperSamples) it
+// degenerates to Run with the same options, bit for bit. When ctx is
+// cancelled the run stops at the next hyper-sample boundary and returns
+// the completed prefix folded into a partial Result (err stays nil),
+// mirroring Run.
 //
 // Sharded runs recover per shard (a lost shard is simply re-derived
 // from the plan), so the whole-run checkpoint seam does not apply:
 // EstimateOptions.Checkpoint and OnCheckpoint are rejected here.
-func EstimateDistributedContext(ctx context.Context, pop *Population, opt EstimateOptions, dopt DistributedOptions) (Result, error) {
-	if err := opt.Validate(); err != nil {
+func EstimateDistributed(ctx context.Context, src Source, opt EstimateOptions, dopt DistributedOptions) (Result, error) {
+	shards, err := PlanShards(opt, dopt)
+	if err != nil {
 		return Result{}, err
 	}
 	if opt.Checkpoint != nil {
@@ -80,25 +76,15 @@ func EstimateDistributedContext(ctx context.Context, pop *Population, opt Estima
 	if opt.OnCheckpoint != nil {
 		return Result{}, errors.New("maxpower: sharded runs checkpoint per shard; EstimateOptions.OnCheckpoint is not supported")
 	}
-	shards, err := shardPlan(opt, dopt).Shards()
-	if err != nil {
-		return Result{}, err
-	}
 	cfg := opt.evtParams()
 	var all []HyperRecord
 	stopped := false
 	for _, sh := range shards {
-		// A fresh estimator per shard, exactly as a worker would build one:
-		// the records must not depend on which process runs the shard.
-		est, err := evt.New(pop, cfg)
-		if err != nil {
-			return Result{}, err
-		}
-		_, err = fleet.RunShard(ctx, est, sh, nil, func(_ int, rec HyperRecord) bool {
+		_, err := RunShard(ctx, src, opt, sh, func(_ int, rec HyperRecord) bool {
 			all = append(all, rec)
 			folded := evt.FoldRecords(cfg, all)
 			if opt.Progress != nil {
-				opt.Progress(progressSnapshot(folded))
+				opt.Progress(folded.Progress())
 			}
 			stopped = folded.Converged
 			return !stopped
@@ -116,48 +102,20 @@ func EstimateDistributedContext(ctx context.Context, pop *Population, opt Estima
 	return evt.FoldRecords(cfg, all), nil
 }
 
-func progressSnapshot(res Result) ProgressSnapshot {
-	return ProgressSnapshot{
-		HyperSamples: res.HyperSamples,
-		Estimate:     res.Estimate,
-		CILow:        res.CILow,
-		CIHigh:       res.CIHigh,
-		RelErr:       res.RelErr,
-		Units:        res.Units,
-		Converged:    res.Converged,
-	}
-}
-
-// RunShard executes one shard of a sharded estimation against a
-// precomputed population — the worker side of a fleet. onHyper, when
-// non-nil, observes each completed hyper-sample (shard-local count and
-// record); returning false stops the shard early. The records are a
-// pure function of (population, options, shard), so any worker given
-// the same shard produces identical output.
-func RunShard(ctx context.Context, pop *Population, opt EstimateOptions, sh Shard, onHyper func(done int, rec HyperRecord) bool) ([]HyperRecord, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	est, err := evt.New(pop, opt.evtParams())
-	if err != nil {
-		return nil, err
-	}
-	return fleet.RunShard(ctx, est, sh, nil, onHyper)
-}
-
-// RunShardStreaming is RunShard against on-demand simulation: the
-// worker takes or builds the circuit's streaming source exactly as
-// EstimateStreamingContext does and runs the shard's hyper-samples
-// through it. Bit-identical for any Workers budget, like the streaming
-// estimator itself.
-func RunShardStreaming(ctx context.Context, c *netlist.Circuit, spec PopulationSpec, opt EstimateOptions, sh Shard, onHyper func(done int, rec HyperRecord) bool) ([]HyperRecord, error) {
+// RunShard executes one shard of a sharded estimation over src — the
+// worker side of a fleet. onHyper, when non-nil, observes each
+// completed hyper-sample (shard-local count and record); returning
+// false stops the shard early. The records are a pure function of
+// (source, options, shard), so any worker given the same shard produces
+// identical output, for any Workers budget.
+func RunShard(ctx context.Context, src Source, opt EstimateOptions, sh Shard, onHyper func(done int, rec HyperRecord) bool) ([]HyperRecord, error) {
 	var recs []HyperRecord
-	err := withStreamSource(c, spec, opt, func(src *vectorgen.StreamSource) error {
-		est, err := evt.New(src, opt.evtParams())
+	err := src.run(opt, func(s evt.Source) error {
+		est, err := evt.New(s, opt.evtParams())
 		if err != nil {
 			return err
 		}
-		recs, err = fleet.RunShard(ctx, est, sh, nil, onHyper)
+		recs, err = fleet.RunShard(ctx, est, sh, onHyper)
 		return err
 	})
 	return recs, err

@@ -54,58 +54,80 @@ func TestPlanShardsDerivation(t *testing.T) {
 	}
 }
 
+// namedSource is one row of a test table over the kinds of Source.
+type namedSource struct {
+	name string
+	src  maxpower.Source
+}
+
+// distSources are the two kinds of Source the sharded reference runs
+// over: the fixture population and C432 simulated on demand.
+func distSources(t *testing.T) []namedSource {
+	t.Helper()
+	c, err := maxpower.Circuit("C432")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []namedSource{
+		{"population", maxpower.FromPopulation(distFixture(t))},
+		{"stream", maxpower.Stream(c, maxpower.PopulationSpec{Size: 2000, Seed: 5})},
+	}
+}
+
 // TestEstimateDistributedOneShardMatchesEstimate: a one-shard plan is
 // the classic sequential run, bit for bit — the degenerate case that
 // anchors the whole determinism contract.
 func TestEstimateDistributedOneShardMatchesEstimate(t *testing.T) {
-	pop := distFixture(t)
 	opt := maxpower.EstimateOptions{Seed: 13, Epsilon: 0.02, MaxHyperSamples: 24}
-	want, err := maxpower.Estimate(pop, opt)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range distSources(t) {
+		want, err := maxpower.Run(context.Background(), tc.src, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := maxpower.EstimateDistributed(context.Background(), tc.src, opt, maxpower.DistributedOptions{ShardSize: 24})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, tc.name+" one-shard plan", got, want)
 	}
-	got, err := maxpower.EstimateDistributed(pop, opt, maxpower.DistributedOptions{ShardSize: 24})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "one-shard plan", got, want)
 }
 
 // TestEstimateDistributedDeterministic: the sharded run is identical
 // across repeats and across shard-local recomputation (RunShard +
-// MergeShardRecords by hand).
+// MergeShardRecords by hand), over a population and over a stream.
 func TestEstimateDistributedDeterministic(t *testing.T) {
-	pop := distFixture(t)
 	opt := maxpower.EstimateOptions{Seed: 13, Epsilon: 0.02, MaxHyperSamples: 24}
 	dopt := maxpower.DistributedOptions{ShardSize: 4}
-	first, err := maxpower.EstimateDistributed(pop, opt, dopt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := maxpower.EstimateDistributed(pop, opt, dopt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "repeat", first, second)
-
-	// Worker-side recomputation: run every shard independently (as the
-	// fleet would, in any order on any machine) and merge.
-	shards, err := maxpower.PlanShards(opt, dopt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	perShard := make([][]maxpower.HyperRecord, len(shards))
-	for i := len(shards) - 1; i >= 0; i-- { // reversed: order must not matter
-		perShard[i], err = maxpower.RunShard(context.Background(), pop, opt, shards[i], nil)
+	for _, tc := range distSources(t) {
+		first, err := maxpower.EstimateDistributed(context.Background(), tc.src, opt, dopt)
 		if err != nil {
 			t.Fatal(err)
 		}
+		second, err := maxpower.EstimateDistributed(context.Background(), tc.src, opt, dopt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, tc.name+" repeat", first, second)
+
+		// Worker-side recomputation: run every shard independently (as the
+		// fleet would, in any order on any machine) and merge.
+		shards, err := maxpower.PlanShards(opt, dopt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perShard := make([][]maxpower.HyperRecord, len(shards))
+		for i := len(shards) - 1; i >= 0; i-- { // reversed: order must not matter
+			perShard[i], err = maxpower.RunShard(context.Background(), tc.src, opt, shards[i], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		merged, err := maxpower.MergeShardRecords(opt, perShard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, tc.name+" manual merge", merged, first)
 	}
-	merged, err := maxpower.MergeShardRecords(opt, perShard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "manual merge", merged, first)
 }
 
 // TestEstimateDistributedProgressAndCancel: progress fires per
@@ -122,7 +144,7 @@ func TestEstimateDistributedProgressAndCancel(t *testing.T) {
 			cancel()
 		}
 	}
-	res, err := maxpower.EstimateDistributedContext(ctx, pop, opt, maxpower.DistributedOptions{ShardSize: 3})
+	res, err := maxpower.EstimateDistributed(ctx, maxpower.FromPopulation(pop), opt, maxpower.DistributedOptions{ShardSize: 3})
 	if err != nil {
 		t.Fatalf("cancelled distributed run errored: %v", err)
 	}
@@ -139,33 +161,32 @@ func TestEstimateDistributedProgressAndCancel(t *testing.T) {
 // TestEstimateDistributedRejectsCheckpointing: the whole-run checkpoint
 // seam does not compose with sharding and must be refused loudly.
 func TestEstimateDistributedRejectsCheckpointing(t *testing.T) {
-	pop := distFixture(t)
+	src := maxpower.FromPopulation(distFixture(t))
 	opt := maxpower.EstimateOptions{Checkpoint: &maxpower.Checkpoint{}}
-	if _, err := maxpower.EstimateDistributed(pop, opt, maxpower.DistributedOptions{}); err == nil {
+	if _, err := maxpower.EstimateDistributed(context.Background(), src, opt, maxpower.DistributedOptions{}); err == nil {
 		t.Error("Checkpoint accepted by distributed run")
 	}
 	opt = maxpower.EstimateOptions{OnCheckpoint: func(maxpower.Checkpoint) {}}
-	if _, err := maxpower.EstimateDistributed(pop, opt, maxpower.DistributedOptions{}); err == nil {
+	if _, err := maxpower.EstimateDistributed(context.Background(), src, opt, maxpower.DistributedOptions{}); err == nil {
 		t.Error("OnCheckpoint accepted by distributed run")
 	}
 }
 
-// TestRunShardStreamingMatchesPopulationless: the streaming shard
-// runner produces the same records as a direct streaming shard and
-// reports batch fallbacks through the options hook when the batch
-// engine is sabotaged.
-func TestRunShardStreamingFallbackHook(t *testing.T) {
+// TestRunShardFallbackHook: a shard of a Stream source reports batch
+// fallbacks through the options hook when the batch engine is
+// sabotaged, and the scalar recovery leaves its records unchanged.
+func TestRunShardFallbackHook(t *testing.T) {
 	c, err := maxpower.Circuit("C432")
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := maxpower.PopulationSpec{Size: 2000, Seed: 5, DelayModel: "zero"}
+	src := maxpower.Stream(c, maxpower.PopulationSpec{Size: 2000, Seed: 5, DelayModel: "zero"})
 	opt := maxpower.EstimateOptions{Seed: 13, MaxHyperSamples: 4, Workers: 1}
 	shards, err := maxpower.PlanShards(opt, maxpower.DistributedOptions{ShardSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := maxpower.RunShardStreaming(context.Background(), c, spec, opt, shards[0], nil)
+	clean, err := maxpower.RunShard(context.Background(), src, opt, shards[0], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +199,7 @@ func TestRunShardStreamingFallbackHook(t *testing.T) {
 	var gotCount int64
 	var gotErr error
 	opt.OnBatchFallback = func(count int64, err error) { gotCount, gotErr = count, err }
-	degraded, err := maxpower.RunShardStreaming(context.Background(), c, spec, opt, shards[0], nil)
+	degraded, err := maxpower.RunShard(context.Background(), src, opt, shards[0], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,6 +212,26 @@ func TestRunShardStreamingFallbackHook(t *testing.T) {
 	for i := range clean {
 		if clean[i] != degraded[i] {
 			t.Errorf("record %d changed under scalar fallback: %+v vs %+v", i, clean[i], degraded[i])
+		}
+	}
+}
+
+// TestRunRejectsEmptySource: a zero Source and a population Source
+// without a population are errors from every runner, never a panic.
+func TestRunRejectsEmptySource(t *testing.T) {
+	sh := maxpower.Shard{Count: 1, RNG: [4]uint64{1}}
+	for name, src := range map[string]maxpower.Source{
+		"zero":           {},
+		"nil population": maxpower.FromPopulation(nil),
+	} {
+		if _, err := maxpower.Run(context.Background(), src, maxpower.EstimateOptions{}); err == nil {
+			t.Errorf("%s: Run accepted it", name)
+		}
+		if _, err := maxpower.RunShard(context.Background(), src, maxpower.EstimateOptions{}, sh, nil); err == nil {
+			t.Errorf("%s: RunShard accepted it", name)
+		}
+		if _, err := maxpower.EstimateDistributed(context.Background(), src, maxpower.EstimateOptions{}, maxpower.DistributedOptions{}); err == nil {
+			t.Errorf("%s: EstimateDistributed accepted it", name)
 		}
 	}
 }

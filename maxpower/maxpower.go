@@ -11,6 +11,11 @@
 //	res, _ := maxpower.Estimate(pop, maxpower.EstimateOptions{Seed: 2})
 //	fmt.Printf("max power ≈ %.3f mW ±%.1f%%\n", res.Estimate, 100*res.RelErr)
 //
+// Estimate and EstimateStreaming are shorthands for Run, which takes a
+// context and a Source: a built population (FromPopulation) or a
+// circuit simulated on demand (Stream). RunShard and EstimateDistributed
+// run a sharded estimate over the same Source.
+//
 // The heavy lifting lives in the internal packages (netlist, sim, power,
 // vectorgen, weibull, evt); this package wires them together behind a
 // small, stable API.
@@ -18,6 +23,7 @@ package maxpower
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -108,15 +114,41 @@ type PopulationSpec struct {
 	KeepPairs bool
 }
 
+// maxPopulationSize bounds PopulationSpec.Size. A build holds Size
+// float64 powers, and an allocation past the machine's memory kills the
+// process instead of failing the call, so a service must turn such
+// sizes away before it runs them. 4,194,304 powers are 32 MiB, 26 times
+// the paper's 160,000. The bound applies to a stream's nominal |V| too,
+// which allocates nothing: one rule for both modes.
+const maxPopulationSize = 1 << 22
+
+// maxPlaneBits bounds pairs·inputs of one batch of packed vector pairs:
+// its two bit planes take pairs·inputs/4 bytes, 256 MiB at the bound.
+// No built-in circuit reaches it; the widest, C2670 with 233 inputs,
+// stays under it at maxPopulationSize pairs.
+const maxPlaneBits = 1 << 30
+
+// checkPlanes rejects a batch of pairs whose packed planes on c would
+// exceed maxPlaneBits, before anything is allocated. Like the Probs
+// width check, it needs the circuit.
+func checkPlanes(c *netlist.Circuit, pairs int) error {
+	if in := c.NumInputs(); in > 0 && pairs > maxPlaneBits/in {
+		return fmt.Errorf("maxpower: %d vector pairs of %d inputs exceed %d pair-input bits of packed planes",
+			pairs, in, maxPlaneBits)
+	}
+	return nil
+}
+
 // Validate rejects population specifications that no generator can
 // honor, with descriptive errors. Zero-valued fields are legal (they
 // take library defaults); out-of-range and NaN ones are not, and
-// neither are electrical constants power.NewEvaluator would refuse.
-// The per-input Probs width check needs the circuit and happens in
-// BuildPopulation.
+// neither are electrical constants power.NewEvaluator would refuse, or
+// a Size above 4,194,304. The checks that need the circuit — the
+// per-input Probs width and the packed-plane bound — happen in
+// BuildPopulation and in a Stream source's run.
 func (spec PopulationSpec) Validate() error {
-	if spec.Size < 0 {
-		return fmt.Errorf("maxpower: population Size must be non-negative (0 = default 20000), got %d", spec.Size)
+	if spec.Size < 0 || spec.Size > maxPopulationSize {
+		return fmt.Errorf("maxpower: population Size must be in [0, %d] (0 = default 20000), got %d", maxPopulationSize, spec.Size)
 	}
 	switch spec.Kind {
 	case PopUniform, PopHighActivity, PopConstrained, "":
@@ -196,6 +228,9 @@ func BuildPopulationKernels(c *netlist.Circuit, spec PopulationSpec, kernels *Ke
 	if spec.Size == 0 {
 		spec.Size = 20000
 	}
+	if err := checkPlanes(c, spec.Size); err != nil {
+		return nil, err
+	}
 	if spec.DelayModel == "" {
 		spec.DelayModel = "fanout"
 	}
@@ -263,8 +298,8 @@ type EstimateOptions struct {
 	// Workers bounds the parallel simulation of each hyper-sample's units
 	// in streaming estimation (0 = NumCPU). Vector-pair generation stays
 	// sequential — only the RNG-free simulation fans out — so the result
-	// is bit-identical for every worker count. Ignored by Estimate, whose
-	// population is already simulated.
+	// is bit-identical for every worker count. Ignored for a population
+	// source, whose population is already simulated.
 	Workers int
 	// Progress, when non-nil, receives a snapshot after every completed
 	// hyper-sample. The callback runs synchronously on the estimating
@@ -285,7 +320,7 @@ type EstimateOptions struct {
 	// batches recovered serially, err the first engine error. Results are
 	// unaffected (the scalar path is bit-identical); this is the
 	// observability hook services use to count silent degradation.
-	// Ignored by Estimate, which never batches.
+	// Ignored for a population source, which never batches.
 	OnBatchFallback func(count int64, err error)
 	// Kernels, when non-nil, deduplicates compiled simulation kernels
 	// across runs: streaming estimation (and streaming shard workers)
@@ -297,8 +332,8 @@ type EstimateOptions struct {
 	// takes one instead of building it. Concurrent runs never share a
 	// source, and idle sources are freed with their entry or the cache.
 	// Results are unaffected — the compiled engine is bit-identical to
-	// the scalar oracle, and a reused source to a fresh one. Ignored by
-	// Estimate, whose population is already simulated.
+	// the scalar oracle, and a reused source to a fresh one. Ignored for a
+	// population source, whose population is already simulated.
 	Kernels *KernelCache
 }
 
@@ -367,43 +402,35 @@ func (opt EstimateOptions) evtConfig() evt.Config {
 	return cfg
 }
 
-// Estimate runs the EVT maximum-power estimator against a population.
-func Estimate(pop *Population, opt EstimateOptions) (Result, error) {
-	return EstimateContext(context.Background(), pop, opt)
+// Source is what an estimate samples: a built population
+// (FromPopulation) or a circuit simulated on demand (Stream). The zero
+// Source is not usable; Run and the shard runners reject it.
+type Source struct {
+	pop  *Population
+	c    *netlist.Circuit
+	spec PopulationSpec
 }
 
-// EstimateContext is Estimate with cancellation: when ctx is cancelled
-// the run stops at the next hyper-sample boundary and returns the best
-// result so far (Result.Converged reports whether ε was reached).
-func EstimateContext(ctx context.Context, pop *Population, opt EstimateOptions) (Result, error) {
-	if err := opt.Validate(); err != nil {
-		return Result{}, err
-	}
-	est, err := evt.New(pop, opt.evtConfig())
-	if err != nil {
-		return Result{}, err
-	}
-	return est.RunContext(ctx, stats.NewRNG(opt.Seed)), nil
-}
+// FromPopulation samples a built population: every draw reads a
+// precomputed power, and the §3.4 correction targets its size.
+func FromPopulation(pop *Population) Source { return Source{pop: pop} }
 
-// EstimateStreaming runs the estimator against on-demand simulation: no
-// population is precomputed, every sampled vector pair costs one
-// simulation, and Result.Units is the true simulation count. This is the
-// flow for real designs where no ground truth exists. When spec.Size > 0
-// the §3.4 finite-population correction targets that nominal |V|;
-// spec.Size = 0 estimates the infinite-population maximum (raw μ̂).
-func EstimateStreaming(c *netlist.Circuit, spec PopulationSpec, opt EstimateOptions) (Result, error) {
-	return EstimateStreamingContext(context.Background(), c, spec, opt)
-}
+// Stream simulates the circuit on demand: no population is precomputed,
+// every sampled vector pair costs one simulation, and Result.Units is the
+// true simulation count. This is the flow for real designs where no
+// ground truth exists. When spec.Size > 0 the §3.4 finite-population
+// correction targets that nominal |V|; spec.Size = 0 estimates the
+// infinite-population maximum (raw μ̂).
+func Stream(c *netlist.Circuit, spec PopulationSpec) Source { return Source{c: c, spec: spec} }
 
-// EstimateStreamingContext is EstimateStreaming with cancellation at
-// hyper-sample boundaries — the natural shape for long on-demand runs
-// against large designs, where each unit is a full event-driven
-// simulation.
-func EstimateStreamingContext(ctx context.Context, c *netlist.Circuit, spec PopulationSpec, opt EstimateOptions) (Result, error) {
+// Run runs the EVT maximum-power estimator against src. When ctx is
+// cancelled the run stops at the next hyper-sample boundary and returns
+// the result so far with a nil error (Result.Converged reports whether ε
+// was reached).
+func Run(ctx context.Context, src Source, opt EstimateOptions) (Result, error) {
 	var res Result
-	err := withStreamSource(c, spec, opt, func(src *vectorgen.StreamSource) error {
-		est, err := evt.New(src, opt.evtConfig())
+	err := src.run(opt, func(s evt.Source) error {
+		est, err := evt.New(s, opt.evtConfig())
 		if err != nil {
 			return err
 		}
@@ -411,6 +438,17 @@ func EstimateStreamingContext(ctx context.Context, c *netlist.Circuit, spec Popu
 		return nil
 	})
 	return res, err
+}
+
+// Estimate runs the EVT maximum-power estimator against a population.
+func Estimate(pop *Population, opt EstimateOptions) (Result, error) {
+	return Run(context.Background(), FromPopulation(pop), opt)
+}
+
+// EstimateStreaming runs the estimator against on-demand simulation of
+// the circuit; see Stream.
+func EstimateStreaming(c *netlist.Circuit, spec PopulationSpec, opt EstimateOptions) (Result, error) {
+	return Run(context.Background(), Stream(c, spec), opt)
 }
 
 // sourceTag identifies a prepared streaming source inside the kernel
@@ -424,19 +462,34 @@ type sourceTag struct {
 	power power.Params
 }
 
-// withStreamSource is the shared preamble of the streaming entry points.
-// It validates the inputs, takes an idle prepared source from
+// run is the preamble every run of src shares: it validates opt and
+// runs fn on the estimator's source. A stream also validates its spec
+// and bounds its batch planes, takes an idle prepared source from
 // opt.Kernels (or builds one when there is none, or no cache), binds it
-// to this run's generator, DeclaredSize and Workers, runs fn on it,
-// reports batch fallbacks, and parks the source in the cache again. A
-// run that panics is not parked. Results are bit-identical whether the
+// to this run's generator, DeclaredSize and Workers, reports batch
+// fallbacks after fn, and parks the source in the cache again. A run
+// that panics is not parked. Results are bit-identical whether the
 // source was taken or built: its engines hold no state a result depends
 // on between batches.
-func withStreamSource(c *netlist.Circuit, spec PopulationSpec, opt EstimateOptions, fn func(*vectorgen.StreamSource) error) error {
+func (src Source) run(opt EstimateOptions, fn func(evt.Source) error) error {
+	if src.pop != nil {
+		if err := opt.Validate(); err != nil {
+			return err
+		}
+		return fn(src.pop)
+	}
+	if src.c == nil {
+		return errors.New("maxpower: empty Source (build one with FromPopulation or Stream)")
+	}
+	c, spec := src.c, src.spec
 	if err := spec.Validate(); err != nil {
 		return err
 	}
 	if err := opt.Validate(); err != nil {
+		return err
+	}
+	params := opt.evtParams().Defaults()
+	if err := checkPlanes(c, params.SampleSize*params.SamplesPerHyper); err != nil {
 		return err
 	}
 	if spec.DelayModel == "" {
@@ -452,53 +505,26 @@ func withStreamSource(c *netlist.Circuit, spec PopulationSpec, opt EstimateOptio
 	}
 	key := kernelKey(c, model)
 	tag := sourceTag{c: c, power: spec.Power}
-	var src *vectorgen.StreamSource
+	var s *vectorgen.StreamSource
 	if opt.Kernels != nil {
-		src, _ = opt.Kernels.Take(key, tag).(*vectorgen.StreamSource)
+		s, _ = opt.Kernels.Take(key, tag).(*vectorgen.StreamSource)
 	}
-	if src == nil {
-		src, err = vectorgen.NewStreamSource(kernelEvaluator(c, model, spec.Power, opt.Kernels), gen)
+	if s == nil {
+		s, err = vectorgen.NewStreamSource(kernelEvaluator(c, model, spec.Power, opt.Kernels), gen)
 	} else {
-		err = src.Rebind(gen)
+		err = s.Rebind(gen)
 	}
 	if err != nil {
 		return err
 	}
-	src.DeclaredSize = spec.Size
-	src.Workers = opt.Workers
-	err = fn(src)
-	reportBatchFallbacks(src, opt)
+	s.DeclaredSize = spec.Size
+	s.Workers = opt.Workers
+	err = fn(s)
+	if n := s.BatchFallbacks(); n > 0 && opt.OnBatchFallback != nil {
+		opt.OnBatchFallback(n, s.BatchErr())
+	}
 	if opt.Kernels != nil {
-		opt.Kernels.Park(key, tag, src)
+		opt.Kernels.Park(key, tag, s)
 	}
 	return err
-}
-
-// reportBatchFallbacks surfaces a streaming source's silent
-// batch-to-scalar degradation through the options hook.
-func reportBatchFallbacks(src *vectorgen.StreamSource, opt EstimateOptions) {
-	if opt.OnBatchFallback == nil {
-		return
-	}
-	if n := src.BatchFallbacks(); n > 0 {
-		opt.OnBatchFallback(n, src.BatchErr())
-	}
-}
-
-// EstimateCircuit is the one-shot convenience: build the named circuit's
-// population and estimate its maximum power.
-func EstimateCircuit(circuit string, spec PopulationSpec, opt EstimateOptions) (Result, *Population, error) {
-	c, err := Circuit(circuit)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	pop, err := BuildPopulation(c, spec)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	res, err := Estimate(pop, opt)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	return res, pop, nil
 }

@@ -54,7 +54,7 @@ func runStep(t *testing.T, c *netlist.Circuit, st reuseStep, kernels *maxpower.K
 		var shards []maxpower.Shard
 		shards, err = maxpower.PlanShards(opt, maxpower.DistributedOptions{ShardSize: 2})
 		if err == nil {
-			out.recs, err = maxpower.RunShardStreaming(context.Background(), c, st.spec, opt, shards[st.shard], nil)
+			out.recs, err = maxpower.RunShard(context.Background(), maxpower.Stream(c, st.spec), opt, shards[st.shard], nil)
 		}
 	}
 	if err != nil {

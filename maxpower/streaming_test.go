@@ -2,6 +2,7 @@ package maxpower_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -134,7 +135,9 @@ func TestEstimateConcurrentSharedPopulation(t *testing.T) {
 }
 
 // TestEstimateContextCancellation checks the facade-level cancellation
-// path stops early with a partial, non-converged result.
+// path, over a population and over a stream: cancelled from Progress at
+// k = 3, Run stops at that boundary with a partial, non-converged result
+// and a nil error.
 func TestEstimateContextCancellation(t *testing.T) {
 	c, err := maxpower.Circuit("C432")
 	if err != nil {
@@ -144,24 +147,30 @@ func TestEstimateContextCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	opt := maxpower.EstimateOptions{
-		Seed: 2, Epsilon: 0.001, MaxHyperSamples: 500,
-		Progress: func(p maxpower.ProgressSnapshot) {
-			if p.HyperSamples == 3 {
-				cancel()
-			}
-		},
-	}
-	res, err := maxpower.EstimateContext(ctx, pop, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Converged {
-		t.Error("cancelled run reported convergence")
-	}
-	if res.HyperSamples != 3 {
-		t.Errorf("stopped after %d hyper-samples, want 3 (cancel at boundary)", res.HyperSamples)
+	for _, tc := range []namedSource{
+		{"population", maxpower.FromPopulation(pop)},
+		{"stream", maxpower.Stream(c, maxpower.PopulationSpec{Size: 20000, Seed: 1})},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		opt := maxpower.EstimateOptions{
+			Seed: 2, Epsilon: 0.001, MaxHyperSamples: 500,
+			Progress: func(p maxpower.ProgressSnapshot) {
+				if p.HyperSamples == 3 {
+					cancel()
+				}
+			},
+		}
+		res, err := maxpower.Run(ctx, tc.src, opt)
+		cancel()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if res.Converged {
+			t.Errorf("%s: cancelled run reported convergence", tc.name)
+		}
+		if res.HyperSamples != 3 {
+			t.Errorf("%s: stopped after %d hyper-samples, want 3 (cancel at boundary)", tc.name, res.HyperSamples)
+		}
 	}
 }
 
@@ -175,6 +184,11 @@ func TestSpecValidation(t *testing.T) {
 	nan := math.NaN()
 	bad := []maxpower.PopulationSpec{
 		{Size: -1},
+		// 2³⁴ pairs on C432 once passed Validate, and BuildPopulation
+		// then died allocating a 77 GB plane: a fatal error, not a
+		// recoverable panic, so the check must come first.
+		{Size: 1 << 34},
+		{Size: 1<<22 + 1},
 		{Kind: "nonsense"},
 		{Kind: maxpower.PopHighActivity, Activity: -0.1},
 		{Kind: maxpower.PopHighActivity, Activity: 1.0001},
@@ -216,10 +230,49 @@ func TestSpecValidation(t *testing.T) {
 			t.Errorf("spec %d accepted by EstimateStreaming: %+v", i, spec)
 		}
 	}
-	// Sanity: the defaults stay valid.
+	// Sanity: the defaults and the largest size stay valid.
 	if err := (maxpower.PopulationSpec{}).Validate(); err != nil {
 		t.Errorf("zero spec rejected: %v", err)
 	}
+	if err := (maxpower.PopulationSpec{Size: 1 << 22}).Validate(); err != nil {
+		t.Errorf("Size 2²² rejected: %v", err)
+	}
+}
+
+// TestPackedPlanesBound: a batch of p pairs on a circuit with i inputs
+// packs into p·i/4 bytes of bit planes, so a wide netlist can take a
+// size or a hyper-sample that passes Validate past the machine's
+// memory. On 40,000 inputs, 2²² pairs would be 42 GB for a population
+// build and m·n = 2²² pairs 42 GB for one streaming hyper-sample; both
+// must fail with the planes bound before allocating, or the test dies.
+func TestPackedPlanesBound(t *testing.T) {
+	c, err := maxpower.LoadBench("wide", strings.NewReader(wideBench(40000)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = maxpower.BuildPopulation(c, maxpower.PopulationSpec{Size: 1 << 22, DelayModel: "zero"})
+	if err == nil || !strings.Contains(err.Error(), "packed planes") {
+		t.Errorf("BuildPopulation of 2²² pairs on 40,000 inputs: error %v", err)
+	}
+	opt := maxpower.EstimateOptions{SampleSize: 64, SamplesPerHyper: 1 << 16}
+	if err := opt.Validate(); err != nil {
+		t.Fatalf("m·n = 2²² rejected by Validate: %v", err)
+	}
+	_, err = maxpower.EstimateStreaming(c, maxpower.PopulationSpec{DelayModel: "zero"}, opt)
+	if err == nil || !strings.Contains(err.Error(), "packed planes") {
+		t.Errorf("EstimateStreaming of m·n = 2²² on 40,000 inputs: error %v", err)
+	}
+}
+
+// wideBench is a .bench netlist with the given number of inputs and one
+// gate.
+func wideBench(inputs int) string {
+	var b strings.Builder
+	for i := 0; i < inputs; i++ {
+		fmt.Fprintf(&b, "INPUT(i%d)\n", i)
+	}
+	b.WriteString("OUTPUT(y)\ny = AND(i0, i1)\n")
+	return b.String()
 }
 
 // negativePowerSpecs are specs whose electrical constants are finite
