@@ -25,7 +25,7 @@ type PackedPairs struct {
 	In1, In2 []uint64
 
 	// rows is the pair-major row scratch BlockRows hands out: grown on
-	// first use, reused by every later block and batch.
+	// first use, reused by every later chunk and batch.
 	rows []uint64
 }
 
@@ -122,18 +122,26 @@ func (p *PackedPairs) PairInto(i int, v1, v2 []bool) {
 // two rows and SetBlockRows turns 64 of them into a block's planes.
 func (p *PackedPairs) RowWords() int { return (p.Inputs + 63) / 64 }
 
-// BlockRows returns row scratch for one block: r1 and r2 each hold 64
-// rows of RowWords words, row l at [l·RowWords, (l+1)·RowWords), for the
-// first and second vectors. The scratch belongs to p, is allocated on
-// first use and reused after, and its contents on return are whatever
-// the previous block left there.
+// ChunkPairs is the number of pairs whose rows BlockRows holds: eight
+// blocks, the 512 lanes of one stripe.
+const ChunkPairs = 512
+
+// BlockRows returns row scratch for a chunk of up to eight blocks: r1
+// and r2 each hold ChunkPairs rows of RowWords words, row l at
+// [l·RowWords, (l+1)·RowWords), for the first and second vectors, and
+// block k of the chunk starts at row 64k. The scratch belongs to p, is
+// allocated on first use and reused after (32 KiB at 207 inputs), and
+// its contents on return are whatever the previous chunk left there.
 func (p *PackedPairs) BlockRows() (r1, r2 []uint64) {
-	n := 64 * p.RowWords()
+	n := ChunkPairs * p.RowWords()
 	if cap(p.rows) < 2*n {
 		p.rows = make([]uint64, 2*n)
 	}
 	return p.rows[:n:n], p.rows[n : 2*n : 2*n]
 }
+
+// DropRows releases the row scratch, for a batch kept only to be read.
+func (p *PackedPairs) DropRows() { p.rows = nil }
 
 // SetBlockRows writes block b's planes from pair-major rows in
 // BlockRows's layout: bit i%64 of word i/64 of row l becomes bit l of
@@ -191,7 +199,8 @@ func transpose64(a *[64]uint64) {
 // MemoryBytes reports the backing-array footprint — the number the
 // population cache sizing argument rests on (∼2·Inputs·Blocks·8 bytes,
 // i.e. 2 bits per input bit versus 2 bytes on the [][]bool path), plus
-// the 1024·RowWords bytes of row scratch once BlockRows has made it.
+// the 8192·RowWords bytes of row scratch (2·ChunkPairs rows) once
+// BlockRows has made it and until DropRows releases it.
 func (p *PackedPairs) MemoryBytes() int {
 	return (cap(p.In1) + cap(p.In2) + cap(p.rows)) * 8
 }

@@ -196,8 +196,8 @@ func TestBlockRowsReuses(t *testing.T) {
 	var pp PackedPairs
 	pp.Reset(207, 300)
 	r1, r2 := pp.BlockRows()
-	if len(r1) != 64*4 || len(r2) != 64*4 {
-		t.Fatalf("BlockRows lengths %d/%d, want %d", len(r1), len(r2), 64*4)
+	if len(r1) != ChunkPairs*4 || len(r2) != ChunkPairs*4 {
+		t.Fatalf("BlockRows lengths %d/%d, want %d", len(r1), len(r2), ChunkPairs*4)
 	}
 	if cap(r1) != len(r1) || cap(r2) != len(r2) {
 		t.Fatal("BlockRows halves can grow into each other")
@@ -208,5 +208,10 @@ func TestBlockRowsReuses(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("BlockRows at steady state allocated %v times", allocs)
+	}
+	held := pp.MemoryBytes()
+	pp.DropRows()
+	if got := held - pp.MemoryBytes(); got != 2*ChunkPairs*4*8 {
+		t.Fatalf("DropRows released %d bytes, want the %d of the row scratch", got, 2*ChunkPairs*4*8)
 	}
 }

@@ -32,9 +32,6 @@ func Variance(xs []float64) float64 {
 	return ss / float64(len(xs)-1)
 }
 
-// StdDev returns the unbiased sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // MeanStd returns the mean and unbiased standard deviation in one pass
 // (Welford's algorithm). For len(xs) < 2 the returned deviation is 0.
 func MeanStd(xs []float64) (mean, std float64) {

@@ -56,60 +56,3 @@ func (e *ECDF) Quantile(q float64) float64 {
 // Sorted returns the underlying sorted sample (read-only; callers must not
 // modify it).
 func (e *ECDF) Sorted() []float64 { return e.sorted }
-
-// Histogram is a fixed-width binning of a sample.
-type Histogram struct {
-	Lo, Hi float64 // overall range covered by the bins
-	Counts []int   // Counts[i] covers [Lo + i·w, Lo + (i+1)·w)
-	Width  float64 // bin width w
-	N      int     // total number of observations
-}
-
-// NewHistogram bins xs into bins equal-width bins spanning [min, max]. The
-// top edge is inclusive so the maximum lands in the last bin. It panics if
-// bins < 1 or xs is empty.
-func NewHistogram(xs []float64, bins int) *Histogram {
-	if bins < 1 {
-		panic("stats: histogram needs at least one bin")
-	}
-	if len(xs) == 0 {
-		panic("stats: histogram of empty data")
-	}
-	lo, hi := MinMax(xs)
-	if hi == lo {
-		hi = lo + 1 // degenerate sample: single bin covers everything
-	}
-	w := (hi - lo) / float64(bins)
-	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins), Width: w, N: len(xs)}
-	for _, x := range xs {
-		i := int((x - lo) / w)
-		if i >= bins {
-			i = bins - 1
-		}
-		if i < 0 {
-			i = 0
-		}
-		h.Counts[i]++
-	}
-	return h
-}
-
-// Centers returns the midpoints of all bins.
-func (h *Histogram) Centers() []float64 {
-	cs := make([]float64, len(h.Counts))
-	for i := range cs {
-		cs[i] = h.Lo + (float64(i)+0.5)*h.Width
-	}
-	return cs
-}
-
-// Densities returns the estimated probability density per bin
-// (count / (N·width)).
-func (h *Histogram) Densities() []float64 {
-	ds := make([]float64, len(h.Counts))
-	denom := float64(h.N) * h.Width
-	for i, c := range h.Counts {
-		ds[i] = float64(c) / denom
-	}
-	return ds
-}

@@ -72,51 +72,6 @@ func TestECDFPanicsOnEmpty(t *testing.T) {
 	NewECDF(nil)
 }
 
-func TestHistogramCounts(t *testing.T) {
-	h := NewHistogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 5)
-	total := 0
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total != 11 {
-		t.Errorf("histogram lost observations: %d", total)
-	}
-	// Maximum must land in the last bin (inclusive top edge).
-	if h.Counts[4] < 1 {
-		t.Error("max observation missing from last bin")
-	}
-}
-
-func TestHistogramDegenerate(t *testing.T) {
-	h := NewHistogram([]float64{5, 5, 5}, 3)
-	total := 0
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total != 3 {
-		t.Errorf("degenerate histogram count = %d", total)
-	}
-}
-
-func TestHistogramDensitiesIntegrateToOne(t *testing.T) {
-	r := NewRNG(47)
-	xs := make([]float64, 10000)
-	for i := range xs {
-		xs[i] = r.NormFloat64()
-	}
-	h := NewHistogram(xs, 40)
-	var integral float64
-	for _, d := range h.Densities() {
-		integral += d * h.Width
-	}
-	if !almostEqual(integral, 1, 1e-9) {
-		t.Errorf("density integral = %v", integral)
-	}
-	if len(h.Centers()) != 40 {
-		t.Errorf("centers length = %d", len(h.Centers()))
-	}
-}
-
 func TestKSStatisticSelf(t *testing.T) {
 	// KS distance of a sample against its own ECDF-like CDF must be small;
 	// against a shifted CDF it must be large.

@@ -16,8 +16,10 @@ import (
 )
 
 // RNG is a deterministic pseudo-random number generator based on
-// xoshiro256** (Blackman & Vigna). It is not safe for concurrent use; use
-// Split to derive independent streams for parallel workers.
+// xoshiro256** (Blackman & Vigna). It is not safe for concurrent use.
+// Parallel streams come from jumps: the fleet gives shard k the job's
+// state jumped k times by Jump, and Lanes draws eight runs of one stream
+// side by side from states jumped ahead to each run's first draw.
 type RNG struct {
 	s [4]uint64
 }
@@ -71,39 +73,6 @@ func next(s0, s1, s2, s3 uint64) (x, n0, n1, n2, n3 uint64) {
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
-// Split returns a new generator whose stream is independent of r's for all
-// practical purposes. It is used to hand one stream to each parallel worker.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64() ^ 0xa0761d6478bd642f)
-}
-
-// jumpPoly is the published xoshiro256** jump polynomial (Blackman &
-// Vigna): applying it advances the generator by exactly 2^128 steps.
-var jumpPoly = [4]uint64{0x180ec6d33cfd0aba, 0xd5a61266f0c9392c, 0xa9582618e03fc9aa, 0x39abdc4529b1661c}
-
-// Jump advances the generator by 2^128 steps in O(256) work. Jumping k
-// times from a common origin yields k+1 streams whose next 2^128 outputs
-// are pairwise non-overlapping, which is how a job seed deterministically
-// derives per-shard substreams: shard k samples from the origin state
-// jumped k times. Jump is a pure function of the state, so it composes
-// with State/SetState — capturing the state, jumping, and restoring
-// round-trips exactly.
-func (r *RNG) Jump() {
-	var s [4]uint64
-	for _, p := range jumpPoly {
-		for b := 0; b < 64; b++ {
-			if p&(1<<uint(b)) != 0 {
-				s[0] ^= r.s[0]
-				s[1] ^= r.s[1]
-				s[2] ^= r.s[2]
-				s[3] ^= r.s[3]
-			}
-			r.Uint64()
-		}
-	}
-	r.s = s
-}
-
 // State returns the generator's internal state. Together with SetState it
 // is the checkpoint seam: capturing the state after N draws and restoring
 // it later continues the exact same stream, so interrupted computations
@@ -122,9 +91,10 @@ func (r *RNG) SetState(s [4]uint64) {
 }
 
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.
-func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
-}
+func (r *RNG) Float64() float64 { return unitFloat(r.Uint64()) }
+
+// unitFloat is the Float64 that the draw x makes.
+func unitFloat(x uint64) float64 { return float64(x>>11) / (1 << 53) }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {

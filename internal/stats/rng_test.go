@@ -159,21 +159,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	r := NewRNG(23)
-	a := r.Split()
-	b := r.Split()
-	same := 0
-	for i := 0; i < 100; i++ {
-		if a.Uint64() == b.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Fatalf("split streams overlapped %d times", same)
-	}
-}
-
 func BenchmarkRNGUint64(b *testing.B) {
 	r := NewRNG(1)
 	for i := 0; i < b.N; i++ {

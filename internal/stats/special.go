@@ -166,10 +166,3 @@ func gammaCF(a, x float64) float64 {
 	}
 	return math.Exp(-x+a*math.Log(x)-LogGamma(a)) * h
 }
-
-// Erf returns the error function (stdlib wrapper, present for a single
-// point of reference in this package).
-func Erf(x float64) float64 { return math.Erf(x) }
-
-// Erfc returns the complementary error function.
-func Erfc(x float64) float64 { return math.Erfc(x) }

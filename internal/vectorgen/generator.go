@@ -37,7 +37,7 @@ type Generator interface {
 // packed outputs cannot drift apart.
 func generateRows(g rowGenerator, rng *stats.RNG) Pair {
 	n := g.Inputs()
-	w := (n + 63) / 64
+	w := rowWords(n)
 	rows := make([]uint64, 2*w)
 	g.drawRows(rng, rows[:w], rows[w:])
 	return Pair{V1: unpackRow(rows[:w], n), V2: unpackRow(rows[w:], n)}
@@ -74,6 +74,22 @@ func (u Uniform) drawRows(rng *stats.RNG, r1, r2 []uint64) {
 	rng.Fill(r2)
 }
 
+// pairDraws implements laneGenerator: one word per 64 inputs of each
+// row.
+func (u Uniform) pairDraws() uint64 { return 2 * uint64(rowWords(u.N)) }
+
+// drawLanes implements laneGenerator: drawRows on eight lanes.
+func (u Uniform) drawLanes(ls stats.Lanes, r1, r2 []uint64, w, run, from, to int) stats.Lanes {
+	for j := from; j < to; j++ {
+		ls.Fill(r1[j*w:], run*w, w)
+		ls.Fill(r2[j*w:], run*w, w)
+	}
+	return ls
+}
+
+// rowWords is the width of a row of n inputs.
+func rowWords(n int) int { return (n + 63) / 64 }
+
 // HighActivity draws v1 uniformly and flips each input with a per-pair
 // activity a = MinActivity + (1−MinActivity)·u^Skew, u uniform. This
 // reproduces the paper's unconstrained populations of "randomly generated
@@ -104,6 +120,17 @@ func (h HighActivity) Generate(rng *stats.RNG) Pair { return generateRows(h, rng
 // drawRows implements rowGenerator: the pair's activity, the uniform
 // first row, then one flip draw per input in input order, 64 to a call.
 func (h HighActivity) drawRows(rng *stats.RNG, r1, r2 []uint64) {
+	t := h.flipThreshold(rng.Float64())
+	rng.Fill(r1)
+	for w := range r1 {
+		r2[w] = r1[w] ^ rng.BoolBits(t, min(h.N-64*w, 64))
+	}
+}
+
+// flipThreshold is the BoolBits threshold of the flips of a pair whose
+// activity draw is u. drawRows and drawLanes both call it, so both
+// evaluate one float expression.
+func (h HighActivity) flipThreshold(u float64) uint64 {
 	lo := h.MinActivity
 	if lo < 0 {
 		lo = 0
@@ -115,11 +142,33 @@ func (h HighActivity) drawRows(rng *stats.RNG, r1, r2 []uint64) {
 	if skew <= 0 {
 		skew = DefaultActivitySkew
 	}
-	t := stats.BoolThreshold(lo + (1-lo)*math.Pow(rng.Float64(), skew))
-	rng.Fill(r1)
-	for w := range r1 {
-		r2[w] = r1[w] ^ rng.BoolBits(t, min(h.N-64*w, 64))
+	return stats.BoolThreshold(lo + (1-lo)*math.Pow(u, skew))
+}
+
+// pairDraws implements laneGenerator: the activity, one word per 64
+// inputs, one flip per input.
+func (h HighActivity) pairDraws() uint64 { return 1 + uint64(rowWords(h.N)) + uint64(h.N) }
+
+// drawLanes implements laneGenerator: drawRows on eight lanes.
+func (h HighActivity) drawLanes(ls stats.Lanes, r1, r2 []uint64, w, run, from, to int) stats.Lanes {
+	stride := run * w
+	var u [8]float64
+	var t, bits [8]uint64
+	for j := from; j < to; j++ {
+		r1, r2 := r1[j*w:], r2[j*w:]
+		ls.Float64s(&u)
+		for l, ul := range u {
+			t[l] = h.flipThreshold(ul)
+		}
+		ls.Fill(r1, stride, w)
+		for k := 0; k < w; k++ {
+			ls.BoolBits(&bits, &t, min(h.N-64*k, 64))
+			for l, b := range bits {
+				r2[l*stride+k] = r1[l*stride+k] ^ b
+			}
+		}
 	}
+	return ls
 }
 
 // Constrained draws v1 uniformly and flips input i with probability
@@ -166,6 +215,36 @@ func (c Constrained) drawRows(rng *stats.RNG, r1, r2 []uint64) {
 	for i, p := range c.Probs {
 		r2[i/64] ^= rng.BoolBits(stats.BoolThreshold(p), 1) << uint(i%64)
 	}
+}
+
+// pairDraws implements laneGenerator: one word per 64 inputs, one flip
+// per input.
+func (c Constrained) pairDraws() uint64 {
+	return uint64(rowWords(len(c.Probs))) + uint64(len(c.Probs))
+}
+
+// drawLanes implements laneGenerator: drawRows on eight lanes, the
+// flips of each 64 inputs in one call, input i's against the threshold
+// of Probs[i] on every lane.
+func (c Constrained) drawLanes(ls stats.Lanes, r1, r2 []uint64, w, run, from, to int) stats.Lanes {
+	stride := run * w
+	var t [64]uint64
+	var bits [8]uint64
+	for j := from; j < to; j++ {
+		r1, r2 := r1[j*w:], r2[j*w:]
+		ls.Fill(r1, stride, w)
+		for k := 0; k < w; k++ {
+			probs := c.Probs[64*k : min(64*k+64, len(c.Probs))]
+			for i, p := range probs {
+				t[i] = stats.BoolThreshold(p)
+			}
+			ls.BoolBitsEach(&bits, t[:len(probs)])
+			for l, b := range bits {
+				r2[l*stride+k] = r1[l*stride+k] ^ b
+			}
+		}
+	}
+	return ls
 }
 
 // Grouped models joint transition probabilities: inputs within one group

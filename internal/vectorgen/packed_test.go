@@ -86,9 +86,10 @@ func refGenerate(g Generator, rng *stats.RNG) Pair {
 	panic("refGenerate: not a built-in generator: " + g.Name())
 }
 
-// checkAgainstReference draws n pairs from g three ways — GeneratePacked,
-// Generate, and the reference []bool bodies — from one seed, and fails
-// unless all three give the same bits and leave the same RNG state.
+// checkAgainstReference draws n pairs from g four ways — GeneratePacked,
+// the packed driver with every chunk on lanes, Generate, and the
+// reference []bool bodies — from one seed, and fails unless all four
+// give the same bits and leave the same RNG state.
 func checkAgainstReference(t *testing.T, g Generator, n int, seed uint64) {
 	t.Helper()
 	inputs := g.Inputs()
@@ -100,19 +101,22 @@ func checkAgainstReference(t *testing.T, g Generator, n int, seed uint64) {
 		want.SetPair(i, p.V1, p.V2)
 	}
 
-	packedRNG := stats.NewRNG(seed)
-	var got sim.PackedPairs
-	got.Reset(inputs, n)
-	GeneratePacked(g, packedRNG, &got)
-	for k := range want.In1 {
-		if got.In1[k] != want.In1[k] || got.In2[k] != want.In2[k] {
-			t.Fatalf("%s, %d inputs, %d pairs, seed %d: plane word %d is (%#x,%#x), reference (%#x,%#x)",
-				g.Name(), inputs, n, seed, k, got.In1[k], got.In2[k], want.In1[k], want.In2[k])
+	for _, path := range []struct {
+		name     string
+		minDraws uint64
+	}{{"GeneratePacked", minDrawsHere()}, {"lanes at every size", 0}} {
+		packedRNG := stats.NewRNG(seed)
+		var got sim.PackedPairs
+		got.Reset(inputs, n)
+		generatePacked(g, packedRNG, &got, path.minDraws)
+		if k := firstPlaneDiff(&got, &want); k >= 0 {
+			t.Fatalf("%s, %s, %d inputs, %d pairs, seed %d: plane word %d is (%#x,%#x), reference (%#x,%#x)",
+				path.name, g.Name(), inputs, n, seed, k, got.In1[k], got.In2[k], want.In1[k], want.In2[k])
 		}
-	}
-	if packedRNG.State() != refRNG.State() {
-		t.Fatalf("%s, %d inputs, %d pairs, seed %d: GeneratePacked consumed the RNG differently",
-			g.Name(), inputs, n, seed)
+		if packedRNG.State() != refRNG.State() {
+			t.Fatalf("%s, %s, %d inputs, %d pairs, seed %d: consumed the RNG differently",
+				path.name, g.Name(), inputs, n, seed)
+		}
 	}
 
 	genRNG := stats.NewRNG(seed)
@@ -161,10 +165,12 @@ func builtinGenerators(inputs int) []Generator {
 }
 
 // FuzzGeneratePacked checks the draw-order invariant over input widths
-// 1–300, batches of 1–200 pairs (so partial 64-pair blocks), seeds, and
-// activities and probabilities that include 0, 1, subnormals, 2⁻⁵³ and
-// NaN: GeneratePacked and Generate must match the reference []bool
-// bodies bit for bit, RNG end state included, for every built-in
+// 1–300, batches of 1–1,200 pairs (so partial 64-pair blocks, chunks
+// around the lane cut-over, an empty last lane, and partial chunks past
+// the 512-pair boundary), seeds, and activities and probabilities that
+// include 0, 1, subnormals, 2⁻⁵³ and NaN: GeneratePacked, the driver
+// with every chunk on lanes, and Generate must match the reference
+// []bool bodies bit for bit, RNG end state included, for every built-in
 // generator.
 func FuzzGeneratePacked(f *testing.F) {
 	const tiny = 5e-324 // the smallest subnormal
@@ -185,12 +191,25 @@ func FuzzGeneratePacked(f *testing.F) {
 		{300, 200, 7, math.NaN(), math.NaN(), math.NaN(), 7},
 		{299, 17, 8, 1 - 0x1p-53, math.Inf(1), math.Inf(1), 8},
 		{5, 3, 9, -1, math.Inf(-1), -2, 9},
+		// The batch sizes around the lane path's edges, each field one
+		// below the width and count it gives: 49 pairs (an empty last
+		// lane), 50, 63–65 (the cut-over), 511–513 and 1,025 (the chunk
+		// boundary).
+		{35, 48, 10, 0.3, 0.7, 0, 10},
+		{206, 49, 11, 0.3, 0.3, 0, 11},
+		{49, 62, 12, 0.5, 0.5, 2, 12},
+		{0, 63, 13, 0.3, 0.7, 0, 13},
+		{126, 64, 14, 0.9, 0.1, 1, 14},
+		{35, 510, 15, 0.3, 0.7, 4, 15},
+		{63, 511, 16, 0, 1, 0, 16},
+		{206, 512, 17, 0.3, 0.5, 0, 17},
+		{2, 1024, 18, 1, 0x1p-53, 3, 18},
 	} {
 		f.Add(c.width, c.pairs, c.seed, c.act, c.prob, c.skew, c.mix)
 	}
 	f.Fuzz(func(t *testing.T, width, pairs uint16, seed uint64, act, prob, skew float64, mix uint64) {
 		n := 1 + int(width)%300
-		count := 1 + int(pairs)%200
+		count := 1 + int(pairs)%1200
 		pick := stats.NewRNG(mix)
 		palette := []float64{0, 1, act, prob, tiny, 0x1p-53, 0.5, math.NaN()}
 		probs := make([]float64, n)

@@ -57,9 +57,10 @@ func Build(eval *power.Evaluator, gen Generator, opt Options) (*Population, erro
 
 	// Generate straight into bit planes: the packed batch is the native
 	// currency of the evaluation engines, so the [][]bool intermediary
-	// (one heap slice per vector) no longer exists on this path. The RNG
-	// is consumed pair by pair in Generate's exact draw order, so the
-	// population is bit-identical to the historical []bool construction.
+	// (one heap slice per vector) no longer exists on this path. Every
+	// pair gets exactly the draws Generate would give it, and the RNG
+	// ends where Generate calls leave it, so the population is
+	// bit-identical to the historical []bool construction.
 	rng := stats.NewRNG(opt.Seed)
 	pp := &sim.PackedPairs{}
 	pp.Reset(gen.Inputs(), opt.Size)
@@ -82,6 +83,7 @@ func Build(eval *power.Evaluator, gen Generator, opt Options) (*Population, erro
 		}
 	}
 	if opt.KeepPairs {
+		pp.DropRows()
 		p.packed = pp
 	}
 	return p, nil

@@ -19,11 +19,11 @@ import (
 // target a nominal |V|.
 //
 // It also implements evt.BatchSource: SampleBatch generates the batch's
-// pairs sequentially from the RNG (so the random stream is consumed
-// exactly as the same number of SamplePower calls would consume it) and
-// then simulates them across Workers parallel evaluators, one compiled
-// stripe of up to 512 pairs per evaluator call. Results are bit-identical
-// to the scalar path for any worker count.
+// pairs from the RNG with exactly the draws, and the RNG end state, of
+// the same number of SamplePower calls, and then simulates them across
+// Workers parallel evaluators, one compiled stripe of up to 512 pairs
+// per evaluator call. Results are bit-identical to the scalar path for
+// any worker count.
 //
 // StreamSource is safe for sequential use only (like the estimator
 // itself); the underlying evaluator is cloned per instance.
@@ -80,7 +80,7 @@ func (s *StreamSource) SamplePower(rng *stats.RNG) float64 {
 }
 
 // SampleBatch implements evt.BatchSource: generate len(dst) pairs
-// sequentially into the reused bit-plane buffer, then simulate them in
+// in stream order into the reused bit-plane buffer, then simulate them in
 // parallel into dst. The packed batch is the pipeline's native currency,
 // so the steady-state call (built-in generator, warm buffers, Workers=1)
 // performs zero heap allocations — testing.AllocsPerRun guards it. A
