@@ -53,8 +53,9 @@ type CompileOptions struct {
 	// instruction stream, the event calendar, and the toggle accumulators
 	// entirely. nil observes every gate (no elimination).
 	Observe []int
-	// ZeroDelay compiles the glitch-free settle kernel (two topological
-	// passes, no calendar) instead of the event-driven timed kernel. It
+	// ZeroDelay compiles the glitch-free settle kernel (one topological
+	// walk over both vectors, no calendar) instead of the event-driven
+	// timed kernel. It
 	// must match the delay model's zero-delay contract, the rule
 	// Simulator.ZeroDelay reports and CompileModel infers.
 	ZeroDelay bool

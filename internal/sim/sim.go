@@ -15,12 +15,14 @@
 // to the scalar path and built for the estimation hot loop, where
 // thousands of independent vector pairs are simulated per estimate:
 //
-//   - Striped settles a zero-delay program in two topological passes,
-//     where no glitches exist, and runs a timed program on an
-//     event-driven calendar. Per-gate delays are lane-invariant, so every
-//     lane's events for a gate share one calendar slot and the scalar
-//     single-pending-event rules become word-level mask algebra; toggle
-//     counts are kept as bit-plane ripple-carry counters.
+//   - Striped settles a zero-delay program, where no glitches exist, in
+//     one topological walk over both vectors that also writes the toggle
+//     plane (an AVX-512 kernel where the CPU has one), and runs a timed
+//     program on an event-driven calendar. Per-gate delays are
+//     lane-invariant, so every lane's events for a gate share one
+//     calendar slot and the scalar single-pending-event rules become
+//     word-level mask algebra; toggle counts are kept as bit-plane
+//     ripple-carry counters.
 //   - Speculative settles both vectors of a timed stripe on the zero-delay
 //     kernel and patches toggle counts from static hazard analysis and
 //     per-gate waveform merges, falling back to the Striped calendar for

@@ -78,9 +78,10 @@ func diffSpeculative(t *testing.T, c *netlist.Circuit, m delay.Model, width, lan
 // TestSpeculativeDifferentialScalar runs the speculative engine's
 // bit-identity contract on the ISCAS circuits across all four delay
 // models, full and ragged stripes: C3540 is the circuit of the
-// stream-timed benchmark, whose waveform merges take most of its time.
-// CI runs the C880 and C3540 subtrees under -race as the speculative
-// differential step.
+// stream-timed benchmark, whose waveform merges take most of its time,
+// and C7552, the stream-zero-wide circuit, runs the production shape
+// under zero and fanout delay. CI runs the C880, C3540 and C7552
+// subtrees under -race as the speculative differential step.
 func TestSpeculativeDifferentialScalar(t *testing.T) {
 	models := []delay.Model{delay.Zero{}, delay.Unit{}, delay.FanoutLoaded{}, delay.StandardTable()}
 	for _, name := range []string{"C432", "C880", "C3540"} {
@@ -91,6 +92,10 @@ func TestSpeculativeDifferentialScalar(t *testing.T) {
 				diffSpeculative(t, c, m, 2, 200, 11)
 			})
 		}
+	}
+	c := bench.MustGenerate("C7552")
+	for _, m := range []delay.Model{delay.Zero{}, delay.FanoutLoaded{}} {
+		t.Run("C7552/"+m.Name(), func(t *testing.T) { diffSpeculative(t, c, m, 8, 300, 7) })
 	}
 }
 

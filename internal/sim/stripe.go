@@ -306,13 +306,10 @@ func NewStriped(p *Program) *Striped {
 // after the append, mask words start clear).
 var zeroEntry [1 + maxStripeWords]uint64
 
-// Program returns the compiled program this executor runs.
-func (st *Striped) Program() *Program { return st.p }
-
 // Run simulates stripe number `stripe` of the packed batch (blocks
 // stripe·W … stripe·W+W−1, missing trailing blocks inert) and returns the
 // per-lane results. Timed programs run the event-driven inertial kernel;
-// zero-delay programs the two-pass settle kernel. The returned result is
+// zero-delay programs the settle walk. The returned result is
 // reused by the next call (see StripedResult's aliasing contract).
 func (st *Striped) Run(pp *PackedPairs, stripe int) *StripedResult {
 	b0 := st.prepare(pp, stripe)
@@ -395,89 +392,6 @@ func (st *Striped) loadInputs(vals, plane []uint64, b0 int) {
 	}
 }
 
-// settle runs the straight-line settle program over the active words of
-// vals: both vectors on the zero-delay kernel, the first vector's initial
-// state on the timed one. Instructions are in levelized order; input
-// slots carry no instruction.
-func (st *Striped) settle(vals []uint64) {
-	p := st.p
-	aw := st.aw
-	for s := 0; s < p.nLive; s++ {
-		op := p.fop[s]
-		if op == fopInput {
-			continue
-		}
-		fab := st.fabRun[s]
-		oa := int(uint32(fab))
-		ob := int(fab >> 32)
-		base := s * aw
-		switch op {
-		case fopAnd2:
-			for k := 0; k < aw; k++ {
-				vals[base+k] = vals[oa+k] & vals[ob+k]
-			}
-		case fopNand2:
-			for k := 0; k < aw; k++ {
-				vals[base+k] = ^(vals[oa+k] & vals[ob+k])
-			}
-		case fopOr2:
-			for k := 0; k < aw; k++ {
-				vals[base+k] = vals[oa+k] | vals[ob+k]
-			}
-		case fopNor2:
-			for k := 0; k < aw; k++ {
-				vals[base+k] = ^(vals[oa+k] | vals[ob+k])
-			}
-		case fopXor2:
-			for k := 0; k < aw; k++ {
-				vals[base+k] = vals[oa+k] ^ vals[ob+k]
-			}
-		case fopXnor2:
-			for k := 0; k < aw; k++ {
-				vals[base+k] = ^(vals[oa+k] ^ vals[ob+k])
-			}
-		default:
-			st.settleWide(vals, s, base)
-		}
-	}
-}
-
-// settleWide is the ≥3-fan-in settle fallback, kept out of settle so the
-// dominant fused cases stay compact.
-func (st *Striped) settleWide(vals []uint64, s, base int) {
-	p := st.p
-	aw := st.aw
-	lo, hi := int(p.faninOff[s]), int(p.faninOff[s+1])
-	op := p.fop[s]
-	for k := 0; k < aw; k++ {
-		acc := vals[int(p.faninIdx[lo])*aw+k]
-		switch op {
-		case fopAndN, fopNandN:
-			for _, fo := range p.faninIdx[lo+1 : hi] {
-				acc &= vals[int(fo)*aw+k]
-			}
-			if op == fopNandN {
-				acc = ^acc
-			}
-		case fopOrN, fopNorN:
-			for _, fo := range p.faninIdx[lo+1 : hi] {
-				acc |= vals[int(fo)*aw+k]
-			}
-			if op == fopNorN {
-				acc = ^acc
-			}
-		case fopXorN, fopXnorN:
-			for _, fo := range p.faninIdx[lo+1 : hi] {
-				acc ^= vals[int(fo)*aw+k]
-			}
-			if op == fopXnorN {
-				acc = ^acc
-			}
-		}
-		vals[base+k] = acc
-	}
-}
-
 // resetResult zeroes the per-run accounting and reshapes the toggle
 // planes to the current stride (reinterpreting the existing buffer as
 // however many full levels it holds). Calendar state (arenas, occ,
@@ -513,29 +427,23 @@ func (st *Striped) resetResult() {
 	}
 }
 
-// runZero is the compiled zero-delay kernel: settle both planes, diff.
-// Glitch-free by contract, so Any alone encodes the 0/1 toggle counts.
+// runZero is the compiled zero-delay kernel: one walk settles both
+// planes and writes their diff to Any. Glitch-free by contract, so Any
+// alone encodes the 0/1 toggle counts.
 func (st *Striped) runZero(pp *PackedPairs, b0 int) {
 	st.resetResult()
 	st.loadInputs(st.values, pp.In1, b0)
-	st.settle(st.values)
 	st.loadInputs(st.aux, pp.In2, b0)
-	st.settle(st.aux)
-	p := st.p
-	aw := st.aw
 	res := &st.res
+	st.settle(st.values, st.aux, res.Any)
 	if !st.LaneStats {
-		for i := 0; i < p.nLive*aw; i++ {
-			res.Any[i] = st.values[i] ^ st.aux[i]
-		}
 		return
 	}
 	var cnt [maxStripeWords][24]uint64
-	for s := 0; s < p.nLive; s++ {
-		base := s * aw
+	aw := st.aw
+	for base := 0; base < st.stride; base += aw {
 		for k := 0; k < aw; k++ {
-			d := st.values[base+k] ^ st.aux[base+k]
-			res.Any[base+k] = d
+			d := res.Any[base+k]
 			if d == 0 {
 				continue
 			}
@@ -569,8 +477,10 @@ func (st *Striped) runTimed(pp *PackedPairs, b0 int) {
 	}
 	st.resetResult()
 
+	// The wheel needs only the first vector settled: one plane, passed
+	// as both of settle's.
 	st.loadInputs(st.values, pp.In1, b0)
-	st.settle(st.values)
+	st.settle(st.values, st.values, nil)
 
 	// Apply the second vectors at t = 0: flip all inputs first, then
 	// evaluate fan-outs once each on the union word mask (same delta-cycle
@@ -831,7 +741,7 @@ func (st *Striped) evaluate(f int, wm uint8, snow int) {
 		case fopXnor2:
 			nv = ^(vals[oa+k] ^ vals[ob+k])
 		default:
-			nv = st.evalWideWord(f, k)
+			nv = st.evalWideWord(vals, f, k)
 		}
 		cur := vals[base+k]
 		hp := pend[pd+k]
@@ -893,11 +803,11 @@ func (st *Striped) schedule(f, snow int) []uint64 {
 	return ar[off+1:]
 }
 
-// evalWideWord computes one word of a ≥3-fan-in slot's next value.
-func (st *Striped) evalWideWord(f, k int) uint64 {
+// evalWideWord computes word k of a ≥3-fan-in slot f from the value
+// plane vals.
+func (st *Striped) evalWideWord(vals []uint64, f, k int) uint64 {
 	p := st.p
 	aw := st.aw
-	vals := st.values
 	lo, hi := int(p.faninOff[f]), int(p.faninOff[f+1])
 	acc := vals[int(p.faninIdx[lo])*aw+k]
 	switch p.fop[f] {

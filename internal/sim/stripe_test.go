@@ -81,9 +81,10 @@ func diffStriped(t *testing.T, c *netlist.Circuit, m delay.Model, width, lanes i
 // TestStripedDifferentialScalar is the compiled engine's core contract:
 // for all four delay models, every lane of every stripe is bit-identical
 // to the scalar simulator on that lane's vector pair — across full
-// stripes, partial trailing words, and narrowed stripe widths. CI runs
-// the C880 subtree of this test under -race as the compiled-kernel
-// differential step.
+// stripes, partial trailing words, and narrowed stripe widths. C7552, the
+// stream-zero-wide circuit, runs the production shape under zero and
+// fanout delay. CI runs the C880 and C7552 subtrees of this test under
+// -race as the compiled-kernel differential step.
 func TestStripedDifferentialScalar(t *testing.T) {
 	models := []delay.Model{delay.Zero{}, delay.Unit{}, delay.FanoutLoaded{}, delay.StandardTable()}
 	for _, name := range []string{"C432", "C880"} {
@@ -97,6 +98,10 @@ func TestStripedDifferentialScalar(t *testing.T) {
 				diffStriped(t, c, m, 2, 200, 11)
 			})
 		}
+	}
+	c := bench.MustGenerate("C7552")
+	for _, m := range []delay.Model{delay.Zero{}, delay.FanoutLoaded{}} {
+		t.Run("C7552/"+m.Name(), func(t *testing.T) { diffStriped(t, c, m, 8, 300, 7) })
 	}
 }
 
@@ -240,19 +245,21 @@ func TestStripedResultAliasing(t *testing.T) {
 }
 
 // TestStripedAllocFree pins the steady state at zero allocations per
-// run once the toggle planes have grown to the circuit's depth.
+// run once the toggle planes have grown to the circuit's depth, for the
+// timed wheel and the zero-delay settle walk.
 func TestStripedAllocFree(t *testing.T) {
 	c := bench.MustGenerate("C432")
-	p := CompileModel(c, delay.FanoutLoaded{}, CompileOptions{})
-	st := NewStriped(p)
-	st.LaneStats = false
 	v1s := xorshiftVectors(300, c.NumInputs(), 31)
 	v2s := xorshiftVectors(300, c.NumInputs(), 32)
 	pp := packVectors(c.NumInputs(), v1s, v2s)
-	st.Run(pp, 0)
-	st.Run(pp, 0)
-	if allocs := testing.AllocsPerRun(10, func() { st.Run(pp, 0) }); allocs != 0 {
-		t.Fatalf("striped Run allocates %.1f/op in steady state, want 0", allocs)
+	for _, m := range []delay.Model{delay.FanoutLoaded{}, delay.Zero{}} {
+		st := NewStriped(CompileModel(c, m, CompileOptions{}))
+		st.LaneStats = false
+		st.Run(pp, 0)
+		st.Run(pp, 0)
+		if allocs := testing.AllocsPerRun(10, func() { st.Run(pp, 0) }); allocs != 0 {
+			t.Fatalf("%s: striped Run allocates %.1f/op in steady state, want 0", m.Name(), allocs)
+		}
 	}
 }
 

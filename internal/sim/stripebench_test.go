@@ -8,8 +8,8 @@ import (
 	"repro/internal/delay"
 )
 
-func benchStriped(b *testing.B, model delay.Model, lanes, width int) {
-	c := bench.MustGenerate("C3540")
+func benchStriped(b *testing.B, circuit string, model delay.Model, lanes, width int) {
+	c := bench.MustGenerate(circuit)
 	p := CompileModel(c, model, CompileOptions{Width: width})
 	st := NewStriped(p)
 	st.LaneStats = false
@@ -36,10 +36,20 @@ func benchStriped(b *testing.B, model delay.Model, lanes, width int) {
 	}
 }
 
-// BenchmarkStripedRun measures one full 512-lane stripe of the timed
-// kernel — the unit the streaming estimator spends its time in.
+// BenchmarkStripedRun measures one stripe of the compiled kernels: the
+// timed C3540 stripes the wheel runs, and zero/C7552/300, the 300-pair
+// zero-delay stripe of the stream-zero-wide estimate. That one runs
+// twice: as Run settles it (on the AVX-512 kernel where there is one)
+// and on the Go walk.
 func BenchmarkStripedRun(b *testing.B) {
-	b.Run("fanout/512", func(b *testing.B) { benchStriped(b, delay.FanoutLoaded{}, 512, 8) })
-	b.Run("fanout/300", func(b *testing.B) { benchStriped(b, delay.FanoutLoaded{}, 300, 8) })
-	b.Run("table/300", func(b *testing.B) { benchStriped(b, delay.StandardTable(), 300, 8) })
+	b.Logf("settle kernel: %v", haveSettleKernel)
+	b.Run("fanout/512", func(b *testing.B) { benchStriped(b, "C3540", delay.FanoutLoaded{}, 512, 8) })
+	b.Run("fanout/300", func(b *testing.B) { benchStriped(b, "C3540", delay.FanoutLoaded{}, 300, 8) })
+	b.Run("table/300", func(b *testing.B) { benchStriped(b, "C3540", delay.StandardTable(), 300, 8) })
+	b.Run("zero/C7552/300/Run", func(b *testing.B) { benchStriped(b, "C7552", delay.Zero{}, 300, 8) })
+	b.Run("zero/C7552/300/go", func(b *testing.B) {
+		defer func(k bool) { haveSettleKernel = k }(haveSettleKernel)
+		haveSettleKernel = false
+		benchStriped(b, "C7552", delay.Zero{}, 300, 8)
+	})
 }
