@@ -260,7 +260,7 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, job json.RawMessage
 	ch := make(chan outcome, len(shards))
 	for _, sh := range shards {
 		go func(sh Shard) {
-			recs, err := c.runShard(runCtx, jobID, job, sh)
+			recs, err := c.dispatchShard(runCtx, jobID, job, sh)
 			ch <- outcome{idx: sh.Index, recs: recs, err: err}
 		}(sh)
 	}
@@ -275,7 +275,7 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, job json.RawMessage
 			// as a cancelled single-node run keeps its completed
 			// hyper-samples.
 			c.cancelOutstanding(jobID, shards, results)
-			return evt.FoldRecords(cfg, flattenPrefix(results, prefix)), nil
+			return MergeShards(cfg, results[:prefix])
 		}
 		if oc.err != nil {
 			cancelRun()
@@ -291,7 +291,8 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, job json.RawMessage
 		if !advanced {
 			continue
 		}
-		res := evt.FoldRecords(cfg, flattenPrefix(results, prefix))
+		// A complete prefix has no gap, so the merge cannot fail.
+		res, _ := MergeShards(cfg, results[:prefix])
 		if onProgress != nil {
 			onProgress(res.Progress())
 		}
@@ -301,18 +302,10 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, job json.RawMessage
 			return res, nil
 		}
 	}
-	return evt.FoldRecords(cfg, flattenPrefix(results, len(shards))), nil
+	return MergeShards(cfg, results)
 }
 
-func flattenPrefix(results [][]evt.HyperRecord, prefix int) []evt.HyperRecord {
-	var recs []evt.HyperRecord
-	for _, s := range results[:prefix] {
-		recs = append(recs, s...)
-	}
-	return recs
-}
-
-// runShard drives one shard to completion: dispatch to a worker, poll,
+// dispatchShard drives one shard to completion: dispatch to a worker, poll,
 // and on any failure — dispatch error, worker unreachable while
 // polling, shard reported failed, attempt timeout — back off and try
 // the next breaker-admitted worker, up to MaxAttempts. Safe because
@@ -321,7 +314,7 @@ func flattenPrefix(results [][]evt.HyperRecord, prefix int) []evt.HyperRecord {
 // the target worker's breaker, so a dead worker stops receiving
 // attempts after BreakerThreshold failures instead of burning one
 // attempt per shard forever.
-func (c *Coordinator) runShard(ctx context.Context, jobID string, job json.RawMessage, sh Shard) ([]evt.HyperRecord, error) {
+func (c *Coordinator) dispatchShard(ctx context.Context, jobID string, job json.RawMessage, sh Shard) ([]evt.HyperRecord, error) {
 	req := ShardRequest{ID: shardID(jobID, sh.Index), Job: job, Shard: sh}
 	attempts := c.maxAttempts()
 	var lastErr error
@@ -342,7 +335,7 @@ func (c *Coordinator) runShard(ctx context.Context, jobID string, job json.RawMe
 			}
 		}
 		worker := c.pickWorker(sh.Index, a)
-		recs, err := c.runShardOn(ctx, worker, req, sh)
+		recs, err := c.attemptShard(ctx, worker, req, sh)
 		if err == nil {
 			c.breakerFor(worker).Success()
 			return recs, nil
@@ -358,11 +351,11 @@ func (c *Coordinator) runShard(ctx context.Context, jobID string, job json.RawMe
 	return nil, fmt.Errorf("fleet: gave up after %d attempts: %w", attempts, lastErr)
 }
 
-// runShardOn is one dispatch attempt against one worker: submit, poll
+// attemptShard is one dispatch attempt against one worker: submit, poll
 // until terminal, validate the records. The "fleet/shard-dispatch"
 // fault point simulates dispatch-path failures (network partition,
 // worker death between submit and poll) for chaos tests.
-func (c *Coordinator) runShardOn(ctx context.Context, worker string, req ShardRequest, sh Shard) ([]evt.HyperRecord, error) {
+func (c *Coordinator) attemptShard(ctx context.Context, worker string, req ShardRequest, sh Shard) ([]evt.HyperRecord, error) {
 	if err := faultpoint.Hit("fleet/shard-dispatch"); err != nil {
 		return nil, err
 	}

@@ -470,6 +470,52 @@ func TestJobDeadline(t *testing.T) {
 	})
 }
 
+// TestCancelOnConvergedSnapshot: a cancel that lands during the
+// hyper-sample that converges must not undo the convergence. The
+// progress hook cancels the job on its converged snapshot, so the job's
+// context has ended by the time its outcome is recorded; the work
+// finished, so the job is done with its result, and jobs_cancelled does
+// not move.
+func TestCancelOnConvergedSnapshot(t *testing.T) {
+	mgr, err := NewManager(ManagerConfig{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownManager(t, mgr)
+	cancelled := make(chan error, 1)
+	mgr.OnProgress = func(id string, p Progress) {
+		if p.Converged {
+			cancelled <- mgr.Cancel(id)
+		}
+	}
+	id, err := mgr.Submit(smallJob(21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitManagerTerminal(t, mgr, id)
+	select {
+	case err := <-cancelled:
+		if err != nil {
+			t.Fatalf("cancel on the converged snapshot: %v", err)
+		}
+	default:
+		t.Fatal("the job never reported a converged snapshot")
+	}
+	if st.State != StateDone || st.Error != "" {
+		t.Fatalf("job converged under a cancel: state = %s, error %q; want done", st.State, st.Error)
+	}
+	res, err := mgr.Result(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged || res.State != StateDone {
+		t.Errorf("result: converged %v, state %s; want converged and done", res.Converged, res.State)
+	}
+	if s := mgr.Stats(); s.JobsCancelled != 0 || s.JobsCompleted != 1 {
+		t.Errorf("jobs_cancelled %d, jobs_completed %d; want 0 and 1", s.JobsCancelled, s.JobsCompleted)
+	}
+}
+
 // TestRetentionBounded holds the job table to RetainJobs terminal
 // entries and checks the TTL pass, the eviction counter, and — with a
 // journal — that evictions survive a restart.

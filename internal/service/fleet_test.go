@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -281,18 +283,7 @@ func TestShardPairsSimulated(t *testing.T) {
 		if _, err := mgr.SubmitShard(fleet.ShardRequest{ID: "j-s0", Job: payload, Shard: shards[0]}); err != nil {
 			t.Fatal(err)
 		}
-		var st fleet.ShardStatus
-		for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
-			if st, err = mgr.ShardStatusOf("j-s0"); err != nil {
-				t.Fatal(err)
-			}
-			if st.State.Terminal() {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatal("shard never finished")
-			}
-		}
+		st := waitShardTerminal(t, mgr, "j-s0")
 		if st.State != fleet.ShardDone {
 			t.Fatalf("streaming=%v: shard finished %s: %s", streaming, st.State, st.Error)
 		}
@@ -309,6 +300,135 @@ func TestShardPairsSimulated(t *testing.T) {
 			t.Errorf("streaming=%v: units_simulated %d, pairs_simulated %d; want %d and %d",
 				streaming, stats.UnitsSimulated, stats.PairsSimulated, units, want)
 		}
+	}
+}
+
+// waitShardTerminal polls a shard on mgr until it is terminal.
+func waitShardTerminal(t *testing.T, mgr *Manager, id string) fleet.ShardStatus {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		st, err := mgr.ShardStatusOf(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State.Terminal() {
+			return st
+		}
+	}
+	t.Fatalf("shard %s never finished", id)
+	return fleet.ShardStatus{}
+}
+
+// TestShardLifecycle drives the worker side of a fleet through
+// Manager.SubmitShard on one shard worker: a panic at the
+// "service/shard-run" fault point fails only its own shard, with the
+// message and stack in the error; the next shard returns the records
+// maxpower.RunShard gives; a queued shard cancels at once; and a running
+// shard, held at the fault point, ends cancelled and runs to done when
+// submitted again.
+func TestShardLifecycle(t *testing.T) {
+	req := fleetJobRequest()
+	payload, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := req.Options.toLib()
+	shards, err := maxpower.PlanShards(opt, maxpower.DistributedOptions{ShardSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := maxpower.Circuit(req.Circuit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pop, err := maxpower.BuildPopulation(c, req.Population.toLib(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reference := func(sh maxpower.Shard) []maxpower.HyperRecord {
+		recs, err := maxpower.RunShard(context.Background(), maxpower.FromPopulation(pop), opt, sh, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return recs
+	}
+	mgr, err := NewManager(ManagerConfig{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdownManager(t, mgr)
+	submit := func(id string, sh maxpower.Shard) fleet.ShardStatus {
+		t.Helper()
+		st, err := mgr.SubmitShard(fleet.ShardRequest{ID: id, Job: payload, Shard: sh})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	wantDone := func(id string, sh maxpower.Shard) {
+		t.Helper()
+		st := waitShardTerminal(t, mgr, id)
+		if st.State != fleet.ShardDone {
+			t.Fatalf("shard %s finished %s: %s", id, st.State, st.Error)
+		}
+		if want := reference(sh); !reflect.DeepEqual(st.Records, want) {
+			t.Errorf("shard %s records differ from maxpower.RunShard:\n got  %+v\n want %+v", id, st.Records, want)
+		}
+	}
+	faultpoint.Reset()
+	t.Cleanup(faultpoint.Reset)
+
+	// A panic fails its own shard only.
+	faultpoint.Arm("service/shard-run", 1, func() error { panic("injected shard panic") })
+	submit("p-s0", shards[0])
+	if st := waitShardTerminal(t, mgr, "p-s0"); st.State != fleet.ShardFailed ||
+		!strings.Contains(st.Error, "injected shard panic") || !strings.Contains(st.Error, "goroutine") {
+		t.Fatalf("panicking shard = %s (%q), want failed with the message and stack", st.State, st.Error)
+	}
+	if s := mgr.Stats(); s.Panics != 1 || s.ShardsFailed != 1 {
+		t.Errorf("after the panic: panics %d, shards_failed %d; want 1 and 1", s.Panics, s.ShardsFailed)
+	}
+	submit("p-s1", shards[1])
+	wantDone("p-s1", shards[1])
+
+	// Hold the next shard at the fault point, so it is running and the
+	// only shard worker is busy.
+	held, release := make(chan struct{}), make(chan struct{})
+	faultpoint.Arm("service/shard-run", 1, func() error {
+		close(held)
+		<-release
+		return nil
+	})
+	submit("h-s0", shards[0])
+	<-held
+	if st := submit("q-s1", shards[1]); st.State != fleet.ShardQueued {
+		t.Fatalf("shard behind a busy worker is %s, want queued", st.State)
+	}
+	if st, err := mgr.CancelShard("q-s1"); err != nil || st.State != fleet.ShardCancelled {
+		t.Fatalf("cancel of a queued shard = %s, %v; want cancelled at once", st.State, err)
+	}
+	if got := mgr.Stats().ShardsCancelled; got != 1 {
+		t.Errorf("shards_cancelled = %d after the queued cancel, want 1", got)
+	}
+	if st, err := mgr.CancelShard("h-s0"); err != nil || st.State != fleet.ShardRunning {
+		t.Fatalf("cancel of the held shard = %s, %v; want it still running", st.State, err)
+	}
+	close(release)
+	if st := waitShardTerminal(t, mgr, "h-s0"); st.State != fleet.ShardCancelled {
+		t.Fatalf("cancelled running shard finished %s (%s), want cancelled", st.State, st.Error)
+	}
+	if got := mgr.Stats().ShardsCancelled; got != 2 {
+		t.Errorf("shards_cancelled = %d after the running cancel, want 2", got)
+	}
+	if st := submit("h-s0", shards[0]); st.State != fleet.ShardQueued && st.State != fleet.ShardRunning {
+		t.Fatalf("re-submitted cancelled shard is %s, want it queued again", st.State)
+	}
+	wantDone("h-s0", shards[0])
+	if st, err := mgr.ShardStatusOf("q-s1"); err != nil || st.State != fleet.ShardCancelled {
+		t.Errorf("queued-cancelled shard is %s, %v after the worker moved past it; want cancelled", st.State, err)
+	}
+	if s := mgr.Stats(); s.Panics != 1 || s.ShardsFailed != 1 || s.ShardsExecuted != 2 {
+		t.Errorf("final: panics %d, shards_failed %d, shards_executed %d; want 1, 1, 2", s.Panics, s.ShardsFailed, s.ShardsExecuted)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -139,21 +138,14 @@ func (c ManagerConfig) withDefaults() ManagerConfig {
 
 // job is the server-side record of one estimation request.
 type job struct {
-	id        string
-	req       JobRequest
-	tenant    string // owning tenant name ("" = anonymous)
-	class     int    // priority class (classBatch/classNormal/classInteractive)
-	circuit   string // display name
-	state     JobState
-	created   time.Time
-	started   time.Time
-	finished  time.Time
-	cacheHit  bool
-	progress  *Progress
-	result    *maxpower.Result
-	errMsg    string
-	cancel    context.CancelFunc
-	cancelled bool // DELETE arrived (possibly before the worker picked it up)
+	task
+	req      JobRequest
+	tenant   string // owning tenant name ("" = anonymous)
+	class    int    // priority class (classBatch/classNormal/classInteractive)
+	circuit  string // display name
+	cacheHit bool
+	progress *Progress
+	result   *maxpower.Result
 	// resume is the last journaled checkpoint, set during replay; the
 	// worker hands it to the estimator so the job continues where the
 	// crashed process stopped.
@@ -209,36 +201,8 @@ type Manager struct {
 	shardQueue chan *shardJob
 	fleetCoord *fleet.Coordinator
 
-	shardsExecuted  atomic.Int64
-	shardsFailed    atomic.Int64
-	shardsCancelled atomic.Int64
-	batchFallbacks  atomic.Int64
-
-	loadShed      atomic.Int64
-	rateLimited   atomic.Int64
-	quotaExceeded atomic.Int64
-
-	jobsSubmitted    atomic.Int64
-	jobsCompleted    atomic.Int64
-	jobsFailed       atomic.Int64
-	jobsCancelled    atomic.Int64
-	jobsRecovered    atomic.Int64
-	journalSkipped   atomic.Int64
-	jobsEvicted      atomic.Int64
-	jobsDeadline     atomic.Int64
-	panics           atomic.Int64
-	rejectedFull     atomic.Int64
-	rejectedShutdown atomic.Int64
-	rejectedInvalid  atomic.Int64
-	journalErrs      atomic.Int64
-	pairsSimulated   atomic.Int64
-	unitsSimulated   atomic.Int64
-	workersBusy      atomic.Int64
-	simNS            atomic.Int64
-	mleNS            atomic.Int64
-	specStripes      atomic.Int64
-	specPatched      atomic.Int64
-	specFallbacks    atomic.Int64
+	// events holds this instance's count of each event; see count.
+	events []atomic.Int64
 
 	// OnProgress, when non-nil, is invoked after each job progress
 	// update (job status already reflects the snapshot). It runs on the
@@ -261,6 +225,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		cfg:        cfg,
 		jobs:       make(map[string]*job),
 		shards:     make(map[string]*shardJob),
+		events:     make([]atomic.Int64, numEvents),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		circuits:   newLRU[*netlist.Circuit](8),
@@ -395,8 +360,7 @@ func (m *Manager) recoverJournal(dir string) error {
 		return err
 	}
 	m.journal = jn
-	m.journalSkipped.Add(int64(skipped))
-	expJournalSkipped.Add(int64(skipped))
+	m.count(evJournalSkipped, int64(skipped))
 	for _, j := range m.replay(recs) {
 		m.sched.enqueueRecovered(j)
 	}
@@ -430,13 +394,11 @@ func (m *Manager) replay(recs []record) []*job {
 			class = classNormal
 		}
 		j := &job{
-			id:      rec.Job,
+			task:    task{kind: jobKind, id: rec.Job, state: StateQueued, created: rec.Time},
 			req:     *rec.Req,
 			tenant:  rec.Tenant,
 			class:   class,
 			circuit: displayName(*rec.Req),
-			state:   StateQueued,
-			created: rec.Time,
 		}
 		m.jobs[j.id] = j
 		m.order = append(m.order, j.id)
@@ -483,8 +445,7 @@ func (m *Manager) replay(recs []record) []*job {
 		j.state = StateQueued
 		j.started = time.Time{}
 		j.recovered = true
-		m.jobsRecovered.Add(1)
-		expJobsRecovered.Add(1)
+		m.count(evJobsRecovered, 1)
 		pending = append(pending, j)
 	}
 	return pending
@@ -534,8 +495,7 @@ func (m *Manager) journalAppend(rec record) {
 		return
 	}
 	if err := m.journal.append(rec); err != nil {
-		m.journalErrs.Add(1)
-		expJournalErrors.Add(1)
+		m.count(evJournalErrors, 1)
 	}
 }
 
@@ -558,18 +518,15 @@ func (m *Manager) SubmitAs(req JobRequest, tenant string) (string, error) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		m.rejectedShutdown.Add(1)
-		expRejectedShutdown.Add(1)
+		m.count(evRejectedShutdown, 1)
 		return "", ErrShuttingDown
 	}
 	if rle := m.tenantsByName[tenant].admit(m.now()); rle != nil {
 		m.mu.Unlock()
 		if rle.Code == codeQuotaExceeded {
-			m.quotaExceeded.Add(1)
-			expQuotaExceeded.Add(1)
+			m.count(evQuotaExceeded, 1)
 		} else {
-			m.rateLimited.Add(1)
-			expRateLimited.Add(1)
+			m.count(evRateLimited, 1)
 		}
 		return "", rle
 	}
@@ -583,20 +540,17 @@ func (m *Manager) SubmitAs(req JobRequest, tenant string) (string, error) {
 		}
 	}
 	j := &job{
-		id:      id,
+		task:    task{kind: jobKind, id: id, state: StateQueued, created: time.Now()},
 		req:     req,
 		tenant:  tenant,
 		class:   class,
 		circuit: displayName(req),
-		state:   StateQueued,
-		created: time.Now(),
 	}
 	shed, err := m.sched.enqueue(j)
 	if err != nil {
 		m.seq-- // the ID was never exposed; reuse it
 		m.mu.Unlock()
-		m.rejectedFull.Add(1)
-		expRejectedFull.Add(1)
+		m.count(evRejectedFull, 1)
 		return "", err
 	}
 	m.jobs[j.id] = j
@@ -605,20 +559,14 @@ func (m *Manager) SubmitAs(req JobRequest, tenant string) (string, error) {
 	if shed != nil {
 		// The victim was displaced by a strictly higher-priority job:
 		// finalize it as cancelled, with the shed cause on record.
-		shed.cancelled = true
-		shed.state = StateCancelled
-		shed.finished = time.Now()
+		m.cancelLocked(&shed.task)
 		shed.errMsg = "load shed: displaced by higher-priority work"
-		m.jobsCancelled.Add(1)
-		expJobsCancelled.Add(1)
-		m.loadShed.Add(1)
-		expLoadShed.Add(1)
+		m.count(evLoadShed, 1)
 		shedRec = &record{Type: recTerminal, Job: shed.id, Time: shed.finished, State: StateCancelled, Error: shed.errMsg}
 	}
 	evicted := m.evictLocked(time.Now())
 	m.mu.Unlock()
-	m.jobsSubmitted.Add(1)
-	expJobsSubmitted.Add(1)
+	m.count(evJobsSubmitted, 1)
 	m.journalAppend(record{Type: recSubmit, Job: j.id, Time: j.created, Req: &j.req, Tenant: j.tenant})
 	if shedRec != nil {
 		m.journalAppend(*shedRec)
@@ -633,8 +581,7 @@ func (m *Manager) SubmitAs(req JobRequest, tenant string) (string, error) {
 // it reached Submit (body too large, malformed JSON, failed validation),
 // so load shedding is observable alongside queue-full rejections.
 func (m *Manager) NoteRejectedInvalid() {
-	m.rejectedInvalid.Add(1)
-	expRejectedInvalid.Add(1)
+	m.count(evRejectedInvalid, 1)
 }
 
 func displayName(req JobRequest) string {
@@ -774,27 +721,17 @@ func (m *Manager) CancelFor(id, tenant string) error {
 		m.mu.Unlock()
 		return ErrNotFound
 	}
-	var terminalRec *record
-	switch {
-	case j.state.Terminal():
+	if j.state.Terminal() {
 		state := j.state
 		m.mu.Unlock()
 		return fmt.Errorf("%w: job %s is already %s", ErrFinished, id, state)
-	case j.state == StateQueued:
-		j.cancelled = true
-		j.state = StateCancelled
-		j.finished = time.Now()
+	}
+	var terminalRec *record
+	if m.cancelLocked(&j.task) {
 		// Drop it from the scheduler so it stops occupying queue depth;
 		// if a worker won the race the state check makes it a no-op skip.
 		m.sched.remove(j)
-		m.jobsCancelled.Add(1)
-		expJobsCancelled.Add(1)
 		terminalRec = &record{Type: recTerminal, Job: j.id, Time: j.finished, State: StateCancelled}
-	default: // running
-		j.cancelled = true
-		if j.cancel != nil {
-			j.cancel()
-		}
 	}
 	m.mu.Unlock()
 	if terminalRec != nil {
@@ -823,50 +760,50 @@ func (m *Manager) Stats() Stats {
 		JobsQueued:       queued,
 		JobsRunning:      running,
 		QueueDepthByFlow: m.sched.depths(),
-		LoadShed:         m.loadShed.Load(),
-		RateLimited:      m.rateLimited.Load(),
-		QuotaExceeded:    m.quotaExceeded.Load(),
+		LoadShed:         m.counted(evLoadShed),
+		RateLimited:      m.counted(evRateLimited),
+		QuotaExceeded:    m.counted(evQuotaExceeded),
 
 		FleetBackoffNS:    fs.BackoffNS,
 		FleetBreakerTrips: fs.BreakerTrips,
 		FleetWorkersOpen:  fs.WorkersOpen,
 
-		JobsSubmitted:   m.jobsSubmitted.Load(),
-		JobsCompleted:   m.jobsCompleted.Load(),
-		JobsFailed:      m.jobsFailed.Load(),
-		JobsCancelled:   m.jobsCancelled.Load(),
+		JobsSubmitted:   m.counted(evJobsSubmitted),
+		JobsCompleted:   m.counted(evJobsCompleted),
+		JobsFailed:      m.counted(evJobsFailed),
+		JobsCancelled:   m.counted(evJobsCancelled),
 		CacheHits:       hits,
 		CacheMisses:     misses,
-		PairsSimulated:  m.pairsSimulated.Load(),
-		UnitsSimulated:  m.unitsSimulated.Load(),
-		WorkersBusy:     m.workersBusy.Load(),
+		PairsSimulated:  m.counted(evPairsSimulated),
+		UnitsSimulated:  m.counted(evUnitsSimulated),
+		WorkersBusy:     m.counted(evWorkersBusy),
 		QueueDepth:      int64(m.sched.depth()),
 		PopulationsHeld: int64(m.pops.len()),
-		SimNS:           m.simNS.Load(),
-		MLENS:           m.mleNS.Load(),
+		SimNS:           m.counted(evSimNS),
+		MLENS:           m.counted(evMLENS),
 
 		KernelCacheHits:   ks.Hits,
 		KernelCacheMisses: ks.Misses,
 		KernelCompileNS:   ks.CompileNS,
 		KernelsHeld:       int64(m.kernels.Len()),
-		SpecStripes:       m.specStripes.Load(),
-		SpecPatchedWords:  m.specPatched.Load(),
-		SpecFallbacks:     m.specFallbacks.Load(),
+		SpecStripes:       m.counted(evSpecStripes),
+		SpecPatchedWords:  m.counted(evSpecPatched),
+		SpecFallbacks:     m.counted(evSpecFallbacks),
 
-		JobsRecovered:    m.jobsRecovered.Load(),
-		JournalSkipped:   m.journalSkipped.Load(),
-		JobsEvicted:      m.jobsEvicted.Load(),
-		DeadlineExceeded: m.jobsDeadline.Load(),
-		Panics:           m.panics.Load(),
-		RejectedFull:     m.rejectedFull.Load(),
-		RejectedShutdown: m.rejectedShutdown.Load(),
-		RejectedInvalid:  m.rejectedInvalid.Load(),
-		JournalErrors:    m.journalErrs.Load(),
+		JobsRecovered:    m.counted(evJobsRecovered),
+		JournalSkipped:   m.counted(evJournalSkipped),
+		JobsEvicted:      m.counted(evJobsEvicted),
+		DeadlineExceeded: m.counted(evJobsDeadline),
+		Panics:           m.counted(evPanics),
+		RejectedFull:     m.counted(evRejectedFull),
+		RejectedShutdown: m.counted(evRejectedShutdown),
+		RejectedInvalid:  m.counted(evRejectedInvalid),
+		JournalErrors:    m.counted(evJournalErrors),
 
-		ShardsExecuted:        m.shardsExecuted.Load(),
-		ShardsFailed:          m.shardsFailed.Load(),
-		ShardsCancelled:       m.shardsCancelled.Load(),
-		BatchFallbacks:        m.batchFallbacks.Load(),
+		ShardsExecuted:        m.counted(evShardsExecuted),
+		ShardsFailed:          m.counted(evShardsFailed),
+		ShardsCancelled:       m.counted(evShardsCancelled),
+		BatchFallbacks:        m.counted(evBatchFallbacks),
 		FleetShardsDispatched: fs.ShardsDispatched,
 		FleetShardsRetried:    fs.ShardsRetried,
 		FleetShardsCancelled:  fs.ShardsCancelled,
@@ -913,7 +850,7 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// worker is the pool loop: pull in weighted-fair order, run, repeat
+// worker is the job pool loop: pull in weighted-fair order, run, repeat
 // until the scheduler closes and drains.
 func (m *Manager) worker() {
 	defer m.wg.Done()
@@ -922,7 +859,7 @@ func (m *Manager) worker() {
 		if !ok {
 			return
 		}
-		m.runJob(j)
+		m.run(j, jobTimeout(j.req.Options.TimeoutMS, m.cfg.MaxJobDuration))
 	}
 }
 
@@ -936,84 +873,30 @@ func jobTimeout(timeoutMS int64, ceiling time.Duration) time.Duration {
 	return d
 }
 
-// runJob executes one job end to end and records its outcome.
-func (m *Manager) runJob(j *job) {
-	if m.crashed.Load() {
-		return // simulated process death: the worker is "gone"
-	}
-	m.mu.Lock()
-	if j.state != StateQueued { // cancelled while queued
-		m.mu.Unlock()
-		return
-	}
-	var (
-		ctx    context.Context
-		cancel context.CancelFunc
-	)
-	if d := jobTimeout(j.req.Options.TimeoutMS, m.cfg.MaxJobDuration); d > 0 {
-		ctx, cancel = context.WithTimeout(m.baseCtx, d)
-	} else {
-		ctx, cancel = context.WithCancel(m.baseCtx)
-	}
-	defer cancel()
-	j.state = StateRunning
-	j.started = time.Now()
-	j.cancel = cancel
-	m.mu.Unlock()
+// exec journals the job's start and runs it: on the fleet in
+// coordinator mode (cfg.FleetWorkers set), here otherwise.
+func (j *job) exec(ctx context.Context, m *Manager) (o outcome) {
 	m.journalAppend(record{Type: recStart, Job: j.id, Time: j.started})
-
-	m.workersBusy.Add(1)
-	expWorkersBusy.Add(1)
-	defer func() {
-		m.workersBusy.Add(-1)
-		expWorkersBusy.Add(-1)
-	}()
-
-	res, cacheHit, err := m.executeRecover(ctx, j)
-
-	if m.crashed.Load() {
-		// Simulated process death: a real crash records nothing past this
-		// point — no state transition, no terminal record. Replay finds
-		// the job's last checkpoint and resumes it.
-		return
+	if err := faultpoint.Hit("service/worker-run"); err != nil {
+		return outcome{err: err}
 	}
-
-	m.mu.Lock()
-	j.finished = time.Now()
-	j.cacheHit = cacheHit
-	deadline := ctx.Err() == context.DeadlineExceeded
-	switch {
-	case err == nil && deadline:
-		// The job hit its wall-time cap: the estimator stopped at a
-		// hyper-sample boundary and returned the partial estimate, which
-		// the job keeps.
-		j.state = StateCancelled
-		j.result = &res
-		j.errMsg = "deadline exceeded before convergence"
-		m.jobsCancelled.Add(1)
-		expJobsCancelled.Add(1)
-		m.jobsDeadline.Add(1)
-		expJobsDeadline.Add(1)
-	case err == nil && ctx.Err() != nil:
-		// The estimator returned a partial result after cancellation
-		// (job-level DELETE or shutdown deadline).
-		j.state = StateCancelled
-		j.result = &res
-		j.errMsg = "cancelled before convergence"
-		m.jobsCancelled.Add(1)
-		expJobsCancelled.Add(1)
-	case err != nil:
-		j.state = StateFailed
-		j.errMsg = err.Error()
-		m.jobsFailed.Add(1)
-		expJobsFailed.Add(1)
-	default:
-		j.state = StateDone
-		j.result = &res
-		m.jobsCompleted.Add(1)
-		expJobsCompleted.Add(1)
+	if m.fleetCoord != nil {
+		o.res, o.err = m.executeFleet(ctx, j)
+	} else {
+		o.res, o.cacheHit, o.err = m.execute(ctx, j)
 	}
-	if j.result != nil {
+	budget := evt.Config{MaxHyperSamples: j.req.Options.MaxHyperSamples}.Defaults().MaxHyperSamples
+	o.finished = o.err == nil && (o.res.Converged || o.res.HyperSamples >= budget)
+	return o
+}
+
+// settle keeps a job's estimate, partial when cancelled, charges its
+// cost, adds it to the counters, and returns the terminal record.
+func (j *job) settle(m *Manager, o outcome) *record {
+	j.cacheHit = o.cacheHit
+	if o.err == nil {
+		res := &o.res
+		j.result = res
 		// Units is the estimator's cost ("# of units", the paper's cost
 		// metric). For streaming jobs every unit is also one live pair
 		// simulation; population-mode draws hit precomputed powers, whose
@@ -1026,63 +909,31 @@ func (m *Manager) runJob(j *job) {
 		if ts := m.tenantsByName[j.tenant]; ts != nil && ts.units != nil {
 			ts.units.charge(m.now(), float64(res.Units))
 		}
-		m.unitsSimulated.Add(int64(res.Units))
-		expUnitsSimulated.Add(int64(res.Units))
+		m.count(evUnitsSimulated, int64(res.Units))
 		if j.req.Streaming {
-			m.pairsSimulated.Add(int64(res.Units))
-			expPairsSimulated.Add(int64(res.Units))
+			m.count(evPairsSimulated, int64(res.Units))
 		}
 		// Wall-time split from the estimator; population-build time was
-		// already added to the sim side in execute.
-		m.simNS.Add(int64(res.SimTime))
-		expSimNS.Add(int64(res.SimTime))
-		m.mleNS.Add(int64(res.FitTime))
-		expMLENS.Add(int64(res.FitTime))
+		// already added to the sim side in resolvePopulation.
+		m.count(evSimNS, int64(res.SimTime))
+		m.count(evMLENS, int64(res.FitTime))
 		// Execution-strategy counters from the speculative kernel (zero
 		// for population-mode and fleet-folded results).
-		m.specStripes.Add(int64(res.Engine.SpecStripes))
-		m.specPatched.Add(int64(res.Engine.SpecPatched))
-		m.specFallbacks.Add(int64(res.Engine.SpecFallbacks))
-		expSpecStripes.Add(int64(res.Engine.SpecStripes))
-		expSpecPatched.Add(int64(res.Engine.SpecPatched))
-		expSpecFallbacks.Add(int64(res.Engine.SpecFallbacks))
+		m.count(evSpecStripes, int64(res.Engine.SpecStripes))
+		m.count(evSpecPatched, int64(res.Engine.SpecPatched))
+		m.count(evSpecFallbacks, int64(res.Engine.SpecFallbacks))
 	}
-	term := record{
+	return &record{
 		Type: recTerminal, Job: j.id, Time: j.finished,
 		State: j.state, Error: j.errMsg, CacheHit: j.cacheHit,
 		Result: toJournalResult(j.result),
 	}
-	m.mu.Unlock()
-	m.journalAppend(term)
-}
-
-// executeRecover runs execute behind a recover barrier: a panic anywhere
-// in job execution — circuit parsing, population build, the estimator —
-// fails that one job with the stack in its error message and leaves the
-// worker, the pool, and every other job untouched.
-func (m *Manager) executeRecover(ctx context.Context, j *job) (res maxpower.Result, cacheHit bool, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			m.panics.Add(1)
-			expPanics.Add(1)
-			res, cacheHit = maxpower.Result{}, false
-			err = fmt.Errorf("service: panic in job %s: %v\n%s", j.id, r, debug.Stack())
-		}
-	}()
-	if ferr := faultpoint.Hit("service/worker-run"); ferr != nil {
-		return maxpower.Result{}, false, ferr
-	}
-	return m.execute(ctx, j)
 }
 
 // execute resolves the job's source and runs the estimator with the
-// progress observer and the checkpoint hooks attached. In coordinator
-// mode (cfg.FleetWorkers set) the job is instead sharded and fanned out
-// to the fleet.
+// progress observer and the checkpoint hooks attached. The bool reports
+// a population cache hit.
 func (m *Manager) execute(ctx context.Context, j *job) (maxpower.Result, bool, error) {
-	if m.fleetCoord != nil {
-		return m.executeFleet(ctx, j)
-	}
 	src, opt, hit, err := m.source(j.req)
 	if err != nil {
 		return maxpower.Result{}, false, err
@@ -1151,11 +1002,8 @@ func (m *Manager) resolvePopulation(c *netlist.Circuit, req JobRequest, spec max
 	}
 	// A population build is pure simulation work; count its wall time
 	// on the sim side of the sim/MLE split.
-	buildNS := int64(time.Since(buildStart))
-	m.simNS.Add(buildNS)
-	expSimNS.Add(buildNS)
-	m.pairsSimulated.Add(int64(pop.Size()))
-	expPairsSimulated.Add(int64(pop.Size()))
+	m.count(evSimNS, int64(time.Since(buildStart)))
+	m.count(evPairsSimulated, int64(pop.Size()))
 	m.pops.add(pk, pop)
 	return pop, false, nil
 }
@@ -1225,8 +1073,7 @@ func (m *Manager) evictLocked(now time.Time) []record {
 	}
 	recs := make([]record, 0, len(victims))
 	for _, id := range victims {
-		m.jobsEvicted.Add(1)
-		expJobsEvicted.Add(1)
+		m.count(evJobsEvicted, 1)
 		recs = append(recs, record{Type: recEvict, Job: id, Time: now})
 	}
 	return recs

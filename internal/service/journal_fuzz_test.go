@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 )
 
@@ -14,9 +15,10 @@ import (
 func replayManager() *Manager {
 	cfg := ManagerConfig{QueueDepth: 1 << 20}.withDefaults()
 	return &Manager{
-		cfg:   cfg,
-		jobs:  make(map[string]*job),
-		sched: newSched(cfg.QueueDepth, nil, nil),
+		cfg:    cfg,
+		jobs:   make(map[string]*job),
+		sched:  newSched(cfg.QueueDepth, nil, nil),
+		events: make([]atomic.Int64, numEvents),
 	}
 }
 
@@ -163,8 +165,8 @@ func FuzzJournalReplay(f *testing.F) {
 				}
 			}
 		}
-		if int(m.jobsRecovered.Load()) != len(queued) {
-			t.Fatalf("%d jobs counted recovered, %d queued", m.jobsRecovered.Load(), len(queued))
+		if recovered := m.counted(evJobsRecovered); int(recovered) != len(queued) {
+			t.Fatalf("%d jobs counted recovered, %d queued", recovered, len(queued))
 		}
 
 		m2 := replayManager()
@@ -172,7 +174,7 @@ func FuzzJournalReplay(f *testing.F) {
 			t.Fatalf("second recovery: %v", err)
 		}
 		defer m2.journal.close()
-		if n := m2.journalSkipped.Load(); n != 0 {
+		if n := m2.counted(evJournalSkipped); n != 0 {
 			t.Fatalf("compacted journal has %d unparsable lines", n)
 		}
 		checkJobTable(t, m2)

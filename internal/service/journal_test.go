@@ -184,7 +184,7 @@ func TestJournalOverlongLine(t *testing.T) {
 		t.Fatalf("surviving records = %+v, want the submit and start", recs)
 	}
 
-	before := expJournalSkipped.Value()
+	before := evJournalSkipped.v.Value()
 	mgr, err := NewManager(ManagerConfig{Workers: 1, DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
@@ -193,10 +193,10 @@ func TestJournalOverlongLine(t *testing.T) {
 	if got := mgr.Stats().JournalSkipped; got != 1 {
 		t.Errorf("Stats().JournalSkipped = %d, want 1", got)
 	}
-	if got := expJournalSkipped.Value() - before; got != 1 {
+	if got := evJournalSkipped.v.Value() - before; got != 1 {
 		t.Errorf("maxpowerd_journal_lines_skipped rose by %d, want 1", got)
 	}
-	if n := mgr.jobsRecovered.Load(); n != 1 {
+	if n := mgr.counted(evJobsRecovered); n != 1 {
 		t.Errorf("%d jobs re-enqueued, want 1", n)
 	}
 }
@@ -238,7 +238,7 @@ func TestJournalReplayRecordsBeforeSubmit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer shutdownManager(t, mgr)
-	if n := mgr.jobsRecovered.Load(); n != 1 {
+	if n := mgr.counted(evJobsRecovered); n != 1 {
 		t.Errorf("%d jobs re-enqueued, want 1 (only the unfinished job-000002)", n)
 	}
 	st, err := mgr.Status("job-000001")

@@ -10,7 +10,7 @@ import (
 // that is already queued, so nothing blocks.
 
 func mkjob(id, tenant string, class int) *job {
-	return &job{id: id, tenant: tenant, class: class, state: StateQueued}
+	return &job{task: task{kind: jobKind, id: id, state: StateQueued}, tenant: tenant, class: class}
 }
 
 func mustEnqueue(t *testing.T, s *sched, j *job) {

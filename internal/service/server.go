@@ -173,24 +173,13 @@ func retryAfterSeconds(d time.Duration) string {
 // /v1/stats; 429s and 503s carry Retry-After so well-behaved clients
 // back off.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, tenant string) {
-	// MaxBytesReader (unlike a bare LimitReader) also closes the
-	// connection when the cap is blown, so an oversized upload cannot
-	// keep streaming into a dead request.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		s.mgr.NoteRejectedInvalid()
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "body_too_large", "request body exceeds 8 MiB")
-			return
-		}
-		writeError(w, http.StatusBadRequest, "bad_body", err.Error())
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 	req, code, err := decodeJobRequest(body)
 	if err != nil {
-		s.mgr.NoteRejectedInvalid()
-		writeError(w, http.StatusBadRequest, code, err.Error())
+		s.refuse(w, &badRequest{code, err})
 		return
 	}
 	id, err := s.mgr.SubmitAs(req, tenant)
@@ -206,16 +195,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, tenant str
 		w.Header().Set("Retry-After", "5")
 		writeError(w, http.StatusTooManyRequests, codeTenantQueueFull, err.Error())
 		return
-	case errors.Is(err, ErrQueueFull):
-		w.Header().Set("Retry-After", "5")
-		writeError(w, http.StatusServiceUnavailable, "queue_full", err.Error())
-		return
-	case errors.Is(err, ErrShuttingDown):
-		w.Header().Set("Retry-After", "30")
-		writeError(w, http.StatusServiceUnavailable, "shutting_down", err.Error())
-		return
 	case err != nil:
-		writeError(w, http.StatusInternalServerError, "internal", err.Error())
+		s.refuse(w, err)
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+id)
@@ -286,48 +267,70 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request, tenant str
 // embedded job payload is validated with the job schema before the
 // shard is accepted.
 func (s *Server) handleShardSubmit(w http.ResponseWriter, r *http.Request) {
+	body, ok := s.readBody(w, r)
+	if !ok {
+		return
+	}
+	var req fleet.ShardRequest
+	if err := unmarshalStrict(body, &req); err != nil {
+		s.refuse(w, &badRequest{"bad_json", err})
+		return
+	}
+	st, err := s.mgr.SubmitShard(req)
+	if err != nil {
+		s.refuse(w, err)
+		return
+	}
+	writeJSON(w, http.StatusAccepted, st)
+}
+
+// readBody reads a submission's body. When it cannot, it answers 413
+// or 400, counts the rejection, and reports false.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	// MaxBytesReader (unlike a bare LimitReader) also closes the
+	// connection when the cap is blown, so an oversized upload cannot
+	// keep streaming into a dead request.
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		s.mgr.NoteRejectedInvalid()
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge, "body_too_large", "request body exceeds 8 MiB")
-			return
+		} else {
+			writeError(w, http.StatusBadRequest, "bad_body", err.Error())
 		}
-		writeError(w, http.StatusBadRequest, "bad_body", err.Error())
-		return
+		return nil, false
 	}
-	var req fleet.ShardRequest
-	if err := unmarshalStrict(body, &req); err != nil {
-		s.mgr.NoteRejectedInvalid()
-		writeError(w, http.StatusBadRequest, "bad_json", err.Error())
-		return
-	}
-	if err := req.Validate(); err != nil {
-		s.mgr.NoteRejectedInvalid()
-		writeError(w, http.StatusBadRequest, "invalid_request", err.Error())
-		return
-	}
-	if _, code, err := decodeJobRequest(req.Job); err != nil {
-		s.mgr.NoteRejectedInvalid()
-		writeError(w, http.StatusBadRequest, code, "job payload: "+err.Error())
-		return
-	}
-	st, err := s.mgr.SubmitShard(req)
+	return body, true
+}
+
+// badRequest is a submission refused as malformed: 400 with its code,
+// bad_json or invalid_request.
+type badRequest struct {
+	code string
+	err  error
+}
+
+func (e *badRequest) Error() string { return e.err.Error() }
+
+// refuse answers a submission that was not accepted: a malformed one
+// with 400, counted as rejected_invalid; a full queue or a shutdown with
+// 503 and Retry-After; anything else with 500.
+func (s *Server) refuse(w http.ResponseWriter, err error) {
+	var bad *badRequest
 	switch {
+	case errors.As(err, &bad):
+		s.mgr.NoteRejectedInvalid()
+		writeError(w, http.StatusBadRequest, bad.code, err.Error())
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "5")
 		writeError(w, http.StatusServiceUnavailable, "queue_full", err.Error())
-		return
 	case errors.Is(err, ErrShuttingDown):
 		w.Header().Set("Retry-After", "30")
 		writeError(w, http.StatusServiceUnavailable, "shutting_down", err.Error())
-		return
-	case err != nil:
-		writeError(w, http.StatusBadRequest, "invalid_request", err.Error())
-		return
+	default:
+		writeError(w, http.StatusInternalServerError, "internal", err.Error())
 	}
-	writeJSON(w, http.StatusAccepted, st)
 }
 
 // handleShardStatus is GET /v1/shards/{id}: lifecycle state, progress,

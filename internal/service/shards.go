@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"runtime/debug"
 	"time"
 
 	"repro/internal/evt"
@@ -19,30 +18,26 @@ import (
 // to survive transient coordinator outages, not archive history.
 const maxShardsRetained = 1024
 
-// shardJob is the worker-side record of one fleet shard.
+// shardJob is the worker-side record of one fleet shard: the job
+// request its payload decoded to at submission, and its slice of the
+// job's plan. Its lifecycle states have the fleet.ShardState names.
 type shardJob struct {
-	req       fleet.ShardRequest
-	state     fleet.ShardState
-	done      int
-	records   []evt.HyperRecord
-	errMsg    string
-	created   time.Time
-	finished  time.Time
-	cancel    context.CancelFunc
-	cancelled bool
-	// streaming is the decoded request's mode, set by its executor.
-	streaming bool
+	task
+	job     JobRequest
+	shard   fleet.Shard
+	done    int
+	records []evt.HyperRecord
 }
 
 func (s *shardJob) statusLocked() fleet.ShardStatus {
 	st := fleet.ShardStatus{
-		ID:    s.req.ID,
-		State: s.state,
+		ID:    s.id,
+		State: fleet.ShardState(s.state),
 		Done:  s.done,
-		Count: s.req.Shard.Count,
+		Count: s.shard.Count,
 		Error: s.errMsg,
 	}
-	if s.state == fleet.ShardDone {
+	if s.state == StateDone {
 		st.Records = s.records
 	}
 	return st
@@ -53,30 +48,38 @@ func (s *shardJob) statusLocked() fleet.ShardStatus {
 // shard returns its current status without re-running anything (safe
 // because shard records are a pure function of the shard plan), while
 // re-submitting a failed or cancelled shard re-enqueues it — that is
-// the coordinator's retry path.
+// the coordinator's retry path. The job payload is decoded and
+// validated with the job schema here, once; a malformed request is a
+// *badRequest.
 func (m *Manager) SubmitShard(req fleet.ShardRequest) (fleet.ShardStatus, error) {
 	if err := req.Validate(); err != nil {
-		return fleet.ShardStatus{}, err
+		return fleet.ShardStatus{}, &badRequest{"invalid_request", err}
+	}
+	job, code, err := decodeJobRequest(req.Job)
+	if err != nil {
+		return fleet.ShardStatus{}, &badRequest{code, fmt.Errorf("job payload: %w", err)}
 	}
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		m.rejectedShutdown.Add(1)
-		expRejectedShutdown.Add(1)
+		m.count(evRejectedShutdown, 1)
 		return fleet.ShardStatus{}, ErrShuttingDown
 	}
-	if s, ok := m.shards[req.ID]; ok && s.state != fleet.ShardFailed && s.state != fleet.ShardCancelled {
+	if s, ok := m.shards[req.ID]; ok && s.state != StateFailed && s.state != StateCancelled {
 		st := s.statusLocked()
 		m.mu.Unlock()
 		return st, nil
 	}
-	s := &shardJob{req: req, state: fleet.ShardQueued, created: time.Now()}
+	s := &shardJob{
+		task:  task{kind: shardKind, id: req.ID, state: StateQueued, created: time.Now()},
+		job:   job,
+		shard: req.Shard,
+	}
 	select {
 	case m.shardQueue <- s:
 	default:
 		m.mu.Unlock()
-		m.rejectedFull.Add(1)
-		expRejectedFull.Add(1)
+		m.count(evRejectedFull, 1)
 		return fleet.ShardStatus{}, ErrQueueFull
 	}
 	if _, ok := m.shards[req.ID]; !ok {
@@ -110,19 +113,7 @@ func (m *Manager) CancelShard(id string) (fleet.ShardStatus, error) {
 	if !ok {
 		return fleet.ShardStatus{}, ErrNotFound
 	}
-	switch s.state {
-	case fleet.ShardQueued:
-		s.cancelled = true
-		s.state = fleet.ShardCancelled
-		s.finished = time.Now()
-		m.shardsCancelled.Add(1)
-		expShardsCancelled.Add(1)
-	case fleet.ShardRunning:
-		s.cancelled = true
-		if s.cancel != nil {
-			s.cancel()
-		}
-	}
+	m.cancelLocked(&s.task)
 	return s.statusLocked(), nil
 }
 
@@ -145,129 +136,55 @@ func (m *Manager) evictShardsLocked() {
 	m.shardOrder = kept
 }
 
-// shardWorker is the shard pool loop, the peer of worker() for fleet
-// shards.
+// shardWorker is the shard pool loop, the peer of worker. The two
+// pools stay apart: a coordinator's job waits on shards that may run on
+// its own instance, so shards must not queue behind the jobs that wait
+// on them.
 func (m *Manager) shardWorker() {
 	defer m.wg.Done()
 	for s := range m.shardQueue {
-		m.runShard(s)
+		m.run(s, 0)
 	}
 }
 
-// runShard executes one shard end to end and records its outcome,
-// mirroring runJob: crash simulation, cancellation, panic isolation,
-// and the "service/shard-run" fault point for chaos tests.
-func (m *Manager) runShard(s *shardJob) {
-	if m.crashed.Load() {
-		return // simulated process death: the worker is "gone"
+// exec runs the shard's hyper-samples over its job's source, reusing the
+// worker's circuit and population LRU caches (shards of the same job,
+// and repeated jobs over the same spec, build the population once per
+// worker).
+func (s *shardJob) exec(ctx context.Context, m *Manager) outcome {
+	if err := faultpoint.Hit("service/shard-run"); err != nil {
+		return outcome{err: err}
 	}
-	m.mu.Lock()
-	if s.state != fleet.ShardQueued { // cancelled while queued
-		m.mu.Unlock()
-		return
-	}
-	ctx, cancel := context.WithCancel(m.baseCtx)
-	defer cancel()
-	s.state = fleet.ShardRunning
-	s.cancel = cancel
-	m.mu.Unlock()
-
-	m.workersBusy.Add(1)
-	expWorkersBusy.Add(1)
-	defer func() {
-		m.workersBusy.Add(-1)
-		expWorkersBusy.Add(-1)
-	}()
-
-	recs, err := m.executeShardRecover(ctx, s)
-
-	if m.crashed.Load() {
-		// A real crash records nothing past this point; the coordinator
-		// sees the worker vanish and reassigns the shard elsewhere.
-		return
-	}
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s.finished = time.Now()
-	switch {
-	case err == nil && len(recs) == s.req.Shard.Count:
-		s.state = fleet.ShardDone
-		s.records = recs
-		s.done = len(recs)
-		m.shardsExecuted.Add(1)
-		expShardsExecuted.Add(1)
-		units := unitsOf(recs)
-		m.unitsSimulated.Add(units)
-		expUnitsSimulated.Add(units)
-		if s.streaming {
-			// As for a streaming job, every unit was a live pair
-			// simulation.
-			m.pairsSimulated.Add(units)
-			expPairsSimulated.Add(units)
-		}
-	case ctx.Err() != nil || s.cancelled:
-		s.state = fleet.ShardCancelled
-		m.shardsCancelled.Add(1)
-		expShardsCancelled.Add(1)
-	case err != nil:
-		s.state = fleet.ShardFailed
-		s.errMsg = err.Error()
-		m.shardsFailed.Add(1)
-		expShardsFailed.Add(1)
-	default:
-		s.state = fleet.ShardFailed
-		s.errMsg = fmt.Sprintf("shard stopped after %d/%d hyper-samples", len(recs), s.req.Shard.Count)
-		m.shardsFailed.Add(1)
-		expShardsFailed.Add(1)
-	}
-}
-
-func unitsOf(recs []evt.HyperRecord) int64 {
-	var n int64
-	for _, r := range recs {
-		n += int64(r.Units)
-	}
-	return n
-}
-
-// executeShardRecover runs executeShard behind the same recover barrier
-// as jobs: a panic fails this one shard, the pool keeps serving.
-func (m *Manager) executeShardRecover(ctx context.Context, s *shardJob) (recs []evt.HyperRecord, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			m.panics.Add(1)
-			expPanics.Add(1)
-			recs = nil
-			err = fmt.Errorf("service: panic in shard %s: %v\n%s", s.req.ID, r, debug.Stack())
-		}
-	}()
-	if ferr := faultpoint.Hit("service/shard-run"); ferr != nil {
-		return nil, ferr
-	}
-	return m.executeShard(ctx, s)
-}
-
-// executeShard decodes the embedded job request and runs the shard's
-// hyper-samples over its source, reusing the worker's circuit and
-// population LRU caches (shards of the same job, and repeated jobs over
-// the same spec, build the population once per worker).
-func (m *Manager) executeShard(ctx context.Context, s *shardJob) ([]evt.HyperRecord, error) {
-	req, _, err := decodeJobRequest(s.req.Job)
+	src, opt, _, err := m.source(s.job)
 	if err != nil {
-		return nil, fmt.Errorf("service: shard %s job payload: %w", s.req.ID, err)
+		return outcome{err: err}
 	}
-	src, opt, _, err := m.source(req)
-	if err != nil {
-		return nil, err
-	}
-	s.streaming = req.Streaming
-	return maxpower.RunShard(ctx, src, opt, s.req.Shard, func(done int, _ maxpower.HyperRecord) bool {
+	recs, err := maxpower.RunShard(ctx, src, opt, s.shard, func(done int, _ maxpower.HyperRecord) bool {
 		m.mu.Lock()
 		s.done = done
 		m.mu.Unlock()
 		return ctx.Err() == nil
 	})
+	return outcome{finished: err == nil && len(recs) == s.shard.Count, err: err, recs: recs}
+}
+
+// settle keeps a finished shard's records for the coordinator and adds
+// their units to the counters.
+func (s *shardJob) settle(m *Manager, o outcome) *record {
+	if s.state == StateDone {
+		s.records, s.done = o.recs, len(o.recs)
+		var units int64
+		for _, r := range o.recs {
+			units += int64(r.Units)
+		}
+		m.count(evUnitsSimulated, units)
+		if s.job.Streaming {
+			// As for a streaming job, every unit was a live pair
+			// simulation.
+			m.count(evPairsSimulated, units)
+		}
+	}
+	return nil
 }
 
 // noteBatchFallbacks is the manager's OnBatchFallback sink: silent
@@ -275,40 +192,25 @@ func (m *Manager) executeShard(ctx context.Context, s *shardJob) ([]evt.HyperRec
 // counter (batch_fallbacks in /v1/stats, maxpowerd_batch_fallbacks on
 // /debug/vars).
 func (m *Manager) noteBatchFallbacks(count int64, _ error) {
-	m.batchFallbacks.Add(count)
-	expBatchFallbacks.Add(count)
+	m.count(evBatchFallbacks, count)
 }
 
 // executeFleet replaces local execution when the Manager runs in
-// coordinator mode: the job is sharded by plan and fanned out to the
-// fleet, and the merged Result — bit-identical to a single-node
-// maxpower.EstimateDistributed with the same plan — is recorded as the
-// job's outcome. Progress reflects the folded contiguous prefix. A
-// journal-recovered job simply re-runs its plan: shard execution is
-// idempotent, so the recovered result is the same bits.
-func (m *Manager) executeFleet(ctx context.Context, j *job) (maxpower.Result, bool, error) {
+// coordinator mode: maxpower.RunFleet shards the job by plan and fans it
+// out to the fleet, and the merged Result — bit-identical to a
+// single-node maxpower.EstimateDistributed with the same options and
+// plan — is recorded as the job's outcome. Progress reflects the folded
+// contiguous prefix. A journal-recovered job simply re-runs its plan:
+// shard execution is idempotent, so the recovered result is the same
+// bits.
+func (m *Manager) executeFleet(ctx context.Context, j *job) (maxpower.Result, error) {
 	payload, err := json.Marshal(j.req)
 	if err != nil {
-		return maxpower.Result{}, false, err
+		return maxpower.Result{}, err
 	}
-	opt := j.req.Options
-	cfg := evt.Config{
-		SampleSize:              opt.SampleSize,
-		SamplesPerHyper:         opt.SamplesPerHyper,
-		Epsilon:                 opt.Epsilon,
-		Confidence:              opt.Confidence,
-		MaxHyperSamples:         opt.MaxHyperSamples,
-		DisableFiniteCorrection: opt.DisableFiniteCorrection,
-	}
-	plan := fleet.Plan{
-		Seed:            opt.Seed,
-		ShardSize:       m.cfg.ShardSize,
-		MaxHyperSamples: cfg.Defaults().MaxHyperSamples,
-	}
-	res, err := m.fleetCoord.Run(ctx, j.id, payload, cfg, plan, func(p evt.Progress) {
-		m.recordProgress(j, p)
-	})
-	return res, false, err
+	opt := j.req.Options.toLib()
+	opt.Progress = func(p maxpower.ProgressSnapshot) { m.recordProgress(j, p) }
+	return maxpower.RunFleet(ctx, m.fleetCoord, j.id, payload, opt, maxpower.DistributedOptions{ShardSize: m.cfg.ShardSize})
 }
 
 // FleetStats returns the coordinator counters, zero when this instance

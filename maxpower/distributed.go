@@ -2,6 +2,7 @@ package maxpower
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 
 	"repro/internal/evt"
@@ -52,6 +53,23 @@ func shardPlan(opt EstimateOptions, dopt DistributedOptions) fleet.Plan {
 	}
 }
 
+// distributedPlan validates opt for a sharded run and derives its plan.
+// Sharded runs recover per shard (a lost shard is simply re-derived
+// from the plan), so the whole-run checkpoint seam does not apply:
+// EstimateOptions.Checkpoint and OnCheckpoint are rejected.
+func distributedPlan(opt EstimateOptions, dopt DistributedOptions) (fleet.Plan, error) {
+	if err := opt.Validate(); err != nil {
+		return fleet.Plan{}, err
+	}
+	if opt.Checkpoint != nil {
+		return fleet.Plan{}, errors.New("maxpower: sharded runs resume per shard; EstimateOptions.Checkpoint is not supported — re-run the plan instead")
+	}
+	if opt.OnCheckpoint != nil {
+		return fleet.Plan{}, errors.New("maxpower: sharded runs checkpoint per shard; EstimateOptions.OnCheckpoint is not supported")
+	}
+	return shardPlan(opt, dopt), nil
+}
+
 // EstimateDistributed runs the estimator over src shard by shard on
 // this machine — the single-node reference a fleet run must bit-match.
 // Each shard runs through the same preamble and shard runner a worker
@@ -60,21 +78,16 @@ func shardPlan(opt EstimateOptions, dopt DistributedOptions) fleet.Plan {
 // degenerates to Run with the same options, bit for bit. When ctx is
 // cancelled the run stops at the next hyper-sample boundary and returns
 // the completed prefix folded into a partial Result (err stays nil),
-// mirroring Run.
-//
-// Sharded runs recover per shard (a lost shard is simply re-derived
-// from the plan), so the whole-run checkpoint seam does not apply:
-// EstimateOptions.Checkpoint and OnCheckpoint are rejected here.
+// mirroring Run. EstimateOptions.Checkpoint and OnCheckpoint are
+// rejected: sharded runs recover per shard.
 func EstimateDistributed(ctx context.Context, src Source, opt EstimateOptions, dopt DistributedOptions) (Result, error) {
-	shards, err := PlanShards(opt, dopt)
+	plan, err := distributedPlan(opt, dopt)
 	if err != nil {
 		return Result{}, err
 	}
-	if opt.Checkpoint != nil {
-		return Result{}, errors.New("maxpower: sharded runs resume per shard; EstimateOptions.Checkpoint is not supported — re-run the plan instead")
-	}
-	if opt.OnCheckpoint != nil {
-		return Result{}, errors.New("maxpower: sharded runs checkpoint per shard; EstimateOptions.OnCheckpoint is not supported")
+	shards, err := plan.Shards()
+	if err != nil {
+		return Result{}, err
 	}
 	cfg := opt.evtParams()
 	var all []HyperRecord
@@ -100,6 +113,22 @@ func EstimateDistributed(ctx context.Context, src Source, opt EstimateOptions, d
 		}
 	}
 	return evt.FoldRecords(cfg, all), nil
+}
+
+// RunFleet runs the same sharded estimation as EstimateDistributed on a
+// fleet: c dispatches the plan's shards to its workers and folds their
+// records, so the Result bit-matches EstimateDistributed over the
+// source job describes. job is the request the workers decode, and must
+// carry opt's statistical options; jobID names the shards. When ctx is
+// cancelled the completed prefix is folded into a partial Result (err
+// stays nil), mirroring Run. Progress, when set, receives the fold after
+// every shard that extends the completed prefix.
+func RunFleet(ctx context.Context, c *fleet.Coordinator, jobID string, job json.RawMessage, opt EstimateOptions, dopt DistributedOptions) (Result, error) {
+	plan, err := distributedPlan(opt, dopt)
+	if err != nil {
+		return Result{}, err
+	}
+	return c.Run(ctx, jobID, job, opt.evtParams(), plan, opt.Progress)
 }
 
 // RunShard executes one shard of a sharded estimation over src — the

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/faultpoint"
+	"repro/internal/fleet"
 	"repro/maxpower"
 )
 
@@ -159,7 +160,8 @@ func TestEstimateDistributedProgressAndCancel(t *testing.T) {
 }
 
 // TestEstimateDistributedRejectsCheckpointing: the whole-run checkpoint
-// seam does not compose with sharding and must be refused loudly.
+// seam does not compose with sharding and must be refused loudly, by
+// EstimateDistributed and by RunFleet before it dispatches a shard.
 func TestEstimateDistributedRejectsCheckpointing(t *testing.T) {
 	src := maxpower.FromPopulation(distFixture(t))
 	opt := maxpower.EstimateOptions{Checkpoint: &maxpower.Checkpoint{}}
@@ -169,6 +171,10 @@ func TestEstimateDistributedRejectsCheckpointing(t *testing.T) {
 	opt = maxpower.EstimateOptions{OnCheckpoint: func(maxpower.Checkpoint) {}}
 	if _, err := maxpower.EstimateDistributed(context.Background(), src, opt, maxpower.DistributedOptions{}); err == nil {
 		t.Error("OnCheckpoint accepted by distributed run")
+	}
+	coord := &fleet.Coordinator{Workers: []string{"http://127.0.0.1:0"}}
+	if _, err := maxpower.RunFleet(context.Background(), coord, "job", nil, opt, maxpower.DistributedOptions{}); err == nil || coord.Stats().ShardsDispatched != 0 {
+		t.Errorf("OnCheckpoint accepted by fleet run: err %v, %d shards dispatched", err, coord.Stats().ShardsDispatched)
 	}
 }
 

@@ -14,7 +14,8 @@
 // Estimate and EstimateStreaming are shorthands for Run, which takes a
 // context and a Source: a built population (FromPopulation) or a
 // circuit simulated on demand (Stream). RunShard and EstimateDistributed
-// run a sharded estimate over the same Source.
+// run a sharded estimate over the same Source, and RunFleet runs it on a
+// fleet of maxpowerd workers.
 //
 // The heavy lifting lives in the internal packages (netlist, sim, power,
 // vectorgen, weibull, evt); this package wires them together behind a
