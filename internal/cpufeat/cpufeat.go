@@ -1,9 +1,9 @@
 // Package cpufeat decides, once at init, whether this machine runs the
 // repository's AVX-512 kernels: the energy fold in internal/power, the
 // Exp sweep and Log pass in internal/weibull, the eight-lane RNG in
-// internal/stats and the settle walk in internal/sim. All read the same
-// answer, so a host runs all five kernels or none (the Exp kernel also
-// checks that math.Exp takes its FMA path).
+// internal/stats and the settle walk and the bit-matrix transpose in
+// internal/sim. All read the same answer, so a host runs all six kernels
+// or none (the Exp kernel also checks that math.Exp takes its FMA path).
 package cpufeat
 
 // AVX512 reports whether the CPU has AVX-512F, AVX-512BW, AVX2, AVX and

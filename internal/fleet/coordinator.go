@@ -66,6 +66,7 @@ type Coordinator struct {
 
 	mu       sync.Mutex
 	breakers map[string]*Breaker
+	slots    map[string]int // shard-pool size each worker last reported
 }
 
 // Stats is a point-in-time snapshot of the coordinator's counters.
@@ -194,6 +195,34 @@ func (c *Coordinator) ProbeWorkers(ctx context.Context) {
 	}
 }
 
+// noteSlots records the shard-pool size a worker reported in a
+// submission reply (0: the worker reports none).
+func (c *Coordinator) noteSlots(worker string, n int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.slots == nil {
+		c.slots = make(map[string]int)
+	}
+	c.slots[worker] = n
+}
+
+// capacity is how many shards the fleet runs at once: the shard-pool
+// sizes the workers last reported, summed. It is 0 while some worker
+// has not reported one (a coordinator's first job, or a worker that
+// reports none), and Run then dispatches the whole plan.
+func (c *Coordinator) capacity() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, w := range c.Workers {
+		if c.slots[w] <= 0 {
+			return 0
+		}
+		n += c.slots[w]
+	}
+	return n
+}
+
 func (c *Coordinator) client() *http.Client {
 	if c.Client != nil {
 		return c.Client
@@ -233,12 +262,22 @@ func shardID(jobID string, index int) string {
 // with it, the workers fit with theirs). onProgress, when non-nil,
 // receives a snapshot after every newly completed prefix shard.
 //
+// Shards are dispatched in plan order, at most max(capacity, prefix) of
+// them past the completed prefix, capacity being the shard-pool sizes
+// the workers report, summed; until every worker has reported one the
+// whole plan is dispatched. Each outcome that advances the prefix is
+// folded first, and only a prefix that has not converged refills the
+// window. So the fleet's pools stay full, nothing is dispatched at
+// convergence, an early-converging job wastes at most one shard per
+// pool slot, and a long job's window grows with its prefix.
+//
 // Convergence-driven early stop: as soon as the folded prefix
-// converges, the remaining shards are cancelled fleet-wide and the
-// merged Result is returned — bit-identical to the single-node
-// reference, which would never have drawn those hyper-samples either.
-// When ctx is cancelled mid-run the completed prefix is folded into a
-// partial Result (err stays nil), mirroring single-node cancellation.
+// converges, the dispatched shards still outstanding are cancelled
+// fleet-wide and the merged Result is returned — bit-identical to the
+// single-node reference, which would never have drawn those
+// hyper-samples either. When ctx is cancelled mid-run the completed
+// prefix is folded into a partial Result (err stays nil), mirroring
+// single-node cancellation.
 func (c *Coordinator) Run(ctx context.Context, jobID string, job json.RawMessage, cfg evt.Config, plan Plan, onProgress func(evt.Progress)) (evt.Result, error) {
 	if len(c.Workers) == 0 {
 		return evt.Result{}, errors.New("fleet: coordinator has no workers")
@@ -258,15 +297,22 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, job json.RawMessage
 	// Buffered to the shard count: late finishers never block after the
 	// coordinator has already returned.
 	ch := make(chan outcome, len(shards))
-	for _, sh := range shards {
-		go func(sh Shard) {
-			recs, err := c.dispatchShard(runCtx, jobID, job, sh)
-			ch <- outcome{idx: sh.Index, recs: recs, err: err}
-		}(sh)
-	}
-
 	results := make([][]evt.HyperRecord, len(shards))
 	prefix := 0 // shards [0, prefix) are complete
+	next := 0   // shards [0, next) are dispatched
+	dispatch := func() {
+		width := c.capacity()
+		if width == 0 {
+			width = len(shards)
+		}
+		for width = max(width, prefix); next < len(shards) && next-prefix < width; next++ {
+			go func(sh Shard) {
+				recs, err := c.dispatchShard(runCtx, jobID, job, sh)
+				ch <- outcome{idx: sh.Index, recs: recs, err: err}
+			}(shards[next])
+		}
+	}
+	dispatch()
 	for completed := 0; completed < len(shards); completed++ {
 		oc := <-ch
 		if ctx.Err() != nil {
@@ -274,12 +320,12 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, job json.RawMessage
 			// contiguous completed prefix as the partial estimate, exactly
 			// as a cancelled single-node run keeps its completed
 			// hyper-samples.
-			c.cancelOutstanding(jobID, shards, results)
+			c.cancelOutstanding(jobID, shards[:next], results)
 			return MergeShards(cfg, results[:prefix])
 		}
 		if oc.err != nil {
 			cancelRun()
-			c.cancelOutstanding(jobID, shards, results)
+			c.cancelOutstanding(jobID, shards[:next], results)
 			return evt.Result{}, fmt.Errorf("fleet: shard %d: %w", oc.idx, oc.err)
 		}
 		results[oc.idx] = oc.recs
@@ -298,9 +344,10 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, job json.RawMessage
 		}
 		if res.Converged {
 			cancelRun()
-			c.cancelOutstanding(jobID, shards, results)
+			c.cancelOutstanding(jobID, shards[:next], results)
 			return res, nil
 		}
+		dispatch()
 	}
 	return MergeShards(cfg, results)
 }
@@ -364,6 +411,7 @@ func (c *Coordinator) attemptShard(ctx context.Context, worker string, req Shard
 	if err != nil {
 		return nil, err
 	}
+	c.noteSlots(worker, st.Slots)
 	var deadline <-chan time.Time
 	if c.ShardTimeout > 0 {
 		t := time.NewTimer(c.ShardTimeout)
@@ -399,10 +447,10 @@ func (c *Coordinator) attemptShard(ctx context.Context, worker string, req Shard
 	return st.Records, nil
 }
 
-// cancelOutstanding best-effort-cancels every not-yet-merged shard on
-// every worker (the coordinator does not track which worker currently
-// holds a shard across retries, and DELETE of an unknown shard is a
-// cheap 404).
+// cancelOutstanding best-effort-cancels every not-yet-merged shard of
+// the dispatched ones on every worker (the coordinator does not track
+// which worker currently holds a shard across retries, and DELETE of an
+// unknown shard is a cheap 404).
 func (c *Coordinator) cancelOutstanding(jobID string, shards []Shard, results [][]evt.HyperRecord) {
 	for _, sh := range shards {
 		if results[sh.Index] != nil {

@@ -35,6 +35,7 @@ type fakeWorker struct {
 	hypers    atomic.Int64 // hyper-samples executed across all shards
 	dieAfter  int64        // kill the whole worker after this many (0 = never)
 	submits   atomic.Int64 // shard submissions received
+	stopped   atomic.Int64 // cancels that stopped a queued or running shard
 	unhealthy atomic.Bool  // /healthz reports 500 while set
 }
 
@@ -129,6 +130,7 @@ func (w *fakeWorker) handleCancel(rw http.ResponseWriter, r *http.Request) {
 	}
 	if ok && !fs.state.Terminal() {
 		fs.state = fleet.ShardCancelled
+		w.stopped.Add(1)
 	}
 	st := fleet.ShardStatus{}
 	if ok {
@@ -265,7 +267,8 @@ func TestCoordinatorBitIdentical(t *testing.T) {
 }
 
 // TestCoordinatorEarlyStopCancels: once the folded prefix converges,
-// outstanding shards are cancelled rather than run to completion.
+// outstanding shards are cancelled rather than run to completion, and
+// the cancels reach shards the worker is still running.
 func TestCoordinatorEarlyStopCancels(t *testing.T) {
 	pop, cfg, plan := fleetFixture()
 	want := referenceRun(t, pop, cfg, plan)
@@ -280,6 +283,9 @@ func TestCoordinatorEarlyStopCancels(t *testing.T) {
 	}
 	if st := c.Stats(); st.ShardsCancelled == 0 {
 		t.Error("expected convergence-driven early stop to cancel tail shards")
+	}
+	if w.stopped.Load() == 0 {
+		t.Error("early stop cancelled no shard the worker was running")
 	}
 }
 

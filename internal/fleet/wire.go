@@ -62,6 +62,10 @@ type ShardStatus struct {
 	// Records is present only when State == done.
 	Records []evt.HyperRecord `json:"records,omitempty"`
 	Error   string            `json:"error,omitempty"`
+	// Slots is the worker's shard-pool size, how many shards it runs at
+	// once, reported in its reply to a submission; coordinators size
+	// their dispatch window from it.
+	Slots int `json:"slots,omitempty"`
 }
 
 // validateDone sanity-checks a worker's terminal payload before the

@@ -143,6 +143,49 @@ func TestFleetEarlyStop(t *testing.T) {
 	}
 }
 
+// TestFleetDispatchBound holds a coordinator's dispatch window: a job
+// at the default budget of 200 hyper-samples in shards of 3 (67 shards)
+// on two workers converges a few shards in, and by then the coordinator
+// may have dispatched at most prefix + max(slots, prefix) shards, prefix
+// being the shards its result folds and slots the workers' shard-pool
+// sizes, summed. The coordinator learns the pool sizes from the replies
+// to its submissions, so a first job teaches them. The result still
+// matches maxpower.EstimateDistributed bit for bit.
+func TestFleetDispatchBound(t *testing.T) {
+	req := fleetJobRequest()
+	req.Options.MaxHyperSamples = 0 // the default budget
+	const shardSize, workers = 3, 2
+	want := fleetReference(t, req, shardSize)
+	if !want.Converged || want.HyperSamples > 60 {
+		t.Fatalf("fixture must converge within 20 of its 67 shards (got k=%d, converged %v)", want.HyperSamples, want.Converged)
+	}
+	coord, coordMgr, workerMgrs, _ := newFleet(t, workers, shardSize)
+	if st := waitTerminal(t, coord, submitJob(t, coord, fleetJobRequest())); st.State != StateDone {
+		t.Fatalf("first fleet job finished %s: %s", st.State, st.Error)
+	}
+	dispatchedBefore, executedBefore := coordMgr.Stats().FleetShardsDispatched, int64(0)
+	for _, m := range workerMgrs {
+		executedBefore += m.Stats().ShardsExecuted
+	}
+	id := submitJob(t, coord, req)
+	st := waitTerminal(t, coord, id)
+	if st.State != StateDone {
+		t.Fatalf("fleet job finished %s: %s", st.State, st.Error)
+	}
+	assertResultMatches(t, "bounded dispatch", fetchResult(t, coord, id), want)
+	prefix := (want.HyperSamples + shardSize - 1) / shardSize
+	dispatched := coordMgr.Stats().FleetShardsDispatched - dispatchedBefore
+	executed, slots := -executedBefore, 0
+	for _, m := range workerMgrs {
+		executed += m.Stats().ShardsExecuted
+		slots += m.cfg.Workers
+	}
+	t.Logf("converged at k=%d (%d shards), %d shards dispatched, %d executed", want.HyperSamples, prefix, dispatched, executed)
+	if bound := int64(prefix + max(slots, prefix)); dispatched > bound {
+		t.Errorf("%d shards dispatched for a %d-shard prefix, want at most %d", dispatched, prefix, bound)
+	}
+}
+
 // TestFleetShardRunFaultRetries: the "service/shard-run" fault point
 // fails the first shard executions on the workers; the coordinator
 // retries them (idempotently, by shard ID) and the merged result is

@@ -1,11 +1,12 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -139,6 +140,9 @@ func (c ManagerConfig) withDefaults() ManagerConfig {
 // job is the server-side record of one estimation request.
 type job struct {
 	task
+	// ord is the job's place in the submission order: retention evicts
+	// jobs that finished at the same time in this order.
+	ord      int64
 	req      JobRequest
 	tenant   string // owning tenant name ("" = anonymous)
 	class    int    // priority class (classBatch/classNormal/classInteractive)
@@ -163,7 +167,11 @@ type Manager struct {
 	mu    sync.Mutex
 	jobs  map[string]*job
 	order []string // submission order, for listing
-	seq   int64
+	ords  int64    // the next job's ord
+	// done holds the terminal jobs in the order retention evicts them:
+	// by finish time, ties in submission order.
+	done []*job
+	seq  int64
 
 	sched       *sched
 	wg          sync.WaitGroup
@@ -401,7 +409,7 @@ func (m *Manager) replay(recs []record) []*job {
 			circuit: displayName(*rec.Req),
 		}
 		m.jobs[j.id] = j
-		m.order = append(m.order, j.id)
+		m.appendOrderLocked(j)
 	}
 	for _, rec := range recs {
 		switch rec.Type {
@@ -430,16 +438,15 @@ func (m *Manager) replay(recs []record) []*job {
 			j.cacheHit = rec.CacheHit
 			j.result = rec.Result.toResult()
 		case recEvict:
-			if j := m.jobs[rec.Job]; j != nil {
-				delete(m.jobs, rec.Job)
-				m.order = removeID(m.order, rec.Job)
-			}
+			delete(m.jobs, rec.Job)
 		}
 	}
+	m.order = slices.DeleteFunc(m.order, func(id string) bool { return m.jobs[id] == nil })
 	var pending []*job
 	for _, id := range m.order {
 		j := m.jobs[id]
 		if j.state.Terminal() {
+			m.done = append(m.done, j)
 			continue
 		}
 		j.state = StateQueued
@@ -448,6 +455,10 @@ func (m *Manager) replay(recs []record) []*job {
 		m.count(evJobsRecovered, 1)
 		pending = append(pending, j)
 	}
+	// A journal holds terminal records in the order they were written,
+	// not always in finish order; sort once, stably, so that jobs that
+	// finished at the same time stay in submission order.
+	slices.SortStableFunc(m.done, func(a, b *job) int { return a.finished.Compare(b.finished) })
 	return pending
 }
 
@@ -478,13 +489,44 @@ func (m *Manager) snapshotRecords() []record {
 	return recs
 }
 
-func removeID(order []string, id string) []string {
-	for i, v := range order {
-		if v == id {
-			return append(order[:i], order[i+1:]...)
-		}
+// appendOrderLocked puts a new job at the end of the submission order.
+func (m *Manager) appendOrderLocked(j *job) {
+	j.ord = m.ords
+	m.ords++
+	m.order = append(m.order, j.id)
+}
+
+// cancelJobLocked cancels j by cancelLocked and, when that ends it at
+// once, files it for retention. The job paths cancel through it, so a
+// job becomes terminal only here and in the runner's settle, the two
+// callers of finishedLocked.
+func (m *Manager) cancelJobLocked(j *job) bool {
+	if !m.cancelLocked(&j.task) {
+		return false
 	}
-	return order
+	m.finishedLocked(j)
+	return true
+}
+
+// finishedLocked files a job that has just become terminal into m.done.
+// A job finishes after the jobs filed before it unless the clock ran
+// back or they were restored from a journal, so the walk back from the
+// end is short.
+func (m *Manager) finishedLocked(j *job) {
+	i := len(m.done)
+	for i > 0 && evictsBefore(j, m.done[i-1]) {
+		i--
+	}
+	m.done = slices.Insert(m.done, i, j)
+}
+
+// evictsBefore reports whether retention evicts a before b: a finished
+// first, or at the same time and was submitted first.
+func evictsBefore(a, b *job) bool {
+	if c := a.finished.Compare(b.finished); c != 0 {
+		return c < 0
+	}
+	return a.ord < b.ord
 }
 
 // journalAppend writes a record if journaling is on. Journal failures
@@ -554,12 +596,12 @@ func (m *Manager) SubmitAs(req JobRequest, tenant string) (string, error) {
 		return "", err
 	}
 	m.jobs[j.id] = j
-	m.order = append(m.order, j.id)
+	m.appendOrderLocked(j)
 	var shedRec *record
 	if shed != nil {
 		// The victim was displaced by a strictly higher-priority job:
 		// finalize it as cancelled, with the shed cause on record.
-		m.cancelLocked(&shed.task)
+		m.cancelJobLocked(shed)
 		shed.errMsg = "load shed: displaced by higher-priority work"
 		m.count(evLoadShed, 1)
 		shedRec = &record{Type: recTerminal, Job: shed.id, Time: shed.finished, State: StateCancelled, Error: shed.errMsg}
@@ -727,7 +769,7 @@ func (m *Manager) CancelFor(id, tenant string) error {
 		return fmt.Errorf("%w: job %s is already %s", ErrFinished, id, state)
 	}
 	var terminalRec *record
-	if m.cancelLocked(&j.task) {
+	if m.cancelJobLocked(j) {
 		// Drop it from the scheduler so it stops occupying queue depth;
 		// if a worker won the race the state check makes it a no-op skip.
 		m.sched.remove(j)
@@ -893,6 +935,7 @@ func (j *job) exec(ctx context.Context, m *Manager) (o outcome) {
 // settle keeps a job's estimate, partial when cancelled, charges its
 // cost, adds it to the counters, and returns the terminal record.
 func (j *job) settle(m *Manager, o outcome) *record {
+	m.finishedLocked(j)
 	j.cacheHit = o.cacheHit
 	if o.err == nil {
 		res := &o.res
@@ -1035,48 +1078,62 @@ func (m *Manager) resolveCircuit(req JobRequest) (*netlist.Circuit, error) {
 // everything finished longer than RetainFor ago, then the oldest-
 // finished beyond the RetainJobs count. Queued and running jobs are
 // never evicted, so the table stays bounded without ever losing live
-// work. Caller holds m.mu; the returned evict records are journaled by
-// the caller after unlocking (fsync under the table lock would stall
-// every API request).
+// work. Both rules take from the front of m.done, so the work is in
+// proportion to the victims (and the jobs still ahead of them in the
+// submission order). Caller holds m.mu; the returned evict records —
+// the TTL's victims in submission order, then the count's in finish
+// order — are journaled by the caller after unlocking (fsync under the
+// table lock would stall every API request).
 func (m *Manager) evictLocked(now time.Time) []record {
-	var victims []string
+	n := 0
 	if ttl := m.cfg.RetainFor; ttl > 0 {
 		cutoff := now.Add(-ttl)
-		for _, id := range m.order {
-			j := m.jobs[id]
-			if j.state.Terminal() && j.finished.Before(cutoff) {
-				victims = append(victims, id)
-			}
-		}
-		for _, id := range victims {
-			delete(m.jobs, id)
-			m.order = removeID(m.order, id)
+		for n < len(m.done) && m.done[n].finished.Before(cutoff) {
+			n++
 		}
 	}
-	if keep := m.cfg.RetainJobs; keep > 0 {
-		var term []string
-		for _, id := range m.order {
-			if m.jobs[id].state.Terminal() {
-				term = append(term, id)
-			}
-		}
-		if excess := len(term) - keep; excess > 0 {
-			sort.SliceStable(term, func(a, b int) bool {
-				return m.jobs[term[a]].finished.Before(m.jobs[term[b]].finished)
-			})
-			for _, id := range term[:excess] {
-				delete(m.jobs, id)
-				m.order = removeID(m.order, id)
-				victims = append(victims, id)
-			}
-		}
+	aged := n
+	if keep := m.cfg.RetainJobs; keep > 0 && len(m.done)-n > keep {
+		n = len(m.done) - keep
 	}
-	recs := make([]record, 0, len(victims))
-	for _, id := range victims {
-		m.count(evJobsEvicted, 1)
-		recs = append(recs, record{Type: recEvict, Job: id, Time: now})
+	if n == 0 {
+		return nil
 	}
+	victims := m.done[:n]
+	slices.SortFunc(victims[:aged], func(a, b *job) int { return cmp.Compare(a.ord, b.ord) })
+	recs := make([]record, n)
+	for i, j := range victims {
+		delete(m.jobs, j.id)
+		recs[i] = record{Type: recEvict, Job: j.id, Time: now}
+	}
+	m.count(evJobsEvicted, int64(n))
+	m.dropEvictedLocked(n)
+	clear(victims)
+	m.done = m.done[n:]
 	return recs
+}
+
+// dropEvictedLocked removes from m.order the n jobs just deleted from
+// m.jobs, keeping the order of the rest. A victim finished before every
+// terminal job left, so only live jobs and jobs that finished after it
+// can precede it: the walk stops at the last victim and moves only the
+// jobs ahead of it.
+func (m *Manager) dropEvictedLocked(n int) {
+	i := 0
+	for dead := 0; dead < n; i++ {
+		if m.jobs[m.order[i]] == nil {
+			dead++
+		}
+	}
+	k := i
+	for p := i - 1; p >= 0; p-- {
+		if id := m.order[p]; m.jobs[id] != nil {
+			k--
+			m.order[k] = id
+		}
+	}
+	clear(m.order[:k])
+	m.order = m.order[k:]
 }
 
 // janitor ages out terminal jobs on a timer, so the table shrinks even

@@ -49,8 +49,10 @@ func (s *shardJob) statusLocked() fleet.ShardStatus {
 // because shard records are a pure function of the shard plan), while
 // re-submitting a failed or cancelled shard re-enqueues it — that is
 // the coordinator's retry path. The job payload is decoded and
-// validated with the job schema here, once; a malformed request is a
-// *badRequest.
+// validated with the job schema here, once; a malformed request, or a
+// shard reaching past its job's hyper-sample budget, is a *badRequest.
+// The reply carries the worker's shard-pool size (Slots), from which
+// the coordinator sizes its dispatch window.
 func (m *Manager) SubmitShard(req fleet.ShardRequest) (fleet.ShardStatus, error) {
 	if err := req.Validate(); err != nil {
 		return fleet.ShardStatus{}, &badRequest{"invalid_request", err}
@@ -58,6 +60,11 @@ func (m *Manager) SubmitShard(req fleet.ShardRequest) (fleet.ShardStatus, error)
 	job, code, err := decodeJobRequest(req.Job)
 	if err != nil {
 		return fleet.ShardStatus{}, &badRequest{code, fmt.Errorf("job payload: %w", err)}
+	}
+	// A plan covers hyper-samples [0, budget); a shard past it is no
+	// shard of any plan, and its count would otherwise bound nothing.
+	if budget := (evt.Config{MaxHyperSamples: job.Options.MaxHyperSamples}).Defaults().MaxHyperSamples; req.Shard.Count > budget-req.Shard.Start {
+		return fleet.ShardStatus{}, &badRequest{"invalid_request", fmt.Errorf("shard of %d hyper-samples from %d reaches past the job's budget of %d", req.Shard.Count, req.Shard.Start, budget)}
 	}
 	m.mu.Lock()
 	if m.closed {
@@ -68,6 +75,7 @@ func (m *Manager) SubmitShard(req fleet.ShardRequest) (fleet.ShardStatus, error)
 	if s, ok := m.shards[req.ID]; ok && s.state != StateFailed && s.state != StateCancelled {
 		st := s.statusLocked()
 		m.mu.Unlock()
+		st.Slots = m.cfg.Workers
 		return st, nil
 	}
 	s := &shardJob{
@@ -89,6 +97,7 @@ func (m *Manager) SubmitShard(req fleet.ShardRequest) (fleet.ShardStatus, error)
 	m.evictShardsLocked()
 	st := s.statusLocked()
 	m.mu.Unlock()
+	st.Slots = m.cfg.Workers
 	return st, nil
 }
 

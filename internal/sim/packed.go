@@ -1,6 +1,10 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/cpufeat"
+)
 
 // PackedPairs is a batch of vector pairs in bit-plane form — the native
 // currency of the sampling pipeline. Pairs are grouped into blocks of 64
@@ -164,9 +168,17 @@ func (p *PackedPairs) SetBlockRows(b int, r1, r2 []uint64) {
 	transposeRows(p.In2[lo:hi], r2, w, lanes)
 }
 
+// haveTransposeKernel reports whether transposeRows runs the AVX-512
+// kernel here.
+var haveTransposeKernel = cpufeat.AVX512()
+
 // transposeRows fills plane (one block's words, one per input) from the
 // first lanes rows of w words each, lanes past them reading as zero.
+// Each 64-input column is gathered into a, transposed in place — by the
+// AVX-512 kernel where it runs, by transpose64 elsewhere — and copied
+// out, the last column only as far as the plane reaches.
 func transposeRows(plane, rows []uint64, w, lanes int) {
+	kernel := haveTransposeKernel
 	var a [64]uint64
 	for j := 0; j < w; j++ {
 		for l := 0; l < lanes; l++ {
@@ -175,7 +187,11 @@ func transposeRows(plane, rows []uint64, w, lanes int) {
 		for l := lanes; l < 64; l++ {
 			a[l] = 0
 		}
-		transpose64(&a)
+		if kernel {
+			transposeAVX512(&a)
+		} else {
+			transpose64(&a)
+		}
 		copy(plane[64*j:], a[:])
 	}
 }
@@ -184,7 +200,8 @@ func transposeRows(plane, rows []uint64, w, lanes int) {
 // being column c: afterwards bit r of a[c] is the former bit c of a[r].
 // It swaps the off-diagonal j×j blocks for j = 32, 16, …, 1, all blocks
 // of one size at once through the mask m of their low columns (Hacker's
-// Delight §7-3, with bit 0 as column 0).
+// Delight §7-3, with bit 0 as column 0). It is the transpose off
+// AVX-512 and the reference the kernel is tested against.
 func transpose64(a *[64]uint64) {
 	m := uint64(0x00000000ffffffff)
 	for j := 32; j != 0; j, m = j>>1, m^m<<uint(j>>1) {

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/cpufeat"
 )
 
 func TestPackedPairsRoundTrip(t *testing.T) {
@@ -149,11 +151,110 @@ func TestTranspose64(t *testing.T) {
 	}
 }
 
+// transposeDef transposes a by the definition, bit by bit: bit r of
+// the result's word c is bit c of a[r].
+func transposeDef(a [64]uint64) [64]uint64 {
+	var out [64]uint64
+	for r := 0; r < 64; r++ {
+		for c := 0; c < 64; c++ {
+			out[c] |= (a[r] >> uint(c) & 1) << uint(r)
+		}
+	}
+	return out
+}
+
+// transposeMatrices returns the matrices TestTransposeKernel checks:
+// all-zero, all-ones, the identity, the anti-diagonal, every matrix
+// with a single bit set, and 1,000 random ones.
+func transposeMatrices() [][64]uint64 {
+	var zero, ones, ident, anti [64]uint64
+	for r := range ones {
+		ones[r] = ^uint64(0)
+		ident[r] = 1 << uint(r)
+		anti[r] = 1 << uint(63-r)
+	}
+	ms := [][64]uint64{zero, ones, ident, anti}
+	for r := 0; r < 64; r++ {
+		for c := 0; c < 64; c++ {
+			var a [64]uint64
+			a[r] = 1 << uint(c)
+			ms = append(ms, a)
+		}
+	}
+	for seed := uint64(1); seed <= 1000; seed++ {
+		var a [64]uint64
+		copy(a[:], xorshiftWords(64, seed))
+		ms = append(ms, a)
+	}
+	return ms
+}
+
+// TestTransposeKernel holds transpose64 to the definition and the
+// AVX-512 kernel, where it runs, to transpose64, on every matrix of
+// transposeMatrices. Both transposes are GF(2)-linear (shifts, XORs,
+// fixed masks and lane moves), so agreeing on the 4,096 single-bit
+// matrices, a basis, makes them agree on every matrix; the rest are a
+// cross-check.
+func TestTransposeKernel(t *testing.T) {
+	t.Logf("transpose kernel: %v", haveTransposeKernel)
+	for i, a := range transposeMatrices() {
+		want := transposeDef(a)
+		got := a
+		transpose64(&got)
+		if got != want {
+			t.Fatalf("matrix %d: transpose64 differs from the definition", i)
+		}
+		if !haveTransposeKernel {
+			continue
+		}
+		got = a
+		transposeAVX512(&got)
+		for r := range got {
+			if got[r] != want[r] {
+				t.Fatalf("matrix %d row %d: kernel %#x, transpose64 %#x", i, r, got[r], want[r])
+			}
+		}
+	}
+}
+
+// BenchmarkTranspose64 times one 64×64 transpose on each path this host
+// runs.
+func BenchmarkTranspose64(b *testing.B) {
+	b.Logf("transpose kernel: %v", haveTransposeKernel)
+	var a [64]uint64
+	copy(a[:], xorshiftWords(64, 1))
+	b.Run("go", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			transpose64(&a)
+		}
+	})
+	if haveTransposeKernel {
+		b.Run("kernel", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				transposeAVX512(&a)
+			}
+		})
+	}
+}
+
 // TestSetBlockRowsRoundTrip writes random pair-major rows through
 // SetBlockRows, full and partial blocks, over dirty planes, and reads
 // every pair back through PairInto: each bit must come back, and lanes
-// past the batch must read zero.
+// past the batch must read zero. It runs on transpose64 and, where it
+// runs, on the kernel.
 func TestSetBlockRowsRoundTrip(t *testing.T) {
+	t.Logf("transpose kernel: %v", haveTransposeKernel)
+	defer func(k bool) { haveTransposeKernel = k }(haveTransposeKernel)
+	for _, kernel := range []bool{false, true} {
+		if kernel && !cpufeat.AVX512() {
+			break
+		}
+		haveTransposeKernel = kernel
+		t.Run(fmt.Sprintf("kernel=%v", kernel), testSetBlockRowsRoundTrip)
+	}
+}
+
+func testSetBlockRowsRoundTrip(t *testing.T) {
 	for _, tc := range []struct{ inputs, n int }{{1, 1}, {64, 64}, {65, 130}, {207, 300}, {300, 63}} {
 		var pp PackedPairs
 		pp.Reset(tc.inputs, tc.n)

@@ -142,7 +142,33 @@ func (h HighActivity) flipThreshold(u float64) uint64 {
 	if skew <= 0 {
 		skew = DefaultActivitySkew
 	}
-	return stats.BoolThreshold(lo + (1-lo)*math.Pow(u, skew))
+	return stats.BoolThreshold(lo + (1-lo)*skewPow(u, skew))
+}
+
+// skewPow returns math.Pow(u, s) for an activity draw u of
+// RNG.Float64. For an integer s from 1 to 16 it multiplies, in the
+// order math.Pow's square-and-multiply loop does: the squares u, u², u⁴,
+// u⁸, u¹⁶, and the product of the squares of s's set bits, lowest first
+// (at the default skew 4, t := u*u and then t*t). math.Pow makes those
+// multiplies on Frexp mantissas and scales the result by a power of
+// two; a nonzero u is at least 2⁻⁵³, so every product on the way is at
+// least 2⁻⁸⁴⁸, a normal float, the scaling changes no rounding, and the
+// two agree bit for bit. u = 0 gives 0 both ways. Every other s goes to
+// math.Pow.
+func skewPow(u, s float64) float64 {
+	if s < 1 || s > 16 || s != math.Trunc(s) {
+		return math.Pow(u, s)
+	}
+	p := 1.0
+	for n := int(s); ; n >>= 1 {
+		if n&1 == 1 {
+			p *= u
+		}
+		if n == 1 {
+			return p
+		}
+		u *= u
+	}
 }
 
 // pairDraws implements laneGenerator: the activity, one word per 64

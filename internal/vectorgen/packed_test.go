@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/cpufeat"
 	"repro/internal/delay"
 	"repro/internal/power"
 	"repro/internal/sim"
@@ -207,6 +208,7 @@ func FuzzGeneratePacked(f *testing.F) {
 	} {
 		f.Add(c.width, c.pairs, c.seed, c.act, c.prob, c.skew, c.mix)
 	}
+	f.Logf("lane kernel: %v; transpose kernel: %v", stats.LaneKernel(), cpufeat.AVX512())
 	f.Fuzz(func(t *testing.T, width, pairs uint16, seed uint64, act, prob, skew float64, mix uint64) {
 		n := 1 + int(width)%300
 		count := 1 + int(pairs)%1200

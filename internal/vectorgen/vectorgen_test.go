@@ -79,6 +79,41 @@ func TestHighActivityDefaultSkew(t *testing.T) {
 	}
 }
 
+// TestFlipThresholdMatchesPow holds skewPow to math.Pow bit for bit at
+// every integer skew from 1 to 16, on 0, 1 − 2⁻⁵³, every power of two
+// from 2⁻⁵³ to 2⁻¹ and 10⁷ RNG.Float64 draws, each draw at the default
+// skew and at one of the sixteen in turn. Non-integer skews, which go to
+// math.Pow, are checked on the fixed points.
+func TestFlipThresholdMatchesPow(t *testing.T) {
+	check := func(u, s float64) {
+		if got, want := skewPow(u, s), math.Pow(u, s); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("u = %v (%#x), skew %v: multiplied %v, math.Pow %v", u, math.Float64bits(u), s, got, want)
+		}
+	}
+	fixed := []float64{0, 1 - 0x1p-53}
+	for e := -53; e <= -1; e++ {
+		fixed = append(fixed, math.Ldexp(1, e))
+	}
+	for _, u := range fixed {
+		for s := 1; s <= 16; s++ {
+			check(u, float64(s))
+		}
+		for _, s := range []float64{0.5, 1.5, 2.25, 16.5, 17, 40} {
+			check(u, s)
+		}
+	}
+	draws := 10_000_000
+	if testing.Short() {
+		draws = 100_000
+	}
+	rng := stats.NewRNG(24)
+	for i := 0; i < draws; i++ {
+		u := rng.Float64()
+		check(u, DefaultActivitySkew)
+		check(u, float64(1+i%16))
+	}
+}
+
 func TestConstrainedGenerator(t *testing.T) {
 	for _, act := range []float64{0.3, 0.7} {
 		g := ConstantActivity(80, act)
