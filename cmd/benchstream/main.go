@@ -32,7 +32,7 @@
 // come from a separate counted pass after one untimed warm-up run, so
 // they are steady state — lazily built executor scratch is excluded.
 // Each variant also records the speculation counters of one run
-// (stripes, patched words, wheel fallbacks).
+// (stripes, patched words, stripes replayed on the scalar simulator).
 //
 // -check gates on two axes against the committed baseline:
 //   - bytes_per_run: allocation volume is a property of the code and
@@ -74,8 +74,8 @@ type Variant struct {
 	AllocsPerOp int64   `json:"allocs_per_run"`
 	BytesPerOp  int64   `json:"bytes_per_run"`
 	// Speculation counters of one estimator run: timed stripes
-	// attempted, gate-words patched, stripes replayed on the event wheel
-	// after a misprediction.
+	// attempted, gate-words patched, stripes replayed on the scalar
+	// simulator after a misprediction.
 	SpecStripes   uint64 `json:"spec_stripes,omitempty"`
 	SpecPatched   uint64 `json:"spec_patched_words,omitempty"`
 	SpecFallbacks uint64 `json:"spec_fallbacks,omitempty"`

@@ -94,19 +94,19 @@ type Progress struct {
 // EngineStats carries the simulation backend's execution-strategy
 // counters for one estimation run. The speculative settle-then-patch
 // kernel reports how many timed stripes it attempted, how many
-// gate-words it patched from hazard analysis, and how many stripes fell
-// back to the full event wheel after a misprediction. All strategies
-// are bit-identical, so these numbers never explain a result — they
-// explain its cost, and services surface them for capacity planning and
-// regression triage.
+// gate-words it patched from hazard analysis, and how many stripes it
+// replayed on the scalar simulator after a misprediction. The merges and
+// the replay are bit-identical, so these numbers never explain a result
+// — they explain its cost, and services surface them for capacity
+// planning and regression triage.
 type EngineStats struct {
 	// SpecStripes counts timed stripes the speculative executor ran.
 	SpecStripes uint64 `json:"spec_stripes,omitempty"`
-	// SpecPatched counts gate-words patched via hazard analysis or
-	// waveform merge (the work the wheel never had to schedule).
+	// SpecPatched counts gate-words patched straight from the settle
+	// diff by hazard analysis, with no waveform merge.
 	SpecPatched uint64 `json:"spec_patched_words,omitempty"`
-	// SpecFallbacks counts stripes replayed on the event wheel after a
-	// waveform/settle disagreement.
+	// SpecFallbacks counts stripes replayed on the scalar simulator
+	// after a waveform/settle disagreement.
 	SpecFallbacks uint64 `json:"spec_fallbacks,omitempty"`
 }
 

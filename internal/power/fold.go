@@ -8,11 +8,11 @@ import (
 
 // foldGo adds a striped result's cycle energies (joules) into acc, one
 // 64-lane view per word, so no toggle needs a bounds check. Per lane the
-// sum visits gates in ascending original order with one add per toggled
-// gate and the same eff expression as energyOf, so every lane's float64
-// accumulation is bit-identical to the scalar path (compiled slots
-// ascend in gate id by construction). It is stripeMW's fold on hosts
-// without AVX-512 and the reference foldAVX512 is tested against.
+// sum visits gates in ascending order (slot s is gate s) with one add
+// per toggled gate and the same eff expression as energyOf, so every
+// lane's float64 accumulation is bit-identical to the scalar path. It is
+// stripeMW's fold on hosts without AVX-512 and the reference foldAVX512
+// is tested against.
 func (e *Evaluator) foldGo(r *sim.StripedResult, acc []float64) {
 	aw := r.AW
 	b0s, ovs := r.CountPlanes()
@@ -24,7 +24,7 @@ func (e *Evaluator) foldGo(r *sim.StripedResult, acc []float64) {
 	// reconstruction for everything below the overflow threshold.
 	eff2 := 1 + e.glitch
 	eff3 := 1 + e.glitch*2
-	for s, eg := range e.slotEnergy[:r.NSlots] {
+	for s, eg := range e.energyW[:r.NSlots] {
 		for k, any := range r.Any[s*aw : s*aw+aw] {
 			if any == 0 {
 				continue

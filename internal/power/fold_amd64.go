@@ -40,7 +40,7 @@ func (e *Evaluator) foldAVX512(r *sim.StripedResult, acc []float64) {
 	// Exact-length views: a shape mismatch panics here, in Go, instead
 	// of letting the kernel read past a slice.
 	acc = acc[:aw*64]
-	energy := e.slotEnergy[:nslots]
+	energy := e.energyW[:nslots]
 	anyBits := r.Any[:n]
 	b0, ov := r.CountPlanes()
 	if b0 == nil {

@@ -177,7 +177,7 @@ func FuzzStripeFold(f *testing.F) {
 			}
 		}
 		glitch := float64(scale)/255 + 1e-3
-		e := &Evaluator{glitch: min(glitch, 1), energyW: energy, slotEnergy: energy}
+		e := &Evaluator{glitch: min(glitch, 1), energyW: energy}
 		acc := runFolds(t, e, r, "fuzz")
 		toggles := make([]int32, nslots)
 		for l := 0; l < aw*64; l++ {

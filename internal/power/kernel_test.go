@@ -66,7 +66,7 @@ func TestKernelCacheSharing(t *testing.T) {
 	a.UseSpeculative(kc, "C432/fanout")
 	b := NewEvaluator(c, delay.FanoutLoaded{}, Params{})
 	b.UseSpeculative(kc, "C432/fanout")
-	if a.StripeWords() != sim.DefaultStripeWords || b.StripeWords() != a.StripeWords() {
+	if a.StripeWords() != 8 || b.StripeWords() != a.StripeWords() {
 		t.Fatalf("stripe widths %d/%d", a.StripeWords(), b.StripeWords())
 	}
 	st := kc.Stats()

@@ -159,17 +159,14 @@ type Evaluator struct {
 	// The compiled program is immutable and shared across clones and,
 	// through the cache when one is attached, across evaluators for the
 	// same (circuit, delay model). It is resolved on first batch use or
-	// at the first Clone. slotEnergy is energyW in the program's slot
-	// order, resolved and shared with it. acc (the stripe-sized energy
-	// accumulator of stripeMW) and spec (the executor, which owns a
-	// Striped for its settle kernel and misprediction fallback) are
-	// per-instance run state, built lazily.
-	kernels    *sim.ProgramCache
-	kernelKey  string
-	prog       *sim.Program
-	slotEnergy []float64
-	acc        []float64
-	spec       *sim.Speculative
+	// at the first Clone; its slot s is gate s, so the folds read energyW
+	// directly. acc (the stripe-sized energy accumulator of stripeMW) and
+	// spec (the executor) are per-instance run state, built lazily.
+	kernels   *sim.ProgramCache
+	kernelKey string
+	prog      *sim.Program
+	acc       []float64
+	spec      *sim.Speculative
 }
 
 // NewEvaluator builds an evaluator for the circuit under a delay model and
@@ -214,16 +211,15 @@ func NewEvaluator(c *netlist.Circuit, m delay.Model, p Params) *Evaluator {
 func (e *Evaluator) Clone() *Evaluator {
 	e.program()
 	return &Evaluator{
-		simulator:  e.simulator.Clone(),
-		params:     e.params,
-		energyW:    e.energyW,
-		leakW:      e.leakW,
-		clockS:     e.clockS,
-		glitch:     e.glitch,
-		kernels:    e.kernels,
-		kernelKey:  e.kernelKey,
-		prog:       e.prog,
-		slotEnergy: e.slotEnergy,
+		simulator: e.simulator.Clone(),
+		params:    e.params,
+		energyW:   e.energyW,
+		leakW:     e.leakW,
+		clockS:    e.clockS,
+		glitch:    e.glitch,
+		kernels:   e.kernels,
+		kernelKey: e.kernelKey,
+		prog:      e.prog,
 	}
 }
 
@@ -237,7 +233,6 @@ func (e *Evaluator) UseSpeculative(cache *sim.ProgramCache, key string) {
 	e.kernels = cache
 	e.kernelKey = key
 	e.prog = nil
-	e.slotEnergy = nil
 	e.spec = nil
 }
 
@@ -252,28 +247,20 @@ func (e *Evaluator) SpecStats() sim.SpecStats {
 }
 
 // program resolves the compiled program, through the shared cache when
-// one was provided, and the per-slot energies that go with it. Delays
-// come from the simulator's own assignment, so the compiled kernel is
-// oracle-exact by construction.
+// one was provided. Delays come from the simulator's own assignment, so
+// the compiled kernel is oracle-exact by construction.
 func (e *Evaluator) program() *sim.Program {
 	if e.prog != nil {
 		return e.prog
 	}
 	c := e.Circuit()
-	opt := sim.CompileOptions{ZeroDelay: e.ZeroDelay()}
 	delays := e.simulator.DelaysPS()
 	if e.kernels == nil {
-		e.prog = sim.Compile(c, delays, opt)
+		e.prog = sim.Compile(c, delays)
 	} else {
-		fp := sim.Fingerprint(c, delays, opt)
-		e.prog = e.kernels.Get(e.kernelKey, fp, func() *sim.Program {
-			return sim.Compile(c, delays, opt)
+		e.prog = e.kernels.Get(e.kernelKey, sim.Fingerprint(c, delays), func() *sim.Program {
+			return sim.Compile(c, delays)
 		})
-	}
-	gates := e.prog.SlotGates()
-	e.slotEnergy = make([]float64, len(gates))
-	for s, g := range gates {
-		e.slotEnergy[s] = e.energyW[g]
 	}
 	return e.prog
 }

@@ -235,8 +235,8 @@ type Stats struct {
 	KernelsHeld       int64 `json:"kernels_cached"`
 	// Speculative-kernel counters (PR 10): timed stripes attempted by
 	// the settle-then-patch executor, gate-words patched from hazard
-	// analysis, and stripes replayed on the full event wheel after a
-	// misprediction. Strategy choice never changes results; these track
+	// analysis, and stripes replayed on the scalar simulator after a
+	// misprediction. The replay never changes results; these track
 	// where the simulation time went. Mirrored process-wide as
 	// maxpowerd_spec_stripes / maxpowerd_spec_fallbacks on /debug/vars.
 	SpecStripes      int64 `json:"spec_stripes"`

@@ -66,9 +66,10 @@ var (
 	evBatchFallbacks  = newEvent("maxpowerd_batch_fallbacks")
 	// Speculative-kernel counters: timed stripes run by the
 	// settle-then-patch executor, gate-words patched without event
-	// simulation, and stripes replayed on the full event wheel after a
-	// misprediction (results are bit-identical either way; a rising
-	// fallback share means the speed win is eroding).
+	// simulation, and stripes replayed on the scalar simulator after a
+	// misprediction (results are bit-identical either way; a replayed
+	// stripe costs about 25 merged ones, so any fallback at all means
+	// the speed win is eroding).
 	evSpecStripes   = newEvent("maxpowerd_spec_stripes")
 	evSpecPatched   = newEvent("maxpowerd_spec_patched_words")
 	evSpecFallbacks = newEvent("maxpowerd_spec_fallbacks")

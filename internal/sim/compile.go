@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"sync"
 	"time"
 
@@ -12,15 +11,11 @@ import (
 	"repro/internal/netlist"
 )
 
-// DefaultStripeWords is the stripe width compiled programs default to:
-// 8 lane words = 512 vector pairs per calendar pass. Per-gate dispatch,
-// delay lookups, and event bookkeeping amortize across the stripe, and a
-// gate's words sit on one or two cache lines.
-const DefaultStripeWords = 8
-
-// maxStripeWords bounds the width so per-evaluation word masks fit a
-// uint8 and per-call scratch arrays live on the stack.
-const maxStripeWords = 8
+// stripeWords is the width of every compiled stripe: 8 lane words = 512
+// vector pairs. Per-gate dispatch and delay lookups amortize across the
+// stripe, a gate's words fill one cache line, and per-call scratch arrays
+// live on the stack.
+const stripeWords = 8
 
 // Fused opcodes: gate kind specialized on fan-in arity, so the dominant
 // two-input gates evaluate without a loop. One-input gates are folded into
@@ -42,72 +37,42 @@ const (
 	fopXnorN
 )
 
-// CompileOptions configures Compile. The zero value compiles the full
-// circuit at DefaultStripeWords for the timed kernel.
-type CompileOptions struct {
-	// Width is the stripe width in 64-lane words (1–8; 0 = default 8).
-	Width int
-	// Observe, when non-nil, lists the gate ids whose toggle activity the
-	// caller consumes. Gates that are not observed and feed no observed
-	// gate are dead outputs: the compiler eliminates them from the
-	// instruction stream, the event calendar, and the toggle accumulators
-	// entirely. nil observes every gate (no elimination).
-	Observe []int
-	// ZeroDelay compiles the glitch-free settle kernel (one topological
-	// walk over both vectors, no calendar) instead of the event-driven
-	// timed kernel. It
-	// must match the delay model's zero-delay contract, the rule
-	// Simulator.ZeroDelay reports and CompileModel infers.
-	ZeroDelay bool
-}
+// CompileOptions is the options parameter of CompileModel and
+// FingerprintModel. It has no fields: every program compiles at the one
+// stripe width, and whether it is the zero-delay kernel follows from its
+// delays. It stays so that callers passing CompileOptions{} compile.
+type CompileOptions struct{}
 
 // Program is a netlist compiled into a flat straight-line simulation
-// kernel for one (circuit, delay assignment, stripe width): levelized
-// gate order, fan-in indirection resolved to flat slot offsets, gate
-// kinds fused into arity-specialized opcodes, GCD-normalized
-// delays baked per instruction, and dead outputs eliminated against the
-// Observe set. A Program is immutable after Compile and safe to share
-// across any number of goroutines; all mutable run state lives in Striped
-// executors (one per goroutine, NewStriped).
+// kernel for one (circuit, delay assignment): levelized gate order,
+// fan-in indirection resolved to flat slot offsets, gate kinds fused into
+// arity-specialized opcodes, and GCD-normalized delays baked per
+// instruction. Slot s is gate s: the netlist is topologically sorted, so
+// gate order already is a levelized program. A Program is immutable
+// after Compile and safe to share across any number of goroutines; all
+// mutable run state lives in Speculative executors (one per goroutine,
+// NewSpeculative).
 type Program struct {
 	c         *netlist.Circuit
-	w         int  // stripe width in words
-	zeroDelay bool // settle-only kernel (no calendar)
+	zeroDelay bool // settle-only kernel
+	n         int  // slots, one per gate
 
-	nAll  int // gates in the source circuit
-	nLive int // compiled slots after dead-output elimination
-
-	// gates maps live slot → original gate id, ascending (the netlist is
-	// topologically sorted, so slot order is the levelized program order).
-	// slotOf is the inverse, −1 for eliminated gates. inputSlot maps
-	// primary input i → its live slot (inputs are always compiled).
-	gates     []int32
-	slotOf    []int32
-	inputSlot []int32
-
-	// Straight-line instruction stream, one instruction per live slot.
-	// fab packs the two fan-in slot ids (low 32 bits = first fan-in,
-	// high 32 = second, duplicated for one-input gates); the executor
+	// Straight-line instruction stream, one instruction per slot. fab
+	// packs the two fan-in slot ids (low 32 bits = first fan-in, high 32
+	// = second, duplicated for one-input gates); the executor
 	// pre-multiplies them by the run's active word count once per stripe
 	// shape, so evaluation indexes the value array with no slot
 	// indirection. faninIdx entries are slot ids too (the ≥3-input
-	// fallback), as are fanoutIdx entries (they key the calendar and
-	// delay lookups).
-	fop       []uint8
-	fab       []uint64
-	faninOff  []int32
-	faninIdx  []int32
-	fanoutOff []int32
-	fanoutIdx []int32
+	// fallback).
+	fop      []uint8
+	fab      []uint64
+	faninOff []int32
+	faninIdx []int32
 
-	// Timed-kernel tables (nil/zero for ZeroDelay programs): per-slot
-	// GCD-normalized delays and the calendar geometry. ringW is the exact
-	// horizon maxNorm+1 (not a power of two — the executor wraps with a
-	// compare, keeping the calendar as small as the delays allow).
+	// Timed-kernel tables (nil/zero for zero-delay programs): per-slot
+	// GCD-normalized delays and the normalization unit in ps.
 	delays []int64
 	gcdPS  int64
-	ringW  int
-	occW   int
 
 	// Static hazard analysis (timed programs only): arrT[s] ≥ 0 means
 	// slot s is hazard-free by construction — every fan-in settles its
@@ -126,169 +91,66 @@ type Program struct {
 }
 
 // CompileModel is Compile with the delay assignment drawn from a model
-// (nil = delay.FanoutLoaded{}, like New). ZeroDelay is
-// inferred from the assignment, matching Simulator's dispatch rule.
-func CompileModel(c *netlist.Circuit, m delay.Model, opt CompileOptions) *Program {
-	if m == nil {
-		m = delay.FanoutLoaded{}
-	}
-	d := m.Assign(c)
-	if len(d) != c.NumGates() {
-		panic(fmt.Sprintf("sim: delay model %s returned %d delays for %d gates", m.Name(), len(d), c.NumGates()))
-	}
-	opt.ZeroDelay = true
-	for i := range c.Gates {
-		if c.Gates[i].Kind != netlist.Input && d[i] > 0 {
-			opt.ZeroDelay = false
-			break
-		}
-	}
-	return Compile(c, d, opt)
+// (nil = delay.FanoutLoaded{}, like New).
+func CompileModel(c *netlist.Circuit, m delay.Model, _ CompileOptions) *Program {
+	return Compile(c, assignDelays(c, m))
 }
 
-// Compile builds the striped kernel program for the circuit under the
-// explicit per-gate delay assignment in ps (one entry per gate, Input
-// entries ignored — use Simulator.DelaysPS to guarantee oracle-exact
-// delays). The pipeline is: levelization (the netlist's topological
-// order becomes the straight-line settle program) → liveness against
-// Observe (dead-output elimination) → offset resolution (fan-ins become
-// flat slot offsets) → opcode fusion (kind × arity) → delay baking
-// (progress-guarded, GCD-normalized, calendar sized).
-func Compile(c *netlist.Circuit, delaysPS []int64, opt CompileOptions) *Program {
+// Compile builds the kernel program for the circuit under the explicit
+// per-gate delay assignment in ps (one entry per gate, Input entries
+// ignored — use Simulator.DelaysPS to guarantee oracle-exact delays). An
+// assignment with no positive logic-gate delay compiles the zero-delay
+// settle kernel, the rule the scalar Simulator follows; a negative
+// logic-gate delay panics, as it does in New. The pipeline is opcode
+// fusion (kind × arity) with fan-ins resolved to slot ids, then, for a
+// timed program, delay baking (progress-guarded, GCD-normalized) and the
+// static hazard frontier.
+func Compile(c *netlist.Circuit, delaysPS []int64) *Program {
 	start := time.Now()
 	n := c.NumGates()
 	if len(delaysPS) != n {
 		panic(fmt.Sprintf("sim: %d delays for %d gates", len(delaysPS), n))
 	}
-	w := opt.Width
-	if w == 0 {
-		w = DefaultStripeWords
-	}
-	if w < 1 || w > maxStripeWords {
-		panic(fmt.Sprintf("sim: stripe width %d (want 1–%d)", w, maxStripeWords))
-	}
+	zero := zeroDelay(c, delaysPS)
 
-	// Liveness: observed gates, their transitive fan-in cones, and every
-	// primary input (inputs are value sources either way; keeping them
-	// live keeps the input-application loop uniform).
-	live := make([]bool, n)
-	if opt.Observe == nil {
-		for i := range live {
-			live[i] = true
-		}
-	} else {
-		stack := make([]int32, 0, len(opt.Observe))
-		for _, g := range opt.Observe {
-			if g < 0 || g >= n {
-				panic(fmt.Sprintf("sim: observed gate %d out of range (%d gates)", g, n))
-			}
-			if !live[g] {
-				live[g] = true
-				stack = append(stack, int32(g))
-			}
-		}
-		for len(stack) > 0 {
-			g := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, f := range c.Gates[g].Fanin {
-				if !live[f] {
-					live[f] = true
-					stack = append(stack, int32(f))
-				}
-			}
-		}
-		for _, idx := range c.Inputs {
-			live[idx] = true
-		}
-	}
-
-	// Slot assignment in ascending gate order: the netlist is
-	// topologically sorted, so the live slots read as a levelized
-	// straight-line program.
-	slotOf := make([]int32, n)
-	gates := make([]int32, 0, n)
-	for i := range slotOf {
-		if live[i] {
-			slotOf[i] = int32(len(gates))
-			gates = append(gates, int32(i))
-		} else {
-			slotOf[i] = -1
-		}
-	}
-	nLive := len(gates)
-	inputSlot := make([]int32, len(c.Inputs))
-	for i, idx := range c.Inputs {
-		inputSlot[i] = slotOf[idx]
-	}
-
-	// Timed tables: progress-guarded delays (non-positive logic-gate
-	// delays become 1 ps, the scalar timed path's guard), then GCD
-	// normalization and calendar geometry, restricted to the live cone so
-	// a dead region's delays cannot inflate the calendar. Event ordering,
-	// inertial filtering and toggle counts are invariant under uniform
-	// time scaling, so simulating in units of the GCD shrinks the calendar
-	// without changing any outcome; settle times scale back to ps.
+	// Timed tables: progress-guarded delays (zero logic-gate delays
+	// become 1 ps, the scalar timed path's guard), then GCD
+	// normalization. Event ordering, inertial filtering and toggle counts
+	// are invariant under uniform time scaling, so simulating in units of
+	// the GCD changes no outcome; settle times scale back to ps.
 	var (
-		delays  []int64
-		gcdPS   int64
-		ringW   int
-		occW    int
-		maxNorm int64
+		delays []int64
+		gcdPS  int64
 	)
-	if !opt.ZeroDelay {
-		delays = make([]int64, nLive)
-		var g int64
-		for s, gid := range gates {
-			if c.Gates[gid].Kind == netlist.Input {
+	if !zero {
+		delays = make([]int64, n)
+		for g := range c.Gates {
+			if c.Gates[g].Kind == netlist.Input {
 				continue
 			}
-			d := delaysPS[gid]
-			if d < 0 {
-				panic(fmt.Sprintf("sim: negative delay for gate %s", c.Gates[gid].Name))
-			}
-			if d <= 0 {
-				d = 1
-			}
-			delays[s] = d
-			g = gcd64(g, d)
+			delays[g] = max(delaysPS[g], 1)
+			gcdPS = gcd64(gcdPS, delays[g])
 		}
-		if g == 0 {
-			g = 1
+		for g := range delays {
+			delays[g] /= gcdPS
 		}
-		for s := range delays {
-			delays[s] /= g
-			if delays[s] > maxNorm {
-				maxNorm = delays[s]
-			}
-		}
-		if maxNorm == 0 {
-			maxNorm = 1
-		}
-		gcdPS = g
-		// Exact horizon: events land at most maxNorm ticks ahead, so
-		// maxNorm+1 ring positions guarantee distinct slots without
-		// rounding up to a power of two. The calendar itself is sparse
-		// (append arenas sized by outstanding events), so a wide horizon
-		// costs only the occupancy bitmap, one bit per (gate, position).
-		ringW = int(maxNorm) + 1
-		occW = (ringW + 63) / 64
 	}
 
-	// Instruction stream: fused opcodes and pre-multiplied offsets.
+	// Instruction stream: fused opcodes and fan-in slot ids.
 	arity := func(nf int, two, many uint8) uint8 {
 		if nf <= 2 {
 			return two
 		}
 		return many
 	}
-	fop := make([]uint8, nLive)
-	fab := make([]uint64, nLive)
-	faninOff := make([]int32, nLive+1)
-	var totalFanin int32
-	for s, gid := range gates {
-		fi := c.Gates[gid].Fanin
+	fop := make([]uint8, n)
+	fab := make([]uint64, n)
+	faninOff := make([]int32, n+1)
+	faninIdx := make([]int32, 0, n)
+	for s := range c.Gates {
+		fi := c.Gates[s].Fanin
 		nf := len(fi)
-		switch c.Gates[gid].Kind {
+		switch c.Gates[s].Kind {
 		case netlist.Input:
 			fop[s] = fopInput
 		case netlist.Buf:
@@ -316,48 +178,20 @@ func Compile(c *netlist.Circuit, delaysPS []int64, opt CompileOptions) *Program 
 				fop[s] = arity(nf, fopXnor2, fopXnorN)
 			}
 		default:
-			panic(fmt.Sprintf("sim: unknown gate kind %v", c.Gates[gid].Kind))
+			panic(fmt.Sprintf("sim: unknown gate kind %v", c.Gates[s].Kind))
 		}
-		off := func(gid int) uint64 { return uint64(uint32(slotOf[gid])) }
 		switch {
 		case nf >= 2:
-			fab[s] = off(fi[0]) | off(fi[1])<<32
+			fab[s] = uint64(fi[0]) | uint64(fi[1])<<32
 		case nf == 1:
-			fab[s] = off(fi[0]) | off(fi[0])<<32
+			fab[s] = uint64(fi[0]) | uint64(fi[0])<<32
 		}
-		faninOff[s] = totalFanin
-		totalFanin += int32(nf)
-	}
-	faninOff[nLive] = totalFanin
-	faninIdx := make([]int32, 0, totalFanin)
-	for _, gid := range gates {
-		for _, f := range c.Gates[gid].Fanin {
-			faninIdx = append(faninIdx, slotOf[f])
+		faninOff[s] = int32(len(faninIdx))
+		for _, f := range fi {
+			faninIdx = append(faninIdx, int32(f))
 		}
 	}
-
-	// Fan-out lists pruned to live consumers: a dead fan-out is exactly
-	// the eliminated work — no evaluation, no event, no toggle plane.
-	fanouts := c.Fanouts()
-	fanoutOff := make([]int32, nLive+1)
-	var totalFanout int32
-	for s, gid := range gates {
-		fanoutOff[s] = totalFanout
-		for _, f := range fanouts[gid] {
-			if slotOf[f] >= 0 {
-				totalFanout++
-			}
-		}
-	}
-	fanoutOff[nLive] = totalFanout
-	fanoutIdx := make([]int32, 0, totalFanout)
-	for _, gid := range gates {
-		for _, f := range fanouts[gid] {
-			if s := slotOf[f]; s >= 0 {
-				fanoutIdx = append(fanoutIdx, s)
-			}
-		}
-	}
+	faninOff[n] = int32(len(faninIdx))
 
 	// Static hazard frontier: propagate single-transition arrival times
 	// through the levelized slot order. An input toggles at most once, at
@@ -369,8 +203,8 @@ func Compile(c *netlist.Circuit, delaysPS []int64, opt CompileOptions) *Program 
 		arrT    []int64
 		hazFree int
 	)
-	if !opt.ZeroDelay {
-		arrT = make([]int64, nLive)
+	if !zero {
+		arrT = make([]int64, n)
 		for s := range arrT {
 			if fop[s] == fopInput {
 				hazFree++
@@ -395,26 +229,17 @@ func Compile(c *netlist.Circuit, delaysPS []int64, opt CompileOptions) *Program 
 
 	p := &Program{
 		c:         c,
-		w:         w,
-		zeroDelay: opt.ZeroDelay,
-		nAll:      n,
-		nLive:     nLive,
-		gates:     gates,
-		slotOf:    slotOf,
-		inputSlot: inputSlot,
+		zeroDelay: zero,
+		n:         n,
 		fop:       fop,
 		fab:       fab,
 		faninOff:  faninOff,
 		faninIdx:  faninIdx,
-		fanoutOff: fanoutOff,
-		fanoutIdx: fanoutIdx,
 		delays:    delays,
 		gcdPS:     gcdPS,
-		ringW:     ringW,
-		occW:      occW,
 		arrT:      arrT,
 		hazFree:   hazFree,
-		fp:        Fingerprint(c, delaysPS, opt),
+		fp:        Fingerprint(c, delaysPS),
 	}
 	p.compileNS = time.Since(start).Nanoseconds()
 	return p
@@ -428,29 +253,18 @@ func gcd64(a, b int64) int64 {
 }
 
 // FingerprintModel is the checksum CompileModel would stamp on its
-// program: it applies the same ZeroDelay inference before hashing, so
-// cache consumers can key-check without compiling.
-func FingerprintModel(c *netlist.Circuit, m delay.Model, opt CompileOptions) uint64 {
-	if m == nil {
-		m = delay.FanoutLoaded{}
-	}
-	d := m.Assign(c)
-	opt.ZeroDelay = true
-	for i := range c.Gates {
-		if c.Gates[i].Kind != netlist.Input && d[i] > 0 {
-			opt.ZeroDelay = false
-			break
-		}
-	}
-	return Fingerprint(c, d, opt)
+// program, so cache consumers can key-check without compiling.
+func FingerprintModel(c *netlist.Circuit, m delay.Model, _ CompileOptions) uint64 {
+	return Fingerprint(c, assignDelays(c, m))
 }
 
 // Fingerprint is a structural checksum of everything a compiled program
-// depends on: gate kinds and fan-ins, the delay assignment, the observe
-// set, and the compile options. Cache consumers compare it on hit, so a
+// depends on: gate kinds and fan-ins, the delay assignment, and whether
+// it runs the zero-delay kernel. Cache consumers compare it on hit, so a
 // key collision (two circuits cached under one name) degrades to a
 // recompile instead of simulating the wrong netlist.
-func Fingerprint(c *netlist.Circuit, delaysPS []int64, opt CompileOptions) uint64 {
+func Fingerprint(c *netlist.Circuit, delaysPS []int64) uint64 {
+	zero := zeroDelay(c, delaysPS)
 	h := fnv.New64a()
 	var buf [8]byte
 	put := func(v uint64) {
@@ -468,24 +282,13 @@ func Fingerprint(c *netlist.Circuit, delaysPS []int64, opt CompileOptions) uint6
 		}
 		put(^uint64(0)) // gate separator
 	}
-	if !opt.ZeroDelay {
+	if zero {
+		put(1)
+	} else {
 		for _, d := range delaysPS {
 			put(uint64(d))
 		}
-	}
-	put(uint64(opt.Width))
-	if opt.ZeroDelay {
-		put(1)
-	} else {
 		put(0)
-	}
-	if opt.Observe != nil {
-		obs := append([]int(nil), opt.Observe...)
-		sort.Ints(obs)
-		put(uint64(len(obs)) | 1<<63)
-		for _, g := range obs {
-			put(uint64(g))
-		}
 	}
 	return h.Sum64()
 }
@@ -494,33 +297,24 @@ func Fingerprint(c *netlist.Circuit, delaysPS []int64, opt CompileOptions) uint6
 func (p *Program) Circuit() *netlist.Circuit { return p.c }
 
 // StripeWords returns the stripe width in 64-lane words.
-func (p *Program) StripeWords() int { return p.w }
+func (p *Program) StripeWords() int { return stripeWords }
 
 // StripeLanes returns the lane capacity of one stripe (64 · StripeWords).
-func (p *Program) StripeLanes() int { return p.w * 64 }
+func (p *Program) StripeLanes() int { return stripeWords * 64 }
 
 // ZeroDelay reports whether this is the settle-only glitch-free kernel.
 func (p *Program) ZeroDelay() bool { return p.zeroDelay }
-
-// SlotGates maps each compiled slot to its original gate id, ascending —
-// the indexing of StripedResult's per-slot arrays. It aliases the
-// immutable program: read it, never write it.
-func (p *Program) SlotGates() []int32 { return p.gates }
-
-// LiveGates returns the number of compiled slots — NumGates minus the
-// dead outputs eliminated against the Observe set.
-func (p *Program) LiveGates() int { return p.nLive }
 
 // GCDps returns the timed kernel's normalization unit in ps (0 for
 // zero-delay programs).
 func (p *Program) GCDps() int64 { return p.gcdPS }
 
-// HazardFree returns how many live slots the static hazard analysis
-// proved single-transition (see Program.arrT) and the live slot total —
-// the compile-time share of the circuit the speculative engine patches
-// without any event-merge work. Zero-delay programs report (0, nLive):
+// HazardFree returns how many slots the static hazard analysis proved
+// single-transition (see Program.arrT) and the slot total — the
+// compile-time share of the circuit the speculative engine patches
+// without any event-merge work. Zero-delay programs report (0, slots):
 // the settle kernel is glitch-free everywhere by construction.
-func (p *Program) HazardFree() (free, total int) { return p.hazFree, p.nLive }
+func (p *Program) HazardFree() (free, total int) { return p.hazFree, p.n }
 
 // Fingerprint returns the program's structural checksum.
 func (p *Program) Fingerprint() uint64 { return p.fp }
@@ -542,7 +336,7 @@ type ProgramCacheStats struct {
 // safe for concurrent use; the lock is held across a miss's compile, so
 // concurrent requests for one key share a single compilation and receive
 // the same *Program. Cached programs are immutable — callers run them
-// through per-goroutine Striped executors.
+// through per-goroutine Speculative executors.
 //
 // Each entry can also hold idle prepared state built on its program (see
 // Park and Take): whole executors a caller parks between runs instead of

@@ -28,27 +28,61 @@ func TestCompileFingerprintDistinctAcrossModels(t *testing.T) {
 			t.Fatalf("models %s and %s share fingerprint %x", prev, m.Name(), p1.Fingerprint())
 		}
 		seen[p1.Fingerprint()] = m.Name()
+		if fp := FingerprintModel(c, m, CompileOptions{}); fp != p1.Fingerprint() {
+			t.Fatalf("%s: FingerprintModel %x, compiled program %x", m.Name(), fp, p1.Fingerprint())
+		}
 	}
-	// Observe sets and stripe widths are part of program identity too.
-	base := CompileModel(c, delay.Unit{}, CompileOptions{})
-	narrow := CompileModel(c, delay.Unit{}, CompileOptions{Width: 2})
-	observed := CompileModel(c, delay.Unit{}, CompileOptions{Observe: []int{c.Outputs[0]}})
-	if base.Fingerprint() == narrow.Fingerprint() || base.Fingerprint() == observed.Fingerprint() {
-		t.Fatal("width/observe variants share the base fingerprint")
+}
+
+// TestCompileZeroDelayRule: Compile and Fingerprint decide the
+// zero-delay kernel by the scalar Simulator's rule — no logic gate with
+// a positive delay, whatever the inputs carry — and a negative
+// logic-gate delay panics in CompileModel and FingerprintModel as it
+// does in New, also where no delay is positive and the program would
+// otherwise be the zero-delay kernel.
+func TestCompileZeroDelayRule(t *testing.T) {
+	c := chain(t, 3)
+	for _, tc := range []struct {
+		name   string
+		delays fixedDelays // input, then the chain's three gates
+		zero   bool
+	}{
+		{"all zero", fixedDelays{0, 0, 0, 0}, true},
+		{"input delay only", fixedDelays{7, 0, 0, 0}, true},
+		{"one positive gate", fixedDelays{0, 0, 5, 0}, false},
+	} {
+		if got := CompileModel(c, tc.delays, CompileOptions{}).ZeroDelay(); got != tc.zero || New(c, tc.delays).ZeroDelay() != tc.zero {
+			t.Errorf("%s: compiled zero-delay %v, simulator %v, want %v", tc.name, got, New(c, tc.delays).ZeroDelay(), tc.zero)
+		}
+	}
+	negative := fixedDelays{0, 0, -1, 0}
+	for name, build := range map[string]func(){
+		"New":              func() { New(c, negative) },
+		"CompileModel":     func() { CompileModel(c, negative, CompileOptions{}) },
+		"FingerprintModel": func() { FingerprintModel(c, negative, CompileOptions{}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted a negative gate delay", name)
+				}
+			}()
+			build()
+		}()
 	}
 }
 
 // TestCompileDeterminism: compilation is a pure function of its inputs —
-// same slot layout, delays, and ring shape every time.
+// same hazard frontier, normalization unit and fingerprint every time.
 func TestCompileDeterminism(t *testing.T) {
 	c := bench.MustGenerate("C880")
 	a := CompileModel(c, delay.FanoutLoaded{}, CompileOptions{})
 	b := CompileModel(c, delay.FanoutLoaded{}, CompileOptions{})
-	if a.LiveGates() != b.LiveGates() || a.GCDps() != b.GCDps() ||
-		a.StripeWords() != b.StripeWords() || a.Fingerprint() != b.Fingerprint() {
-		t.Fatalf("recompile diverged: live %d/%d gcd %d/%d w %d/%d fp %x/%x",
-			a.LiveGates(), b.LiveGates(), a.GCDps(), b.GCDps(),
-			a.StripeWords(), b.StripeWords(), a.Fingerprint(), b.Fingerprint())
+	af, an := a.HazardFree()
+	bf, bn := b.HazardFree()
+	if af != bf || an != bn || a.GCDps() != b.GCDps() || a.Fingerprint() != b.Fingerprint() {
+		t.Fatalf("recompile diverged: hazard-free %d/%d of %d/%d gcd %d/%d fp %x/%x",
+			af, bf, an, bn, a.GCDps(), b.GCDps(), a.Fingerprint(), b.Fingerprint())
 	}
 	if a.CompileNS() <= 0 {
 		t.Fatal("CompileNS not recorded")
@@ -128,8 +162,8 @@ func TestProgramCacheFingerprintGuard(t *testing.T) {
 
 // TestProgramCacheConcurrent: concurrent lookups of one key compile the
 // program exactly once and every caller shares the same instance —
-// exercised under -race in CI alongside concurrent striped executors
-// running over the shared program.
+// exercised under -race in CI alongside concurrent executors running
+// over the shared program.
 func TestProgramCacheConcurrent(t *testing.T) {
 	c := bench.MustGenerate("C432")
 	m := delay.FanoutLoaded{}
@@ -153,7 +187,7 @@ func TestProgramCacheConcurrent(t *testing.T) {
 			// the program must be safely shareable read-only state.
 			v1s := xorshiftVectors(80, c.NumInputs(), uint64(i)+1)
 			v2s := xorshiftVectors(80, c.NumInputs(), uint64(i)+100)
-			NewStriped(p).Run(packVectors(c.NumInputs(), v1s, v2s), 0)
+			NewSpeculative(p).Run(packVectors(c.NumInputs(), v1s, v2s), 0)
 			progs[i] = p
 		}(i)
 	}

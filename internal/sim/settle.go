@@ -32,54 +32,53 @@ var settleOps = [fopXnor2 + 1][3]uint64{
 // its words in v1 and in v2 from the same fan-in offsets. When d is
 // non-nil it also gets d = v1 ^ v2 for every slot, inputs included — the
 // zero-delay toggle plane. The planes' input slots must be loaded;
-// input slots carry no instruction. v1 and v2 may be the same slice,
-// which settles one plane (at the cost of two).
+// input slots carry no instruction.
 //
 // On AVX-512 hosts the kernel evaluates the two-input slots and returns
 // at each slot with three or more inputs, which Go evaluates before the
 // kernel resumes at the next slot. Elsewhere settleGo, the reference the
 // tests compare the kernel with, does the whole walk.
-func (st *Striped) settle(v1, v2, d []uint64) {
+func (sp *Speculative) settle(v1, v2, d []uint64) {
 	if !haveSettleKernel {
-		st.settleGo(v1, v2, d)
+		sp.settleGo(v1, v2, d)
 		return
 	}
-	n := st.p.nLive
+	n := sp.p.n
 	// Exact-length views: a shape mismatch panics here, in Go, instead of
 	// letting the kernel touch words past the stride.
-	stride := st.stride
+	stride := sp.stride
 	v1, v2 = v1[:stride], v2[:stride]
-	fab, fop := st.fabRun[:n], st.p.fop[:n]
+	fab, fop := sp.fabRun[:n], sp.p.fop[:n]
 	var dp *uint64
 	if d != nil {
 		d = d[:stride]
 		dp = &d[0]
 	}
 	for s := 0; s < n; s++ {
-		s = settleAVX512(&v1[0], &v2[0], dp, &fab[0], &fop[0], &settleOps, s, n, st.aw)
+		s = settleAVX512(&v1[0], &v2[0], dp, &fab[0], &fop[0], &settleOps, s, n, sp.aw)
 		if s == n {
 			return
 		}
-		st.settleWide(v1, v2, d, s)
+		sp.settleWide(v1, v2, d, s)
 	}
 }
 
 // settleGo is settle's Go walk: one opcode switch per slot, then both
 // planes' words. The views of each slot's words are cut once per slot,
 // which leaves the word loops without bounds checks.
-func (st *Striped) settleGo(v1, v2, d []uint64) {
-	p := st.p
-	aw := st.aw
-	for s, op := range p.fop[:p.nLive] {
+func (sp *Speculative) settleGo(v1, v2, d []uint64) {
+	p := sp.p
+	aw := sp.aw
+	for s, op := range p.fop[:p.n] {
 		if op > fopXnor2 {
-			st.settleWide(v1, v2, d, s)
+			sp.settleWide(v1, v2, d, s)
 			continue
 		}
 		base := s * aw
 		o1 := v1[base : base+aw]
 		o2 := v2[base : base+len(o1)]
 		if op != fopInput {
-			fab := st.fabRun[s]
+			fab := sp.fabRun[s]
 			oa, ob := int(uint32(fab)), int(fab>>32)
 			a1, b1 := v1[oa:oa+len(o1)], v1[ob:ob+len(o1)]
 			a2, b2 := v2[oa:oa+len(o1)], v2[ob:ob+len(o1)]
@@ -128,11 +127,11 @@ func (st *Striped) settleGo(v1, v2, d []uint64) {
 // settleWide settles slot s, a gate with three or more inputs, in both
 // planes and writes its d words when d is non-nil: the slots the kernel
 // returns at, kept out of settleGo so its fused cases stay compact.
-func (st *Striped) settleWide(v1, v2, d []uint64, s int) {
-	base := s * st.aw
-	for k := 0; k < st.aw; k++ {
-		w1 := st.evalWideWord(v1, s, k)
-		w2 := st.evalWideWord(v2, s, k)
+func (sp *Speculative) settleWide(v1, v2, d []uint64, s int) {
+	base := s * sp.aw
+	for k := 0; k < sp.aw; k++ {
+		w1 := sp.evalWideWord(v1, s, k)
+		w2 := sp.evalWideWord(v2, s, k)
 		v1[base+k] = w1
 		v2[base+k] = w2
 		if d != nil {

@@ -10,9 +10,11 @@ import (
 )
 
 // settlePairs are the batch sizes the settle tests run: one lane, each
-// side of a block boundary, the estimator's 300-pair hyper-sample (five
-// words) and each side of a full 512-pair stripe.
-var settlePairs = []int{1, 63, 64, 65, 300, 511, 512}
+// side of a block boundary, every active word count from 1 to 8 (64·k
+// pairs for k words), the estimator's 300-pair hyper-sample (five words),
+// each side of a full 512-pair stripe, and batches of two and three
+// stripes with a ragged last one.
+var settlePairs = []int{1, 63, 64, 65, 128, 192, 256, 300, 320, 384, 448, 511, 512, 513, 1100}
 
 // settleGuard is the value every word past a plane's stride holds
 // before a settle and must hold after it.
@@ -22,15 +24,15 @@ const settleGuard = 0xA5A5_5A5A_C3C3_3C3C
 // lists, word by word, with none of the compiled opcodes, offsets or op
 // rows: the reference the Go walk is checked against.
 func settleRef(p *Program, vals []uint64, aw int) {
-	for s, gid := range p.gates {
-		g := &p.c.Gates[gid]
+	for s := range p.c.Gates {
+		g := &p.c.Gates[s]
 		if g.Kind == netlist.Input {
 			continue
 		}
 		for k := 0; k < aw; k++ {
-			acc := vals[int(p.slotOf[g.Fanin[0]])*aw+k]
+			acc := vals[g.Fanin[0]*aw+k]
 			for _, f := range g.Fanin[1:] {
-				w := vals[int(p.slotOf[f])*aw+k]
+				w := vals[f*aw+k]
 				switch g.Kind {
 				case netlist.And, netlist.Nand:
 					acc &= w
@@ -57,7 +59,7 @@ func settleBatch(inputs, pairs int, seed uint64) *PackedPairs {
 // settlePlanes returns three planes of stride words, each followed by
 // eight guard words, with both value planes' input slots loaded from
 // the stripe.
-func settlePlanes(st *Striped, pp *PackedPairs, b0 int) (v1, v2, d []uint64) {
+func settlePlanes(st *Speculative, pp *PackedPairs, b0 int) (v1, v2, d []uint64) {
 	buf := make([]uint64, 3*(st.stride+8))
 	for i := range buf {
 		buf[i] = settleGuard
@@ -71,12 +73,12 @@ func settlePlanes(st *Striped, pp *PackedPairs, b0 int) (v1, v2, d []uint64) {
 
 // checkSettle settles every stripe of pp on the Go walk and checks it
 // against settleRef. It then checks each walk — the Go walk and, where
-// it runs, the kernel — against that Go walk, word for word: with d set,
-// with d nil, and on one plane passed as both (the wheel's call). No call
-// may touch a word past the stride, nor d when d is nil.
+// it runs, the kernel — against that Go walk, word for word: with d set
+// and with d nil. No call may touch a word past the stride, nor d when d
+// is nil.
 func checkSettle(t *testing.T, name string, p *Program, pp *PackedPairs) {
 	t.Helper()
-	st := NewStriped(p)
+	st := NewSpeculative(p)
 	type walk struct {
 		name   string
 		settle func(v1, v2, d []uint64)
@@ -85,10 +87,10 @@ func checkSettle(t *testing.T, name string, p *Program, pp *PackedPairs) {
 	if haveSettleKernel {
 		walks = append(walks, walk{"kernel", st.settle})
 	}
-	for stripe := 0; stripe*p.w < pp.Blocks(); stripe++ {
+	for stripe := 0; stripe*stripeWords < pp.Blocks(); stripe++ {
 		b0 := st.prepare(pp, stripe)
 		stride := st.stride
-		at := fmt.Sprintf("%s w%d %d pairs stripe %d", name, p.w, pp.N, stripe)
+		at := fmt.Sprintf("%s %d pairs stripe %d", name, pp.N, stripe)
 
 		g1, g2, gd := settlePlanes(st, pp, b0)
 		want1, want2, _ := settlePlanes(st, pp, b0)
@@ -122,14 +124,6 @@ func checkSettle(t *testing.T, name string, p *Program, pp *PackedPairs) {
 				}
 				checkGuards(t, fmt.Sprintf("%s %s d=%v", at, w.name, withD), stride, v1, v2, d)
 			}
-			one, _, _ := settlePlanes(st, pp, b0)
-			w.settle(one, one, nil)
-			for i := 0; i < stride; i++ {
-				if one[i] != g1[i] {
-					t.Fatalf("%s %s on one plane, word %d: %#x, Go walk %#x", at, w.name, i, one[i], g1[i])
-				}
-			}
-			checkGuards(t, at+" "+w.name+" on one plane", stride, one)
 		}
 	}
 }
@@ -161,8 +155,8 @@ func settleRandomCircuit(seed uint64, gates, maxFan int) (*netlist.Circuit, erro
 // TestSettleKernelMatchesGo pins settle's two walks: the Go walk against
 // a word-level evaluation of the netlist, and the AVX-512 kernel against
 // the Go walk, word for word, on the nine ISCAS circuits and 50 random
-// DAGs with up to five inputs a gate, at widths 1–8 and batch sizes on
-// both sides of block and stripe boundaries.
+// DAGs with up to five inputs a gate, at every active word count from 1
+// to 8 and batch sizes on both sides of block and stripe boundaries.
 func TestSettleKernelMatchesGo(t *testing.T) {
 	t.Logf("settle kernel: %v", haveSettleKernel)
 	var circuits []*netlist.Circuit
@@ -177,17 +171,15 @@ func TestSettleKernelMatchesGo(t *testing.T) {
 		circuits = append(circuits, c)
 	}
 	for ci, c := range circuits {
-		for w := 1; w <= maxStripeWords; w++ {
-			p := CompileModel(c, delay.Zero{}, CompileOptions{Width: w})
-			for _, pairs := range settlePairs {
-				checkSettle(t, c.Name, p, settleBatch(c.NumInputs(), pairs, uint64(ci*64+w)))
-			}
+		p := CompileModel(c, delay.Zero{}, CompileOptions{})
+		for i, pairs := range settlePairs {
+			checkSettle(t, c.Name, p, settleBatch(c.NumInputs(), pairs, uint64(ci*64+i)))
 		}
 	}
 }
 
 // FuzzSettle runs checkSettle on random DAGs of up to 600 gates with two
-// to five inputs a gate, on 1–1,024 pairs at a width drawn from the seed.
+// to five inputs a gate, on 1–1,024 pairs.
 func FuzzSettle(f *testing.F) {
 	f.Logf("settle kernel: %v", haveSettleKernel)
 	for i, pairs := range settlePairs {
@@ -202,7 +194,7 @@ func FuzzSettle(f *testing.F) {
 		if n == 0 {
 			n = 2 * ChunkPairs
 		}
-		p := CompileModel(c, delay.Zero{}, CompileOptions{Width: 1 + int(seed%maxStripeWords)})
+		p := CompileModel(c, delay.Zero{}, CompileOptions{})
 		checkSettle(t, c.Name, p, settleBatch(c.NumInputs(), n, seed))
 	})
 }

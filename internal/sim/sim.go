@@ -6,33 +6,26 @@
 // with single-pending-event inertial filtering (a pulse shorter than a
 // gate's delay is swallowed, as in real hardware).
 //
-// # Compiled batch engines
+// # Compiled batch executor
 //
 // Beyond the scalar Simulator the package compiles a circuit and its
-// delay assignment into a Program, a flat straight-line kernel, and runs
-// it over stripes of up to eight 64-lane words (512 vector pairs) read
-// from PackedPairs bit planes. Both executors are bit-identical per lane
-// to the scalar path and built for the estimation hot loop, where
-// thousands of independent vector pairs are simulated per estimate:
-//
-//   - Striped settles a zero-delay program, where no glitches exist, in
-//     one topological walk over both vectors that also writes the toggle
-//     plane (an AVX-512 kernel where the CPU has one), and runs a timed
-//     program on an event-driven calendar. Per-gate delays are
-//     lane-invariant, so every lane's events for a gate share one
-//     calendar slot and the scalar single-pending-event rules become
-//     word-level mask algebra; toggle counts are kept as bit-plane
-//     ripple-carry counters.
-//   - Speculative settles both vectors of a timed stripe on the zero-delay
-//     kernel and patches toggle counts from static hazard analysis and
-//     per-gate waveform merges, falling back to the Striped calendar for
-//     the stripe on a misprediction. Zero-delay stripes run the settle
-//     kernel unchanged.
+// delay assignment into a Program, a flat straight-line kernel whose
+// slot s is gate s, and runs it on the Speculative executor over stripes
+// of up to eight 64-lane words (512 vector pairs) read from PackedPairs
+// bit planes. It is bit-identical per lane to the scalar path and built
+// for the estimation hot loop, where thousands of independent vector
+// pairs are simulated per estimate. A zero-delay stripe settles both
+// vectors in one topological walk that also writes the toggle plane (an
+// AVX-512 kernel where the CPU has one). A timed stripe settles the same
+// way and then patches toggle counts from static hazard analysis and
+// per-gate waveform merges; toggle counts are kept as bit-plane
+// ripple-carry counters. A stripe whose merges mispredict replays its
+// lanes on the scalar Simulator.
 //
 // power.Evaluator runs every packed batch on Speculative; the scalar
-// Simulator remains the verification oracle (differential tests) and the
-// single-pair introspection path. DESIGN.md §§7–8 describe the
-// algorithms.
+// Simulator remains the verification oracle (differential tests), the
+// misprediction replay and the single-pair introspection path. DESIGN.md
+// §§11, 13, 19 and 22 describe the algorithms.
 package sim
 
 import (
@@ -92,8 +85,15 @@ type event struct {
 }
 
 // New builds a simulator for the circuit under the given delay model. A nil
-// model defaults to delay.FanoutLoaded{}.
+// model defaults to delay.FanoutLoaded{}. A negative logic-gate delay
+// panics.
 func New(c *netlist.Circuit, m delay.Model) *Simulator {
+	return newSimulator(c, assignDelays(c, m))
+}
+
+// assignDelays draws the per-gate delays in ps of model m (nil =
+// delay.FanoutLoaded{}) for the circuit.
+func assignDelays(c *netlist.Circuit, m delay.Model) []int64 {
 	if m == nil {
 		m = delay.FanoutLoaded{}
 	}
@@ -101,6 +101,14 @@ func New(c *netlist.Circuit, m delay.Model) *Simulator {
 	if len(d) != c.NumGates() {
 		panic(fmt.Sprintf("sim: delay model %s returned %d delays for %d gates", m.Name(), len(d), c.NumGates()))
 	}
+	return d
+}
+
+// zeroDelay reports whether the per-gate delays d run the glitch-free
+// zero-delay path: no logic gate has a positive delay (Input entries are
+// ignored). It panics on a negative logic-gate delay. The Simulator,
+// Compile and Fingerprint all decide by it.
+func zeroDelay(c *netlist.Circuit, d []int64) bool {
 	zero := true
 	for i, g := range c.Gates {
 		if g.Kind == netlist.Input {
@@ -113,11 +121,17 @@ func New(c *netlist.Circuit, m delay.Model) *Simulator {
 			zero = false
 		}
 	}
+	return zero
+}
+
+// newSimulator builds a simulator over the per-gate delays d, which it
+// keeps and never modifies.
+func newSimulator(c *netlist.Circuit, d []int64) *Simulator {
 	n := c.NumGates()
 	return &Simulator{
 		c:           c,
 		delays:      d,
-		zeroMode:    zero,
+		zeroMode:    zeroDelay(c, d),
 		values:      make([]bool, n),
 		toggles:     make([]int32, n),
 		faninV:      make([]bool, 0, 8),
@@ -130,22 +144,7 @@ func New(c *netlist.Circuit, m delay.Model) *Simulator {
 }
 
 // Clone returns an independent simulator over the same circuit and delays.
-func (s *Simulator) Clone() *Simulator {
-	n := s.c.NumGates()
-	return &Simulator{
-		c:           s.c,
-		delays:      s.delays, // immutable after construction
-		zeroMode:    s.zeroMode,
-		values:      make([]bool, n),
-		toggles:     make([]int32, n),
-		faninV:      make([]bool, 0, 8),
-		pendingTime: make([]int64, n),
-		pendingVal:  make([]bool, n),
-		hasPending:  make([]bool, n),
-		settled1:    make([]bool, n),
-		settled2:    make([]bool, n),
-	}
-}
+func (s *Simulator) Clone() *Simulator { return newSimulator(s.c, s.delays) }
 
 // CopyToggles returns an independent copy of the per-gate toggle counts,
 // reusing dst when it has the capacity. It is the safe way to hold toggle

@@ -1,19 +1,22 @@
 package sim
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+)
 
-// Speculative is the settle-then-patch timed executor: a second execution
-// strategy beside the Striped event wheel, built for the power path,
-// where the wheel is ~99% of a timed stripe's cost. power.Evaluator runs
-// every packed batch on it.
+// Speculative executes a compiled Program over stripes of up to eight
+// 64-lane words — 512 vector pairs a stripe. It is the package's one
+// packed executor: power.Evaluator runs every packed batch on it.
 //
-// Phase 1 settles both input vectors of a stripe in one walk of the
-// straight-line zero-delay program (borrowed from the owned Striped
-// executor) — under 1% of a speculative C3540 stripe, a quarter of that
-// on the AVX-512 kernel — giving every gate-word its final value in
-// both planes, whose XOR is its activity mask (the settle diff). Phase 2
+// A zero-delay stripe settles both input vectors in one walk of the
+// straight-line program, which writes the toggle plane too; there are no
+// glitches to count. A timed stripe runs settle-then-patch. Phase 1 is
+// the same walk — under 1% of a C3540 stripe, a quarter of that on the
+// AVX-512 kernel — giving every gate-word its final value in both
+// planes, whose XOR is its activity mask (the settle diff). Phase 2
 // walks the levelized slot order exactly once and *patches* toggle
-// counts in place instead of firing a calendar:
+// counts in place:
 //
 //   - Slots outside the compile-time hazard frontier (Program.arrT ≥ 0)
 //     can toggle at most once, at a statically known time, so their
@@ -22,53 +25,68 @@ import "math/bits"
 //     their fan-outs.
 //   - Hazardous slots run a per-(gate, word) waveform merge: each
 //     fan-in's output transitions form a sorted (time, lane-mask) event
-//     list in a shared arena, and a k-way merge replays the wheel's
-//     single-pending-event inertial algebra (fresh/cancel masks,
-//     commit-before-evaluate at ts ≤ t) over the merged arrival times.
-//     The gate is processed once, not once per calendar entry — the
-//     restructure that removes the wheel's ~30× re-evaluation of every
-//     live gate per 512-lane stripe.
+//     list in a shared arena, and a k-way merge replays the scalar
+//     simulator's single-pending-event inertial algebra (fresh/cancel
+//     masks, commit-before-evaluate at ts ≤ t) over the merged arrival
+//     times, as word-level mask algebra. The gate is processed once, not
+//     once per event.
 //   - A dynamic fast path catches hazard-eligible gate-words whose
 //     merged arrivals collapse to a single time this stripe (one more
 //     single-transition patch, at stripe granularity).
 //
 // The waveform value after the final commit must equal the settled
 // second-vector value in every lane; any disagreement is a
-// misprediction, and the whole stripe falls back to the full Striped
-// event wheel, so results stay bit-identical to the scalar oracle by
-// construction even if an invariant is ever violated. Both phases write
-// the same counter planes and settle times as the wheel and share its
-// result aggregation (finalizeTimed), so StripedResult consumers —
-// power accumulation, differential tests, Toggles — cannot tell the
-// strategies apart.
+// misprediction, and the stripe's active lanes replay on the scalar
+// Simulator (replay), so results stay bit-identical to the scalar oracle
+// by construction even if an invariant is ever violated. No test circuit
+// or delay model has reached the replay; SpecStats.Fallbacks counts it.
 //
-// Zero-delay programs delegate to the settle kernel unchanged (it
-// already is the fast path). A Speculative owns mutable run state and is
-// not safe for concurrent use; build one per goroutine over a shared
-// immutable Program, exactly like Striped.
+// Per-gate delays are lane-invariant, so one instruction, one delay and
+// one hazard class cover all of a stripe's lanes. All run state is laid
+// out at the *active* word count of the current stripe (aw ≤ 8): a
+// 5-block stripe packs values and counter planes at 5 words per slot, so
+// every fetched cache line is fully used; the layout re-derives per run
+// from one integer.
+//
+// Every lane's toggle counts, settle time, and event count are
+// bit-identical to the scalar Simulator on that lane's vector pair (the
+// differential tests enforce this on the zero, unit, fanout, and table
+// models). A Speculative owns mutable run state and is not safe for
+// concurrent use; build one per goroutine over a shared immutable Program
+// (power.Evaluator.Clone does this).
 type Speculative struct {
-	// LaneStats mirrors Striped.LaneStats: per-lane SettleTime/Events
-	// aggregation, cleared by the power path.
+	// LaneStats enables the per-lane SettleTime/Events aggregates.
+	// NewSpeculative sets it; the power path clears it, because cycle
+	// energy needs only the toggle planes.
 	LaneStats bool
 
-	p  *Program
-	st *Striped // settle kernel, counter planes, result, and fallback
+	p      *Program
+	aw     int // active words of the current stripe (1..8)
+	stride int // slots · aw: words per value or counter plane
 
-	val []uint64 // settle(v1): initial values and merge stream seeds
-	aux []uint64 // settle(v2): predicted final values (mispredict check)
+	// fabRun is the program's fab table with both fan-in slot ids
+	// pre-multiplied by the current active word count — rebuilt only when
+	// aw changes, so steady-state evaluation indexes values directly.
+	fabRun []uint64
+	lastAW int
+
+	val []uint64 // [slot·aw + k]: settle(v1), initial values and merge stream seeds
+	aux []uint64 // settle(v2): final values (the mispredict check)
+
+	settleNorm []int64 // per-lane last-change time, normalized units
+	res        StripedResult
 
 	// The waveform arena: one (time, mask) pair per applied output
 	// transition, interleaved at ev[2i] / ev[2i+1] so consuming an event
 	// touches one cache line instead of two parallel streams. Segments
 	// are per (slot, word), slot-major then word: offs[f·aw+k] is the
-	// doubled arena offset of fan-in f's word-k events, and the segment
-	// runs to offs[f·aw+k+1]. Kept at len == cap with an explicit write
-	// index so the merge inner loops index a local slice with no append
-	// machinery; grows to the circuit's peak event count, after which
-	// runs are allocation-free. Times are non-negative and bounded by
-	// depth · maxNorm, so they store and compare as uint64 exactly.
+	// doubled arena offset of fan-in f's word-k events. Kept at
+	// len == cap with an explicit write index so the merge inner loops
+	// index a local slice with no append machinery; grows to the
+	// circuit's peak event count, after which runs are allocation-free.
+	// Times are non-negative and bounded by depth · the largest
+	// normalized delay, so they store and compare as uint64 exactly.
 	ev   []uint64
-	n    int // doubled watermark: events occupy ev[:n]
 	offs []int32
 	// ends[w] is word w's doubled segment end. Separate from offs so
 	// segments need not be contiguous: paired merges emit into disjoint
@@ -83,6 +101,11 @@ type Speculative struct {
 	wi, we []int32
 	wv     []uint64
 
+	// oracle is replay's scalar simulator over the program's normalized
+	// delays, and v1, v2 its vectors; built on the first misprediction.
+	oracle *Simulator
+	v1, v2 []bool
+
 	specStripes   uint64
 	specPatched   uint64
 	specFallbacks uint64
@@ -92,12 +115,12 @@ type Speculative struct {
 // cumulative speculation counters.
 type SpecStats struct {
 	// Stripes counts timed stripes attempted speculatively (zero-delay
-	// stripes never speculate — the settle kernel already is the fast
-	// path). Fallbacks counts the subset that mispredicted and re-ran
-	// on the full event wheel; PatchedWords the gate-words whose toggle
-	// counts were patched straight from the settle diff (static
-	// hazard-free slots plus dynamic single-arrival-time words) without
-	// any event-merge work.
+	// stripes never speculate — the settle walk already is the result).
+	// Fallbacks counts the subset that mispredicted and replayed on the
+	// scalar Simulator; PatchedWords the gate-words whose toggle counts
+	// were patched straight from the settle diff (static hazard-free
+	// slots plus dynamic single-arrival-time words) without any
+	// event-merge work.
 	Stripes, PatchedWords, Fallbacks uint64
 }
 
@@ -109,13 +132,42 @@ func (s *SpecStats) Add(other SpecStats) {
 	s.Fallbacks += other.Fallbacks
 }
 
-// NewSpeculative builds a settle-then-patch executor for the program.
-// Buffers grow lazily to the circuit's peak waveform event count, after
-// which runs are allocation-free (the AllocsPerRun guards cover this
-// path like the others).
+// NewSpeculative builds an executor for the program. Value planes and
+// result arrays are allocated up front at full stripe capacity; the
+// waveform arena and the deep counter planes grow lazily to the
+// circuit's peak event count and toggle depth, after which runs are
+// allocation-free.
 func NewSpeculative(p *Program) *Speculative {
-	st := NewStriped(p)
-	return &Speculative{LaneStats: true, p: p, st: st}
+	capWords := p.n * stripeWords
+	sp := &Speculative{
+		LaneStats:  true,
+		p:          p,
+		lastAW:     -1,
+		fabRun:     make([]uint64, p.n),
+		val:        make([]uint64, capWords),
+		aux:        make([]uint64, capWords),
+		settleNorm: make([]int64, stripeWords*64),
+	}
+	sp.res = StripedResult{
+		W:          stripeWords,
+		NSlots:     p.n,
+		Any:        make([]uint64, capWords),
+		SettleTime: make([]int64, stripeWords*64),
+		Events:     make([]int, stripeWords*64),
+		zero:       p.zeroDelay,
+	}
+	if p.zeroDelay {
+		return sp
+	}
+	sp.res.Multi = make([]uint64, capWords)
+	// Two full counter planes up front: every timed run has both count
+	// bits resident, so the aggregation pass and CountPlanes never branch
+	// on missing levels; deeper levels (counts ≥ 4) still grow lazily.
+	sp.res.planes = make([]uint64, 0, 2*capWords)
+	sp.res.ovAny = make([]uint64, capWords)
+	sp.offs = make([]int32, capWords)
+	sp.ends = make([]int32, capWords)
+	return sp
 }
 
 // Stats returns the cumulative speculation counters.
@@ -127,62 +179,293 @@ func (sp *Speculative) Stats() SpecStats {
 	}
 }
 
-// Run simulates stripe number `stripe` of the packed batch with the
-// settle-then-patch strategy and returns the per-lane results, under
-// Striped.Run's exact contract (same validation, same stripe addressing,
-// same StripedResult aliasing rules — the result is the owned Striped's).
+// Run simulates stripe number `stripe` of the packed batch (blocks
+// stripe·8 … stripe·8+7, missing trailing blocks inert) and returns the
+// per-lane results. The returned result is reused by the next call (see
+// StripedResult's aliasing contract).
 func (sp *Speculative) Run(pp *PackedPairs, stripe int) *StripedResult {
-	st := sp.st
-	st.LaneStats = sp.LaneStats
-	b0 := st.prepare(pp, stripe)
+	b0 := sp.prepare(pp, stripe)
 	if sp.p.zeroDelay {
-		st.runZero(pp, b0)
-		return &st.res
+		sp.runZero(pp, b0)
+		return &sp.res
 	}
 	sp.specStripes++
 	if !sp.wave(pp, b0) {
 		sp.specFallbacks++
-		st.runTimed(pp, b0)
-		return &st.res
+		sp.replay(pp, b0)
 	}
-	st.finalizeTimed()
-	return &st.res
+	sp.finalizeTimed()
+	return &sp.res
 }
 
-// wave is the speculative phase-2 kernel. It fills the owned Striped's
-// counter planes, overflow unions, and (under LaneStats) settle times,
-// and reports false on a misprediction — leaving partially written
-// planes for the fallback's resetResult to clear.
-func (sp *Speculative) wave(pp *PackedPairs, b0 int) bool {
-	st := sp.st
+// prepare validates the stripe, derives the active word count, and
+// reshapes the run state to it.
+func (sp *Speculative) prepare(pp *PackedPairs, stripe int) int {
 	p := sp.p
-	aw := st.aw
-	stride := st.stride
-	if cap(sp.val) < stride {
-		sp.val = make([]uint64, stride)
-		sp.aux = make([]uint64, stride)
-		sp.offs = make([]int32, stride+1)
-		sp.ends = make([]int32, stride+1)
+	if pp.Inputs != p.c.NumInputs() {
+		panic(fmt.Sprintf("sim: packed batch width %d, circuit has %d inputs", pp.Inputs, p.c.NumInputs()))
 	}
-	sp.val = sp.val[:stride]
-	sp.aux = sp.aux[:stride]
-	sp.offs = sp.offs[:stride+1]
-	sp.ends = sp.ends[:stride+1]
-	st.resetResult()
+	blocks := pp.Blocks()
+	b0 := stripe * stripeWords
+	if stripe < 0 || b0 >= blocks {
+		panic(fmt.Sprintf("sim: stripe %d of %d-block batch", stripe, blocks))
+	}
+	aw := min(blocks-b0, stripeWords)
+	sp.aw = aw
+	sp.stride = p.n * aw
+	sp.res.AW = aw
+	sp.res.stride = sp.stride
+	if aw != sp.lastAW {
+		// Reshape: pre-multiply the fan-in slot ids by the new word count.
+		a := uint64(aw)
+		for s, fab := range p.fab {
+			sp.fabRun[s] = uint64(uint32(fab))*a | (fab>>32)*a<<32
+		}
+		// The aggregation pass assigns Any/Multi only inside the active
+		// stride, so a shrink leaves the old shape's tail words behind;
+		// clear them once here so lanes beyond the batch always read zero.
+		clear(sp.res.Any[sp.stride:])
+		if sp.res.Multi != nil {
+			clear(sp.res.Multi[sp.stride:])
+		}
+		sp.lastAW = aw
+	}
+	return b0
+}
 
-	st.loadInputs(sp.val, pp.In1, b0)
-	st.loadInputs(sp.aux, pp.In2, b0)
-	st.settle(sp.val, sp.aux, nil)
+// loadInputs gathers the stripe's input plane words (blocks b0…b0+aw−1)
+// into the value plane vals.
+func (sp *Speculative) loadInputs(vals, plane []uint64, b0 int) {
+	aw := sp.aw
+	inp := len(sp.p.c.Inputs)
+	for i, g := range sp.p.c.Inputs {
+		base := g * aw
+		off := b0*inp + i
+		for k := 0; k < aw; k++ {
+			vals[base+k] = plane[off+k*inp]
+		}
+	}
+}
 
-	val, aux := sp.val, sp.aux
-	offs, ends := sp.offs, sp.ends
+// resetResult zeroes the per-run accounting and reshapes the toggle
+// planes to the current stride (reinterpreting the existing buffer as
+// however many full levels it holds).
+func (sp *Speculative) resetResult() {
+	res := &sp.res
+	if sp.stride > 0 {
+		lv := cap(res.planes) / sp.stride
+		res.planes = res.planes[:lv*sp.stride]
+		res.levels = lv
+	}
+	clear(res.planes)
+	if res.ovAny != nil {
+		// Any/Multi need no pre-clearing — the aggregation pass assigns
+		// every active word.
+		clear(res.ovAny[:sp.stride])
+	}
+	clear(res.SettleTime)
+	clear(res.Events)
+	clear(sp.settleNorm)
+}
+
+// runZero is the compiled zero-delay kernel: one walk settles both
+// planes and writes their diff to Any. Glitch-free by contract, so Any
+// alone encodes the 0/1 toggle counts.
+func (sp *Speculative) runZero(pp *PackedPairs, b0 int) {
+	sp.resetResult()
+	sp.loadInputs(sp.val, pp.In1, b0)
+	sp.loadInputs(sp.aux, pp.In2, b0)
+	res := &sp.res
+	sp.settle(sp.val, sp.aux, res.Any)
+	if !sp.LaneStats {
+		return
+	}
+	var cnt [stripeWords][24]uint64
+	aw := sp.aw
+	for base := 0; base < sp.stride; base += aw {
+		for k := 0; k < aw; k++ {
+			d := res.Any[base+k]
+			if d == 0 {
+				continue
+			}
+			cw := &cnt[k]
+			carry := d
+			for l := 0; carry != 0; l++ {
+				c0 := cw[l]
+				cw[l] = c0 ^ carry
+				carry = c0 & carry
+			}
+		}
+	}
+	for k := 0; k < aw; k++ {
+		for l, cwv := range cnt[k] {
+			for ; cwv != 0; cwv &= cwv - 1 {
+				res.Events[k*64+bits.TrailingZeros64(cwv)] += 1 << uint(l)
+			}
+		}
+	}
+}
+
+// finalizeTimed derives the aggregate result views from the toggle
+// planes after a timed run, whether wave or replay filled them.
+func (sp *Speculative) finalizeTimed() {
+	p := sp.p
+	aw := sp.aw
+	stride := sp.stride
+	lane := sp.LaneStats
+	res := &sp.res
+	if lane {
+		for l, sn := range sp.settleNorm {
+			res.SettleTime[l] = sn * p.gcdPS
+		}
+	}
+	// One sequential pass over the first two counter planes recovers Any
+	// (count ≥ 1: bit 0, bit 1, or the overflow union) and Multi
+	// (count ≥ 2: bit 1 or overflow — lanes that reached 4 may have both
+	// low bits clear). Both are assigned outright, which is why
+	// resetResult never pre-zeroes them.
+	p0 := res.planes[:stride]
+	p1 := res.planes[stride : 2*stride]
+	ovp := res.ovAny[:stride]
+	for i, v0 := range p0 {
+		o := p1[i] | ovp[i]
+		res.Any[i] = v0 | o
+		res.Multi[i] = o
+	}
+	if !lane {
+		return
+	}
+	// Events: a vertical ripple-carry popcount per word column, each
+	// counter plane entering at its weight.
+	var cnt [stripeWords][24]uint64
+	for lvl := 0; lvl < res.levels; lvl++ {
+		rowp := res.planes[lvl*stride : (lvl+1)*stride]
+		for f := 0; f < p.n; f++ {
+			base := f * aw
+			for k := 0; k < aw; k++ {
+				v := rowp[base+k]
+				if v == 0 {
+					continue
+				}
+				cw := &cnt[k]
+				for l := lvl; v != 0; l++ {
+					c := cw[l]
+					cw[l] = c ^ v
+					v = c & v
+				}
+			}
+		}
+	}
+	for k := 0; k < aw; k++ {
+		for l, cwv := range cnt[k] {
+			for ; cwv != 0; cwv &= cwv - 1 {
+				res.Events[k*64+bits.TrailingZeros64(cwv)] += 1 << uint(l)
+			}
+		}
+	}
+}
+
+// replay re-runs the stripe's active lanes on the scalar Simulator after
+// a misprediction and writes what it finds where wave would have: each
+// gate's count into counter planes 0 and 1 and, from a count of 4 up,
+// through deepCarry into the deep planes, and each lane's settle time
+// into settleNorm. The simulator runs the program's GCD-normalized
+// delays: toggle counts do not change when every delay is scaled by one
+// factor, and settle times come out in the normalized units
+// finalizeTimed scales back to ps. It is built on first use.
+func (sp *Speculative) replay(pp *PackedPairs, b0 int) {
+	p := sp.p
+	if sp.oracle == nil {
+		sp.oracle = newSimulator(p.c, p.delays)
+		sp.v1 = make([]bool, p.c.NumInputs())
+		sp.v2 = make([]bool, p.c.NumInputs())
+	}
+	sp.resetResult()
+	aw, stride := sp.aw, sp.stride
+	lanes := min(pp.N-b0*64, aw*64)
+	for l := 0; l < lanes; l++ {
+		pp.PairInto(b0*64+l, sp.v1, sp.v2)
+		r := sp.oracle.RunCycle(sp.v1, sp.v2)
+		sp.settleNorm[l] = r.SettleTime
+		k, bit := l>>6, uint64(1)<<uint(l&63)
+		for g, n := range r.Toggles {
+			if n == 0 {
+				continue
+			}
+			idx := g*aw + k
+			// deepCarry may grow the planes: index them afresh per gate.
+			planes := sp.res.planes
+			if n&1 != 0 {
+				planes[idx] |= bit
+			}
+			if n&2 != 0 {
+				planes[stride+idx] |= bit
+			}
+			for lvl := 2; n>>lvl != 0; lvl++ {
+				if n>>lvl&1 != 0 {
+					sp.deepCarry(idx, lvl, bit)
+				}
+			}
+		}
+	}
+}
+
+// evalWideWord computes word k of a ≥3-fan-in slot f from the value
+// plane vals.
+func (sp *Speculative) evalWideWord(vals []uint64, f, k int) uint64 {
+	p := sp.p
+	aw := sp.aw
+	lo, hi := int(p.faninOff[f]), int(p.faninOff[f+1])
+	acc := vals[int(p.faninIdx[lo])*aw+k]
+	switch p.fop[f] {
+	case fopAndN, fopNandN:
+		for _, fo := range p.faninIdx[lo+1 : hi] {
+			acc &= vals[int(fo)*aw+k]
+		}
+		if p.fop[f] == fopNandN {
+			acc = ^acc
+		}
+	case fopOrN, fopNorN:
+		for _, fo := range p.faninIdx[lo+1 : hi] {
+			acc |= vals[int(fo)*aw+k]
+		}
+		if p.fop[f] == fopNorN {
+			acc = ^acc
+		}
+	case fopXorN, fopXnorN:
+		for _, fo := range p.faninIdx[lo+1 : hi] {
+			acc ^= vals[int(fo)*aw+k]
+		}
+		if p.fop[f] == fopXnorN {
+			acc = ^acc
+		}
+	}
+	return acc
+}
+
+// wave is the speculative phase-2 kernel. It fills the counter planes,
+// overflow unions, and (under LaneStats) settle times, and reports false
+// on a misprediction — leaving partially written planes for replay's
+// resetResult to clear.
+func (sp *Speculative) wave(pp *PackedPairs, b0 int) bool {
+	p := sp.p
+	aw := sp.aw
+	stride := sp.stride
+	sp.resetResult()
+
+	sp.loadInputs(sp.val, pp.In1, b0)
+	sp.loadInputs(sp.aux, pp.In2, b0)
+	sp.settle(sp.val, sp.aux, nil)
+
+	val, aux := sp.val[:stride], sp.aux[:stride]
+	offs, ends := sp.offs[:stride], sp.ends[:stride]
 	n := 0
 	patched := 0
-	for s := 0; s < p.nLive; s++ {
+	for s := 0; s < p.n; s++ {
 		op := p.fop[s]
 		base := s * aw
 		if op == fopInput {
-			// Inputs flip at t = 0 (the wheel's second-vector
+			// Inputs flip at t = 0 (the scalar simulator's second-vector
 			// application); their toggles count like any other slot's.
 			for k := 0; k < aw; k++ {
 				offs[base+k] = int32(n)
@@ -194,7 +477,7 @@ func (sp *Speculative) wave(pp *PackedPairs, b0 int) bool {
 					sp.ev[n] = 0
 					sp.ev[n+1] = d
 					n += 2
-					st.res.planes[base+k] = d
+					sp.res.planes[base+k] = d
 				}
 				ends[base+k] = int32(n)
 			}
@@ -216,7 +499,7 @@ func (sp *Speculative) wave(pp *PackedPairs, b0 int) bool {
 					sp.ev[n] = ut
 					sp.ev[n+1] = dw
 					n += 2
-					st.res.planes[base+k] = dw
+					sp.res.planes[base+k] = dw
 					patched++
 				}
 				ends[base+k] = int32(n)
@@ -252,7 +535,7 @@ func (sp *Speculative) wave(pp *PackedPairs, b0 int) bool {
 			}
 			continue
 		}
-		fab := st.fabRun[s]
+		fab := sp.fabRun[s]
 		oaW := int(uint32(fab))
 		obW := int(fab >> 32)
 		for k := 0; k < aw; k++ {
@@ -286,7 +569,7 @@ func (sp *Speculative) wave(pp *PackedPairs, b0 int) bool {
 					sp.ev[n] = at
 					sp.ev[n+1] = dw
 					n += 2
-					st.res.planes[base+k] = dw
+					sp.res.planes[base+k] = dw
 					patched++
 				}
 				ends[base+k] = int32(n)
@@ -321,9 +604,8 @@ func (sp *Speculative) wave(pp *PackedPairs, b0 int) bool {
 			n = w.n
 		}
 	}
-	sp.n = n
 	sp.specPatched += uint64(patched)
-	if st.LaneStats {
+	if sp.LaneStats {
 		sp.laneSettle()
 	}
 	return true
@@ -338,12 +620,11 @@ func (sp *Speculative) wave(pp *PackedPairs, b0 int) bool {
 // only under LaneStats, which keeps every stat branch out of the merge
 // hot loops; the power path never pays for it.
 func (sp *Speculative) laneSettle() {
-	st := sp.st
-	snorm := st.settleNorm
+	snorm := sp.settleNorm
 	ev := sp.ev
 	offs := sp.offs
-	aw := st.aw
-	for base := 0; base < st.stride; base += aw {
+	aw := sp.aw
+	for base := 0; base < sp.stride; base += aw {
 		for k := 0; k < aw; k++ {
 			idx := base + k
 			rem := ^uint64(0)
@@ -370,8 +651,8 @@ func (sp *Speculative) laneSettle() {
 const noPending = ^uint64(0)
 
 // Merge outcomes: a word merged clean, its final waveform value
-// disagreed with the settled second vector (stripe-level fallback to
-// the full event wheel), or the fast path hit a pile-up and parked the
+// disagreed with the settled second vector (the stripe replays on the
+// scalar Simulator), or the fast path hit a pile-up and parked the
 // word for the full three-stream algebra (merge2Run).
 const (
 	mergeOK = iota
@@ -398,14 +679,14 @@ type m2 struct {
 
 // merge2Simple is the single-pending fast path for hazardous 2-fan-in
 // gate-words. A word needs the full arena algebra only when its output
-// changes twice within one inertial window — a pulse pile-up, which the
-// wheel's cancel counters show is rare. Everything else carries at most
+// changes twice within one inertial window — a pulse pile-up, which is
+// rare. Everything else carries at most
 // one outstanding output event, held in two registers (pendT, pendM):
 // an arrival past its time retires it into the arena, a re-evaluation
 // inside the window cancels lanes by clearing register bits, and a
 // fully swallowed pulse never reaches the arena at all — downstream
-// merges see a strictly smaller stream than the wheel's calendar
-// carried. The merge tracks only the last evaluated value s and the
+// merges see a strictly smaller stream than an event queue would
+// carry. The merge tracks only the last evaluated value s and the
 // pending mask: fresh lanes are d &^ pendM and cancelled lanes d & pendM
 // for d = s ^ raw, and toggle counts are not touched here at all — the
 // caller folds the word's finished arena segment into the counter
@@ -769,9 +1050,8 @@ func (sp *Speculative) countSegment(idx, e0, e1 int) {
 			q3 ^= c3
 		}
 	}
-	st := sp.st
-	st.res.planes[idx] = b0c
-	st.res.planes[st.stride+idx] = b1c
+	sp.res.planes[idx] = b0c
+	sp.res.planes[sp.stride+idx] = b1c
 	if q2|q3 != 0 {
 		sp.deepCarry(idx, 2, q2)
 		sp.deepCarry(idx, 3, q3)
@@ -780,11 +1060,10 @@ func (sp *Speculative) countSegment(idx, e0, e1 int) {
 
 // mergeN is the ≥3-fan-in generalization: a sentinel-scan k-way merge
 // with the same s/hp algebra, commit rules, and misprediction check as
-// merge2Resume (counts are likewise the caller's countSegment pass).
+// merge2Run (counts are likewise the caller's countSegment pass).
 func (sp *Speculative) mergeN(idx, slot, k int, dly int64, n int) (int, bool) {
-	st := sp.st
 	p := sp.p
-	aw := st.aw
+	aw := sp.aw
 	lo, hi := int(p.faninOff[slot]), int(p.faninOff[slot+1])
 	nf := hi - lo
 	if cap(sp.wi) < nf {
@@ -896,19 +1175,20 @@ func (sp *Speculative) mergeN(idx, slot, k int, dly int64, n int) (int, bool) {
 	return n, true
 }
 
-// deepCarry spills a carry into the lazily grown deep planes starting at
-// the given level — the merge's analogue of spillToggles, entering past
-// the count bits that live in registers until a gate-word completes
-// (level 2 from the full merges, levels 2 and 3 from the simple path's
-// final spill).
+// deepCarry ripples a carry into the lazily grown deep planes starting
+// at the given level (level l holds count bit l) and records the
+// spilling lanes in the per-word overflow union, which lets Count and the
+// power fold skip the deep planes for the words that never reach a count
+// of 4. It enters past the count bits that live in registers until a
+// gate-word completes (levels 2 to 4 from countSegment) or that replay
+// wrote directly.
 func (sp *Speculative) deepCarry(idx, lvl int, carry uint64) {
 	if carry == 0 {
 		return
 	}
-	st := sp.st
-	res := &st.res
+	res := &sp.res
 	res.ovAny[idx] |= carry
-	stride := st.stride
+	stride := sp.stride
 	for j := idx + lvl*stride; carry != 0; j += stride {
 		for j >= len(res.planes) {
 			res.planes = append(res.planes, make([]uint64, stride)...)

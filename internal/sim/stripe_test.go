@@ -18,156 +18,50 @@ func packVectors(inputs int, v1s, v2s [][]bool) *PackedPairs {
 	return &pp
 }
 
-// diffStriped compares every lane of every stripe of a packed batch
-// against the scalar oracle — toggle counts, Any, settle time, events.
-func diffStriped(t *testing.T, c *netlist.Circuit, m delay.Model, width, lanes int, seed uint64) {
-	t.Helper()
-	s := New(c, m)
-	p := CompileModel(c, m, CompileOptions{Width: width})
-	if p.ZeroDelay() != s.ZeroDelay() {
-		t.Fatalf("compiled zeroDelay=%v, scalar %v", p.ZeroDelay(), s.ZeroDelay())
-	}
-	st := NewStriped(p)
-	v1s := xorshiftVectors(lanes, c.NumInputs(), seed)
-	v2s := xorshiftVectors(lanes, c.NumInputs(), seed+1)
-	pp := packVectors(c.NumInputs(), v1s, v2s)
-	stripeLanes := p.StripeLanes()
-	var dst []int32
-	for stripe := 0; stripe*stripeLanes < lanes; stripe++ {
-		r := st.Run(pp, stripe)
-		active := lanes - stripe*stripeLanes
-		if active > r.AW*64 {
-			active = r.AW * 64
-		}
-		for l := 0; l < active; l++ {
-			li := stripe*stripeLanes + l
-			want := s.RunCycle(v1s[li], v2s[li])
-			word, bit := l/64, l%64
-			dst = r.Toggles(word, bit, dst)
-			for g := range want.Toggles {
-				if dst[g] != want.Toggles[g] {
-					t.Fatalf("%s w%d lane %d gate %d (%s): striped %d toggles, scalar %d",
-						m.Name(), width, li, g, c.Gates[g].Name, dst[g], want.Toggles[g])
-				}
-			}
-			for slot, gid := range r.Gates {
-				wantC := want.Toggles[gid]
-				if got := r.Count(slot, word, bit); got != wantC {
-					t.Fatalf("Count(%d,%d,%d) = %d, want %d", slot, word, bit, got, wantC)
-				}
-				if any := r.Any[slot*r.AW+word]>>uint(bit)&1 == 1; any != (wantC > 0) {
-					t.Fatalf("Any slot %d lane %d = %v, toggles %d", slot, li, any, wantC)
-				}
-				if multi := r.MultiMask(slot, word)>>uint(bit)&1 == 1; multi != (wantC > 1) {
-					t.Fatalf("MultiMask slot %d lane %d = %v, toggles %d", slot, li, multi, wantC)
-				}
-			}
-			if r.SettleTime[l] != want.SettleTime {
-				t.Fatalf("%s lane %d: settle %d ps, scalar %d ps", m.Name(), li, r.SettleTime[l], want.SettleTime)
-			}
-			if r.Events[l] != want.Events {
-				t.Fatalf("%s lane %d: %d events, scalar %d", m.Name(), li, r.Events[l], want.Events)
-			}
-		}
-		// Lanes beyond the batch must be completely inert.
-		for l := active; l < r.AW*64; l++ {
-			if r.Events[l] != 0 || r.SettleTime[l] != 0 {
-				t.Fatalf("inert lane %d: %d events, settle %d", l, r.Events[l], r.SettleTime[l])
-			}
-		}
-	}
-}
-
-// TestStripedDifferentialScalar is the compiled engine's core contract:
-// for all four delay models, every lane of every stripe is bit-identical
-// to the scalar simulator on that lane's vector pair — across full
-// stripes, partial trailing words, and narrowed stripe widths. C7552, the
-// stream-zero-wide circuit, runs the production shape under zero and
-// fanout delay. CI runs the C880 and C7552 subtrees of this test under
-// -race as the compiled-kernel differential step.
+// TestStripedDifferentialScalar runs the executor's bit-identity
+// contract on batches of several stripes, whose last stripe is ragged:
+// 600 pairs are a full 512-pair stripe, then two words with a partial
+// second, so the executor also reshapes between stripes of one batch.
+// The circuits and delay models are TestSpeculativeDifferentialScalar's,
+// which runs the single-stripe production shape.
 func TestStripedDifferentialScalar(t *testing.T) {
-	models := []delay.Model{delay.Zero{}, delay.Unit{}, delay.FanoutLoaded{}, delay.StandardTable()}
-	for _, name := range []string{"C432", "C880"} {
+	for _, name := range []string{"C432", "C880", "C3540"} {
 		c := bench.MustGenerate(name)
-		for _, m := range models {
-			t.Run(name+"/"+m.Name(), func(t *testing.T) {
-				// 300 pairs = 5 blocks: one partial stripe at width 8
-				// (aw = 5), the estimator's production shape.
-				diffStriped(t, c, m, 8, 300, 7)
-				// Width 2: multiple stripes with a ragged final word.
-				diffStriped(t, c, m, 2, 200, 11)
-			})
+		for _, m := range diffModels {
+			t.Run(name+"/"+m.Name(), func(t *testing.T) { diffSpeculative(t, c, m, 600, 11) })
 		}
 	}
 	c := bench.MustGenerate("C7552")
 	for _, m := range []delay.Model{delay.Zero{}, delay.FanoutLoaded{}} {
-		t.Run("C7552/"+m.Name(), func(t *testing.T) { diffStriped(t, c, m, 8, 300, 7) })
+		t.Run("C7552/"+m.Name(), func(t *testing.T) { diffSpeculative(t, c, m, 600, 11) })
 	}
 }
 
-// TestStripedObserveDeadElimination checks compile-time dead-output
-// elimination: observing a subset keeps exactly the transitive fan-in
-// cone live, observed gates still match the scalar oracle bit for bit,
-// and eliminated gates read zero through Toggles.
-func TestStripedObserveDeadElimination(t *testing.T) {
-	c := bench.MustGenerate("C432")
-	m := delay.FanoutLoaded{}
-	observe := []int{c.Outputs[0]}
-	p := CompileModel(c, m, CompileOptions{Observe: observe})
-	if p.LiveGates() >= c.NumGates() {
-		t.Fatalf("observing one output kept all %d gates live", p.LiveGates())
-	}
-	live := make(map[int32]bool, p.LiveGates())
-	for _, gid := range NewStriped(p).Run(packVectors(c.NumInputs(), [][]bool{make([]bool, c.NumInputs())}, [][]bool{make([]bool, c.NumInputs())}), 0).Gates {
-		live[gid] = true
-	}
-	s := New(c, m)
-	st := NewStriped(p)
-	v1s := xorshiftVectors(70, c.NumInputs(), 3)
-	v2s := xorshiftVectors(70, c.NumInputs(), 4)
-	pp := packVectors(c.NumInputs(), v1s, v2s)
-	var dst []int32
-	r := st.Run(pp, 0)
-	for l := 0; l < 70; l++ {
-		want := s.RunCycle(v1s[l], v2s[l])
-		dst = r.Toggles(l/64, l%64, dst)
-		for g := range want.Toggles {
-			if live[int32(g)] {
-				if dst[g] != want.Toggles[g] {
-					t.Fatalf("lane %d live gate %d: %d toggles, scalar %d", l, g, dst[g], want.Toggles[g])
-				}
-			} else if dst[g] != 0 {
-				t.Fatalf("lane %d dead gate %d reads %d, want 0", l, g, dst[g])
-			}
-		}
-	}
-}
-
-// TestStripedReuse runs one engine across rounds of different batch
+// TestStripedReuse runs one executor across rounds of different batch
 // sizes (so the active word count changes run to run) and cross-checks
-// each round against a fresh engine: calendar, pending, and toggle state
+// each round against a fresh executor: value, arena and toggle state
 // must be fully self-cleaning, including across aw changes.
 func TestStripedReuse(t *testing.T) {
 	c := bench.MustGenerate("C432")
 	m := delay.FanoutLoaded{}
 	p := CompileModel(c, m, CompileOptions{})
-	st := NewStriped(p)
+	st := NewSpeculative(p)
 	// The lane sequence walks active word counts 5→1→8→7→8→1→3: every
-	// reshape direction, including the adjacent 8→7 narrowing whose stale
-	// pending-value aliasing once swallowed transitions (each run is
-	// checked against a fresh engine, so any cross-shape residue shows).
+	// reshape direction, including the adjacent 8→7 narrowing (each run
+	// is checked against a fresh executor, so any cross-shape residue
+	// shows).
 	for round, lanes := range []int{300, 64, 512, 416, 500, 1, 130} {
 		v1s := xorshiftVectors(lanes, c.NumInputs(), 100+uint64(round))
 		v2s := xorshiftVectors(lanes, c.NumInputs(), 200+uint64(round))
 		pp := packVectors(c.NumInputs(), v1s, v2s)
 		got := st.Run(pp, 0)
-		want := NewStriped(p).Run(pp, 0)
+		want := NewSpeculative(p).Run(pp, 0)
 		if got.AW != want.AW {
 			t.Fatalf("round %d: AW %d vs %d", round, got.AW, want.AW)
 		}
 		for i := range want.Any {
 			if got.Any[i] != want.Any[i] {
-				t.Fatalf("round %d: reused engine diverged at Any[%d]", round, i)
+				t.Fatalf("round %d: reused executor diverged at Any[%d]", round, i)
 			}
 		}
 		for l := 0; l < got.AW*64; l++ {
@@ -191,13 +85,13 @@ func TestStripedReuse(t *testing.T) {
 
 // TestStripedResultAliasing is the regression test for the shared
 // aliasing contract (the striped analogue of Result.CopyToggles /
-// TestResultCopyToggles): StripedResult.Any is engine-owned and
+// TestResultCopyToggles): StripedResult.Any is executor-owned and
 // rewritten by the next Run, while Toggles copies into a caller-owned
 // slice that survives.
 func TestStripedResultAliasing(t *testing.T) {
 	c := bench.MustGenerate("C432")
 	p := CompileModel(c, delay.FanoutLoaded{}, CompileOptions{})
-	st := NewStriped(p)
+	st := NewSpeculative(p)
 	v1s := xorshiftVectors(64, c.NumInputs(), 21)
 	v2s := xorshiftVectors(64, c.NumInputs(), 22)
 	r := st.Run(packVectors(c.NumInputs(), v1s, v2s), 0)
@@ -217,7 +111,7 @@ func TestStripedResultAliasing(t *testing.T) {
 	if !hadAny {
 		t.Fatal("active run set no Any bits")
 	}
-	// A quiet cycle (v1 == v2) rewrites the engine-owned buffers to zero.
+	// A quiet cycle (v1 == v2) rewrites the executor-owned buffers to zero.
 	if r2 := st.Run(packVectors(c.NumInputs(), v1s, v1s), 0); r2.Events[0] != 0 {
 		t.Fatalf("expected quiet cycle, got %d events", r2.Events[0])
 	}
@@ -225,7 +119,7 @@ func TestStripedResultAliasing(t *testing.T) {
 	// rewritten in place — the documented hazard the contract warns about.
 	for _, w := range aliasedAny {
 		if w != 0 {
-			t.Fatal("quiet run left engine-owned Any bits set — the aliasing contract is stale")
+			t.Fatal("quiet run left executor-owned Any bits set — the aliasing contract is stale")
 		}
 	}
 	// The pre-Run snapshot must be unaffected by the second run.
@@ -245,20 +139,20 @@ func TestStripedResultAliasing(t *testing.T) {
 }
 
 // TestStripedAllocFree pins the steady state at zero allocations per
-// run once the toggle planes have grown to the circuit's depth, for the
-// timed wheel and the zero-delay settle walk.
+// run once the arena and toggle planes have grown to the circuit's
+// depth, for a timed stripe and the zero-delay settle walk.
 func TestStripedAllocFree(t *testing.T) {
 	c := bench.MustGenerate("C432")
 	v1s := xorshiftVectors(300, c.NumInputs(), 31)
 	v2s := xorshiftVectors(300, c.NumInputs(), 32)
 	pp := packVectors(c.NumInputs(), v1s, v2s)
 	for _, m := range []delay.Model{delay.FanoutLoaded{}, delay.Zero{}} {
-		st := NewStriped(CompileModel(c, m, CompileOptions{}))
+		st := NewSpeculative(CompileModel(c, m, CompileOptions{}))
 		st.LaneStats = false
 		st.Run(pp, 0)
 		st.Run(pp, 0)
 		if allocs := testing.AllocsPerRun(10, func() { st.Run(pp, 0) }); allocs != 0 {
-			t.Fatalf("%s: striped Run allocates %.1f/op in steady state, want 0", m.Name(), allocs)
+			t.Fatalf("%s: Run allocates %.1f/op in steady state, want 0", m.Name(), allocs)
 		}
 	}
 }
@@ -271,7 +165,7 @@ func TestStripedZeroDelayEngine(t *testing.T) {
 	if !p.ZeroDelay() {
 		t.Fatal("zero model did not compile to the zero-delay kernel")
 	}
-	st := NewStriped(p)
+	st := NewSpeculative(p)
 	v1s := xorshiftVectors(100, c.NumInputs(), 41)
 	v2s := xorshiftVectors(100, c.NumInputs(), 42)
 	r := st.Run(packVectors(c.NumInputs(), v1s, v2s), 0)
@@ -299,7 +193,7 @@ func TestNewStripedResultMatchesRun(t *testing.T) {
 	v2s := xorshiftVectors(300, c.NumInputs(), 8)
 	pp := packVectors(c.NumInputs(), v1s, v2s)
 	for _, m := range []delay.Model{delay.Zero{}, delay.Unit{}, delay.FanoutLoaded{}, delay.StandardTable()} {
-		r := NewStriped(CompileModel(c, m, CompileOptions{})).Run(pp, 0)
+		r := NewSpeculative(CompileModel(c, m, CompileOptions{})).Run(pp, 0)
 		n := r.NSlots * r.AW
 		counts := make([][64]uint8, n)
 		deepest := int32(0)
@@ -340,9 +234,9 @@ func TestNewStripedResultMatchesRun(t *testing.T) {
 // TestTimedInertialSemantics pins down the timed simulator's inertial
 // rules with hand-computed cases — pulse swallowing, simultaneous input
 // edges, and pending-event replacement with stale queue entries — on the
-// scalar path and on both compiled executors, the Striped event wheel and
-// the Speculative settle-then-patch engine, which must agree with the
-// scalar result in every lane.
+// scalar path and on the compiled executor, whose waveform merges and
+// misprediction replay must both agree with the scalar result in every
+// lane.
 func TestTimedInertialSemantics(t *testing.T) {
 	type peak struct {
 		gate    string
@@ -478,7 +372,7 @@ func TestTimedInertialSemantics(t *testing.T) {
 
 			// The same pair replicated over 300 lanes — five words, a
 			// partial stripe — must reproduce the scalar outcome in every
-			// lane of both executors.
+			// lane, from the merges and from the replay.
 			const lanes = 300
 			v1s := make([][]bool, lanes)
 			v2s := make([][]bool, lanes)
@@ -486,13 +380,13 @@ func TestTimedInertialSemantics(t *testing.T) {
 				v1s[l], v2s[l] = tc.v1, tc.v2
 			}
 			pp := packVectors(c.NumInputs(), v1s, v2s)
-			p := Compile(c, s.DelaysPS(), CompileOptions{})
+			sp := NewSpeculative(Compile(c, s.DelaysPS()))
 			for _, ex := range []struct {
 				name string
 				run  func(*PackedPairs, int) *StripedResult
 			}{
-				{"striped", NewStriped(p).Run},
-				{"speculative", NewSpeculative(p).Run},
+				{"merges", sp.Run},
+				{"replay", func(pp *PackedPairs, stripe int) *StripedResult { return replayStripe(sp, pp, stripe) }},
 			} {
 				r := ex.run(pp, 0)
 				var dst []int32
@@ -509,13 +403,16 @@ func TestTimedInertialSemantics(t *testing.T) {
 					}
 				}
 			}
+			if st := sp.Stats(); st.Fallbacks != 0 {
+				t.Fatalf("the merges mispredicted: %+v", st)
+			}
 		})
 	}
 }
 
 // TestStripedGCDNormalization checks that the timed kernel divides the
-// delay GCD out of its calendar but reports settle times in ps, on both
-// compiled executors.
+// delay GCD out of its times but reports settle times in ps, from the
+// merges and from the replay, which runs the normalized delays.
 func TestStripedGCDNormalization(t *testing.T) {
 	c := chain(t, 3)
 	p := CompileModel(c, delay.Unit{Delay: 100}, CompileOptions{})
@@ -523,10 +420,11 @@ func TestStripedGCDNormalization(t *testing.T) {
 		t.Fatalf("GCDps = %d, want 100", p.GCDps())
 	}
 	pp := packVectors(1, [][]bool{{false}}, [][]bool{{true}})
-	if r := NewStriped(p).Run(pp, 0); r.SettleTime[0] != 300 {
-		t.Fatalf("striped settle = %d ps, want 300", r.SettleTime[0])
+	sp := NewSpeculative(p)
+	if r := sp.Run(pp, 0); r.SettleTime[0] != 300 {
+		t.Fatalf("merged settle = %d ps, want 300", r.SettleTime[0])
 	}
-	if r := NewSpeculative(p).Run(pp, 0); r.SettleTime[0] != 300 {
-		t.Fatalf("speculative settle = %d ps, want 300", r.SettleTime[0])
+	if r := replayStripe(sp, pp, 0); r.SettleTime[0] != 300 {
+		t.Fatalf("replayed settle = %d ps, want 300", r.SettleTime[0])
 	}
 }

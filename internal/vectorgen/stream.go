@@ -145,10 +145,10 @@ func (s *StreamSource) Rebind(gen Generator) error {
 func (s *StreamSource) Size() int { return s.DeclaredSize }
 
 // SpecCounters implements evt.EngineStatsSource: cumulative speculation
-// counters summed across the batch engine's evaluator clones (zero when
-// the evaluator runs a non-speculative strategy). The estimator
-// snapshots deltas around each run, so sharing one source across runs
-// attributes counts correctly.
+// counters summed across the batch engine's evaluator clones (zero
+// before the first timed batch). The estimator snapshots deltas around
+// each run, so sharing one source across runs attributes counts
+// correctly.
 func (s *StreamSource) SpecCounters() (stripes, patched, fallbacks uint64) {
 	var agg sim.SpecStats
 	if s.eng != nil {

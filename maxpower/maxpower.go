@@ -199,10 +199,10 @@ func NewKernelCache(capacity int) *KernelCache { return sim.NewProgramCache(capa
 // pair pins the program; the fingerprint check inside the cache turns
 // any key collision into a recompile, never a wrong simulation.
 //
-// Timed stripes run the speculative settle-then-patch executor: it is
-// bit-identical to the event wheel on every delay model (misprediction
-// falls back per stripe, checked exactly) and substantially faster, so
-// it is the library default. Zero-delay programs settle either way.
+// Every stripe runs the speculative settle-then-patch executor, the one
+// packed executor: it is bit-identical to the scalar simulator on every
+// delay model (a misprediction replays its stripe on the scalar
+// simulator, checked exactly). Zero-delay programs only settle.
 func kernelEvaluator(c *netlist.Circuit, model delay.Model, p power.Params, kc *KernelCache) *power.Evaluator {
 	ev := power.NewEvaluator(c, model, p)
 	ev.UseSpeculative(kc, kernelKey(c, model))
