@@ -38,7 +38,7 @@ type triple struct {
 type iteKey struct{ f, g, h Ref }
 
 // Manager owns the node pool, the unique table and operation caches for
-// one variable order of size NumVars.
+// one variable order.
 type Manager struct {
 	numVars int
 	nodes   []node
@@ -62,12 +62,6 @@ func New(numVars int) *Manager {
 	m.nodes[One] = node{level: constLevel}
 	return m
 }
-
-// NumVars returns the manager's variable count.
-func (m *Manager) NumVars() int { return m.numVars }
-
-// Size returns the number of live nodes (including the two constants).
-func (m *Manager) Size() int { return len(m.nodes) }
 
 // mk returns the canonical node (level, lo, hi), applying the reduction
 // rules.
@@ -153,9 +147,6 @@ func (m *Manager) Or(f, g Ref) Ref { return m.ITE(f, One, g) }
 // Xor returns f ⊕ g.
 func (m *Manager) Xor(f, g Ref) Ref { return m.ITE(f, m.Not(g), g) }
 
-// Xnor returns ¬(f ⊕ g).
-func (m *Manager) Xnor(f, g Ref) Ref { return m.ITE(f, g, m.Not(g)) }
-
 // Eval evaluates f under a full variable assignment.
 func (m *Manager) Eval(f Ref, assignment []bool) bool {
 	if len(assignment) != m.numVars {
@@ -201,59 +192,4 @@ func (m *Manager) Restrict(f Ref, variable int, val bool) Ref {
 		return r
 	}
 	return rec(f)
-}
-
-// SatCount returns the number of satisfying assignments of f over all
-// NumVars variables.
-func (m *Manager) SatCount(f Ref) float64 {
-	memo := make(map[Ref]float64)
-	var rec func(Ref) float64
-	rec = func(g Ref) float64 {
-		if g == Zero {
-			return 0
-		}
-		if g == One {
-			return 1
-		}
-		if c, ok := memo[g]; ok {
-			return c
-		}
-		n := m.nodes[g]
-		// Each child skips levels; account for the free variables.
-		loSkip := float64(m.levelOf(n.lo)) - float64(n.level) - 1
-		hiSkip := float64(m.levelOf(n.hi)) - float64(n.level) - 1
-		c := rec(n.lo)*math.Pow(2, loSkip) + rec(n.hi)*math.Pow(2, hiSkip)
-		memo[g] = c
-		return c
-	}
-	top := float64(m.levelOf(f))
-	return rec(f) * math.Pow(2, top)
-}
-
-// levelOf treats constants as level numVars for counting purposes.
-func (m *Manager) levelOf(f Ref) int32 {
-	l := m.nodes[f].level
-	if l == constLevel {
-		return int32(m.numVars)
-	}
-	return l
-}
-
-// AnySat returns one satisfying assignment of f, or nil if f = Zero.
-// Unconstrained variables are set to false.
-func (m *Manager) AnySat(f Ref) []bool {
-	if f == Zero {
-		return nil
-	}
-	out := make([]bool, m.numVars)
-	for f != One {
-		n := m.nodes[f]
-		if n.lo != Zero {
-			f = n.lo
-		} else {
-			out[n.level] = true
-			f = n.hi
-		}
-	}
-	return out
 }

@@ -19,7 +19,6 @@ func TestBasicOps(t *testing.T) {
 		{"and", m.And(a, b), [4]bool{false, false, false, true}},
 		{"or", m.Or(a, b), [4]bool{false, true, true, true}},
 		{"xor", m.Xor(a, b), [4]bool{false, true, true, false}},
-		{"xnor", m.Xnor(a, b), [4]bool{true, false, false, true}},
 		{"nota", m.Not(a), [4]bool{true, true, false, false}},
 	}
 	for _, c := range cases {
@@ -84,30 +83,6 @@ func TestITERandomEquivalence(t *testing.T) {
 	}
 }
 
-func TestSatCount(t *testing.T) {
-	m := New(4)
-	a, b := m.Var(0), m.Var(1)
-	if got := m.SatCount(One); got != 16 {
-		t.Errorf("SatCount(One) = %v", got)
-	}
-	if got := m.SatCount(Zero); got != 0 {
-		t.Errorf("SatCount(Zero) = %v", got)
-	}
-	if got := m.SatCount(a); got != 8 {
-		t.Errorf("SatCount(a) = %v", got)
-	}
-	if got := m.SatCount(m.And(a, b)); got != 4 {
-		t.Errorf("SatCount(a∧b) = %v", got)
-	}
-	if got := m.SatCount(m.Xor(a, b)); got != 8 {
-		t.Errorf("SatCount(a⊕b) = %v", got)
-	}
-	// Var(3) (deepest): still half of assignments.
-	if got := m.SatCount(m.Var(3)); got != 8 {
-		t.Errorf("SatCount(d) = %v", got)
-	}
-}
-
 func TestRestrict(t *testing.T) {
 	m := New(3)
 	a, b, c := m.Var(0), m.Var(1), m.Var(2)
@@ -120,19 +95,6 @@ func TestRestrict(t *testing.T) {
 	}
 	if got := m.Restrict(f, 2, true); got != One {
 		t.Error("restrict c=1 wrong")
-	}
-}
-
-func TestAnySat(t *testing.T) {
-	m := New(3)
-	a, b := m.Var(0), m.Var(1)
-	f := m.And(a, m.Not(b))
-	sat := m.AnySat(f)
-	if sat == nil || !m.Eval(f, sat) {
-		t.Fatalf("AnySat returned %v", sat)
-	}
-	if m.AnySat(Zero) != nil {
-		t.Error("AnySat(Zero) must be nil")
 	}
 }
 

@@ -37,21 +37,9 @@ func halfAdder(b *netlist.Builder, a, bb int) (sum, cout int) {
 	return b.Xor(a, bb), b.And(a, bb)
 }
 
-// rippleAdder builds an n-bit ripple-carry adder over equal-width operand
-// slices xs and ys, returning the sum bits and the carry out.
-func rippleAdder(b *netlist.Builder, xs, ys []int) (sums []int, cout int) {
-	if len(xs) != len(ys) || len(xs) == 0 {
-		panic("bench: rippleAdder operand mismatch")
-	}
-	sums = make([]int, len(xs))
-	sums[0], cout = halfAdder(b, xs[0], ys[0])
-	for i := 1; i < len(xs); i++ {
-		sums[i], cout = fullAdder(b, xs[i], ys[i], cout)
-	}
-	return sums, cout
-}
-
-// rippleAdderCin is rippleAdder with an explicit carry input.
+// rippleAdderCin builds an n-bit ripple-carry adder over equal-width
+// operand slices xs and ys with carry input cin, returning the sum bits
+// and the carry out.
 func rippleAdderCin(b *netlist.Builder, xs, ys []int, cin int) (sums []int, cout int) {
 	if len(xs) != len(ys) || len(xs) == 0 {
 		panic("bench: rippleAdderCin operand mismatch")

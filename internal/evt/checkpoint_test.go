@@ -105,7 +105,7 @@ func TestResumeFromConvergedCheckpoint(t *testing.T) {
 }
 
 // TestCheckpointConsumesNoRandomness: a run with OnCheckpoint wired is
-// bit-identical to one without (same promise the Observer makes).
+// bit-identical to one without (same promise OnProgress makes).
 func TestCheckpointConsumesNoRandomness(t *testing.T) {
 	pop := betaLikePopulation(20000, 31)
 	base, _ := New(pop, Config{Epsilon: 0.01, MaxHyperSamples: 50})

@@ -110,14 +110,6 @@ type EngineStats struct {
 	SpecFallbacks uint64 `json:"spec_fallbacks,omitempty"`
 }
 
-// Add returns the element-wise sum of two counter sets.
-func (s EngineStats) Add(o EngineStats) EngineStats {
-	s.SpecStripes += o.SpecStripes
-	s.SpecPatched += o.SpecPatched
-	s.SpecFallbacks += o.SpecFallbacks
-	return s
-}
-
 // Sub returns the element-wise difference s − o (counters are
 // monotonic, so this is the delta between two snapshots).
 func (s EngineStats) Sub(o EngineStats) EngineStats {
@@ -141,22 +133,6 @@ type EngineStatsSource interface {
 	Source
 	SpecCounters() (stripes, patched, fallbacks uint64)
 }
-
-// Observer receives Progress snapshots from a running estimation. It is
-// the estimator's observation seam: callers (a progress bar, a serving
-// daemon, a metrics exporter) subscribe without perturbing the sampling
-// stream — the observer is invoked synchronously between hyper-samples
-// and consumes no randomness, so a run with an observer produces
-// bit-identical results to one without.
-type Observer interface {
-	HyperSampleDone(Progress)
-}
-
-// ObserverFunc adapts a plain function as an Observer.
-type ObserverFunc func(Progress)
-
-// HyperSampleDone implements Observer.
-func (f ObserverFunc) HyperSampleDone(p Progress) { f(p) }
 
 // Checkpoint is the resumable state of a run, captured after a completed
 // hyper-sample. The iterative procedure's entire memory between
@@ -235,10 +211,13 @@ type Config struct {
 	// DisableFiniteCorrection turns off the §3.4 finite-population
 	// quantile correction even when the source is finite (for ablation).
 	DisableFiniteCorrection bool
-	// Observer, when non-nil, receives a Progress snapshot after every
-	// hyper-sample. Invoked synchronously; a slow observer slows the run
-	// but never changes its result.
-	Observer Observer
+	// OnProgress, when non-nil, receives a Progress snapshot after every
+	// hyper-sample. It is the estimator's observation seam: callers (a
+	// progress bar, a serving daemon, a metrics exporter) subscribe
+	// without perturbing the sampling stream. It is invoked synchronously
+	// between hyper-samples and consumes no randomness, so a slow callback
+	// slows the run but never changes its result.
+	OnProgress func(Progress)
 	// Resume, when non-nil, continues an interrupted run from its last
 	// checkpoint instead of starting fresh: the per-hyper-sample estimates
 	// and cost counters are restored and RunContext's rng is overwritten
@@ -246,7 +225,7 @@ type Config struct {
 	// as the interrupted run's for the determinism guarantee to hold.
 	Resume *Checkpoint
 	// OnCheckpoint, when non-nil, receives the run's resumable state after
-	// every completed hyper-sample (after Observer). Invoked synchronously
+	// every completed hyper-sample (after OnProgress). Invoked synchronously
 	// and consumes no randomness, so checkpointed and unobserved runs are
 	// bit-identical. The Checkpoint is a private copy the callback may
 	// retain or serialize.
@@ -407,9 +386,6 @@ func New(src Source, cfg Config) (*Estimator, error) {
 	e.batch, _ = src.(BatchSource)
 	return e, nil
 }
-
-// Config returns the effective (defaulted) configuration.
-func (e *Estimator) Config() Config { return e.cfg }
 
 // HyperSample draws one hyper-sample: m samples of size n, one MLE fit.
 // It retries with fresh draws when the fit fails, and falls back to the
@@ -591,8 +567,8 @@ func (e *Estimator) runContext(ctx context.Context, rng *stats.RNG) Result {
 		f.res.SimTime += hs.SimTime
 		f.res.FitTime += hs.FitTime
 		f.add(hs.Record())
-		if cfg.Observer != nil {
-			cfg.Observer.HyperSampleDone(f.res.Progress())
+		if cfg.OnProgress != nil {
+			cfg.OnProgress(f.res.Progress())
 		}
 		if cfg.OnCheckpoint != nil {
 			cfg.OnCheckpoint(Checkpoint{
@@ -611,7 +587,7 @@ func (e *Estimator) runContext(ctx context.Context, rng *stats.RNG) Result {
 	return f.res
 }
 
-// Progress is the snapshot of r an Observer receives.
+// Progress is the snapshot of r that OnProgress receives.
 func (r Result) Progress() Progress {
 	return Progress{
 		HyperSamples: r.HyperSamples,

@@ -14,8 +14,8 @@ func TestObserverSnapshots(t *testing.T) {
 	pop := betaLikePopulation(5000, 1)
 	var snaps []Progress
 	est, err := New(pop, Config{
-		Epsilon:  0.02,
-		Observer: ObserverFunc(func(p Progress) { snaps = append(snaps, p) }),
+		Epsilon:    0.02,
+		OnProgress: func(p Progress) { snaps = append(snaps, p) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestObserverDoesNotPerturbRun(t *testing.T) {
 
 	calls := 0
 	observed, err := New(pop, Config{
-		Observer: ObserverFunc(func(Progress) { calls++ }),
+		OnProgress: func(Progress) { calls++ },
 	})
 	if err != nil {
 		t.Fatal(err)

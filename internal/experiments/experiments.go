@@ -96,9 +96,6 @@ func NewRunner(cfg Config) *Runner {
 	return &Runner{cfg: cfg.WithDefaults(), pops: make(map[popKind]*vectorgen.Population)}
 }
 
-// Config returns the effective configuration.
-func (r *Runner) Config() Config { return r.cfg }
-
 // population returns (building and caching on first use) the population of
 // the given family for a circuit.
 func (r *Runner) population(circuit, kind string, size int) (*vectorgen.Population, error) {

@@ -330,7 +330,7 @@ func TestAblationDelayModel(t *testing.T) {
 		}
 	}
 	// The runner's delay model must be restored.
-	if r.Config().DelayModel != "fanout" {
+	if r.cfg.DelayModel != "fanout" {
 		t.Error("delay model not restored")
 	}
 }

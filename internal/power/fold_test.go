@@ -68,7 +68,6 @@ func TestStripeFoldDifferential(t *testing.T) {
 			e := NewEvaluator(c, m, Params{})
 			e.acc = make([]float64, maxPairs)
 			sp := sim.NewSpeculative(e.program())
-			sp.LaneStats = false
 			// The scalar oracle checks every third pair and each batch's
 			// last one; the two folds are compared on every lane.
 			oracle := make(map[int]float64)

@@ -149,7 +149,6 @@ func NodeCapsF(c *netlist.Circuit, p Params) []float64 {
 // each worker an independent instance.
 type Evaluator struct {
 	simulator *sim.Simulator
-	params    Params
 	// energyW[g] = ½·Vdd²·C_g·(1+sc), in joules per toggle (C in farads).
 	energyW []float64
 	leakW   float64 // total leakage power, watts
@@ -195,7 +194,6 @@ func NewEvaluator(c *netlist.Circuit, m delay.Model, p Params) *Evaluator {
 	}
 	return &Evaluator{
 		simulator: sim.New(c, m),
-		params:    p,
 		energyW:   energy,
 		leakW:     p.LeakNW * 1e-9 * float64(c.NumLogicGates()),
 		clockS:    p.ClockNS * 1e-9,
@@ -212,7 +210,6 @@ func (e *Evaluator) Clone() *Evaluator {
 	e.program()
 	return &Evaluator{
 		simulator: e.simulator.Clone(),
-		params:    e.params,
 		energyW:   e.energyW,
 		leakW:     e.leakW,
 		clockS:    e.clockS,
@@ -229,6 +226,10 @@ func (e *Evaluator) Clone() *Evaluator {
 // private compile. Any program already resolved is dropped and resolved
 // again on next use. Every evaluator runs the speculative executor
 // whether or not a cache is attached, so results do not change.
+//
+// Deprecated: the name predates the one packed executor; the method
+// only attaches a program cache. It keeps its name until its callers
+// move off it (ROADMAP item 9).
 func (e *Evaluator) UseSpeculative(cache *sim.ProgramCache, key string) {
 	e.kernels = cache
 	e.kernelKey = key
@@ -272,9 +273,6 @@ func (e *Evaluator) StripeWords() int { return e.program().StripeWords() }
 // Circuit returns the evaluated circuit.
 func (e *Evaluator) Circuit() *netlist.Circuit { return e.simulator.Circuit() }
 
-// Params returns the electrical parameters in effect.
-func (e *Evaluator) Params() Params { return e.params }
-
 // CyclePowerW returns the cycle power in watts for the vector pair
 // (v1, v2): settle at v1, apply v2, average dissipation over one clock.
 func (e *Evaluator) CyclePowerW(v1, v2 []bool) float64 {
@@ -304,11 +302,6 @@ func (e *Evaluator) energyOf(toggles []int32) float64 {
 func (e *Evaluator) CyclePowerMW(v1, v2 []bool) float64 {
 	return e.CyclePowerW(v1, v2) * 1e3
 }
-
-// ZeroDelay reports whether the evaluator's delay model is glitch-free
-// (all gate delays zero), in which case the compiled program is the
-// zero-delay settle kernel.
-func (e *Evaluator) ZeroDelay() bool { return e.simulator.ZeroDelay() }
 
 // BatchMWPacked evaluates a whole packed batch — any number of pairs, one
 // compiled stripe at a time — into out (mW), which must be exactly pp.N
@@ -353,9 +346,6 @@ func (e *Evaluator) PackedStripeMW(pp *sim.PackedPairs, stripe int, out []float6
 	}
 	if e.spec == nil {
 		e.spec = sim.NewSpeculative(p)
-		// Cycle energy needs only the toggle planes: skip the per-lane
-		// settle/event aggregation entirely.
-		e.spec.LaneStats = false
 	}
 	e.stripeMW(e.spec.Run(pp, stripe), out)
 	return nil

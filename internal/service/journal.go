@@ -236,7 +236,9 @@ func (jn *journal) compact(recs []record) error {
 	if err := os.Rename(tmp, jn.path); err != nil {
 		return fmt.Errorf("service: journal compact rename: %w", err)
 	}
-	syncDir(jn.dir)
+	if err := syncDir(jn.dir); err != nil {
+		return fmt.Errorf("service: journal compact dir sync: %w", err)
+	}
 	af, err := os.OpenFile(jn.path, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("service: journal reopen: %w", err)
@@ -282,12 +284,18 @@ func (jn *journal) close() {
 	}
 }
 
-// syncDir fsyncs a directory so a rename within it is durable. Errors
-// are ignored: some filesystems refuse directory fsync, and the rename
-// itself already landed.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
+// syncDir fsyncs a directory so a rename within it is durable. Until it
+// succeeds, a crash may leave the directory naming the old file, so its
+// error is the caller's: appends to a journal the directory may not name
+// are not crash-safe. The fault point lets chaos tests fail it.
+func syncDir(dir string) error {
+	if err := faultpoint.Hit("service/journal-dirsync"); err != nil {
+		return err
 	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }

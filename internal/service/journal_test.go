@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/evt"
+	"repro/internal/faultpoint"
 )
 
 // TestJournalRoundTrip appends records through the journal and reads
@@ -323,6 +325,41 @@ func TestJournalCompaction(t *testing.T) {
 	}
 	if res1 != res2 {
 		t.Errorf("restored result differs:\n  live    %+v\n  replay  %+v", res1, res2)
+	}
+}
+
+// TestJournalDirSyncFailure: compaction renames the new journal over
+// the old and then fsyncs the data directory. If that fsync fails, a
+// crash could bring back the old journal while appends went to the new
+// one, so recovery must fail loudly instead of acknowledging work into
+// it. Once the directory syncs again, the same data dir recovers.
+func TestJournalDirSyncFailure(t *testing.T) {
+	t.Cleanup(faultpoint.Reset)
+	dir := t.TempDir()
+	mgr, err := NewManager(ManagerConfig{Workers: 1, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := mgr.Submit(smallJob(82))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitManagerTerminal(t, mgr, id)
+	shutdownManager(t, mgr)
+
+	injected := errors.New("directory fsync said no")
+	faultpoint.Arm("service/journal-dirsync", 1, func() error { return injected })
+	if _, err := NewManager(ManagerConfig{Workers: 1, DataDir: dir}); !errors.Is(err, injected) {
+		t.Fatalf("recovery with a failed directory fsync returned %v, want the fsync error", err)
+	}
+
+	mgr2, err := NewManager(ManagerConfig{Workers: 1, DataDir: dir})
+	if err != nil {
+		t.Fatalf("recovery after the directory syncs again: %v", err)
+	}
+	defer shutdownManager(t, mgr2)
+	if st, err := mgr2.Status(id); err != nil || st.State != StateDone {
+		t.Fatalf("restored job = %+v, %v; want done", st, err)
 	}
 }
 

@@ -58,9 +58,6 @@ func NewServer(mgr *Manager) *Server {
 	return s
 }
 
-// Manager exposes the underlying job manager (for shutdown wiring).
-func (s *Server) Manager() *Manager { return s.mgr }
-
 // ServeHTTP implements http.Handler. Every response passes through the
 // envelope writer, which rewrites any plain-text 4xx/5xx (the mux's
 // own 404/405, anything that slipped past a handler) into the

@@ -40,7 +40,11 @@ const (
 // CompileOptions is the options parameter of CompileModel and
 // FingerprintModel. It has no fields: every program compiles at the one
 // stripe width, and whether it is the zero-delay kernel follows from its
-// delays. It stays so that callers passing CompileOptions{} compile.
+// delays.
+//
+// Deprecated: CompileOptions has no effect. It stays so that callers
+// passing CompileOptions{} compile, until they move off it (ROADMAP
+// item 9).
 type CompileOptions struct{}
 
 // Program is a netlist compiled into a flat straight-line simulation
@@ -69,10 +73,9 @@ type Program struct {
 	faninOff []int32
 	faninIdx []int32
 
-	// Timed-kernel tables (nil/zero for zero-delay programs): per-slot
-	// GCD-normalized delays and the normalization unit in ps.
+	// Timed-kernel table (nil for zero-delay programs): per-slot
+	// GCD-normalized delays.
 	delays []int64
-	gcdPS  int64
 
 	// Static hazard analysis (timed programs only): arrT[s] ≥ 0 means
 	// slot s is hazard-free by construction — every fan-in settles its
@@ -113,16 +116,14 @@ func Compile(c *netlist.Circuit, delaysPS []int64) *Program {
 	}
 	zero := zeroDelay(c, delaysPS)
 
-	// Timed tables: progress-guarded delays (zero logic-gate delays
+	// Timed table: progress-guarded delays (zero logic-gate delays
 	// become 1 ps, the scalar timed path's guard), then GCD
 	// normalization. Event ordering, inertial filtering and toggle counts
 	// are invariant under uniform time scaling, so simulating in units of
-	// the GCD changes no outcome; settle times scale back to ps.
-	var (
-		delays []int64
-		gcdPS  int64
-	)
+	// the GCD changes no outcome.
+	var delays []int64
 	if !zero {
+		var gcdPS int64
 		delays = make([]int64, n)
 		for g := range c.Gates {
 			if c.Gates[g].Kind == netlist.Input {
@@ -236,7 +237,6 @@ func Compile(c *netlist.Circuit, delaysPS []int64) *Program {
 		faninOff:  faninOff,
 		faninIdx:  faninIdx,
 		delays:    delays,
-		gcdPS:     gcdPS,
 		arrT:      arrT,
 		hazFree:   hazFree,
 		fp:        Fingerprint(c, delaysPS),
@@ -293,9 +293,6 @@ func Fingerprint(c *netlist.Circuit, delaysPS []int64) uint64 {
 	return h.Sum64()
 }
 
-// Circuit returns the compiled circuit.
-func (p *Program) Circuit() *netlist.Circuit { return p.c }
-
 // StripeWords returns the stripe width in 64-lane words.
 func (p *Program) StripeWords() int { return stripeWords }
 
@@ -304,10 +301,6 @@ func (p *Program) StripeLanes() int { return stripeWords * 64 }
 
 // ZeroDelay reports whether this is the settle-only glitch-free kernel.
 func (p *Program) ZeroDelay() bool { return p.zeroDelay }
-
-// GCDps returns the timed kernel's normalization unit in ps (0 for
-// zero-delay programs).
-func (p *Program) GCDps() int64 { return p.gcdPS }
 
 // HazardFree returns how many slots the static hazard analysis proved
 // single-transition (see Program.arrT) and the slot total — the
@@ -318,9 +311,6 @@ func (p *Program) HazardFree() (free, total int) { return p.hazFree, p.n }
 
 // Fingerprint returns the program's structural checksum.
 func (p *Program) Fingerprint() uint64 { return p.fp }
-
-// CompileNS returns the wall time Compile spent building this program.
-func (p *Program) CompileNS() int64 { return p.compileNS }
 
 // ProgramCacheStats is a point-in-time counter snapshot of a ProgramCache.
 type ProgramCacheStats struct {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -73,19 +74,16 @@ func TestCompileZeroDelayRule(t *testing.T) {
 }
 
 // TestCompileDeterminism: compilation is a pure function of its inputs —
-// same hazard frontier, normalization unit and fingerprint every time.
+// same hazard frontier, normalized delays and fingerprint every time.
 func TestCompileDeterminism(t *testing.T) {
 	c := bench.MustGenerate("C880")
 	a := CompileModel(c, delay.FanoutLoaded{}, CompileOptions{})
 	b := CompileModel(c, delay.FanoutLoaded{}, CompileOptions{})
 	af, an := a.HazardFree()
 	bf, bn := b.HazardFree()
-	if af != bf || an != bn || a.GCDps() != b.GCDps() || a.Fingerprint() != b.Fingerprint() {
-		t.Fatalf("recompile diverged: hazard-free %d/%d of %d/%d gcd %d/%d fp %x/%x",
-			af, bf, an, bn, a.GCDps(), b.GCDps(), a.Fingerprint(), b.Fingerprint())
-	}
-	if a.CompileNS() <= 0 {
-		t.Fatal("CompileNS not recorded")
+	if af != bf || an != bn || !slices.Equal(a.delays, b.delays) || a.Fingerprint() != b.Fingerprint() {
+		t.Fatalf("recompile diverged: hazard-free %d/%d of %d/%d, delays equal %v, fp %x/%x",
+			af, bf, an, bn, slices.Equal(a.delays, b.delays), a.Fingerprint(), b.Fingerprint())
 	}
 }
 

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Speculative executes a compiled Program over stripes of up to eight
 // 64-lane words — 512 vector pairs a stripe. It is the package's one
@@ -48,16 +45,16 @@ import (
 // every fetched cache line is fully used; the layout re-derives per run
 // from one integer.
 //
-// Every lane's toggle counts, settle time, and event count are
-// bit-identical to the scalar Simulator on that lane's vector pair (the
-// differential tests enforce this on the zero, unit, fanout, and table
-// models). A Speculative owns mutable run state and is not safe for
-// concurrent use; build one per goroutine over a shared immutable Program
-// (power.Evaluator.Clone does this).
+// Every lane's toggle counts are bit-identical to the scalar Simulator
+// on that lane's vector pair (the differential tests enforce this on the
+// zero, unit, fanout, and table models); they are all the executor
+// computes, and all the energy fold reads. A Speculative owns mutable
+// run state and is not safe for concurrent use; build one per goroutine
+// over a shared immutable Program (power.Evaluator.Clone does this).
 type Speculative struct {
-	// LaneStats enables the per-lane SettleTime/Events aggregates.
-	// NewSpeculative sets it; the power path clears it, because cycle
-	// energy needs only the toggle planes.
+	// Deprecated: LaneStats has no effect; the executor computes toggle
+	// counts only. It stays for callers that still assign it, until they
+	// move off it (ROADMAP item 9).
 	LaneStats bool
 
 	p      *Program
@@ -73,8 +70,7 @@ type Speculative struct {
 	val []uint64 // [slot·aw + k]: settle(v1), initial values and merge stream seeds
 	aux []uint64 // settle(v2): final values (the mispredict check)
 
-	settleNorm []int64 // per-lane last-change time, normalized units
-	res        StripedResult
+	res StripedResult
 
 	// The waveform arena: one (time, mask) pair per applied output
 	// transition, interleaved at ev[2i] / ev[2i+1] so consuming an event
@@ -91,7 +87,7 @@ type Speculative struct {
 	// ends[w] is word w's doubled segment end. Separate from offs so
 	// segments need not be contiguous: paired merges emit into disjoint
 	// regions of the arena, leaving dead space between segments that
-	// every consumer (fan-in reads, countSegment, laneSettle) skips by
+	// every consumer (fan-in reads, countSegment) skips by
 	// reading [offs[w], ends[w]) instead of [offs[w], offs[w+1]).
 	ends []int32
 	// m2w is the parked-merge scratch slot.
@@ -140,21 +136,17 @@ func (s *SpecStats) Add(other SpecStats) {
 func NewSpeculative(p *Program) *Speculative {
 	capWords := p.n * stripeWords
 	sp := &Speculative{
-		LaneStats:  true,
-		p:          p,
-		lastAW:     -1,
-		fabRun:     make([]uint64, p.n),
-		val:        make([]uint64, capWords),
-		aux:        make([]uint64, capWords),
-		settleNorm: make([]int64, stripeWords*64),
+		p:      p,
+		lastAW: -1,
+		fabRun: make([]uint64, p.n),
+		val:    make([]uint64, capWords),
+		aux:    make([]uint64, capWords),
 	}
 	sp.res = StripedResult{
-		W:          stripeWords,
-		NSlots:     p.n,
-		Any:        make([]uint64, capWords),
-		SettleTime: make([]int64, stripeWords*64),
-		Events:     make([]int, stripeWords*64),
-		zero:       p.zeroDelay,
+		W:      stripeWords,
+		NSlots: p.n,
+		Any:    make([]uint64, capWords),
+		zero:   p.zeroDelay,
 	}
 	if p.zeroDelay {
 		return sp
@@ -263,62 +255,23 @@ func (sp *Speculative) resetResult() {
 		// every active word.
 		clear(res.ovAny[:sp.stride])
 	}
-	clear(res.SettleTime)
-	clear(res.Events)
-	clear(sp.settleNorm)
 }
 
 // runZero is the compiled zero-delay kernel: one walk settles both
 // planes and writes their diff to Any. Glitch-free by contract, so Any
-// alone encodes the 0/1 toggle counts.
+// alone encodes the 0/1 toggle counts, and there are no counter planes
+// to reset.
 func (sp *Speculative) runZero(pp *PackedPairs, b0 int) {
-	sp.resetResult()
 	sp.loadInputs(sp.val, pp.In1, b0)
 	sp.loadInputs(sp.aux, pp.In2, b0)
-	res := &sp.res
-	sp.settle(sp.val, sp.aux, res.Any)
-	if !sp.LaneStats {
-		return
-	}
-	var cnt [stripeWords][24]uint64
-	aw := sp.aw
-	for base := 0; base < sp.stride; base += aw {
-		for k := 0; k < aw; k++ {
-			d := res.Any[base+k]
-			if d == 0 {
-				continue
-			}
-			cw := &cnt[k]
-			carry := d
-			for l := 0; carry != 0; l++ {
-				c0 := cw[l]
-				cw[l] = c0 ^ carry
-				carry = c0 & carry
-			}
-		}
-	}
-	for k := 0; k < aw; k++ {
-		for l, cwv := range cnt[k] {
-			for ; cwv != 0; cwv &= cwv - 1 {
-				res.Events[k*64+bits.TrailingZeros64(cwv)] += 1 << uint(l)
-			}
-		}
-	}
+	sp.settle(sp.val, sp.aux, sp.res.Any)
 }
 
 // finalizeTimed derives the aggregate result views from the toggle
 // planes after a timed run, whether wave or replay filled them.
 func (sp *Speculative) finalizeTimed() {
-	p := sp.p
-	aw := sp.aw
 	stride := sp.stride
-	lane := sp.LaneStats
 	res := &sp.res
-	if lane {
-		for l, sn := range sp.settleNorm {
-			res.SettleTime[l] = sn * p.gcdPS
-		}
-	}
 	// One sequential pass over the first two counter planes recovers Any
 	// (count ≥ 1: bit 0, bit 1, or the overflow union) and Multi
 	// (count ≥ 2: bit 1 or overflow — lanes that reached 4 may have both
@@ -332,47 +285,14 @@ func (sp *Speculative) finalizeTimed() {
 		res.Any[i] = v0 | o
 		res.Multi[i] = o
 	}
-	if !lane {
-		return
-	}
-	// Events: a vertical ripple-carry popcount per word column, each
-	// counter plane entering at its weight.
-	var cnt [stripeWords][24]uint64
-	for lvl := 0; lvl < res.levels; lvl++ {
-		rowp := res.planes[lvl*stride : (lvl+1)*stride]
-		for f := 0; f < p.n; f++ {
-			base := f * aw
-			for k := 0; k < aw; k++ {
-				v := rowp[base+k]
-				if v == 0 {
-					continue
-				}
-				cw := &cnt[k]
-				for l := lvl; v != 0; l++ {
-					c := cw[l]
-					cw[l] = c ^ v
-					v = c & v
-				}
-			}
-		}
-	}
-	for k := 0; k < aw; k++ {
-		for l, cwv := range cnt[k] {
-			for ; cwv != 0; cwv &= cwv - 1 {
-				res.Events[k*64+bits.TrailingZeros64(cwv)] += 1 << uint(l)
-			}
-		}
-	}
 }
 
 // replay re-runs the stripe's active lanes on the scalar Simulator after
 // a misprediction and writes what it finds where wave would have: each
 // gate's count into counter planes 0 and 1 and, from a count of 4 up,
-// through deepCarry into the deep planes, and each lane's settle time
-// into settleNorm. The simulator runs the program's GCD-normalized
-// delays: toggle counts do not change when every delay is scaled by one
-// factor, and settle times come out in the normalized units
-// finalizeTimed scales back to ps. It is built on first use.
+// through deepCarry into the deep planes. The simulator runs the
+// program's GCD-normalized delays: toggle counts do not change when
+// every delay is scaled by one factor. It is built on first use.
 func (sp *Speculative) replay(pp *PackedPairs, b0 int) {
 	p := sp.p
 	if sp.oracle == nil {
@@ -386,7 +306,6 @@ func (sp *Speculative) replay(pp *PackedPairs, b0 int) {
 	for l := 0; l < lanes; l++ {
 		pp.PairInto(b0*64+l, sp.v1, sp.v2)
 		r := sp.oracle.RunCycle(sp.v1, sp.v2)
-		sp.settleNorm[l] = r.SettleTime
 		k, bit := l>>6, uint64(1)<<uint(l&63)
 		for g, n := range r.Toggles {
 			if n == 0 {
@@ -443,10 +362,9 @@ func (sp *Speculative) evalWideWord(vals []uint64, f, k int) uint64 {
 	return acc
 }
 
-// wave is the speculative phase-2 kernel. It fills the counter planes,
-// overflow unions, and (under LaneStats) settle times, and reports false
-// on a misprediction — leaving partially written planes for replay's
-// resetResult to clear.
+// wave is the speculative phase-2 kernel. It fills the counter planes
+// and overflow unions, and reports false on a misprediction — leaving
+// partially written planes for replay's resetResult to clear.
 func (sp *Speculative) wave(pp *PackedPairs, b0 int) bool {
 	p := sp.p
 	aw := sp.aw
@@ -605,45 +523,7 @@ func (sp *Speculative) wave(pp *PackedPairs, b0 int) bool {
 		}
 	}
 	sp.specPatched += uint64(patched)
-	if sp.LaneStats {
-		sp.laneSettle()
-	}
 	return true
-}
-
-// laneSettle recovers per-lane settle times from the retained arena: a
-// lane's settle under a delay model is the latest commit time of any
-// transition that reached it, and the arena holds every applied
-// transition (cancelled ones carry a zero mask). Scanning each
-// (slot, word) segment backward — emission times within a segment are
-// strictly increasing — touches each lane at most once per segment. Run
-// only under LaneStats, which keeps every stat branch out of the merge
-// hot loops; the power path never pays for it.
-func (sp *Speculative) laneSettle() {
-	snorm := sp.settleNorm
-	ev := sp.ev
-	offs := sp.offs
-	aw := sp.aw
-	for base := 0; base < sp.stride; base += aw {
-		for k := 0; k < aw; k++ {
-			idx := base + k
-			rem := ^uint64(0)
-			for e := int(sp.ends[idx]) - 2; e >= int(offs[idx]); e -= 2 {
-				m := ev[e+1] & rem
-				if m == 0 {
-					continue
-				}
-				rem &^= m
-				ts := int64(ev[e])
-				for ; m != 0; m &= m - 1 {
-					l := k<<6 + bits.TrailingZeros64(m)
-					if ts > snorm[l] {
-						snorm[l] = ts
-					}
-				}
-			}
-		}
-	}
 }
 
 // noPending is the "no outstanding output event" sentinel for the

@@ -2,8 +2,8 @@ package sim
 
 import "fmt"
 
-// StripedResult holds the per-lane outcomes of one Speculative.Run, in
-// the shape of 512 scalar Results. Lane addressing is (word k, lane l)
+// StripedResult holds the per-lane toggle counts of one Speculative.Run,
+// the Toggles of 512 scalar Results. Lane addressing is (word k, lane l)
 // = pair k·64+l of the stripe; lanes beyond the packed batch stay inert.
 //
 // Aliasing contract: the result and every slice in it are owned by the
@@ -23,11 +23,6 @@ type StripedResult struct {
 	// toggled more than once (nil on the glitch-free zero-delay kernel).
 	Any   []uint64
 	Multi []uint64
-	// SettleTime[k·64+l] is lane (k,l)'s last value change in ps, and
-	// Events[k·64+l] its total applied value changes — only populated
-	// when the executor's LaneStats is set.
-	SettleTime []int64
-	Events     []int
 
 	// planes holds the per-lane toggle counters as bit planes, level-major
 	// at [lvl·stride + slot·AW + k] (level l = count bit l); ovAny is the
@@ -90,7 +85,7 @@ func (r *StripedResult) MultiMask(slot, word int) uint64 {
 
 // Toggles expands one lane's per-gate toggle counts into dst (grown as
 // needed), indexed by gate id like the scalar Result.Toggles. The
-// returned slice is caller-owned: unlike Any/SettleTime/Events it does
+// returned slice is caller-owned: unlike Any and Multi it does
 // not alias executor state and survives subsequent Run calls.
 func (r *StripedResult) Toggles(word, lane int, dst []int32) []int32 {
 	if cap(dst) < r.NSlots {
@@ -105,9 +100,8 @@ func (r *StripedResult) Toggles(word, lane int, dst []int32) []int32 {
 
 // NewStripedResult builds the result a run of aw words would leave for
 // the per-lane toggle counts counts[slot·aw+k][lane]: a timed run's, or
-// with zeroDelay a zero-delay run's, whose counts must be 0 or 1. Lane
-// statistics are left out. Tests of result
-// consumers use it to reach count patterns no circuit produces on demand.
+// with zeroDelay a zero-delay run's, whose counts must be 0 or 1. Tests
+// of result consumers use it to reach count patterns no circuit produces on demand.
 func NewStripedResult(aw int, counts [][64]uint8, zeroDelay bool) *StripedResult {
 	n := len(counts)
 	if aw < 1 || n%aw != 0 {

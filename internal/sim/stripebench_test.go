@@ -12,7 +12,6 @@ func benchStriped(b *testing.B, circuit string, model delay.Model, lanes int) {
 	c := bench.MustGenerate(circuit)
 	p := CompileModel(c, model, CompileOptions{})
 	st := NewSpeculative(p)
-	st.LaneStats = false
 	rng := rand.New(rand.NewSource(7))
 	inputs := c.NumInputs()
 	v1 := make([][]bool, lanes)

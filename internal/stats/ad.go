@@ -39,24 +39,3 @@ func ADStatistic(xs []float64, cdf func(float64) float64) float64 {
 	}
 	return -float64(n) - sum/float64(n)
 }
-
-// ADPValue returns an approximate p-value for the Anderson–Darling
-// statistic with a fully-specified null distribution (case 0), using the
-// Sinclair–Spurr-style piecewise approximation. Accuracy is a few percent
-// — sufficient for the goodness-of-fit screening used here.
-func ADPValue(a2 float64) float64 {
-	switch {
-	case math.IsNaN(a2):
-		return math.NaN()
-	case a2 < 0.2:
-		return 1 - math.Exp(-13.436+101.14*a2-223.73*a2*a2)
-	case a2 < 0.34:
-		return 1 - math.Exp(-8.318+42.796*a2-59.938*a2*a2)
-	case a2 < 0.6:
-		return math.Exp(0.9177 - 4.279*a2 - 1.38*a2*a2)
-	case a2 < 13:
-		return math.Exp(1.2937 - 5.709*a2 + 0.0186*a2*a2)
-	default:
-		return 0
-	}
-}

@@ -50,34 +50,6 @@ func MeanStd(xs []float64) (mean, std float64) {
 	return m, math.Sqrt(m2 / float64(len(xs)-1))
 }
 
-// Min returns the smallest element of xs. It panics on an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Min of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element of xs. It panics on an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Max of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // MinMax returns both extremes of xs in a single pass.
 func MinMax(xs []float64) (min, max float64) {
 	if len(xs) == 0 {

@@ -34,12 +34,6 @@ func TestMeanStdMatchesTwoPass(t *testing.T) {
 
 func TestMinMax(t *testing.T) {
 	xs := []float64{3, -1, 7, 0, 7, -1}
-	if got := Min(xs); got != -1 {
-		t.Errorf("Min = %v", got)
-	}
-	if got := Max(xs); got != 7 {
-		t.Errorf("Max = %v", got)
-	}
 	lo, hi := MinMax(xs)
 	if lo != -1 || hi != 7 {
 		t.Errorf("MinMax = %v,%v", lo, hi)
@@ -65,8 +59,6 @@ func TestEmptyPanics(t *testing.T) {
 	funcs := map[string]func(){
 		"Mean":      func() { Mean(nil) },
 		"Variance":  func() { Variance([]float64{1}) },
-		"Min":       func() { Min(nil) },
-		"Max":       func() { Max(nil) },
 		"MinMax":    func() { MinMax(nil) },
 		"Summarize": func() { Summarize(nil) },
 		"MeanStd":   func() { MeanStd(nil) },

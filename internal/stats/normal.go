@@ -35,15 +35,6 @@ func (n Normal) Rand(r *RNG) float64 {
 	return n.Mu + n.Sigma*r.NormFloat64()
 }
 
-// TwoSidedZ returns u_l such that P(−u_l ≤ Z ≤ u_l) = l for a standard
-// normal Z (Eqn. 3.6 of the paper).
-func TwoSidedZ(l float64) float64 {
-	if l <= 0 || l >= 1 {
-		panic("stats: confidence level must be in (0,1)")
-	}
-	return stdNormalQuantile((1 + l) / 2)
-}
-
 // stdNormalQuantile implements the Acklam/Wichura-grade rational
 // approximation (AS 241-style, |relative error| < 1.15e-9) followed by one
 // Halley refinement step that brings it to near machine precision.

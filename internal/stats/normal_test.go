@@ -83,16 +83,6 @@ func TestNormalPDFIntegratesToCDF(t *testing.T) {
 	}
 }
 
-func TestTwoSidedZ(t *testing.T) {
-	// 90% two-sided: 1.6449; 95%: 1.9600.
-	if got := TwoSidedZ(0.90); !almostEqual(got, 1.6448536269514722, 1e-9) {
-		t.Errorf("TwoSidedZ(0.90) = %v", got)
-	}
-	if got := TwoSidedZ(0.95); !almostEqual(got, 1.959963984540054, 1e-9) {
-		t.Errorf("TwoSidedZ(0.95) = %v", got)
-	}
-}
-
 func TestFitNormalRecoversParameters(t *testing.T) {
 	r := NewRNG(99)
 	truth := Normal{Mu: -4, Sigma: 3}

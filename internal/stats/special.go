@@ -12,9 +12,6 @@ func LogGamma(x float64) float64 {
 	return v
 }
 
-// GammaFn returns the gamma function Γ(x).
-func GammaFn(x float64) float64 { return math.Gamma(x) }
-
 // maxBetaIter bounds the continued-fraction and series iterations in the
 // incomplete beta/gamma evaluations.
 const maxBetaIter = 300
@@ -107,20 +104,6 @@ func RegIncGammaLower(a, x float64) float64 {
 		return gammaSeries(a, x)
 	}
 	return 1 - gammaCF(a, x)
-}
-
-// RegIncGammaUpper computes Q(a, x) = 1 − P(a, x).
-func RegIncGammaUpper(a, x float64) float64 {
-	switch {
-	case math.IsNaN(a) || math.IsNaN(x) || a <= 0 || x < 0:
-		return math.NaN()
-	case x == 0:
-		return 1
-	}
-	if x < a+1 {
-		return 1 - gammaSeries(a, x)
-	}
-	return gammaCF(a, x)
 }
 
 // gammaSeries evaluates P(a,x) by its power series.

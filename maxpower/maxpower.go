@@ -379,7 +379,7 @@ func (opt EstimateOptions) Validate() error {
 }
 
 // evtParams maps the statistical knobs onto an evt.Config, without the
-// run hooks (Observer, Resume, OnCheckpoint). Sharded runs use this
+// run hooks (OnProgress, Resume, OnCheckpoint). Sharded runs use this
 // form: the same parameters drive every shard estimator and the fold,
 // while the hooks stay with whoever owns the whole run.
 func (opt EstimateOptions) evtParams() evt.Config {
@@ -395,9 +395,7 @@ func (opt EstimateOptions) evtParams() evt.Config {
 
 func (opt EstimateOptions) evtConfig() evt.Config {
 	cfg := opt.evtParams()
-	if opt.Progress != nil {
-		cfg.Observer = evt.ObserverFunc(opt.Progress)
-	}
+	cfg.OnProgress = opt.Progress
 	cfg.Resume = opt.Checkpoint
 	cfg.OnCheckpoint = opt.OnCheckpoint
 	return cfg
