@@ -22,12 +22,13 @@ type Config struct {
 	Epsilon float64
 	// Confidence is the CI level (default 0.90).
 	Confidence float64
-	// MinUnits is the minimum sample before testing convergence
-	// (default 30 — the usual CLT warm-up).
-	MinUnits int
 	// MaxUnits caps the run (default 100000).
 	MaxUnits int
 }
+
+// minUnits is the sample drawn before the stopping rule is first
+// tested: the usual CLT warm-up.
+const minUnits = 30
 
 func (c Config) defaults() Config {
 	if c.Epsilon <= 0 {
@@ -35,9 +36,6 @@ func (c Config) defaults() Config {
 	}
 	if c.Confidence <= 0 {
 		c.Confidence = 0.90
-	}
-	if c.MinUnits < 2 {
-		c.MinUnits = 30
 	}
 	if c.MaxUnits <= 0 {
 		c.MaxUnits = 100000
@@ -83,7 +81,7 @@ func Estimate(src evt.Source, cfg Config, rng *stats.RNG) (Result, error) {
 		mean += d / float64(n)
 		m2 += d * (x - mean)
 
-		if n < cfg.MinUnits {
+		if n < minUnits {
 			continue
 		}
 		sd := math.Sqrt(m2 / float64(n-1))

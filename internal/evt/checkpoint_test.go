@@ -13,8 +13,7 @@ import (
 // interruption (everything except Trace and wall-clock timings).
 type statisticalFields struct {
 	Estimate, CILow, CIHigh, RelErr float64
-	SigmaSq, SigmaSqLow, SigmaSqHi  float64
-	ObservedMax                     float64
+	SigmaSq, ObservedMax            float64
 	HyperSamples, Units             int
 	Converged                       bool
 }
@@ -22,8 +21,8 @@ type statisticalFields struct {
 func statFields(r Result) statisticalFields {
 	return statisticalFields{
 		Estimate: r.Estimate, CILow: r.CILow, CIHigh: r.CIHigh, RelErr: r.RelErr,
-		SigmaSq: r.SigmaSq, SigmaSqLow: r.SigmaSqLow, SigmaSqHi: r.SigmaSqHi,
-		ObservedMax: r.ObservedMax, HyperSamples: r.HyperSamples, Units: r.Units,
+		SigmaSq: r.SigmaSq, ObservedMax: r.ObservedMax,
+		HyperSamples: r.HyperSamples, Units: r.Units,
 		Converged: r.Converged,
 	}
 }

@@ -140,7 +140,7 @@ type EngineStatsSource interface {
 // stopping rule needs nothing else), the cumulative cost counters, and
 // the RNG state — so a run restored from a Checkpoint and continued with
 // the same Config and Source produces a Result whose statistical fields
-// (Estimate, CI, RelErr, HyperSamples, Units, Converged, SigmaSq*,
+// (Estimate, CI, RelErr, HyperSamples, Units, Converged, SigmaSq,
 // ObservedMax) are bit-identical to the uninterrupted run's. Only
 // Result.Trace (post-resume hyper-samples only) and the wall-clock
 // timings differ.
@@ -202,12 +202,6 @@ type Config struct {
 	Confidence float64
 	// MaxHyperSamples caps the iteration for pathological inputs.
 	MaxHyperSamples int
-	// MaxFitRetries re-draws a hyper-sample whose MLE fit fails
-	// (no interior likelihood maximum). Each retry consumes units.
-	MaxFitRetries int
-	// AlphaMin is the shape constraint passed to the Weibull MLE;
-	// 0 selects weibull.DefaultAlphaMin (= 2, the paper's condition).
-	AlphaMin float64
 	// DisableFiniteCorrection turns off the §3.4 finite-population
 	// quantile correction even when the source is finite (for ablation).
 	DisableFiniteCorrection bool
@@ -249,14 +243,14 @@ func (c Config) Defaults() Config {
 	if c.MaxHyperSamples <= 0 {
 		c.MaxHyperSamples = 200
 	}
-	if c.MaxFitRetries <= 0 {
-		c.MaxFitRetries = 4
-	}
-	if c.AlphaMin == 0 {
-		c.AlphaMin = weibull.DefaultAlphaMin
-	}
 	return c
 }
+
+// maxFitRetries is how many times HyperSample re-draws a hyper-sample
+// whose fit fails (no interior likelihood maximum, or an implausible
+// one) before it falls back to the observed maximum. Each retry
+// consumes m·n units.
+const maxFitRetries = 4
 
 // maxSamplesPerHyper and maxUnitsPerHyper bound m and m·n. A
 // hyper-sample draws its m·n units into one buffer, and an allocation
@@ -290,10 +284,6 @@ func (c Config) Validate() error {
 	}
 	if !(c.Confidence > 0 && c.Confidence < 1) {
 		return fmt.Errorf("evt: Confidence %v must be in (0,1)", c.Confidence)
-	}
-	// A negative AlphaMin is legal: it removes the shape constraint.
-	if math.IsNaN(c.AlphaMin) || math.IsInf(c.AlphaMin, 1) {
-		return fmt.Errorf("evt: AlphaMin %v must be a number below +Inf", c.AlphaMin)
 	}
 	if c.Resume != nil {
 		if err := c.Resume.Validate(); err != nil {
@@ -342,11 +332,11 @@ type Result struct {
 	Units int
 	// Converged reports whether RelErr ≤ ε was reached within the cap.
 	Converged bool
-	// SigmaSq is s², the unbiased estimate of σ²_μ/m across hyper-samples
-	// (Theorem 6), with its χ² confidence interval at the configured
-	// level. Zero when fewer than two hyper-samples ran.
-	SigmaSq               float64
-	SigmaSqLow, SigmaSqHi float64
+	// SigmaSq is s², the sample variance of the hyper-sample estimates:
+	// the unbiased estimate of σ²_μ/m (Theorem 6) from which the
+	// Student-t interval above is formed. Zero when fewer than two
+	// hyper-samples ran.
+	SigmaSq float64
 	// Trace holds each hyper-sample's result in order.
 	Trace []HyperSampleResult
 	// ObservedMax is the largest unit power encountered anywhere in the
@@ -387,7 +377,8 @@ func New(src Source, cfg Config) (*Estimator, error) {
 	return e, nil
 }
 
-// HyperSample draws one hyper-sample: m samples of size n, one MLE fit.
+// HyperSample draws one hyper-sample: m samples of size n, one MLE fit
+// with the shape held to the paper's α ≥ 2 (weibull.DefaultAlphaMin).
 // It retries with fresh draws when the fit fails, and falls back to the
 // observed maximum if every retry fails. Sources implementing BatchSource
 // are sampled one m·n batch per attempt; by the BatchSource contract the
@@ -413,7 +404,7 @@ func (e *Estimator) HyperSample(rng *stats.RNG) HyperSampleResult {
 			}
 		}
 		fitStart := time.Now()
-		fit, err := e.fitter.FitMLEShape(maxima, cfg.AlphaMin)
+		fit, err := e.fitter.FitMLEShape(maxima, weibull.DefaultAlphaMin)
 		if err == nil {
 			// Plausibility guard: the right endpoint of the maxima's law
 			// cannot credibly sit further above the largest observed
@@ -450,7 +441,7 @@ func (e *Estimator) HyperSample(rng *stats.RNG) HyperSampleResult {
 			return res
 		}
 		res.FitTime += time.Since(fitStart)
-		if attempt >= cfg.MaxFitRetries {
+		if attempt >= maxFitRetries {
 			res.Retries = attempt
 			res.FallbackMax = true
 			res.Estimate = res.ObservedMax
@@ -618,6 +609,30 @@ type HyperRecord struct {
 	ObservedMax float64 `json:"observed_max"`
 }
 
+// Validate rejects a record that no hyper-sample under cfg can have
+// produced: a non-finite estimate or observed maximum, units that are
+// not one to maxFitRetries + 1 attempts of m·n units each, or an
+// estimate below the observed maximum, where HyperSample clamps it.
+// Records from another process (a fleet worker's shard) pass it before
+// they are folded.
+func (r HyperRecord) Validate(cfg Config) error {
+	cfg = cfg.Defaults()
+	if math.IsNaN(r.Estimate) || math.IsInf(r.Estimate, 0) {
+		return fmt.Errorf("evt: record estimate is %v", r.Estimate)
+	}
+	if math.IsNaN(r.ObservedMax) || math.IsInf(r.ObservedMax, 0) {
+		return fmt.Errorf("evt: record observed max is %v", r.ObservedMax)
+	}
+	per := cfg.SamplesPerHyper * cfg.SampleSize
+	if r.Units <= 0 || r.Units%per != 0 || r.Units/per > maxFitRetries+1 {
+		return fmt.Errorf("evt: record units %d are not 1 to %d attempts of %d", r.Units, maxFitRetries+1, per)
+	}
+	if r.Estimate < r.ObservedMax {
+		return fmt.Errorf("evt: record estimate %v is below its observed max %v", r.Estimate, r.ObservedMax)
+	}
+	return nil
+}
+
 // Record extracts the transportable part of a hyper-sample result.
 func (h HyperSampleResult) Record() HyperRecord {
 	return HyperRecord{Estimate: h.Estimate, Units: h.Units, ObservedMax: h.ObservedMax}
@@ -629,7 +644,7 @@ func (h HyperSampleResult) Record() HyperRecord {
 // the distributed determinism contract — for records produced by the
 // same substreams in the same global order, FoldRecords returns a
 // Result whose statistical fields (Estimate, CI, RelErr, HyperSamples,
-// Units, Converged, SigmaSq*, ObservedMax) are bit-identical to
+// Units, Converged, SigmaSq, ObservedMax) are bit-identical to
 // RunContext's, because both advance the same fold step over the same
 // records. Records beyond the stopping point (shards that ran past
 // fleet-wide convergence) or beyond MaxHyperSamples are ignored, exactly
@@ -672,10 +687,9 @@ func (f *fold) add(rec HyperRecord) {
 }
 
 // interval folds the estimate list into the Result: the running mean,
-// the Student-t interval (Eqn. 3.8), the σ² estimate with its χ²
-// interval, and the stopping decision. With one estimate no deviation
-// exists, so the interval is unbounded and the run cannot stop. Pure
-// arithmetic — no randomness.
+// the Student-t interval (Eqn. 3.8), the σ² estimate and the stopping
+// decision. With one estimate no deviation exists, so the interval is
+// unbounded and the run cannot stop. Pure arithmetic — no randomness.
 func (f *fold) interval() {
 	res, estimates := &f.res, f.estimates
 	k := len(estimates)
@@ -692,7 +706,6 @@ func (f *fold) interval() {
 	half := tq * sd / math.Sqrt(float64(k))
 	res.Estimate = mean
 	res.SigmaSq = sd * sd
-	res.SigmaSqLow, res.SigmaSqHi = stats.VarianceCI(res.SigmaSq, k, f.cfg.Confidence)
 	res.CILow = mean - half
 	res.CIHigh = mean + half
 	if mean != 0 {

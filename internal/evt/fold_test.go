@@ -148,3 +148,65 @@ func TestCheckpointValidateEdgeCases(t *testing.T) {
 		}
 	}
 }
+
+// TestHyperRecordValidate: every record a run produces passes, at the
+// paper's m·n and at another, fallbacks after every retry included, and
+// each corruption of a field fails on its own.
+func TestHyperRecordValidate(t *testing.T) {
+	// Equal maxima have no interior likelihood maximum, so every attempt
+	// fails and each hyper-sample falls back after maxFitRetries retries.
+	constant := InfiniteSource(func(*stats.RNG) float64 { return 1 })
+	for _, tc := range []struct {
+		src      Source
+		cfg      Config
+		fallback bool
+	}{
+		{betaLikePopulation(20000, 31), Config{Epsilon: 0.01, MaxHyperSamples: 100}, false},
+		{betaLikePopulation(20000, 31), Config{SampleSize: 12, SamplesPerHyper: 5, MaxHyperSamples: 30}, false},
+		{constant, Config{MaxHyperSamples: 3}, true},
+	} {
+		est, err := New(tc.src, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := est.Run(stats.NewRNG(7))
+		for i, hs := range res.Trace {
+			if hs.FallbackMax != tc.fallback {
+				t.Fatalf("%+v: hyper-sample %d fell back %v, want %v", tc.cfg, i, hs.FallbackMax, tc.fallback)
+			}
+			if err := hs.Record().Validate(tc.cfg); err != nil {
+				t.Errorf("%+v: record %d of a run rejected: %v", tc.cfg, i, err)
+			}
+		}
+	}
+
+	nan, inf := math.NaN(), math.Inf(1)
+	good := HyperRecord{Estimate: 2, Units: 600, ObservedMax: 1.5}
+	if err := good.Validate(Config{}); err != nil {
+		t.Fatalf("%+v rejected: %v", good, err)
+	}
+	small := Config{SampleSize: 12, SamplesPerHyper: 5}
+	for _, ok := range []HyperRecord{{Estimate: 1.5, Units: 60, ObservedMax: 1.5}, {Estimate: 2, Units: 300, ObservedMax: 1}} {
+		if err := ok.Validate(small); err != nil {
+			t.Errorf("%+v rejected at m·n = 60: %v", ok, err)
+		}
+	}
+	for name, bad := range map[string]HyperRecord{
+		"NaN estimate":                {Estimate: nan, Units: 600, ObservedMax: 1.5},
+		"infinite estimate":           {Estimate: inf, Units: 600, ObservedMax: 1.5},
+		"NaN observed max":            {Estimate: 2, Units: 600, ObservedMax: nan},
+		"infinite observed max":       {Estimate: 2, Units: 600, ObservedMax: -inf},
+		"no units":                    {Estimate: 2, Units: 0, ObservedMax: 1.5},
+		"negative units":              {Estimate: 2, Units: -300, ObservedMax: 1.5},
+		"part of an attempt":          {Estimate: 2, Units: 450, ObservedMax: 1.5},
+		"more attempts than retries":  {Estimate: 2, Units: 1800, ObservedMax: 1.5},
+		"estimate below observed max": {Estimate: 1, Units: 600, ObservedMax: 1.5},
+	} {
+		if err := bad.Validate(Config{}); err == nil {
+			t.Errorf("%s: %+v accepted", name, bad)
+		}
+	}
+	if err := (HyperRecord{Estimate: 2, Units: 360, ObservedMax: 1}).Validate(small); err == nil {
+		t.Error("six attempts of 60 units accepted")
+	}
+}

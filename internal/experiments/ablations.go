@@ -28,7 +28,7 @@ func (r *Runner) ablate(circuit, kind string, size, runs int, label string,
 		return AblationRow{}, err
 	}
 	actual := pop.TrueMax()
-	cfg := evt.Config{Epsilon: r.cfg.Epsilon, Confidence: r.cfg.Confidence}
+	cfg := evt.Config{Epsilon: epsilon, Confidence: confidence}
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -48,7 +48,7 @@ func (r *Runner) ablate(circuit, kind string, size, runs int, label string,
 		if math.Abs(e) > math.Abs(row.WorstErr) {
 			row.WorstErr = e
 		}
-		if math.Abs(e) > r.cfg.Epsilon {
+		if math.Abs(e) > epsilon {
 			over++
 		}
 	}

@@ -47,7 +47,7 @@ func (r *Runner) Baselines() ([]BaselineRow, error) {
 		}
 		row := BaselineRow{Circuit: circuit, ActualMax: pop.TrueMax()}
 
-		est, err := evt.New(pop, evt.Config{Epsilon: cfg.Epsilon, Confidence: cfg.Confidence})
+		est, err := evt.New(pop, evt.Config{Epsilon: epsilon, Confidence: confidence})
 		if err != nil {
 			return nil, err
 		}

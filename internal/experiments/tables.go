@@ -44,13 +44,13 @@ func (r *Runner) runEfficiency(circuit, kind string, size int) (EfficiencyRow, e
 	actual := pop.TrueMax()
 	row := EfficiencyRow{
 		Circuit:   circuit,
-		Y:         pop.QualifiedFraction(cfg.Epsilon),
-		SRSUnits:  srs.TheoreticalUnits(pop.QualifiedFraction(cfg.Epsilon), cfg.Confidence),
+		Y:         pop.QualifiedFraction(epsilon),
+		SRSUnits:  srs.TheoreticalUnits(pop.QualifiedFraction(epsilon), confidence),
 		MinUnits:  math.MaxInt,
 		MinErr:    math.Inf(1),
 		ActualMax: actual,
 	}
-	est, err := evt.New(pop, evt.Config{Epsilon: cfg.Epsilon, Confidence: cfg.Confidence})
+	est, err := evt.New(pop, evt.Config{Epsilon: epsilon, Confidence: confidence})
 	if err != nil {
 		return EfficiencyRow{}, err
 	}
@@ -145,7 +145,7 @@ func (r *Runner) Table2() ([]QualityRow, error) {
 		actual := pop.TrueMax()
 		row := QualityRow{Circuit: circuit, ActualMax: actual}
 
-		est, err := evt.New(pop, evt.Config{Epsilon: cfg.Epsilon, Confidence: cfg.Confidence})
+		est, err := evt.New(pop, evt.Config{Epsilon: epsilon, Confidence: confidence})
 		if err != nil {
 			return nil, err
 		}
@@ -156,7 +156,7 @@ func (r *Runner) Table2() ([]QualityRow, error) {
 			if math.Abs(e) > math.Abs(row.OurLargestErr) {
 				row.OurLargestErr = e
 			}
-			if math.Abs(e) > cfg.Epsilon {
+			if math.Abs(e) > epsilon {
 				over++
 			}
 		}
@@ -169,7 +169,7 @@ func (r *Runner) Table2() ([]QualityRow, error) {
 				// an SRS budget ≥ |V| would trivially see everything.
 				b = pop.Size() * budget / SRSBudgets[2]
 			}
-			qs := srs.Repeated(pop, b, cfg.Runs, actual, cfg.Epsilon,
+			qs := srs.Repeated(pop, b, cfg.Runs, actual, epsilon,
 				stats.NewRNG(cfg.Seed^hashString(fmt.Sprintf("%s/srs%d", circuit, budget))))
 			row.SRSLargestErr[i] = qs.LargestErr
 			row.SRSPctOver[i] = 100 * qs.FracOverEps

@@ -9,7 +9,7 @@ import (
 // retry attempts. The zero value is the default policy (on): 25 ms
 // base, doubling per attempt, capped at 2 s, with "equal jitter" — the
 // delay for retry a is uniform in [d/2, d) where d = min(Max,
-// Base·Factor^(a-1)) — so a burst of retries against a recovering
+// Base·2^(a-1)) — so a burst of retries against a recovering
 // worker spreads out instead of arriving in lockstep, and a delay is
 // never zero (which would re-hammer a queue-full worker) and never
 // exceeds the deterministic cap (which keeps retry latency bounded).
@@ -21,8 +21,6 @@ type Backoff struct {
 	Base time.Duration
 	// Max caps the exponential growth (0 = 2 s).
 	Max time.Duration
-	// Factor is the per-attempt multiplier (0 = 2).
-	Factor float64
 	// Jitter returns a uniform sample in [0, 1). Nil uses math/rand;
 	// tests inject a deterministic source. Jitter never changes
 	// estimation results — it only spaces dispatch attempts.
@@ -43,13 +41,6 @@ func (b Backoff) max() time.Duration {
 	return 2 * time.Second
 }
 
-func (b Backoff) factor() float64 {
-	if b.Factor > 1 {
-		return b.Factor
-	}
-	return 2
-}
-
 // Delay returns the jittered delay before retry attempt a (1-based:
 // a = 1 is the first retry). Attempts ≤ 0 and disabled policies wait
 // nothing.
@@ -59,9 +50,8 @@ func (b Backoff) Delay(attempt int) time.Duration {
 	}
 	d := float64(b.base())
 	cap := float64(b.max())
-	factor := b.factor()
 	for i := 1; i < attempt && d < cap; i++ {
-		d *= factor
+		d *= 2
 	}
 	if d > cap {
 		d = cap

@@ -13,7 +13,6 @@ func TestBackoffSchedule(t *testing.T) {
 	b := fleet.Backoff{
 		Base:   100 * time.Millisecond,
 		Max:    time.Second,
-		Factor: 2,
 		Jitter: func() float64 { return 0 },
 	}
 	want := []time.Duration{

@@ -20,22 +20,20 @@ import (
 // their records into the job Result. It carries no per-job state (safe
 // for concurrent Run calls; only worker-health bookkeeping — the
 // per-worker circuit breakers — persists across jobs) and deliberately
-// trusts nothing about worker scheduling: any worker may run any
-// shard, in any order, and crashed or unreachable workers just cost a
-// retry — the merged result is a pure function of the plan.
+// trusts nothing about workers: any worker may run any shard, in any
+// order, crashed or unreachable workers just cost a retry, and every
+// record a worker returns must pass evt.HyperRecord.Validate before it
+// is merged — the merged result is a pure function of the plan. Every
+// worker call goes through one HTTP client with a 30 s per-call
+// timeout, and a shard gets at most max(2·len(Workers), 4) attempts
+// before the job fails.
 type Coordinator struct {
 	// Workers are the base URLs of registered worker daemons
 	// (e.g. "http://10.0.0.7:8321"). Shard i is first offered to worker
 	// i mod len(Workers); retries rotate from there.
 	Workers []string
-	// Client is the HTTP client for worker calls (nil = a default with
-	// a 30 s per-call timeout).
-	Client *http.Client
 	// PollInterval is the per-shard status polling period (0 = 25 ms).
 	PollInterval time.Duration
-	// MaxAttempts caps how many workers a shard is tried on before the
-	// job fails (0 = 2·len(Workers), at least 4).
-	MaxAttempts int
 	// ShardTimeout bounds one dispatch attempt's wall time; a shard
 	// that exceeds it is cancelled on that worker and retried on the
 	// next (0 = no per-attempt cap).
@@ -180,7 +178,7 @@ func (c *Coordinator) ProbeWorkers(ctx context.Context) {
 		if err != nil {
 			continue
 		}
-		resp, err := c.client().Do(req)
+		resp, err := workerClient.Do(req)
 		healthy := err == nil && resp.StatusCode/100 == 2
 		if err == nil {
 			io.Copy(io.Discard, resp.Body)
@@ -223,12 +221,8 @@ func (c *Coordinator) capacity() int {
 	return n
 }
 
-func (c *Coordinator) client() *http.Client {
-	if c.Client != nil {
-		return c.Client
-	}
-	return &http.Client{Timeout: 30 * time.Second}
-}
+// workerClient makes every call to a worker daemon.
+var workerClient = &http.Client{Timeout: 30 * time.Second}
 
 func (c *Coordinator) pollInterval() time.Duration {
 	if c.PollInterval > 0 {
@@ -237,15 +231,10 @@ func (c *Coordinator) pollInterval() time.Duration {
 	return 25 * time.Millisecond
 }
 
+// maxAttempts is how many attempts a shard gets before the job fails:
+// two per worker, and at least 4.
 func (c *Coordinator) maxAttempts() int {
-	if c.MaxAttempts > 0 {
-		return c.MaxAttempts
-	}
-	n := 2 * len(c.Workers)
-	if n < 4 {
-		n = 4
-	}
-	return n
+	return max(2*len(c.Workers), 4)
 }
 
 // shardID names a shard globally: <jobID>-s<index>. The same job
@@ -307,7 +296,7 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, job json.RawMessage
 		}
 		for width = max(width, prefix); next < len(shards) && next-prefix < width; next++ {
 			go func(sh Shard) {
-				recs, err := c.dispatchShard(runCtx, jobID, job, sh)
+				recs, err := c.dispatchShard(runCtx, jobID, job, cfg, sh)
 				ch <- outcome{idx: sh.Index, recs: recs, err: err}
 			}(shards[next])
 		}
@@ -355,13 +344,13 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, job json.RawMessage
 // dispatchShard drives one shard to completion: dispatch to a worker, poll,
 // and on any failure — dispatch error, worker unreachable while
 // polling, shard reported failed, attempt timeout — back off and try
-// the next breaker-admitted worker, up to MaxAttempts. Safe because
+// the next breaker-admitted worker, up to maxAttempts. Safe because
 // shards are idempotent: the records are a pure function of the plan,
 // and workers deduplicate by shard ID. Every attempt's outcome feeds
 // the target worker's breaker, so a dead worker stops receiving
 // attempts after BreakerThreshold failures instead of burning one
 // attempt per shard forever.
-func (c *Coordinator) dispatchShard(ctx context.Context, jobID string, job json.RawMessage, sh Shard) ([]evt.HyperRecord, error) {
+func (c *Coordinator) dispatchShard(ctx context.Context, jobID string, job json.RawMessage, cfg evt.Config, sh Shard) ([]evt.HyperRecord, error) {
 	req := ShardRequest{ID: shardID(jobID, sh.Index), Job: job, Shard: sh}
 	attempts := c.maxAttempts()
 	var lastErr error
@@ -382,7 +371,7 @@ func (c *Coordinator) dispatchShard(ctx context.Context, jobID string, job json.
 			}
 		}
 		worker := c.pickWorker(sh.Index, a)
-		recs, err := c.attemptShard(ctx, worker, req, sh)
+		recs, err := c.attemptShard(ctx, worker, req, cfg, sh)
 		if err == nil {
 			c.breakerFor(worker).Success()
 			return recs, nil
@@ -399,10 +388,11 @@ func (c *Coordinator) dispatchShard(ctx context.Context, jobID string, job json.
 }
 
 // attemptShard is one dispatch attempt against one worker: submit, poll
-// until terminal, validate the records. The "fleet/shard-dispatch"
-// fault point simulates dispatch-path failures (network partition,
-// worker death between submit and poll) for chaos tests.
-func (c *Coordinator) attemptShard(ctx context.Context, worker string, req ShardRequest, sh Shard) ([]evt.HyperRecord, error) {
+// until terminal, validate the records against cfg. The
+// "fleet/shard-dispatch" fault point simulates dispatch-path failures
+// (network partition, worker death between submit and poll) for chaos
+// tests.
+func (c *Coordinator) attemptShard(ctx context.Context, worker string, req ShardRequest, cfg evt.Config, sh Shard) ([]evt.HyperRecord, error) {
 	if err := faultpoint.Hit("fleet/shard-dispatch"); err != nil {
 		return nil, err
 	}
@@ -441,7 +431,7 @@ func (c *Coordinator) attemptShard(ctx context.Context, worker string, req Shard
 		consecutiveErrs = 0
 		st = next
 	}
-	if err := st.validateDone(sh); err != nil {
+	if err := st.validateDone(sh, cfg); err != nil {
 		return nil, err
 	}
 	return st.Records, nil
@@ -496,7 +486,7 @@ func (c *Coordinator) cancelShardOn(worker, id string) {
 	if err != nil {
 		return
 	}
-	resp, err := c.client().Do(httpReq)
+	resp, err := workerClient.Do(httpReq)
 	if err == nil {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
@@ -505,7 +495,7 @@ func (c *Coordinator) cancelShardOn(worker, id string) {
 
 // doShard executes a shard API call and decodes the ShardStatus reply.
 func (c *Coordinator) doShard(req *http.Request) (ShardStatus, error) {
-	resp, err := c.client().Do(req)
+	resp, err := workerClient.Do(req)
 	if err != nil {
 		return ShardStatus{}, err
 	}

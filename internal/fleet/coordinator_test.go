@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -27,6 +28,10 @@ type fakeWorker struct {
 	cfg      evt.Config
 	perHyper time.Duration // artificial per-hyper-sample latency
 	failRuns int32         // first failRuns executions report "failed"
+	// tamper, when set, rewrites the first record of shard 0 before the
+	// shard reports done; tampered counts the rewrites.
+	tamper   func(*evt.HyperRecord)
+	tampered atomic.Int64
 
 	mu     sync.Mutex
 	shards map[string]*fakeShard
@@ -211,6 +216,11 @@ func (w *fakeWorker) finish(fs *fakeShard, recs []evt.HyperRecord, err error) {
 			fs.errMsg = "shard stopped early"
 		}
 	default:
+		if w.tamper != nil && fs.req.Shard.Index == 0 {
+			recs = append([]evt.HyperRecord(nil), recs...)
+			w.tamper(&recs[0])
+			w.tampered.Add(1)
+		}
 		fs.state = fleet.ShardDone
 		fs.recs = recs
 		fs.done = len(recs)
@@ -310,6 +320,47 @@ func TestCoordinatorRetriesFailedShards(t *testing.T) {
 	}
 }
 
+// TestCoordinatorRejectsTamperedRecords: a worker whose done shard
+// carries one record that no hyper-sample can produce fails that
+// attempt. The shard runs again on the other worker, the tampering
+// worker's breaker counts the failure, and the merged result is the
+// reference's bit for bit.
+func TestCoordinatorRejectsTamperedRecords(t *testing.T) {
+	pop, cfg, plan := fleetFixture()
+	want := referenceRun(t, pop, cfg, plan)
+	for _, tc := range []struct {
+		name   string
+		tamper func(*evt.HyperRecord)
+	}{
+		{"units not whole attempts", func(r *evt.HyperRecord) { r.Units++ }},
+		{"units past the retries", func(r *evt.HyperRecord) { r.Units *= 6 }},
+		{"estimate below observed max", func(r *evt.HyperRecord) { r.Estimate = r.ObservedMax / 2 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := newFakeWorker(t, pop, cfg)
+			bad.tamper = tc.tamper
+			good := newFakeWorker(t, pop, cfg)
+			c := &fleet.Coordinator{
+				Workers:          []string{bad.url(), good.url()},
+				PollInterval:     2 * time.Millisecond,
+				BreakerThreshold: 1,
+			}
+			got := runCoordinator(t, c, cfg, plan)
+			if bad.tampered.Load() == 0 {
+				t.Fatal("the worker tampered with no record")
+			}
+			if statFields(got) != statFields(want) {
+				t.Errorf("fleet result took a tampered record:\n got  %+v\n want %+v",
+					statFields(got), statFields(want))
+			}
+			if st := c.Stats(); st.ShardsRetried == 0 || st.BreakerTrips == 0 {
+				t.Errorf("retried %d shards, tripped %d breakers; want the tampered shard retried and its worker's breaker tripped",
+					st.ShardsRetried, st.BreakerTrips)
+			}
+		})
+	}
+}
+
 // TestCoordinatorReassignsDeadWorker: a worker that dies mid-shard
 // (connections severed, all subsequent requests fail) has its shards
 // reassigned, and the merged result still bit-matches the reference.
@@ -359,15 +410,19 @@ func TestCoordinatorDispatchFaultpoint(t *testing.T) {
 }
 
 // TestCoordinatorExhaustsAttempts: a fleet where every execution fails
-// surfaces a job error instead of hanging or fabricating records.
+// surfaces a job error instead of hanging or fabricating records, after
+// max(2·workers, 4) attempts on its first shard.
 func TestCoordinatorExhaustsAttempts(t *testing.T) {
 	pop, cfg, plan := fleetFixture()
 	w := newFakeWorker(t, pop, cfg)
 	w.failRuns = 1 << 20 // every execution fails
-	c := &fleet.Coordinator{Workers: []string{w.url()}, PollInterval: 2 * time.Millisecond, MaxAttempts: 3}
+	c := &fleet.Coordinator{Workers: []string{w.url()}, PollInterval: 2 * time.Millisecond}
 	_, err := c.Run(context.Background(), "job-doomed", json.RawMessage(`{}`), cfg, plan, nil)
 	if err == nil {
 		t.Fatal("expected a job error when every shard execution fails")
+	}
+	if !strings.Contains(err.Error(), "gave up after 4 attempts") {
+		t.Errorf("error %q, want one worker's shard given up after 4 attempts", err)
 	}
 }
 

@@ -29,8 +29,7 @@ func testPopulation(size int, seed uint64) *vectorgen.Population {
 // in a Result except Trace and wall-clock timings.
 type statisticalFields struct {
 	Estimate, CILow, CIHigh, RelErr float64
-	SigmaSq, SigmaSqLow, SigmaSqHi  float64
-	ObservedMax                     float64
+	SigmaSq, ObservedMax            float64
 	HyperSamples, Units             int
 	Converged                       bool
 }
@@ -38,8 +37,8 @@ type statisticalFields struct {
 func statFields(r evt.Result) statisticalFields {
 	return statisticalFields{
 		Estimate: r.Estimate, CILow: r.CILow, CIHigh: r.CIHigh, RelErr: r.RelErr,
-		SigmaSq: r.SigmaSq, SigmaSqLow: r.SigmaSqLow, SigmaSqHi: r.SigmaSqHi,
-		ObservedMax: r.ObservedMax, HyperSamples: r.HyperSamples, Units: r.Units,
+		SigmaSq: r.SigmaSq, ObservedMax: r.ObservedMax,
+		HyperSamples: r.HyperSamples, Units: r.Units,
 		Converged: r.Converged,
 	}
 }

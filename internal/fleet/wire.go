@@ -68,14 +68,21 @@ type ShardStatus struct {
 	Slots int `json:"slots,omitempty"`
 }
 
-// validateDone sanity-checks a worker's terminal payload before the
-// coordinator trusts it for the merge.
-func (st ShardStatus) validateDone(sh Shard) error {
+// validateDone checks a worker's terminal payload before the
+// coordinator trusts it for the merge: the state, the record count, and
+// every record against the run's configuration. The records crossed a
+// network from another process, so none is trusted unchecked.
+func (st ShardStatus) validateDone(sh Shard, cfg evt.Config) error {
 	if st.State != ShardDone {
 		return fmt.Errorf("fleet: shard %s finished %s: %s", st.ID, st.State, st.Error)
 	}
 	if len(st.Records) != sh.Count {
 		return fmt.Errorf("fleet: shard %s returned %d records, want %d", st.ID, len(st.Records), sh.Count)
+	}
+	for i, rec := range st.Records {
+		if err := rec.Validate(cfg); err != nil {
+			return fmt.Errorf("fleet: shard %s record %d: %w", st.ID, i, err)
+		}
 	}
 	return nil
 }

@@ -30,23 +30,22 @@ type Result struct {
 type GreedyOptions struct {
 	// Restarts is the number of random starting pairs (default 5).
 	Restarts int
-	// MaxPasses bounds full sweeps over the bits per restart (default 4).
-	MaxPasses int
 	// Seed drives the randomness.
 	Seed uint64
 }
 
+// greedyPasses bounds Greedy's full sweeps over the bits per restart.
+const greedyPasses = 4
+
 // Greedy hill-climbs from random vector pairs: repeatedly sweep all bits
 // of v1 and v2, keeping any single-bit flip that increases cycle power,
-// until a full sweep yields no improvement. The classic deterministic
-// power-search baseline: fast, but stuck in local maxima and silent about
-// how far the result is from the true maximum.
+// until a full sweep yields no improvement or greedyPasses sweeps have
+// run. The classic deterministic power-search baseline: fast, but stuck
+// in local maxima and silent about how far the result is from the true
+// maximum.
 func Greedy(eval *power.Evaluator, opt GreedyOptions) Result {
 	if opt.Restarts <= 0 {
 		opt.Restarts = 5
-	}
-	if opt.MaxPasses <= 0 {
-		opt.MaxPasses = 4
 	}
 	rng := stats.NewRNG(opt.Seed)
 	e := eval.Clone()
@@ -58,7 +57,7 @@ func Greedy(eval *power.Evaluator, opt GreedyOptions) Result {
 		v2 := randVec(rng, n)
 		cur := e.CyclePowerMW(v1, v2)
 		best.Evaluations++
-		for pass := 0; pass < opt.MaxPasses; pass++ {
+		for pass := 0; pass < greedyPasses; pass++ {
 			improved := false
 			for _, vec := range [][]bool{v1, v2} {
 				for i := 0; i < n; i++ {
@@ -92,11 +91,12 @@ type GeneticOptions struct {
 	Population int
 	// Generations bounds evolution (default 40).
 	Generations int
-	// MutationRate is the per-bit mutation probability (default 0.02).
-	MutationRate float64
 	// Seed drives the randomness.
 	Seed uint64
 }
+
+// mutationRate is Genetic's per-bit mutation probability.
+const mutationRate = 0.02
 
 // Genetic evolves vector pairs toward maximum cycle power with tournament
 // selection, uniform crossover and per-bit mutation — the K2-style
@@ -107,9 +107,6 @@ func Genetic(eval *power.Evaluator, opt GeneticOptions) Result {
 	}
 	if opt.Generations <= 0 {
 		opt.Generations = 40
-	}
-	if opt.MutationRate <= 0 {
-		opt.MutationRate = 0.02
 	}
 	rng := stats.NewRNG(opt.Seed)
 	e := eval.Clone()
@@ -155,7 +152,7 @@ func Genetic(eval *power.Evaluator, opt GeneticOptions) Result {
 				} else {
 					child[i] = p2.genome[i]
 				}
-				if rng.Bool(opt.MutationRate) {
+				if rng.Bool(mutationRate) {
 					child[i] = !child[i]
 				}
 			}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestAdversarialSubmissions throws hostile request bodies at
@@ -128,6 +129,7 @@ func FuzzJobRequest(f *testing.F) {
 		`{"bench":"INPUT(1)\nOUTPUT(2)\n2 = NOT(1)\n","streaming":true,"options":{"priority":"batch","timeout_ms":500}}`,
 		`{"circuit":"C432","options":{"epsilon":1e-400}}`,
 		`{"circuit":"C432","options":{"confidence":0.9,"epsilon":-0}}`,
+		`{"circuit":"C432","options":{"timeout_ms":18446744073710}}`,
 	} {
 		f.Add([]byte(body))
 	}
@@ -165,6 +167,12 @@ func FuzzJobRequest(f *testing.F) {
 		// It also has a population of at most 4,194,304 pairs.
 		if size := req.Population.Size; size > 1<<22 {
 			t.Fatalf("%q: validated with population size %d", body, size)
+		}
+		// Its own deadline is no cap or exactly what it asked for: a huge
+		// timeout_ms must not wrap to a short one.
+		ms := req.Options.TimeoutMS
+		if d := jobTimeout(ms, 0); d != 0 && (d%time.Millisecond != 0 || int64(d/time.Millisecond) != ms) {
+			t.Fatalf("%q: timeout_ms %d gives a deadline of %s", body, ms, d)
 		}
 	})
 }

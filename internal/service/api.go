@@ -175,9 +175,10 @@ type JobStatus struct {
 	Error      string    `json:"error,omitempty"`
 }
 
-// JobResult is the GET /v1/jobs/{id}/result body: the final
-// evt.Result (minus the per-hyper-sample trace, which stays server
-// side) plus identification.
+// JobResult is the GET /v1/jobs/{id}/result body: the scalar fields of
+// the final evt.Result plus identification. A finished job keeps only
+// these fields of its result; the per-hyper-sample trace is dropped when
+// the job settles, since no route serves it.
 type JobResult struct {
 	ID           string   `json:"id"`
 	Circuit      string   `json:"circuit"`

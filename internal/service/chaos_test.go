@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -468,6 +469,38 @@ func TestJobDeadline(t *testing.T) {
 		req.Options.TimeoutMS = 60_000 // asks for a minute; the ceiling wins
 		run(t, ManagerConfig{Workers: 1, MaxJobDuration: 50 * time.Millisecond}, req)
 	})
+}
+
+// TestJobDeadlineTimeout pins how a job's timeout_ms and the manager's
+// ceiling resolve into its deadline. A timeout_ms past the largest
+// Duration once wrapped: 18,446,744,073,710 ms (about 584 years) became
+// a 448-µs deadline, with or without a ceiling, and 9,223,372,036,855
+// became a negative one. Both now mean no cap of their own.
+func TestJobDeadlineTimeout(t *testing.T) {
+	const maxMS = math.MaxInt64 / int64(time.Millisecond) // 9,223,372,036,854
+	for _, tc := range []struct {
+		ms      int64
+		ceiling time.Duration
+		want    time.Duration
+	}{
+		{0, 0, 0},
+		{0, time.Hour, time.Hour},
+		{50, 0, 50 * time.Millisecond},
+		{50, time.Hour, 50 * time.Millisecond},
+		{60_000, 50 * time.Millisecond, 50 * time.Millisecond},
+		{maxMS, 0, time.Duration(maxMS) * time.Millisecond},
+		{maxMS, time.Hour, time.Hour},
+		{maxMS + 1, 0, 0},
+		{maxMS + 1, time.Hour, time.Hour},
+		{18_446_744_073_710, 0, 0},
+		{18_446_744_073_710, time.Hour, time.Hour},
+		{math.MaxInt64, 0, 0},
+		{math.MaxInt64, time.Hour, time.Hour},
+	} {
+		if got := jobTimeout(tc.ms, tc.ceiling); got != tc.want {
+			t.Errorf("jobTimeout(%d ms, ceiling %s) = %s, want %s", tc.ms, tc.ceiling, got, tc.want)
+		}
+	}
 }
 
 // TestCancelOnConvergedSnapshot: a cancel that lands during the

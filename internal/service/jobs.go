@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"strings"
@@ -43,9 +44,6 @@ type ManagerConfig struct {
 	QueueDepth int
 	// CacheSize is the population LRU capacity in entries. Default 16.
 	CacheSize int
-	// KernelCacheSize is the compiled-kernel LRU capacity in programs
-	// (one per circuit + delay model pair). Default 16.
-	KernelCacheSize int
 	// SimWorkers bounds the per-job simulation parallelism: population
 	// builds and the batched per-hyper-sample simulation of streaming
 	// jobs (0 = NumCPU). A job may request fewer workers, never more.
@@ -112,6 +110,10 @@ type ManagerConfig struct {
 	Clock func() time.Time
 }
 
+// kernelCacheSize is the compiled-kernel LRU capacity in programs, one
+// per circuit and delay model.
+const kernelCacheSize = 16
+
 func (c ManagerConfig) withDefaults() ManagerConfig {
 	if c.Workers <= 0 {
 		c.Workers = runtime.NumCPU()
@@ -124,9 +126,6 @@ func (c ManagerConfig) withDefaults() ManagerConfig {
 	}
 	if c.CacheSize <= 0 {
 		c.CacheSize = 16
-	}
-	if c.KernelCacheSize <= 0 {
-		c.KernelCacheSize = 16
 	}
 	if c.RetainJobs == 0 {
 		c.RetainJobs = 512
@@ -238,7 +237,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		baseCancel: cancel,
 		circuits:   newLRU[*netlist.Circuit](8),
 		pops:       newLRU[*maxpower.Population](cfg.CacheSize),
-		kernels:    maxpower.NewKernelCache(cfg.KernelCacheSize),
+		kernels:    maxpower.NewKernelCache(kernelCacheSize),
 	}
 	// Mirror kernel-cache activity onto the process-wide expvars, the
 	// same split the population cache gets in resolvePopulation. The
@@ -906,9 +905,15 @@ func (m *Manager) worker() {
 }
 
 // jobTimeout resolves the effective wall-time cap for a job: its own
-// timeout_ms, clamped by the manager-wide ceiling. 0 = unlimited.
+// timeout_ms, clamped by the manager-wide ceiling. 0 = unlimited. A
+// timeout_ms past the largest Duration (math.MaxInt64 ns, about 292
+// years) sets no cap of its own: multiplied out, it would wrap to a
+// short or negative one.
 func jobTimeout(timeoutMS int64, ceiling time.Duration) time.Duration {
-	d := time.Duration(timeoutMS) * time.Millisecond
+	var d time.Duration
+	if timeoutMS > 0 && timeoutMS <= math.MaxInt64/int64(time.Millisecond) {
+		d = time.Duration(timeoutMS) * time.Millisecond
+	}
 	if ceiling > 0 && (d <= 0 || d > ceiling) {
 		d = ceiling
 	}
@@ -939,6 +944,10 @@ func (j *job) settle(m *Manager, o outcome) *record {
 	j.cacheHit = o.cacheHit
 	if o.err == nil {
 		res := &o.res
+		// The job keeps what ResultFor serves: no route serves the
+		// per-hyper-sample trace, and a job restored from the journal has
+		// none either.
+		res.Trace = nil
 		j.result = res
 		// Units is the estimator's cost ("# of units", the paper's cost
 		// metric). For streaming jobs every unit is also one live pair

@@ -61,12 +61,12 @@ type record struct {
 	Result     *journalResult  `json:"result,omitempty"`
 }
 
-// journalResult persists the scalar fields of a finished job's
-// maxpower.Result. The per-hyper-sample Trace is deliberately not
-// journaled (it can be megabytes for long runs and nothing in the API
-// serves it); non-finite values are sanitized exactly like the HTTP
-// transport does, so a restored result reads back identically over the
-// API.
+// journalResult persists the fields of a finished job's
+// maxpower.Result that ResultFor serves, and nothing else. Non-finite
+// values are sanitized exactly like the HTTP transport does, so a
+// restored result reads back identically over the API. Older terminal
+// records also carry sigma_sq_low, sigma_sq_hi, sim_ns and fit_ns;
+// replay decodes leniently, so they restore and those keys are ignored.
 type journalResult struct {
 	Estimate     float64 `json:"estimate"`
 	CILow        float64 `json:"ci_low"`
@@ -76,11 +76,7 @@ type journalResult struct {
 	Units        int     `json:"units"`
 	Converged    bool    `json:"converged"`
 	SigmaSq      float64 `json:"sigma_sq"`
-	SigmaSqLow   float64 `json:"sigma_sq_low"`
-	SigmaSqHi    float64 `json:"sigma_sq_hi"`
 	ObservedMax  float64 `json:"observed_max"`
-	SimNS        int64   `json:"sim_ns"`
-	FitNS        int64   `json:"fit_ns"`
 }
 
 func toJournalResult(r *maxpower.Result) *journalResult {
@@ -91,9 +87,7 @@ func toJournalResult(r *maxpower.Result) *journalResult {
 		Estimate: finite(r.Estimate), CILow: finite(r.CILow), CIHigh: finite(r.CIHigh),
 		RelErr: finite(r.RelErr), HyperSamples: r.HyperSamples, Units: r.Units,
 		Converged: r.Converged, SigmaSq: finite(r.SigmaSq),
-		SigmaSqLow: finite(r.SigmaSqLow), SigmaSqHi: finite(r.SigmaSqHi),
 		ObservedMax: finite(r.ObservedMax),
-		SimNS:       int64(r.SimTime), FitNS: int64(r.FitTime),
 	}
 }
 
@@ -105,9 +99,7 @@ func (jr *journalResult) toResult() *maxpower.Result {
 		Estimate: jr.Estimate, CILow: jr.CILow, CIHigh: jr.CIHigh,
 		RelErr: jr.RelErr, HyperSamples: jr.HyperSamples, Units: jr.Units,
 		Converged: jr.Converged, SigmaSq: jr.SigmaSq,
-		SigmaSqLow: jr.SigmaSqLow, SigmaSqHi: jr.SigmaSqHi,
 		ObservedMax: jr.ObservedMax,
-		SimTime:     time.Duration(jr.SimNS), FitTime: time.Duration(jr.FitNS),
 	}
 }
 

@@ -158,7 +158,7 @@ func FuzzJournalReplay(f *testing.F) {
 				t.Fatalf("job %q neither queued nor terminal: %s", id, j.state)
 			}
 			if r := j.result; r != nil {
-				for _, v := range []float64{r.Estimate, r.CILow, r.CIHigh, r.RelErr, r.SigmaSq, r.SigmaSqLow, r.SigmaSqHi, r.ObservedMax} {
+				for _, v := range []float64{r.Estimate, r.CILow, r.CIHigh, r.RelErr, r.SigmaSq, r.ObservedMax} {
 					if math.IsNaN(v) || math.IsInf(v, 0) {
 						t.Fatalf("job %q restored a non-finite result %+v", id, *r)
 					}

@@ -43,8 +43,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		FitNS:       678,
 	}
 	res := &journalResult{Estimate: 1.31, CILow: 1.2, CIHigh: 1.42, RelErr: 0.04,
-		HyperSamples: 3, Units: 900, Converged: true, SigmaSq: 0.001,
-		SigmaSqLow: 0.0005, SigmaSqHi: 0.002, ObservedMax: 1.1875, SimNS: 12345, FitNS: 678}
+		HyperSamples: 3, Units: 900, Converged: true, SigmaSq: 0.001, ObservedMax: 1.1875}
 	now := time.Now().UTC()
 	want := []record{
 		{Type: recSubmit, Job: "job-000001", Time: now, Req: &req},

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"time"
@@ -58,14 +57,16 @@ func (tc TenantConfig) validate() error {
 }
 
 // LoadTenantsFile reads a JSON array of TenantConfig from path — the
-// -tenants-file flag's loader.
+// -tenants-file flag's loader. It decodes as strictly as request bodies
+// are: a misspelt key would otherwise drop its limit, and a limit of 0
+// means none.
 func LoadTenantsFile(path string) ([]TenantConfig, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("service: tenants file: %w", err)
 	}
 	var tenants []TenantConfig
-	if err := json.Unmarshal(b, &tenants); err != nil {
+	if err := unmarshalStrict(b, &tenants); err != nil {
 		return nil, fmt.Errorf("service: tenants file %s: %w", path, err)
 	}
 	return tenants, nil

@@ -210,9 +210,17 @@ func TestLoadTenantsFile(t *testing.T) {
 		t.Error("missing file loaded without error")
 	}
 	bad := filepath.Join(dir, "bad.json")
-	os.WriteFile(bad, []byte(`{"not":"an array"`), 0o644)
-	if _, err := LoadTenantsFile(bad); err == nil {
-		t.Error("malformed file loaded without error")
+	for _, blob := range []string{
+		`{"not":"an array"`,
+		// A misspelt key once dropped the limit it named: this tenant got
+		// submit rate 0, which means no limit.
+		`[{"name":"alice","key":"ka","submit_rte":2}]`,
+		`[{"name":"alice","key":"ka"}] [{"name":"bob","key":"kb"}]`,
+	} {
+		os.WriteFile(bad, []byte(blob), 0o644)
+		if tenants, err := LoadTenantsFile(bad); err == nil {
+			t.Errorf("%s loaded without error: %+v", blob, tenants)
+		}
 	}
 }
 

@@ -143,7 +143,6 @@ func NewSpeculative(p *Program) *Speculative {
 		aux:    make([]uint64, capWords),
 	}
 	sp.res = StripedResult{
-		W:      stripeWords,
 		NSlots: p.n,
 		Any:    make([]uint64, capWords),
 		zero:   p.zeroDelay,

@@ -12,9 +12,9 @@ import "fmt"
 // is the safe way to keep them, exactly like Result.CopyToggles on the
 // scalar path.
 type StripedResult struct {
-	// W is the stripe capacity in words; AW the words active this run.
-	// Per-slot arrays are packed at AW words per slot.
-	W, AW int
+	// AW is the number of words active this run; per-slot arrays are
+	// packed at AW words per slot.
+	AW int
 	// NSlots is the number of compiled slots, one per gate of the
 	// circuit: slot s is gate s.
 	NSlots int
@@ -107,7 +107,7 @@ func NewStripedResult(aw int, counts [][64]uint8, zeroDelay bool) *StripedResult
 	if aw < 1 || n%aw != 0 {
 		panic(fmt.Sprintf("sim: %d count words do not split into %d-word slots", n, aw))
 	}
-	r := &StripedResult{W: aw, AW: aw, NSlots: n / aw, Any: make([]uint64, n), stride: n, zero: zeroDelay}
+	r := &StripedResult{AW: aw, NSlots: n / aw, Any: make([]uint64, n), stride: n, zero: zeroDelay}
 	if !zeroDelay {
 		r.levels = 8 // one plane per bit of a uint8 count
 		r.planes = make([]uint64, r.levels*n)

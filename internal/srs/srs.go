@@ -58,12 +58,11 @@ func TheoreticalUnits(qualifiedFraction, confidence float64) float64 {
 // estimation error across runs, and the fraction of runs whose absolute
 // error exceeds the epsilon threshold.
 type QualityStats struct {
-	Runs          int
-	Units         int
-	LargestErr    float64 // signed error of largest magnitude; SRS errors are ≤ 0
-	MeanErr       float64
-	FracOverEps   float64 // fraction of runs with |error| > eps
-	WorstEstimate float64
+	Runs        int
+	Units       int
+	LargestErr  float64 // signed error of largest magnitude; SRS errors are ≤ 0
+	MeanErr     float64
+	FracOverEps float64 // fraction of runs with |error| > eps
 }
 
 // Repeated performs runs independent SRS estimates of a fixed unit budget
@@ -72,8 +71,8 @@ func Repeated(src evt.Source, units, runs int, actualMax, eps float64, rng *stat
 	if runs <= 0 {
 		panic("srs: runs must be positive")
 	}
-	qs := QualityStats{Runs: runs, Units: units, WorstEstimate: math.Inf(1)}
-	worstAbs := -1.0 // ensure the first run always initializes WorstEstimate
+	qs := QualityStats{Runs: runs, Units: units}
+	worstAbs := -1.0 // ensure the first run always sets LargestErr
 	over := 0
 	var sum float64
 	for r := 0; r < runs; r++ {
@@ -83,7 +82,6 @@ func Repeated(src evt.Source, units, runs int, actualMax, eps float64, rng *stat
 		if math.Abs(err) > worstAbs {
 			worstAbs = math.Abs(err)
 			qs.LargestErr = err
-			qs.WorstEstimate = est
 		}
 		if math.Abs(err) > eps {
 			over++

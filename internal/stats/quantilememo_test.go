@@ -27,41 +27,27 @@ func quantileMemoLen() int {
 }
 
 // memoCase is one (k, confidence) fold of the estimator's interval with
-// its cold solves: the Student-t factor with k − 1 degrees of freedom
-// and the χ² variance interval of s2 = 1.7 over k values.
+// its cold solve: the Student-t factor with k − 1 degrees of freedom.
 type memoCase struct {
-	k      int
-	conf   float64
-	tq     float64
-	lo, hi float64
+	k    int
+	conf float64
+	tq   float64
 }
 
 func coldMemoCase(k int, conf float64) memoCase {
-	df := float64(k - 1)
-	c := ChiSquare{K: df}
-	const s2 = 1.7
-	return memoCase{
-		k: k, conf: conf,
-		tq: StudentT{Nu: df}.Quantile((1 + conf) / 2),
-		lo: df * s2 / c.Quantile((1+conf)/2),
-		hi: df * s2 / c.Quantile((1-conf)/2),
-	}
+	return memoCase{k: k, conf: conf, tq: StudentT{Nu: float64(k - 1)}.Quantile((1 + conf) / 2)}
 }
 
 func (c memoCase) check(t *testing.T) {
 	if got := TwoSidedT(c.conf, float64(c.k-1)); math.Float64bits(got) != math.Float64bits(c.tq) {
 		t.Errorf("TwoSidedT(%v, %d) = %v, cold solve %v", c.conf, c.k-1, got, c.tq)
 	}
-	lo, hi := VarianceCI(1.7, c.k, c.conf)
-	if math.Float64bits(lo) != math.Float64bits(c.lo) || math.Float64bits(hi) != math.Float64bits(c.hi) {
-		t.Errorf("VarianceCI(1.7, %d, %v) = [%v, %v], cold solve [%v, %v]", c.k, c.conf, lo, hi, c.lo, c.hi)
-	}
 }
 
-// TestQuantileMemo checks that memoised TwoSidedT and VarianceCI return
-// the cold solve's bits for k = 2–200 at four confidences, on the call
-// that stores and on the calls that hit, and once the table is full;
-// that the table never passes its capacity; that a NaN confidence adds
+// TestQuantileMemo checks that memoised TwoSidedT returns the cold
+// solve's bits for k = 2–200 at four confidences, on the call that
+// stores and on the calls that hit, and once the table is full; that
+// the table never passes its capacity; that a NaN confidence adds
 // one key, not one per call; and that concurrent folds agree (run it
 // under -race).
 func TestQuantileMemo(t *testing.T) {
@@ -78,23 +64,22 @@ func TestQuantileMemo(t *testing.T) {
 			c.check(t)
 		}
 	}
-	if got, want := quantileMemoLen(), 3*len(cases); got != want {
+	if got, want := quantileMemoLen(), len(cases); got != want {
 		t.Errorf("table holds %d quantiles, want %d", got, want)
 	}
 
 	n := quantileMemoLen()
 	for i := 0; i < 3; i++ {
 		TwoSidedT(math.NaN(), 5)
-		VarianceCI(1.7, 6, math.NaN())
 	}
-	if got := quantileMemoLen(); got > n+3 {
+	if got := quantileMemoLen(); got > n+1 {
 		t.Errorf("NaN confidence grew the table from %d to %d quantiles", n, got)
 	}
 
 	// Fill the table with keys no call makes, then fold past it.
 	quantileMemo.Lock()
 	for i := uint64(0); len(quantileMemo.m) < quantileMemoCap; i++ {
-		quantileMemo.m[quantileKey{dist: 0xff, p: i}] = 0
+		quantileMemo.m[quantileKey{p: i}] = 0 // df 0: TwoSidedT refuses it
 	}
 	quantileMemo.Unlock()
 	for pass := 0; pass < 2; pass++ {

@@ -12,11 +12,11 @@ func LogGamma(x float64) float64 {
 	return v
 }
 
-// maxBetaIter bounds the continued-fraction and series iterations in the
-// incomplete beta/gamma evaluations.
+// maxBetaIter bounds the continued-fraction iterations in the incomplete
+// beta evaluation.
 const maxBetaIter = 300
 
-// betaEps is the relative tolerance used by the special-function series.
+// betaEps is the relative tolerance of the continued fraction.
 const betaEps = 3e-15
 
 // RegIncBeta computes the regularized incomplete beta function
@@ -88,64 +88,4 @@ func betaCF(a, b, x float64) float64 {
 		}
 	}
 	return h
-}
-
-// RegIncGammaLower computes the regularized lower incomplete gamma function
-// P(a, x) = γ(a, x)/Γ(a) for a > 0, x >= 0, by series (x < a+1) or
-// continued fraction (otherwise).
-func RegIncGammaLower(a, x float64) float64 {
-	switch {
-	case math.IsNaN(a) || math.IsNaN(x) || a <= 0 || x < 0:
-		return math.NaN()
-	case x == 0:
-		return 0
-	}
-	if x < a+1 {
-		return gammaSeries(a, x)
-	}
-	return 1 - gammaCF(a, x)
-}
-
-// gammaSeries evaluates P(a,x) by its power series.
-func gammaSeries(a, x float64) float64 {
-	ap := a
-	sum := 1 / a
-	del := sum
-	for i := 0; i < maxBetaIter; i++ {
-		ap++
-		del *= x / ap
-		sum += del
-		if math.Abs(del) < math.Abs(sum)*betaEps {
-			break
-		}
-	}
-	return sum * math.Exp(-x+a*math.Log(x)-LogGamma(a))
-}
-
-// gammaCF evaluates Q(a,x) by the continued fraction (modified Lentz).
-func gammaCF(a, x float64) float64 {
-	const tiny = 1e-300
-	b := x + 1 - a
-	c := 1 / tiny
-	d := 1 / b
-	h := d
-	for i := 1; i <= maxBetaIter; i++ {
-		an := -float64(i) * (float64(i) - a)
-		b += 2
-		d = an*d + b
-		if math.Abs(d) < tiny {
-			d = tiny
-		}
-		c = b + an/c
-		if math.Abs(c) < tiny {
-			c = tiny
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < betaEps {
-			break
-		}
-	}
-	return math.Exp(-x+a*math.Log(x)-LogGamma(a)) * h
 }

@@ -71,51 +71,6 @@ func TestRegIncBetaMonotoneAndSymmetric(t *testing.T) {
 	}
 }
 
-func TestRegIncGammaKnownValues(t *testing.T) {
-	// P(1, x) = 1 − e^{−x}.
-	for _, x := range []float64{0.1, 0.5, 1, 2, 5, 10} {
-		want := 1 - math.Exp(-x)
-		if got := RegIncGammaLower(1, x); !almostEqual(got, want, 1e-12) {
-			t.Errorf("P(1,%v) = %v, want %v", x, got, want)
-		}
-	}
-	// P(1/2, x) = erf(√x).
-	for _, x := range []float64{0.2, 1, 3} {
-		want := math.Erf(math.Sqrt(x))
-		if got := RegIncGammaLower(0.5, x); !almostEqual(got, want, 1e-12) {
-			t.Errorf("P(0.5,%v) = %v, want %v", x, got, want)
-		}
-	}
-}
-
-// TestRegIncGammaComplement checks RegIncGammaLower's two expansions
-// against each other: the series for P and the continued fraction for
-// its complement Q = 1 − P must sum to 1 around the x = a + 1 switch,
-// where both converge, and P stays in [0, 1] everywhere.
-func TestRegIncGammaComplement(t *testing.T) {
-	if err := quick.Check(func(aRaw, xRaw uint16) bool {
-		a := 0.5 + float64(aRaw%200)/10
-		x := float64(xRaw%400) / 10
-		p := RegIncGammaLower(a, x)
-		if p < 0 || p > 1 {
-			return false
-		}
-		xs := a + 1 + float64(int(xRaw%21)-10)/20
-		return almostEqual(gammaSeries(a, xs)+gammaCF(a, xs), 1, 1e-10)
-	}, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRegIncGammaEdge(t *testing.T) {
-	if got := RegIncGammaLower(2, 0); got != 0 {
-		t.Errorf("P(2,0) = %v, want 0", got)
-	}
-	if got := RegIncGammaLower(0, 1); !math.IsNaN(got) {
-		t.Errorf("P(0,1) = %v, want NaN", got)
-	}
-}
-
 func TestLogGamma(t *testing.T) {
 	// Γ(5) = 24, Γ(1/2) = √π.
 	if got := LogGamma(5); !almostEqual(got, math.Log(24), 1e-14) {

@@ -110,5 +110,5 @@ func TwoSidedT(l float64, nu float64) float64 {
 	if nu <= 0 {
 		panic("stats: degrees of freedom must be positive")
 	}
-	return memoQuantile(memoT, (1+l)/2, nu)
+	return memoQuantile((1+l)/2, nu)
 }

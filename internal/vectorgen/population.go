@@ -34,10 +34,9 @@ type Population struct {
 	// bit instead of the 2 bytes of a []bool pair — ≈8× smaller, which is
 	// what lets the service LRU hold KeepPairs populations); nil unless
 	// Options.KeepPairs. Pair unpacks on demand.
-	packed  *sim.PackedPairs
-	maxIdx  int
-	sumMW   float64
-	unitsIn int // input width, for reporting
+	packed *sim.PackedPairs
+	maxIdx int
+	sumMW  float64
 }
 
 // Build generates a population with gen and evaluates every unit's cycle
@@ -50,9 +49,8 @@ func Build(eval *power.Evaluator, gen Generator, opt Options) (*Population, erro
 	if opt.Size <= 0 {
 		return nil, fmt.Errorf("vectorgen: population size must be positive, got %d", opt.Size)
 	}
-	if gen.Inputs() != eval.Circuit().NumInputs() {
-		return nil, fmt.Errorf("vectorgen: generator width %d != circuit %s inputs %d",
-			gen.Inputs(), eval.Circuit().Name, eval.Circuit().NumInputs())
+	if err := checkWidth(eval, gen); err != nil {
+		return nil, err
 	}
 
 	// Generate straight into bit planes: the packed batch is the native
@@ -72,9 +70,8 @@ func Build(eval *power.Evaluator, gen Generator, opt Options) (*Population, erro
 	}
 
 	p := &Population{
-		name:    fmt.Sprintf("%s/%s/%d", eval.Circuit().Name, gen.Name(), opt.Size),
-		powers:  powers,
-		unitsIn: gen.Inputs(),
+		name:   fmt.Sprintf("%s/%s/%d", eval.Circuit().Name, gen.Name(), opt.Size),
+		powers: powers,
 	}
 	for i, v := range powers {
 		p.sumMW += v

@@ -1,6 +1,7 @@
 package vectorgen
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"repro/internal/faultpoint"
@@ -55,20 +56,14 @@ func NewStreamSource(eval *power.Evaluator, gen Generator) (*StreamSource, error
 	return &StreamSource{eval: eval.Clone(), gen: gen}, nil
 }
 
+// checkWidth refuses a generator whose vectors are not as wide as the
+// evaluator's circuit has inputs.
 func checkWidth(eval *power.Evaluator, gen Generator) error {
 	if gen.Inputs() != eval.Circuit().NumInputs() {
-		return &widthError{gen: gen.Inputs(), circuit: eval.Circuit().NumInputs(), name: eval.Circuit().Name}
+		return fmt.Errorf("vectorgen: generator width %d != circuit %s inputs %d",
+			gen.Inputs(), eval.Circuit().Name, eval.Circuit().NumInputs())
 	}
 	return nil
-}
-
-type widthError struct {
-	gen, circuit int
-	name         string
-}
-
-func (e *widthError) Error() string {
-	return "vectorgen: generator width mismatch for circuit " + e.name
 }
 
 // SamplePower implements evt.Source: generate one pair, simulate it,

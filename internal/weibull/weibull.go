@@ -494,7 +494,8 @@ func (ft *Fitter) exps(p, x []float64, a float64) {
 	}
 }
 
-// DefaultAlphaMin is the shape lower bound used by FitMLE. The paper's
+// DefaultAlphaMin is the shape lower bound used by FitMLE and by every
+// hyper-sample fit of the estimator (internal/evt). The paper's
 // Theorem 3 requires α > 2 for asymptotic normality and §3.2 argues α is
 // always above 2 when the sample size is much smaller than |V|; imposing
 // the constraint also removes the classic unbounded-likelihood pathology
