@@ -52,7 +52,7 @@ func TestResumeBitIdenticalAtEveryCheckpoint(t *testing.T) {
 
 	for i := range cps {
 		cp := cps[i]
-		if err := cp.Validate(); err != nil {
+		if err := cp.Validate(cfg); err != nil {
 			t.Fatalf("checkpoint %d invalid: %v", i, err)
 		}
 		rcfg := cfg
@@ -120,23 +120,30 @@ func TestCheckpointConsumesNoRandomness(t *testing.T) {
 	}
 }
 
-// TestCheckpointValidate rejects states a run cannot have produced.
+// TestCheckpointValidate rejects states a run cannot have produced,
+// among them records that are not whole attempts of m·n units and more
+// records than the run's budget.
 func TestCheckpointValidate(t *testing.T) {
-	good := Checkpoint{Estimates: []float64{1, 2}, Units: 600, ObservedMax: 2.5, RNG: [4]uint64{1, 2, 3, 4}}
-	if err := good.Validate(); err != nil {
+	cfg := Config{MaxHyperSamples: 3}
+	rec := HyperRecord{Estimate: 2, Units: 300, ObservedMax: 1.5}
+	good := Checkpoint{Records: []HyperRecord{rec, {Estimate: 2.5, Units: 600, ObservedMax: 2.5}}, RNG: [4]uint64{1, 2, 3, 4}}
+	if err := good.Validate(cfg); err != nil {
 		t.Fatalf("good checkpoint rejected: %v", err)
 	}
-	bad := []Checkpoint{
-		{},
-		{Estimates: []float64{math.NaN()}, Units: 1, ObservedMax: 1, RNG: [4]uint64{1}},
-		{Estimates: []float64{math.Inf(1)}, Units: 1, ObservedMax: 1, RNG: [4]uint64{1}},
-		{Estimates: []float64{1, 2}, Units: 1, ObservedMax: 1, RNG: [4]uint64{1}},
-		{Estimates: []float64{1}, Units: 1, ObservedMax: math.Inf(-1), RNG: [4]uint64{1}},
-		{Estimates: []float64{1}, Units: 1, ObservedMax: 1, RNG: [4]uint64{}},
+	with := func(r HyperRecord) []HyperRecord { return []HyperRecord{rec, r} }
+	bad := map[string]Checkpoint{
+		"empty":                     {},
+		"NaN estimate":              {Records: with(HyperRecord{Estimate: math.NaN(), Units: 300, ObservedMax: 1}), RNG: [4]uint64{1}},
+		"Inf estimate":              {Records: with(HyperRecord{Estimate: math.Inf(1), Units: 300, ObservedMax: 1}), RNG: [4]uint64{1}},
+		"units below one per hyper": {Records: with(HyperRecord{Estimate: 2, Units: 1, ObservedMax: 1}), RNG: [4]uint64{1}},
+		"units not whole attempts":  {Records: with(HyperRecord{Estimate: 2, Units: 450, ObservedMax: 1}), RNG: [4]uint64{1}},
+		"Inf observed max":          {Records: with(HyperRecord{Estimate: 2, Units: 300, ObservedMax: math.Inf(-1)}), RNG: [4]uint64{1}},
+		"zero RNG state":            {Records: with(rec)},
+		"past the budget":           {Records: []HyperRecord{rec, rec, rec, rec}, RNG: [4]uint64{1}},
 	}
-	for i, cp := range bad {
-		if err := cp.Validate(); err == nil {
-			t.Errorf("bad checkpoint %d accepted: %+v", i, cp)
+	for name, cp := range bad {
+		if err := cp.Validate(cfg); err == nil {
+			t.Errorf("%s: bad checkpoint accepted: %+v", name, cp)
 		}
 	}
 	// Config.Validate covers Resume too.
@@ -167,9 +174,13 @@ func TestResumeCancelledImmediately(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	got := rest.RunContext(ctx, stats.NewRNG(0))
-	if got.HyperSamples != 3 || got.Units != cp.Units {
+	units := 0
+	for _, rec := range cp.Records {
+		units += rec.Units
+	}
+	if got.HyperSamples != 3 || got.Units != units {
 		t.Errorf("cancelled resume = k=%d units=%d, want k=3 units=%d",
-			got.HyperSamples, got.Units, cp.Units)
+			got.HyperSamples, got.Units, units)
 	}
 	if got.Estimate == 0 {
 		t.Error("cancelled resume lost the checkpointed estimate")

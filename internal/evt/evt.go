@@ -70,27 +70,6 @@ func (f InfiniteSource) SamplePower(rng *stats.RNG) float64 { return f(rng) }
 // Size implements Source.
 func (InfiniteSource) Size() int { return 0 }
 
-// Progress is a point-in-time snapshot of a running estimation,
-// published after every completed hyper-sample. It carries the running
-// state of Figure 4's loop: how many hyper-samples have been folded in,
-// the current mean estimate, the Student-t interval, and the simulation
-// cost so far. After the first hyper-sample (k = 1) no deviation exists
-// yet, so CILow/CIHigh are unbounded and RelErr is +Inf.
-type Progress struct {
-	// HyperSamples is k, the number of completed hyper-samples.
-	HyperSamples int
-	// Estimate is the running P̄_MAX (mean of hyper-sample estimates).
-	Estimate float64
-	// CILow/CIHigh bound the maximum at the configured confidence.
-	CILow, CIHigh float64
-	// RelErr is the current CI half-width over the estimate.
-	RelErr float64
-	// Units is the total simulated units so far.
-	Units int
-	// Converged reports whether the stopping rule has been satisfied.
-	Converged bool
-}
-
 // EngineStats carries the simulation backend's execution-strategy
 // counters for one estimation run. The speculative settle-then-patch
 // kernel reports how many timed stripes it attempted, how many
@@ -136,25 +115,22 @@ type EngineStatsSource interface {
 
 // Checkpoint is the resumable state of a run, captured after a completed
 // hyper-sample. The iterative procedure's entire memory between
-// hyper-samples is the list of per-hyper-sample estimates (the Student-t
-// stopping rule needs nothing else), the cumulative cost counters, and
-// the RNG state — so a run restored from a Checkpoint and continued with
-// the same Config and Source produces a Result whose statistical fields
-// (Estimate, CI, RelErr, HyperSamples, Units, Converged, SigmaSq,
-// ObservedMax) are bit-identical to the uninterrupted run's. Only
-// Result.Trace (post-resume hyper-samples only) and the wall-clock
-// timings differ.
+// hyper-samples is the list of hyper-sample records (the Student-t
+// stopping rule folds nothing else) and the RNG state, so a run restored
+// from a Checkpoint and continued with the same Config and Source
+// produces a Result whose statistical fields (Estimate, CI, RelErr,
+// HyperSamples, Units, Converged, SigmaSq, ObservedMax) are bit-identical
+// to the uninterrupted run's. Only Result.Trace (post-resume
+// hyper-samples only) and the wall-clock timings differ. The records are
+// the ones a fleet shard returns, so a checkpoint and a shard pass the
+// same check and go through the same fold.
 //
 // The struct is JSON-serializable without precision loss: Go's float64
 // encoding round-trips exactly for finite values, and every field is
 // finite after at least one hyper-sample.
 type Checkpoint struct {
-	// Estimates are the per-hyper-sample estimates so far, in order.
-	Estimates []float64 `json:"estimates"`
-	// Units is the cumulative simulated-unit count (including retries).
-	Units int `json:"units"`
-	// ObservedMax is the largest unit power seen so far.
-	ObservedMax float64 `json:"observed_max"`
+	// Records are the hyper-samples so far, in order.
+	Records []HyperRecord `json:"records"`
 	// RNG is the sampling generator's state after the last hyper-sample.
 	RNG [4]uint64 `json:"rng"`
 	// SimNS/FitNS carry the cumulative wall-time split (nanoseconds) so a
@@ -163,22 +139,22 @@ type Checkpoint struct {
 	FitNS int64 `json:"fit_ns,omitempty"`
 }
 
-// Validate rejects checkpoints that cannot have been produced by a run:
-// resuming from one would silently corrupt the estimate.
-func (cp *Checkpoint) Validate() error {
-	if len(cp.Estimates) == 0 {
-		return errors.New("evt: checkpoint has no hyper-sample estimates")
+// Validate rejects checkpoints that no run under cfg can have produced:
+// resuming from one would silently corrupt the estimate. It requires 1
+// to MaxHyperSamples records, each of which passes HyperRecord.Validate,
+// and a non-zero RNG state.
+func (cp *Checkpoint) Validate(cfg Config) error {
+	cfg = cfg.Defaults()
+	if len(cp.Records) == 0 {
+		return errors.New("evt: checkpoint has no hyper-sample records")
 	}
-	for i, v := range cp.Estimates {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("evt: checkpoint estimate %d is %v", i, v)
+	if len(cp.Records) > cfg.MaxHyperSamples {
+		return fmt.Errorf("evt: checkpoint has %d records, past the budget of %d", len(cp.Records), cfg.MaxHyperSamples)
+	}
+	for i, rec := range cp.Records {
+		if err := rec.Validate(cfg); err != nil {
+			return fmt.Errorf("evt: checkpoint record %d: %w", i, err)
 		}
-	}
-	if cp.Units < len(cp.Estimates) {
-		return fmt.Errorf("evt: checkpoint units %d below hyper-sample count %d", cp.Units, len(cp.Estimates))
-	}
-	if math.IsNaN(cp.ObservedMax) || math.IsInf(cp.ObservedMax, 0) {
-		return fmt.Errorf("evt: checkpoint observed max is %v", cp.ObservedMax)
 	}
 	if cp.RNG == ([4]uint64{}) {
 		return errors.New("evt: checkpoint RNG state is all zero")
@@ -200,23 +176,27 @@ type Config struct {
 	Epsilon float64
 	// Confidence is the level l of the Student-t interval.
 	Confidence float64
-	// MaxHyperSamples caps the iteration for pathological inputs.
+	// MaxHyperSamples caps the iteration for pathological inputs
+	// (at most 65,536).
 	MaxHyperSamples int
 	// DisableFiniteCorrection turns off the §3.4 finite-population
 	// quantile correction even when the source is finite (for ablation).
 	DisableFiniteCorrection bool
-	// OnProgress, when non-nil, receives a Progress snapshot after every
-	// hyper-sample. It is the estimator's observation seam: callers (a
-	// progress bar, a serving daemon, a metrics exporter) subscribe
-	// without perturbing the sampling stream. It is invoked synchronously
-	// between hyper-samples and consumes no randomness, so a slow callback
-	// slows the run but never changes its result.
-	OnProgress func(Progress)
+	// OnProgress, when non-nil, receives the run's Result after every
+	// hyper-sample: the running mean, the Student-t interval and the
+	// cost so far. After the first hyper-sample (k = 1) no deviation
+	// exists yet, so CILow/CIHigh are unbounded and RelErr is +Inf.
+	// It is the estimator's observation seam: callers (a progress bar, a
+	// serving daemon, a metrics exporter) subscribe without perturbing
+	// the sampling stream. It is invoked synchronously between
+	// hyper-samples, consumes no randomness and must not modify Trace,
+	// so a slow callback slows the run but never changes its result.
+	OnProgress func(Result)
 	// Resume, when non-nil, continues an interrupted run from its last
-	// checkpoint instead of starting fresh: the per-hyper-sample estimates
-	// and cost counters are restored and RunContext's rng is overwritten
-	// with the checkpointed state. The Config and Source must be the same
-	// as the interrupted run's for the determinism guarantee to hold.
+	// checkpoint instead of starting fresh: the checkpoint's records are
+	// folded in and RunContext's rng is overwritten with the checkpointed
+	// state. The Config and Source must be the same as the interrupted
+	// run's for the determinism guarantee to hold.
 	Resume *Checkpoint
 	// OnCheckpoint, when non-nil, receives the run's resumable state after
 	// every completed hyper-sample (after OnProgress). Invoked synchronously
@@ -258,9 +238,14 @@ const maxFitRetries = 4
 // call, so a service must turn such sizes away before it runs them.
 // 4,194,304 units is a 32 MiB buffer; the paper uses m = 10 and n = 30,
 // and nothing in this repository more than 50 of either.
+//
+// maxHyperSamples bounds the budget k for the same reason: a fleet plan
+// builds one shard per ShardSize hyper-samples up front, and a run keeps
+// one record per hyper-sample. 65,536 is 328 times the default of 200.
 const (
 	maxSamplesPerHyper = 1 << 16
 	maxUnitsPerHyper   = 1 << 22
+	maxHyperSamples    = 1 << 16
 )
 
 // Validate rejects nonsensical configurations. The range checks are
@@ -285,30 +270,29 @@ func (c Config) Validate() error {
 	if !(c.Confidence > 0 && c.Confidence < 1) {
 		return fmt.Errorf("evt: Confidence %v must be in (0,1)", c.Confidence)
 	}
+	if c.MaxHyperSamples > maxHyperSamples {
+		return fmt.Errorf("evt: MaxHyperSamples %d exceeds %d", c.MaxHyperSamples, maxHyperSamples)
+	}
 	if c.Resume != nil {
-		if err := c.Resume.Validate(); err != nil {
-			return err
-		}
+		return c.Resume.Validate(c)
 	}
 	return nil
 }
 
 // HyperSampleResult is one P̂_{i,MAX}: an MLE fit over m sample-maxima.
 type HyperSampleResult struct {
-	// Estimate is the hyper-sample's maximum-power estimate: μ̂ for an
-	// infinite population, the (1−1/|V|) Weibull quantile for a finite one.
-	Estimate float64
+	// HyperRecord is what the fold reads: the estimate (μ̂ for an
+	// infinite population, the (1−1/|V|) Weibull quantile for a finite
+	// one), the units drawn including failed-fit retries, and the
+	// largest unit power seen while drawing.
+	HyperRecord
 	// Fit is the underlying reverse-Weibull fit.
 	Fit weibull.FitResult
-	// Units is the number of units drawn, including failed-fit retries.
-	Units int
 	// Retries counts re-drawn hyper-samples due to fit failures.
 	Retries int
 	// FallbackMax is true when every retry failed and the estimate fell
 	// back to the largest observed unit power.
 	FallbackMax bool
-	// ObservedMax is the largest unit power seen while drawing.
-	ObservedMax float64
 	// SimTime is the wall time spent drawing unit powers (the simulation
 	// side of the run); FitTime is the wall time of the Weibull MLE fits
 	// and estimate construction. Timing reads no randomness, so measured
@@ -385,7 +369,8 @@ func New(src Source, cfg Config) (*Estimator, error) {
 // result is bit-identical to the scalar path.
 func (e *Estimator) HyperSample(rng *stats.RNG) HyperSampleResult {
 	cfg := e.cfg
-	res := HyperSampleResult{ObservedMax: math.Inf(-1)}
+	var res HyperSampleResult
+	res.ObservedMax = math.Inf(-1)
 	if cap(e.maxBuf) < cfg.SamplesPerHyper {
 		e.maxBuf = make([]float64, cfg.SamplesPerHyper)
 	}
@@ -510,7 +495,7 @@ func (e *Estimator) Run(rng *stats.RNG) Result {
 // design).
 //
 // When cfg.Resume is set, rng's state is overwritten with the
-// checkpoint's and the loop continues at hyper-sample len(Estimates)+1;
+// checkpoint's and the loop continues at hyper-sample len(Records)+1;
 // the statistical fields of the returned Result are bit-identical to
 // those of the uninterrupted run (Trace covers only the resumed portion).
 func (e *Estimator) RunContext(ctx context.Context, rng *stats.RNG) Result {
@@ -533,20 +518,21 @@ func (e *Estimator) RunContext(ctx context.Context, rng *stats.RNG) Result {
 func (e *Estimator) runContext(ctx context.Context, rng *stats.RNG) Result {
 	cfg := e.cfg
 	f := fold{cfg: cfg, res: Result{ObservedMax: math.Inf(-1)}}
+	// The run's records, kept only for OnCheckpoint: the fold itself
+	// needs the estimates alone.
+	var recs []HyperRecord
 	if cp := cfg.Resume; cp != nil {
-		f.estimates = append(f.estimates, cp.Estimates...)
-		f.res.Units = cp.Units
-		f.res.ObservedMax = cp.ObservedMax
 		f.res.SimTime = time.Duration(cp.SimNS)
 		f.res.FitTime = time.Duration(cp.FitNS)
 		rng.SetState(cp.RNG)
-		// Recompute the interval the interrupted run last saw, so a
-		// checkpoint taken at (or past) the stopping point — a crash
-		// between the final checkpoint and the terminal record — resumes
-		// straight to the identical converged Result without drawing.
-		f.interval()
-		if f.res.Converged {
+		// A checkpoint taken at the stopping point (a crash between the
+		// final checkpoint and the terminal record) resumes straight to
+		// the identical converged Result without drawing.
+		if f.addAll(cp.Records); f.res.Converged {
 			return f.res
+		}
+		if cfg.OnCheckpoint != nil {
+			recs = append(recs, cp.Records...)
 		}
 	}
 	for k := len(f.estimates) + 1; k <= cfg.MaxHyperSamples; k++ {
@@ -557,18 +543,17 @@ func (e *Estimator) runContext(ctx context.Context, rng *stats.RNG) Result {
 		f.res.Trace = append(f.res.Trace, hs)
 		f.res.SimTime += hs.SimTime
 		f.res.FitTime += hs.FitTime
-		f.add(hs.Record())
+		f.add(hs.HyperRecord)
 		if cfg.OnProgress != nil {
-			cfg.OnProgress(f.res.Progress())
+			cfg.OnProgress(f.res)
 		}
 		if cfg.OnCheckpoint != nil {
+			recs = append(recs, hs.HyperRecord)
 			cfg.OnCheckpoint(Checkpoint{
-				Estimates:   append([]float64(nil), f.estimates...),
-				Units:       f.res.Units,
-				ObservedMax: f.res.ObservedMax,
-				RNG:         rng.State(),
-				SimNS:       int64(f.res.SimTime),
-				FitNS:       int64(f.res.FitTime),
+				Records: append([]HyperRecord(nil), recs...),
+				RNG:     rng.State(),
+				SimNS:   int64(f.res.SimTime),
+				FitNS:   int64(f.res.FitTime),
 			})
 		}
 		if f.res.Converged {
@@ -578,26 +563,14 @@ func (e *Estimator) runContext(ctx context.Context, rng *stats.RNG) Result {
 	return f.res
 }
 
-// Progress is the snapshot of r that OnProgress receives.
-func (r Result) Progress() Progress {
-	return Progress{
-		HyperSamples: r.HyperSamples,
-		Estimate:     r.Estimate,
-		CILow:        r.CILow,
-		CIHigh:       r.CIHigh,
-		RelErr:       r.RelErr,
-		Units:        r.Units,
-		Converged:    r.Converged,
-	}
-}
-
 // HyperRecord is the transportable outcome of one hyper-sample: exactly
 // the per-iteration state the sequential procedure folds into its
 // running Result. A shard executed on a remote worker returns its
-// hyper-samples as HyperRecords; FoldRecords replays the stopping rule
-// over them with the same fold step as RunContext, which is what makes
-// a sharded (fleet) run bit-identical to a single-node run consuming
-// the same substreams in the same order. All fields are finite after a
+// hyper-samples as HyperRecords, and a Checkpoint carries a run's
+// records so far; FoldRecords replays the stopping rule over them with
+// the same fold step as RunContext, which is what makes a sharded
+// (fleet) run bit-identical to a single-node run consuming the same
+// substreams in the same order. All fields are finite after a
 // completed hyper-sample, so the struct JSON-round-trips exactly (Go
 // encodes float64 shortest-form, which decodes to the same bits).
 type HyperRecord struct {
@@ -633,11 +606,6 @@ func (r HyperRecord) Validate(cfg Config) error {
 	return nil
 }
 
-// Record extracts the transportable part of a hyper-sample result.
-func (h HyperSampleResult) Record() HyperRecord {
-	return HyperRecord{Estimate: h.Estimate, Units: h.Units, ObservedMax: h.ObservedMax}
-}
-
 // FoldRecords replays the sequential stopping rule of Figure 4 over
 // per-hyper-sample records: fold record k, check the Student-t interval
 // at k ≥ 2, stop at the first k that converges. It is the merge half of
@@ -656,19 +624,14 @@ func FoldRecords(cfg Config, recs []HyperRecord) Result {
 		recs = recs[:cfg.MaxHyperSamples]
 	}
 	f := fold{cfg: cfg, res: Result{ObservedMax: math.Inf(-1)}, estimates: make([]float64, 0, len(recs))}
-	for _, rec := range recs {
-		f.add(rec)
-		if f.res.Converged {
-			break
-		}
-	}
+	f.addAll(recs)
 	return f.res
 }
 
 // fold is the running state of Figure 4's loop between hyper-samples:
-// the estimate list and the Result folded from it. RunContext and
-// FoldRecords both advance it one record at a time, which is what lets
-// the fleet promise bit-identical merged results.
+// the estimate list and the Result folded from it. RunContext, a resume
+// and FoldRecords all advance it one record at a time, which is what
+// lets the fleet and a resumed run promise bit-identical results.
 type fold struct {
 	cfg       Config
 	res       Result
@@ -684,6 +647,16 @@ func (f *fold) add(rec HyperRecord) {
 	}
 	f.estimates = append(f.estimates, rec.Estimate)
 	f.interval()
+}
+
+// addAll folds recs in order and stops at the first that converges, as
+// a sequential run would.
+func (f *fold) addAll(recs []HyperRecord) {
+	for _, rec := range recs {
+		if f.add(rec); f.res.Converged {
+			return
+		}
+	}
 }
 
 // interval folds the estimate list into the Result: the running mean,

@@ -61,7 +61,9 @@ func TestConfigValidate(t *testing.T) {
 // TestConfigValidateSize checks the bound on a hyper-sample's size: at
 // most 65,536 samples and 4,194,304 units, the product checked without
 // overflow. m = 2¹⁸ samples of n = 2²² units each once passed and then
-// died allocating 2⁴⁰ float64s.
+// died allocating 2⁴⁰ float64s. The budget is bounded too, at 65,536
+// hyper-samples: a budget of 10¹² once passed, and a fleet plan builds
+// one shard per few hyper-samples of it up front.
 func TestConfigValidateSize(t *testing.T) {
 	for _, c := range []Config{
 		{SampleSize: 1 << 22, SamplesPerHyper: 1 << 18},
@@ -71,18 +73,21 @@ func TestConfigValidateSize(t *testing.T) {
 		{SampleSize: 65, SamplesPerHyper: 1 << 16},
 		{SampleSize: 4194304/3 + 1, SamplesPerHyper: 3},
 		{SampleSize: 1 << 22}, // m defaults to 10
+		{MaxHyperSamples: 1<<16 + 1},
+		{MaxHyperSamples: 1e12},
 	} {
 		if err := c.Validate(); err == nil {
-			t.Errorf("m = %d, n = %d accepted", c.SamplesPerHyper, c.SampleSize)
+			t.Errorf("m = %d, n = %d, k ≤ %d accepted", c.SamplesPerHyper, c.SampleSize, c.MaxHyperSamples)
 		}
 	}
 	for _, c := range []Config{
 		{SampleSize: 64, SamplesPerHyper: 1 << 16},
 		{SampleSize: 4194304 / 3, SamplesPerHyper: 3},
 		{SampleSize: 1 << 22 / 10}, // m defaults to 10
+		{MaxHyperSamples: 1 << 16},
 	} {
 		if err := c.Validate(); err != nil {
-			t.Errorf("m = %d, n = %d rejected: %v", c.SamplesPerHyper, c.SampleSize, err)
+			t.Errorf("m = %d, n = %d, k ≤ %d rejected: %v", c.SamplesPerHyper, c.SampleSize, c.MaxHyperSamples, err)
 		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 func traceRecords(r Result) []HyperRecord {
 	recs := make([]HyperRecord, 0, len(r.Trace))
 	for _, hs := range r.Trace {
-		recs = append(recs, hs.Record())
+		recs = append(recs, hs.HyperRecord)
 	}
 	return recs
 }
@@ -113,32 +113,31 @@ func TestHyperRecordJSONRoundTrip(t *testing.T) {
 // corruptions a journal replay or a shard resume must never accept.
 func TestCheckpointValidateEdgeCases(t *testing.T) {
 	good := Checkpoint{
-		Estimates:   []float64{4.1, 4.3},
-		Units:       600,
-		ObservedMax: 4.0,
-		RNG:         stats.NewRNG(1).State(),
+		Records: []HyperRecord{{Estimate: 4.1, Units: 300, ObservedMax: 4.0}, {Estimate: 4.3, Units: 300, ObservedMax: 3.9}},
+		RNG:     stats.NewRNG(1).State(),
 	}
-	if err := good.Validate(); err != nil {
+	if err := good.Validate(Config{}); err != nil {
 		t.Fatalf("valid checkpoint rejected: %v", err)
 	}
 	cases := []struct {
 		name   string
 		mutate func(*Checkpoint)
 	}{
-		{"no estimates (hyper-sample 0)", func(cp *Checkpoint) { cp.Estimates = nil }},
+		{"no records (hyper-sample 0)", func(cp *Checkpoint) { cp.Records = nil }},
 		{"zero RNG state", func(cp *Checkpoint) { cp.RNG = [4]uint64{} }},
-		{"more estimates than units", func(cp *Checkpoint) { cp.Units = 1 }},
-		{"negative units", func(cp *Checkpoint) { cp.Units = -600 }},
-		{"NaN estimate", func(cp *Checkpoint) { cp.Estimates = []float64{4.1, math.NaN()} }},
-		{"Inf estimate", func(cp *Checkpoint) { cp.Estimates = []float64{math.Inf(1)} }},
-		{"NaN observed max", func(cp *Checkpoint) { cp.ObservedMax = math.NaN() }},
-		{"Inf observed max", func(cp *Checkpoint) { cp.ObservedMax = math.Inf(-1) }},
+		{"fewer units than a hyper-sample", func(cp *Checkpoint) { cp.Records[1].Units = 1 }},
+		{"negative units", func(cp *Checkpoint) { cp.Records[0].Units = -300 }},
+		{"NaN estimate", func(cp *Checkpoint) { cp.Records[1].Estimate = math.NaN() }},
+		{"Inf estimate", func(cp *Checkpoint) { cp.Records[0].Estimate = math.Inf(1) }},
+		{"NaN observed max", func(cp *Checkpoint) { cp.Records[0].ObservedMax = math.NaN() }},
+		{"Inf observed max", func(cp *Checkpoint) { cp.Records[1].ObservedMax = math.Inf(-1) }},
+		{"estimate below observed max", func(cp *Checkpoint) { cp.Records[1].Estimate = 3 }},
 	}
 	for _, tc := range cases {
 		cp := good
-		cp.Estimates = append([]float64(nil), good.Estimates...)
+		cp.Records = append([]HyperRecord(nil), good.Records...)
 		tc.mutate(&cp)
-		if err := cp.Validate(); err == nil {
+		if err := cp.Validate(Config{}); err == nil {
 			t.Errorf("%s: corrupt checkpoint accepted", tc.name)
 		}
 		// A corrupt checkpoint must also be refused at config validation,
@@ -174,7 +173,7 @@ func TestHyperRecordValidate(t *testing.T) {
 			if hs.FallbackMax != tc.fallback {
 				t.Fatalf("%+v: hyper-sample %d fell back %v, want %v", tc.cfg, i, hs.FallbackMax, tc.fallback)
 			}
-			if err := hs.Record().Validate(tc.cfg); err != nil {
+			if err := hs.HyperRecord.Validate(tc.cfg); err != nil {
 				t.Errorf("%+v: record %d of a run rejected: %v", tc.cfg, i, err)
 			}
 		}

@@ -12,10 +12,10 @@ import (
 // the returned Result.
 func TestObserverSnapshots(t *testing.T) {
 	pop := betaLikePopulation(5000, 1)
-	var snaps []Progress
+	var snaps []Result
 	est, err := New(pop, Config{
 		Epsilon:    0.02,
-		OnProgress: func(p Progress) { snaps = append(snaps, p) },
+		OnProgress: func(p Result) { snaps = append(snaps, p) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +64,7 @@ func TestObserverDoesNotPerturbRun(t *testing.T) {
 
 	calls := 0
 	observed, err := New(pop, Config{
-		OnProgress: func(Progress) { calls++ },
+		OnProgress: func(Result) { calls++ },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,7 @@
 // promises.
 //
 // Point names are plain strings, prefixed by the package that hosts the
-// seam ("service/journal-write", "vectorgen/sample-batch"), so a test can
+// seam ("service/journal-write", "fleet/shard-dispatch"), so a test can
 // target a layer without importing its internals.
 package faultpoint
 

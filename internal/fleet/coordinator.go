@@ -249,7 +249,7 @@ func shardID(jobID string, index int) string {
 // payload, forwarded verbatim to workers; cfg must carry the same
 // estimation parameters the job payload does (the coordinator folds
 // with it, the workers fit with theirs). onProgress, when non-nil,
-// receives a snapshot after every newly completed prefix shard.
+// receives the folded Result after every newly completed prefix shard.
 //
 // Shards are dispatched in plan order, at most max(capacity, prefix) of
 // them past the completed prefix, capacity being the shard-pool sizes
@@ -267,7 +267,7 @@ func shardID(jobID string, index int) string {
 // hyper-samples either. When ctx is cancelled mid-run the completed
 // prefix is folded into a partial Result (err stays nil), mirroring
 // single-node cancellation.
-func (c *Coordinator) Run(ctx context.Context, jobID string, job json.RawMessage, cfg evt.Config, plan Plan, onProgress func(evt.Progress)) (evt.Result, error) {
+func (c *Coordinator) Run(ctx context.Context, jobID string, job json.RawMessage, cfg evt.Config, plan Plan, onProgress func(evt.Result)) (evt.Result, error) {
 	if len(c.Workers) == 0 {
 		return evt.Result{}, errors.New("fleet: coordinator has no workers")
 	}
@@ -329,7 +329,7 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, job json.RawMessage
 		// A complete prefix has no gap, so the merge cannot fail.
 		res, _ := MergeShards(cfg, results[:prefix])
 		if onProgress != nil {
-			onProgress(res.Progress())
+			onProgress(res)
 		}
 		if res.Converged {
 			cancelRun()

@@ -436,7 +436,7 @@ func TestCoordinatorCancelReturnsPartial(t *testing.T) {
 	c := &fleet.Coordinator{Workers: []string{w.url()}, PollInterval: 2 * time.Millisecond}
 	ctx, cancel := context.WithCancel(context.Background())
 	var once sync.Once
-	res, err := c.Run(ctx, "job-cancel", json.RawMessage(`{}`), cfg, plan, func(evt.Progress) {
+	res, err := c.Run(ctx, "job-cancel", json.RawMessage(`{}`), cfg, plan, func(evt.Result) {
 		once.Do(cancel)
 	})
 	if err != nil {

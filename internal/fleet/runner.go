@@ -28,7 +28,7 @@ func RunShard(ctx context.Context, est *evt.Estimator, sh Shard, onHyper func(do
 		if err := ctx.Err(); err != nil {
 			return records, err
 		}
-		rec := est.HyperSample(rng).Record()
+		rec := est.HyperSample(rng).HyperRecord
 		records = append(records, rec)
 		if onHyper != nil && !onHyper(len(records), rec) {
 			break

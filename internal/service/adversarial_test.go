@@ -316,3 +316,33 @@ func TestErrorEnvelopeEverywhere(t *testing.T) {
 		})
 	}
 }
+
+// TestAdversarialShardBudget posts bodies whose job budget is past
+// evt's bound of 65,536 hyper-samples. Accepted, a shard of 10¹²
+// hyper-samples in a job of that budget, which needs no key, would run
+// until cancelled, its record slice growing all the while; and a
+// coordinator builds a plan's every shard up front, about 40 MB per 10⁶
+// budget. Both must be refused at the edge as invalid_request.
+func TestAdversarialShardBudget(t *testing.T) {
+	t.Run("shard", func(t *testing.T) {
+		srv, _ := newTestServer(t, ManagerConfig{Workers: 1})
+		body := json.RawMessage(`{"id":"budget-s0","job":{"circuit":"C432","options":{"max_hyper_samples":1000000000000}},` +
+			`"shard":{"index":0,"start":0,"count":1000000000000,"rng":[1,2,3,4]}}`)
+		code, resp := doJSON(t, http.MethodPost, srv.URL+"/v1/shards", body, nil)
+		if code == http.StatusAccepted {
+			// Stop the shard that would otherwise run without end.
+			doJSON(t, http.MethodDelete, srv.URL+"/v1/shards/budget-s0", nil, nil)
+		}
+		if code != http.StatusBadRequest || !strings.Contains(string(resp), "invalid_request") {
+			t.Fatalf("shard past the budget bound: %d %s, want 400 invalid_request", code, resp)
+		}
+	})
+	t.Run("coordinator job", func(t *testing.T) {
+		coord, _, _, _ := newFleet(t, 1, 0)
+		code, body := doJSON(t, http.MethodPost, coord.URL+"/v1/jobs",
+			JobRequest{Circuit: "C432", Options: EstimateOptions{MaxHyperSamples: 1e9}}, nil)
+		if code != http.StatusBadRequest || !strings.Contains(string(body), "invalid_request") {
+			t.Fatalf("fleet job past the budget bound: %d %s, want 400 invalid_request", code, body)
+		}
+	})
+}

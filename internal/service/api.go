@@ -144,7 +144,7 @@ func (s JobState) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
-// Progress is the wire form of the estimator's running snapshot.
+// Progress is the wire form of the estimator's running Result.
 type Progress struct {
 	HyperSamples int     `json:"hyper_samples"`
 	Estimate     float64 `json:"estimate_mw"`
@@ -263,13 +263,9 @@ type Stats struct {
 	// Fleet counters (PR 6). The Shards* trio counts this instance's
 	// worker-side shard executions; the FleetShards* trio counts
 	// coordinator-side dispatch activity (zero on pure workers).
-	// BatchFallbacks counts streaming batches that silently recovered on
-	// the scalar oracle after a batch-engine error — results unaffected,
-	// degradation visible.
 	ShardsExecuted        int64 `json:"shards_executed"`
 	ShardsFailed          int64 `json:"shards_failed"`
 	ShardsCancelled       int64 `json:"shards_cancelled"`
-	BatchFallbacks        int64 `json:"batch_fallbacks"`
 	FleetShardsDispatched int64 `json:"fleet_shards_dispatched"`
 	FleetShardsRetried    int64 `json:"fleet_shards_retried"`
 	FleetShardsCancelled  int64 `json:"fleet_shards_cancelled"`

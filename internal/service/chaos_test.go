@@ -400,26 +400,6 @@ func TestChaosPopulationBuildFailure(t *testing.T) {
 	}
 }
 
-// TestChaosBatchSimFaultDeterminism fails the batched streaming
-// simulation mid-job; the serial fallback must keep the result
-// bit-identical to an unfaulted run.
-func TestChaosBatchSimFaultDeterminism(t *testing.T) {
-	t.Cleanup(faultpoint.Reset)
-	req := JobRequest{
-		Circuit:    "C432",
-		Population: PopulationSpec{Size: 5000, Seed: 3},
-		Options:    EstimateOptions{Seed: 9, Epsilon: 0.001, MaxHyperSamples: 4},
-		Streaming:  true,
-	}
-	baseline := runOnce(t, req)
-
-	faultpoint.Arm("vectorgen/sample-batch", 2, func() error { return errors.New("batch engine fault") })
-	faulted := runOnce(t, req)
-	if kernel(faulted) != kernel(baseline) {
-		t.Errorf("serial fallback diverged from batched run:\n  faulted  %+v\n  baseline %+v", faulted, baseline)
-	}
-}
-
 // TestJobDeadline covers both deadline knobs: a per-job timeout_ms and
 // the manager-wide MaxJobDuration ceiling. A job cut off by its
 // deadline is cancelled — not failed — keeps whatever partial estimate

@@ -500,44 +500,3 @@ func TestShardAPIValidation(t *testing.T) {
 		t.Errorf("unknown shard cancel: %d, want 404", code)
 	}
 }
-
-// TestBatchFallbackCounter: satellite check — when the streaming batch
-// engine fails and the scalar oracle recovers, the degradation is
-// visible as batch_fallbacks in /v1/stats while the job still succeeds
-// with the same bits.
-func TestBatchFallbackCounter(t *testing.T) {
-	req := JobRequest{
-		Circuit:    "C432",
-		Population: PopulationSpec{Size: 2000, Seed: 5},
-		Options:    EstimateOptions{Seed: 13, Epsilon: 0.0001, MaxHyperSamples: 4, Workers: 1},
-		Streaming:  true,
-	}
-	srv, _ := newTestServer(t, ManagerConfig{Workers: 1})
-	id := submitJob(t, srv, req)
-	st := waitTerminal(t, srv, id)
-	if st.State != StateDone {
-		t.Fatalf("clean job finished %s: %s", st.State, st.Error)
-	}
-	clean := fetchResult(t, srv, id)
-	if got := serviceStats(t, srv).BatchFallbacks; got != 0 {
-		t.Fatalf("clean run counted %d batch fallbacks", got)
-	}
-
-	faultpoint.Reset()
-	t.Cleanup(faultpoint.Reset)
-	faultpoint.Arm("vectorgen/sample-batch", 0, func() error {
-		return errors.New("injected batch-engine failure")
-	})
-	id = submitJob(t, srv, req)
-	st = waitTerminal(t, srv, id)
-	if st.State != StateDone {
-		t.Fatalf("degraded job finished %s: %s", st.State, st.Error)
-	}
-	degraded := fetchResult(t, srv, id)
-	if got := serviceStats(t, srv).BatchFallbacks; got == 0 {
-		t.Error("batch fallbacks not counted in /v1/stats")
-	}
-	if clean.Estimate != degraded.Estimate || clean.Units != degraded.Units {
-		t.Errorf("scalar fallback changed the result: %+v vs %+v", clean, degraded)
-	}
-}

@@ -421,9 +421,14 @@ func (m *Manager) replay(recs []record) []*job {
 			if j == nil || rec.Checkpoint == nil {
 				continue
 			}
-			// A corrupt checkpoint would poison the resumed estimate;
-			// keep the previous good one instead.
-			if err := rec.Checkpoint.Validate(); err == nil {
+			// A checkpoint no run of this job can have written would
+			// poison the resumed estimate; keep the previous good one
+			// instead. A line written before checkpoints carried records
+			// decodes with none and fails too, so its job re-runs from
+			// the submit record, to the same bits.
+			opt := j.req.Options.toLib()
+			opt.Checkpoint = rec.Checkpoint
+			if err := opt.Validate(); err == nil {
 				j.resume = rec.Checkpoint
 			}
 		case recTerminal:
@@ -844,7 +849,6 @@ func (m *Manager) Stats() Stats {
 		ShardsExecuted:        m.counted(evShardsExecuted),
 		ShardsFailed:          m.counted(evShardsFailed),
 		ShardsCancelled:       m.counted(evShardsCancelled),
-		BatchFallbacks:        m.counted(evBatchFallbacks),
 		FleetShardsDispatched: fs.ShardsDispatched,
 		FleetShardsRetried:    fs.ShardsRetried,
 		FleetShardsCancelled:  fs.ShardsCancelled,
@@ -990,7 +994,7 @@ func (m *Manager) execute(ctx context.Context, j *job) (maxpower.Result, bool, e
 	if err != nil {
 		return maxpower.Result{}, false, err
 	}
-	opt.Progress = func(p maxpower.ProgressSnapshot) { m.recordProgress(j, p) }
+	opt.Progress = func(p maxpower.Result) { m.recordProgress(j, p) }
 	// Resume from the last journaled checkpoint when replay attached one;
 	// the estimator continues the interrupted run bit-identically.
 	opt.Checkpoint = j.resume
@@ -1010,9 +1014,9 @@ func (m *Manager) execute(ctx context.Context, j *job) (maxpower.Result, bool, e
 // it runs with. A streaming request simulates its circuit on demand: the
 // request picks its worker budget and the manager's SimWorkers is the
 // ceiling — worker count never changes the result (the batched sampling
-// seam is deterministic), so this is purely a resource-isolation knob —
-// and batch fallbacks are counted. Otherwise the request samples its
-// population, taken from the LRU or built now; hit reports a cache hit.
+// seam is deterministic), so this is purely a resource-isolation knob.
+// Otherwise the request samples its population, taken from the LRU or
+// built now; hit reports a cache hit.
 func (m *Manager) source(req JobRequest) (src maxpower.Source, opt maxpower.EstimateOptions, hit bool, err error) {
 	c, err := m.resolveCircuit(req)
 	if err != nil {
@@ -1028,7 +1032,6 @@ func (m *Manager) source(req JobRequest) (src maxpower.Source, opt maxpower.Esti
 	if budget := m.cfg.SimWorkers; budget > 0 && (opt.Workers <= 0 || opt.Workers > budget) {
 		opt.Workers = budget
 	}
-	opt.OnBatchFallback = m.noteBatchFallbacks
 	return maxpower.Stream(c, spec), opt, false, nil
 }
 
@@ -1205,9 +1208,9 @@ func (m *Manager) killForTest() {
 	}
 }
 
-// recordProgress stores the estimator snapshot on the job and fires the
-// OnProgress hook.
-func (m *Manager) recordProgress(j *job, p maxpower.ProgressSnapshot) {
+// recordProgress stores the wire form of the running Result on the job
+// and fires the OnProgress hook.
+func (m *Manager) recordProgress(j *job, p maxpower.Result) {
 	snap := Progress{
 		HyperSamples: p.HyperSamples,
 		Estimate:     finite(p.Estimate),

@@ -98,6 +98,7 @@ func FuzzJournalReplay(f *testing.F) {
 		sub2 = `{"type":"submit","job":"job-000002","time":"2026-04-01T09:00:01Z","tenant":"a","req":{"circuit":"C880","options":{"seed":2,"priority":"batch"}}}`
 		st1  = `{"type":"start","job":"job-000001","time":"2026-04-01T09:00:02Z"}`
 		cp1  = `{"type":"checkpoint","job":"job-000001","time":"2026-04-01T09:00:03Z","checkpoint":{"estimates":[1.25,1.5],"units":600,"observed_max":1.1,"rng":[1,2,3,4]}}`
+		cp2  = `{"type":"checkpoint","job":"job-000001","time":"2026-04-01T09:00:03Z","checkpoint":{"records":[{"estimate":1.25,"units":300,"observed_max":1.1},{"estimate":1.5,"units":600,"observed_max":1.5}],"rng":[1,2,3,4]}}`
 		term = `{"type":"terminal","job":"job-000001","time":"2026-04-01T09:00:04Z","state":"done","result":{"estimate":12.5,"ci_low":11.5,"ci_high":13.5,"hyper_samples":6,"units":1800,"converged":true}}`
 		ev1  = `{"type":"evict","job":"job-000001","time":"2026-04-01T09:00:05Z"}`
 	)
@@ -111,6 +112,10 @@ func FuzzJournalReplay(f *testing.F) {
 		// An evict before and after a terminal record.
 		journalLines(sub1, ev1, term, sub2),
 		journalLines(sub1, st1, term, ev1, sub2),
+		// A checkpoint of records, after one in the list form written
+		// before records, and before a terminal record.
+		journalLines(sub1, st1, cp1, cp2),
+		journalLines(sub1, st1, cp2, term),
 		// Garbage checkpoints: NaN-free but invalid, a wrong shape, junk.
 		journalLines(sub1, st1, cp1, `{"type":"checkpoint","job":"job-000001","time":"2026-04-01T09:00:03Z","checkpoint":{"estimates":[],"units":0}}`),
 		journalLines(sub1, `{"type":"checkpoint","job":"job-000001","checkpoint":{"estimates":"x","rng":[1]}}`, `{"type":"checkpoint","job":"job-000001","checkpoint":{"estimates":[1e400]}}`),

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,7 +19,7 @@ import (
 
 // TestJournalRoundTrip appends records through the journal and reads
 // them back byte-faithfully: every field a replay depends on — request,
-// checkpoint (including the exact RNG state and float64 estimates),
+// checkpoint (including the exact RNG state and float64 records),
 // terminal state and result — must survive the trip.
 func TestJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
@@ -35,12 +36,14 @@ func TestJournalRoundTrip(t *testing.T) {
 
 	req := smallJob(7)
 	cp := &evt.Checkpoint{
-		Estimates:   []float64{1.25, 1.3437500001, 1.2999999999999998},
-		Units:       900,
-		ObservedMax: 1.1875,
-		RNG:         [4]uint64{0xdeadbeef, 42, 1 << 63, 7},
-		SimNS:       12345,
-		FitNS:       678,
+		Records: []evt.HyperRecord{
+			{Estimate: 1.25, Units: 300, ObservedMax: 1.1875},
+			{Estimate: 1.3437500001, Units: 600, ObservedMax: 1.0000000000000002},
+			{Estimate: 1.2999999999999998, Units: 300, ObservedMax: 1.125},
+		},
+		RNG:   [4]uint64{0xdeadbeef, 42, 1 << 63, 7},
+		SimNS: 12345,
+		FitNS: 678,
 	}
 	res := &journalResult{Estimate: 1.31, CILow: 1.2, CIHigh: 1.42, RelErr: 0.04,
 		HyperSamples: 3, Units: 900, Converged: true, SigmaSq: 0.001, ObservedMax: 1.1875}
@@ -72,17 +75,124 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Errorf("request did not round-trip: %+v != %+v", *got[0].Req, req)
 	}
 	gcp := got[2].Checkpoint
-	if gcp == nil || gcp.RNG != cp.RNG || gcp.Units != cp.Units ||
-		gcp.ObservedMax != cp.ObservedMax || gcp.SimNS != cp.SimNS {
-		t.Errorf("checkpoint did not round-trip: %+v != %+v", gcp, cp)
+	if gcp == nil || gcp.RNG != cp.RNG || gcp.SimNS != cp.SimNS || gcp.FitNS != cp.FitNS || len(gcp.Records) != len(cp.Records) {
+		t.Fatalf("checkpoint did not round-trip: %+v != %+v", gcp, cp)
 	}
-	for i, v := range gcp.Estimates {
-		if v != cp.Estimates[i] {
-			t.Errorf("estimate %d: %v != %v (float64 must round-trip bit-exactly)", i, v, cp.Estimates[i])
+	for i, r := range gcp.Records {
+		if r != cp.Records[i] {
+			t.Errorf("record %d: %+v != %+v (float64 must round-trip bit-exactly)", i, r, cp.Records[i])
 		}
 	}
 	if *got[3].Result != *res {
 		t.Errorf("result did not round-trip: %+v != %+v", *got[3].Result, res)
+	}
+}
+
+// TestJournalCheckpointReplay replays a journal written by hand: the
+// chaos job's submit and start records and one checkpoint line. The
+// line is the job's real third checkpoint, that checkpoint in the list
+// form written before checkpoints carried records (estimates, summed
+// units, observed maximum), or it with one record no hyper-sample can
+// produce. Replay resumes from the first and drops the others, and the
+// job finishes with runOnce's bits either way: a dropped checkpoint
+// re-runs the job from its submit record, with the same seed.
+func TestJournalCheckpointReplay(t *testing.T) {
+	req := chaosJob()
+	baseline := runOnce(t, req)
+
+	// The job's real journal, from a run to the end.
+	dir := t.TempDir()
+	mgr, err := NewManager(ManagerConfig{Workers: 1, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := mgr.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitManagerTerminal(t, mgr, id)
+	shutdownManager(t, mgr)
+	recs, _, err := readRecords(filepath.Join(dir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var head []record // submit and start
+	var cps []evt.Checkpoint
+	for _, rec := range recs {
+		switch rec.Type {
+		case recSubmit, recStart:
+			head = append(head, rec)
+		case recCheckpoint:
+			cps = append(cps, *rec.Checkpoint)
+		}
+	}
+	if len(head) != 2 || len(cps) < 4 {
+		t.Fatalf("journal has %d submit/start records and %d checkpoints, want 2 and ≥ 4", len(head), len(cps))
+	}
+	cp := cps[2]
+	list := struct {
+		Estimates   []float64 `json:"estimates"`
+		Units       int       `json:"units"`
+		ObservedMax float64   `json:"observed_max"`
+		RNG         [4]uint64 `json:"rng"`
+	}{ObservedMax: math.Inf(-1), RNG: cp.RNG}
+	for _, r := range cp.Records {
+		list.Estimates = append(list.Estimates, r.Estimate)
+		list.Units += r.Units
+		list.ObservedMax = math.Max(list.ObservedMax, r.ObservedMax)
+	}
+	withRecord := func(mutate func(*evt.HyperRecord)) evt.Checkpoint {
+		bad := cp
+		bad.Records = append([]evt.HyperRecord(nil), cp.Records...)
+		mutate(&bad.Records[1])
+		return bad
+	}
+
+	for _, tc := range []struct {
+		name       string
+		checkpoint any
+		resumes    bool
+	}{
+		{"records", cp, true},
+		{"list form before records", list, false},
+		{"estimate below its observed max", withRecord(func(r *evt.HyperRecord) { r.Estimate = r.ObservedMax / 2 }), false},
+		{"units not whole attempts", withRecord(func(r *evt.HyperRecord) { r.Units++ }), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var lines []string
+			for _, v := range []any{head[0], head[1], map[string]any{"type": recCheckpoint, "job": id, "time": head[1].Time, "checkpoint": tc.checkpoint}} {
+				b, err := json.Marshal(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lines = append(lines, string(b))
+			}
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, journalName), journalLines(lines...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			mgr, err := NewManager(ManagerConfig{Workers: 1, DataDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer shutdownManager(t, mgr)
+			mgr.mu.Lock()
+			resumes := mgr.jobs[id].resume != nil
+			mgr.mu.Unlock()
+			if resumes != tc.resumes {
+				t.Errorf("replay kept the checkpoint: %v, want %v", resumes, tc.resumes)
+			}
+			if st := waitManagerTerminal(t, mgr, id); st.State != StateDone {
+				t.Fatalf("replayed job state = %s (%s), want done", st.State, st.Error)
+			}
+			res, err := mgr.Result(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if kernel(res) != kernel(baseline) {
+				t.Errorf("replayed job diverged:\n  replayed %+v\n  baseline %+v", res, baseline)
+			}
+		})
 	}
 }
 

@@ -56,14 +56,12 @@ var (
 	evRejectedShutdown = newEvent("maxpowerd_rejected_shutting_down")
 	evRejectedInvalid  = newEvent("maxpowerd_rejected_invalid")
 	evJournalErrors    = newEvent("maxpowerd_journal_errors")
-	// Fleet counters: worker-side shard executions and the streaming
-	// batch-to-scalar fallback count (results unaffected, degradation
-	// visible). Coordinator-side dispatch counters live on the
-	// per-instance /v1/stats (fleet_shards_*), fed by fleet.Coordinator.
+	// Fleet counters: worker-side shard executions. Coordinator-side
+	// dispatch counters live on the per-instance /v1/stats
+	// (fleet_shards_*), fed by fleet.Coordinator.
 	evShardsExecuted  = newEvent("maxpowerd_shards_executed")
 	evShardsFailed    = newEvent("maxpowerd_shards_failed")
 	evShardsCancelled = newEvent("maxpowerd_shards_cancelled")
-	evBatchFallbacks  = newEvent("maxpowerd_batch_fallbacks")
 	// Speculative-kernel counters: timed stripes run by the
 	// settle-then-patch executor, gate-words patched without event
 	// simulation, and stripes replayed on the scalar simulator after a

@@ -196,14 +196,6 @@ func (s *shardJob) settle(m *Manager, o outcome) *record {
 	return nil
 }
 
-// noteBatchFallbacks is the manager's OnBatchFallback sink: silent
-// batch-to-scalar degradation in streaming simulation becomes a visible
-// counter (batch_fallbacks in /v1/stats, maxpowerd_batch_fallbacks on
-// /debug/vars).
-func (m *Manager) noteBatchFallbacks(count int64, _ error) {
-	m.count(evBatchFallbacks, count)
-}
-
 // executeFleet replaces local execution when the Manager runs in
 // coordinator mode: maxpower.RunFleet shards the job by plan and fans it
 // out to the fleet, and the merged Result — bit-identical to a
@@ -218,7 +210,7 @@ func (m *Manager) executeFleet(ctx context.Context, j *job) (maxpower.Result, er
 		return maxpower.Result{}, err
 	}
 	opt := j.req.Options.toLib()
-	opt.Progress = func(p maxpower.ProgressSnapshot) { m.recordProgress(j, p) }
+	opt.Progress = func(p maxpower.Result) { m.recordProgress(j, p) }
 	return maxpower.RunFleet(ctx, m.fleetCoord, j.id, payload, opt, maxpower.DistributedOptions{ShardSize: m.cfg.ShardSize})
 }
 

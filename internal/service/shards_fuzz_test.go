@@ -70,6 +70,8 @@ func shardSeeds(f *testing.F) [][]byte {
 		`{"id":"s","job":` + string(job) + `,"shard":` + shard(1, 3, "[0,0,0,0]") + `}`,     // all-zero RNG
 		`{"id":"s","job":` + string(job) + `,"shard":` + shard(1, math.MaxInt64, rng) + `}`, // past the budget
 		`{"id":"s","job":` + string(job) + `,"shard":` + shard(1, 22, rng) + `}`,            // one past the budget
+		// A budget past evt's bound, and a shard within it.
+		`{"id":"s","job":{"circuit":"C432","options":{"max_hyper_samples":1000000000000}},"shard":` + shard(1, 1000000, rng) + `}`,
 		`{"id":"s","job":` + string(job) + `,"shard":` + valid + `} trailing`,
 		`{"id":"s","job":` + string(job) + `,"shard":` + valid + `,"extra":1}`,
 		`[]`,
@@ -87,9 +89,10 @@ func shardName(index int) string { return fmt.Sprintf("job-000001-s%d", index) }
 // workers. Every body must get 202 with the request's ID, 400 with
 // bad_json or invalid_request, or 503; none may panic. An accepted
 // shard must pass Shard.Validate and its job decodeJobRequest, lie
-// within the job's hyper-sample budget, and come back with the worker's
-// shard-pool size; the same body sent again must return the same shard
-// without enqueueing it a second time.
+// within the job's hyper-sample budget, which is at most evt's bound of
+// 65,536, and come back with the worker's shard-pool size; the same body
+// sent again must return the same shard without enqueueing it a second
+// time.
 func FuzzShardRequest(f *testing.F) {
 	for _, b := range shardSeeds(f) {
 		f.Add(b)
@@ -131,8 +134,12 @@ func FuzzShardRequest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%q: accepted a job that does not decode: %v", body, err)
 		}
-		if budget := (evt.Config{MaxHyperSamples: job.Options.MaxHyperSamples}).Defaults().MaxHyperSamples; s.shard.Start > budget || s.shard.Count > budget-s.shard.Start {
+		budget := (evt.Config{MaxHyperSamples: job.Options.MaxHyperSamples}).Defaults().MaxHyperSamples
+		if s.shard.Start > budget || s.shard.Count > budget-s.shard.Start {
 			t.Fatalf("%q: accepted shard %+v past the job's budget of %d", body, s.shard, budget)
+		}
+		if budget > 1<<16 { // evt's bound on a run's budget
+			t.Fatalf("%q: accepted a job budget of %d", body, budget)
 		}
 
 		again, resp2 := postShard(srv, body)

@@ -51,9 +51,6 @@ func TestStreamSourceBatchMatchesScalar(t *testing.T) {
 				src.Workers = workers
 				got := make([]float64, multiStripePairs)
 				src.SampleBatch(stats.NewRNG(17), got)
-				if err := src.BatchErr(); err != nil {
-					t.Fatalf("workers=%d: batch error %v", workers, err)
-				}
 				for i := range got {
 					if got[i] != want[i] {
 						t.Fatalf("workers=%d: unit %d: batch %v != scalar %v",
@@ -164,9 +161,6 @@ func TestTimedDifferentialBatchVsScalarC880(t *testing.T) {
 		src.Workers = workers
 		got := make([]float64, units)
 		src.SampleBatch(stats.NewRNG(29), got)
-		if err := src.BatchErr(); err != nil {
-			t.Fatalf("workers=%d: batch error %v", workers, err)
-		}
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d: unit %d: timed batch %v != scalar %v", workers, i, got[i], want[i])

@@ -308,14 +308,8 @@ func TestSampleBatchPackedDeterminism(t *testing.T) {
 
 		src1 := newSrc(1)
 		src1.SampleBatch(stats.NewRNG(11), w1)
-		if err := src1.BatchErr(); err != nil {
-			t.Fatalf("%s: batch error %v", m.Name(), err)
-		}
 		src8 := newSrc(8)
 		src8.SampleBatch(stats.NewRNG(11), w8)
-		if err := src8.BatchErr(); err != nil {
-			t.Fatalf("%s: batch error %v", m.Name(), err)
-		}
 		srcS := newSrc(1)
 		rng := stats.NewRNG(11)
 		for i := range scalar {
@@ -351,9 +345,6 @@ func TestSampleBatchZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state SampleBatch allocated %v objects per batch, want 0", allocs)
-	}
-	if err := src.BatchErr(); err != nil {
-		t.Fatal(err)
 	}
 }
 

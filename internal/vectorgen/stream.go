@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"repro/internal/faultpoint"
 	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -39,11 +38,9 @@ type StreamSource struct {
 	// (0 = NumCPU). It never affects results, only wall time.
 	Workers int
 
-	eng            *evalEngine     // lazily built; grows when Workers does, never shrinks
-	packed         sim.PackedPairs // reused per batch: the bit-plane batch buffer and its row scratch
-	simulated      atomic.Int64
-	batchFallbacks atomic.Int64
-	batchErr       error
+	eng       *evalEngine     // lazily built; grows when Workers does, never shrinks
+	packed    sim.PackedPairs // reused per batch: the bit-plane batch buffer and its row scratch
+	simulated atomic.Int64
 }
 
 // NewStreamSource builds an on-demand source from an evaluator and a
@@ -78,33 +75,16 @@ func (s *StreamSource) SamplePower(rng *stats.RNG) float64 {
 // in stream order into the reused bit-plane buffer, then simulate them in
 // parallel into dst. The packed batch is the pipeline's native currency,
 // so the steady-state call (built-in generator, warm buffers, Workers=1)
-// performs zero heap allocations — testing.AllocsPerRun guards it. A
-// simulation error from the batch engine is recorded (see BatchErr) and
-// the affected pairs re-evaluate on the scalar oracle, so dst is always
-// fully valid.
+// performs zero heap allocations — testing.AllocsPerRun guards it. The
+// batch engine's only errors are shape checks, and SampleBatch shapes
+// the batch itself to the width NewStreamSource and Rebind checked, so
+// an error is a bug and panics.
 func (s *StreamSource) SampleBatch(rng *stats.RNG, dst []float64) {
 	s.packed.Reset(s.gen.Inputs(), len(dst))
 	GeneratePacked(s.gen, rng, &s.packed)
 	s.simulated.Add(int64(len(dst)))
-	err := s.engine().evaluatePacked(&s.packed, dst)
-	if ferr := faultpoint.Hit("vectorgen/sample-batch"); ferr != nil {
-		err = ferr // injected batch-simulation failure (chaos tests)
-	}
-	if err != nil {
-		// Packed evaluation is bit-identical to the scalar path, so
-		// recovering serially preserves the determinism contract while the
-		// recorded error keeps the failure visible. The pairs are unpacked
-		// from the very planes the batch engine saw.
-		if s.batchErr == nil {
-			s.batchErr = err
-		}
-		s.batchFallbacks.Add(1)
-		v1 := make([]bool, s.packed.Inputs)
-		v2 := make([]bool, s.packed.Inputs)
-		for i := range dst {
-			s.packed.PairInto(i, v1, v2)
-			dst[i] = s.eval.CyclePowerMW(v1, v2)
-		}
+	if err := s.engine().evaluatePacked(&s.packed, dst); err != nil {
+		panic(err)
 	}
 }
 
@@ -120,9 +100,8 @@ func (s *StreamSource) engine() *evalEngine {
 }
 
 // Rebind prepares the source for another run with a new generator: the
-// built evaluator clones, their executors and the batch buffer are kept,
-// and the per-run error state (BatchErr, BatchFallbacks) is cleared. The
-// generator must match the circuit's input width. DeclaredSize and
+// built evaluator clones, their executors and the batch buffer are kept.
+// The generator must match the circuit's input width. DeclaredSize and
 // Workers are plain fields the caller sets alongside. Results after
 // Rebind are bit-identical to a fresh source's: the engines carry no
 // state from one batch to the next that a result depends on.
@@ -131,8 +110,6 @@ func (s *StreamSource) Rebind(gen Generator) error {
 		return err
 	}
 	s.gen = gen
-	s.batchErr = nil
-	s.batchFallbacks.Store(0)
 	return nil
 }
 
@@ -143,28 +120,16 @@ func (s *StreamSource) Size() int { return s.DeclaredSize }
 // counters summed across the batch engine's evaluator clones (zero
 // before the first timed batch). The estimator snapshots deltas around
 // each run, so sharing one source across runs attributes counts
-// correctly.
+// correctly. s.eval only seeds the clones and runs the scalar
+// SamplePower, so it has no counters of its own.
 func (s *StreamSource) SpecCounters() (stripes, patched, fallbacks uint64) {
 	var agg sim.SpecStats
 	if s.eng != nil {
 		agg = s.eng.specStats()
 	}
-	// The scalar entry point (SamplePower) and the serial fallback use
-	// s.eval directly; its counters are disjoint from the clones'.
-	agg.Add(s.eval.SpecStats())
 	return agg.Stripes, agg.PatchedWords, agg.Fallbacks
 }
 
 // Simulated returns the number of pairs simulated so far — the method's
 // real cost counter.
 func (s *StreamSource) Simulated() int64 { return s.simulated.Load() }
-
-// BatchErr returns the first simulation error the batch engine reported,
-// or nil. The affected batches were transparently re-evaluated serially,
-// so results are unaffected; the error is surfaced for observability.
-func (s *StreamSource) BatchErr() error { return s.batchErr }
-
-// BatchFallbacks returns how many batches fell back to the scalar oracle
-// after a batch-engine error. Paired with BatchErr: the error says what
-// went wrong first, the counter says how often it kept happening.
-func (s *StreamSource) BatchFallbacks() int64 { return s.batchFallbacks.Load() }

@@ -97,7 +97,7 @@ func EstimateDistributed(ctx context.Context, src Source, opt EstimateOptions, d
 			all = append(all, rec)
 			folded := evt.FoldRecords(cfg, all)
 			if opt.Progress != nil {
-				opt.Progress(folded.Progress())
+				opt.Progress(folded)
 			}
 			stopped = folded.Converged
 			return !stopped

@@ -2,10 +2,8 @@ package maxpower_test
 
 import (
 	"context"
-	"errors"
 	"testing"
 
-	"repro/internal/faultpoint"
 	"repro/internal/fleet"
 	"repro/maxpower"
 )
@@ -139,7 +137,7 @@ func TestEstimateDistributedProgressAndCancel(t *testing.T) {
 	opt := maxpower.EstimateOptions{Seed: 13, Epsilon: 0.0001, MaxHyperSamples: 12}
 	ctx, cancel := context.WithCancel(context.Background())
 	var seen []int
-	opt.Progress = func(p maxpower.ProgressSnapshot) {
+	opt.Progress = func(p maxpower.Result) {
 		seen = append(seen, p.HyperSamples)
 		if len(seen) == 5 {
 			cancel()
@@ -175,50 +173,6 @@ func TestEstimateDistributedRejectsCheckpointing(t *testing.T) {
 	coord := &fleet.Coordinator{Workers: []string{"http://127.0.0.1:0"}}
 	if _, err := maxpower.RunFleet(context.Background(), coord, "job", nil, opt, maxpower.DistributedOptions{}); err == nil || coord.Stats().ShardsDispatched != 0 {
 		t.Errorf("OnCheckpoint accepted by fleet run: err %v, %d shards dispatched", err, coord.Stats().ShardsDispatched)
-	}
-}
-
-// TestRunShardFallbackHook: a shard of a Stream source reports batch
-// fallbacks through the options hook when the batch engine is
-// sabotaged, and the scalar recovery leaves its records unchanged.
-func TestRunShardFallbackHook(t *testing.T) {
-	c, err := maxpower.Circuit("C432")
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := maxpower.Stream(c, maxpower.PopulationSpec{Size: 2000, Seed: 5, DelayModel: "zero"})
-	opt := maxpower.EstimateOptions{Seed: 13, MaxHyperSamples: 4, Workers: 1}
-	shards, err := maxpower.PlanShards(opt, maxpower.DistributedOptions{ShardSize: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	clean, err := maxpower.RunShard(context.Background(), src, opt, shards[0], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	faultpoint.Reset()
-	t.Cleanup(faultpoint.Reset)
-	faultpoint.Arm("vectorgen/sample-batch", 0, func() error {
-		return errors.New("injected batch failure")
-	})
-	var gotCount int64
-	var gotErr error
-	opt.OnBatchFallback = func(count int64, err error) { gotCount, gotErr = count, err }
-	degraded, err := maxpower.RunShard(context.Background(), src, opt, shards[0], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotCount == 0 || gotErr == nil {
-		t.Errorf("OnBatchFallback not invoked: count=%d err=%v", gotCount, gotErr)
-	}
-	if len(clean) != len(degraded) {
-		t.Fatalf("record count changed under fallback: %d vs %d", len(clean), len(degraded))
-	}
-	for i := range clean {
-		if clean[i] != degraded[i] {
-			t.Errorf("record %d changed under scalar fallback: %+v vs %+v", i, clean[i], degraded[i])
-		}
 	}
 }
 

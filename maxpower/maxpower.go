@@ -302,10 +302,11 @@ type EstimateOptions struct {
 	// is bit-identical for every worker count. Ignored for a population
 	// source, whose population is already simulated.
 	Workers int
-	// Progress, when non-nil, receives a snapshot after every completed
-	// hyper-sample. The callback runs synchronously on the estimating
-	// goroutine and never changes the result (it consumes no randomness).
-	Progress func(ProgressSnapshot)
+	// Progress, when non-nil, receives the running Result after every
+	// completed hyper-sample; see evt.Config.OnProgress. The callback runs
+	// synchronously on the estimating goroutine, consumes no randomness
+	// and must not modify Trace, so it never changes the result.
+	Progress func(Result)
 	// Checkpoint, when non-nil, resumes an interrupted run from that
 	// state instead of starting fresh: the Seed is ignored (the RNG is
 	// restored from the checkpoint) and the run continues at the next
@@ -316,13 +317,6 @@ type EstimateOptions struct {
 	// after every completed hyper-sample. Synchronous, consumes no
 	// randomness, never changes the result.
 	OnCheckpoint func(Checkpoint)
-	// OnBatchFallback, when non-nil, is called once after a streaming run
-	// whose batch engine fell back to the scalar oracle: count is how many
-	// batches recovered serially, err the first engine error. Results are
-	// unaffected (the scalar path is bit-identical); this is the
-	// observability hook services use to count silent degradation.
-	// Ignored for a population source, which never batches.
-	OnBatchFallback func(count int64, err error)
 	// Kernels, when non-nil, deduplicates compiled simulation kernels
 	// across runs: streaming estimation (and streaming shard workers)
 	// compile each (circuit, delay model) into a flat striped program
@@ -337,10 +331,6 @@ type EstimateOptions struct {
 	// population source, whose population is already simulated.
 	Kernels *KernelCache
 }
-
-// ProgressSnapshot is the running state of an estimation after a
-// hyper-sample; see evt.Progress.
-type ProgressSnapshot = evt.Progress
 
 // Validate rejects option sets whose fields fall outside their legal
 // ranges with descriptive errors. Zero values are legal (paper
@@ -366,16 +356,9 @@ func (opt EstimateOptions) Validate() error {
 	if opt.Workers < 0 {
 		return fmt.Errorf("maxpower: Workers must be non-negative (0 = NumCPU), got %d", opt.Workers)
 	}
-	// The bound on m and m·n is the estimator's own.
-	if err := opt.evtParams().Validate(); err != nil {
-		return err
-	}
-	if opt.Checkpoint != nil {
-		if err := opt.Checkpoint.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
+	// The bounds on m, m·n and k, and the checkpoint's check against
+	// them, are the estimator's own.
+	return opt.evtConfig().Validate()
 }
 
 // evtParams maps the statistical knobs onto an evt.Config, without the
@@ -465,11 +448,10 @@ type sourceTag struct {
 // runs fn on the estimator's source. A stream also validates its spec
 // and bounds its batch planes, takes an idle prepared source from
 // opt.Kernels (or builds one when there is none, or no cache), binds it
-// to this run's generator, DeclaredSize and Workers, reports batch
-// fallbacks after fn, and parks the source in the cache again. A run
-// that panics is not parked. Results are bit-identical whether the
-// source was taken or built: its engines hold no state a result depends
-// on between batches.
+// to this run's generator, DeclaredSize and Workers, and parks the
+// source in the cache again after fn. A run that panics is not parked.
+// Results are bit-identical whether the source was taken or built: its
+// engines hold no state a result depends on between batches.
 func (src Source) run(opt EstimateOptions, fn func(evt.Source) error) error {
 	if src.pop != nil {
 		if err := opt.Validate(); err != nil {
@@ -519,9 +501,6 @@ func (src Source) run(opt EstimateOptions, fn func(evt.Source) error) error {
 	s.DeclaredSize = spec.Size
 	s.Workers = opt.Workers
 	err = fn(s)
-	if n := s.BatchFallbacks(); n > 0 && opt.OnBatchFallback != nil {
-		opt.OnBatchFallback(n, s.BatchErr())
-	}
 	if opt.Kernels != nil {
 		opt.Kernels.Park(key, tag, s)
 	}

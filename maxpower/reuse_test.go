@@ -2,14 +2,12 @@ package maxpower_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"slices"
 	"sync"
 	"testing"
 
-	"repro/internal/faultpoint"
 	"repro/internal/netlist"
 	"repro/maxpower"
 )
@@ -20,33 +18,20 @@ type reuseStep struct {
 	spec  maxpower.PopulationSpec
 	opt   maxpower.EstimateOptions
 	shard int // -1 = EstimateStreaming
-	fault bool
 }
 
 // reuseOut is what a step produced; equal outs mean bit-identical runs.
 type reuseOut struct {
-	res       maxpower.Result
-	recs      []maxpower.HyperRecord
-	fallbacks int64
+	res  maxpower.Result
+	recs []maxpower.HyperRecord
 }
 
-// runStep runs one step against kernels, with the batch fault armed for
-// its first batch when the step asks for one.
+// runStep runs one step against kernels.
 func runStep(t *testing.T, c *netlist.Circuit, st reuseStep, kernels *maxpower.KernelCache) reuseOut {
 	t.Helper()
 	var out reuseOut
 	opt := st.opt
 	opt.Kernels = kernels
-	opt.OnBatchFallback = func(n int64, err error) {
-		if err == nil {
-			t.Errorf("OnBatchFallback(%d) without an error", n)
-		}
-		out.fallbacks += n
-	}
-	if st.fault {
-		faultpoint.Arm("vectorgen/sample-batch", 1, func() error { return errors.New("injected batch failure") })
-		defer faultpoint.Disarm("vectorgen/sample-batch")
-	}
 	var err error
 	if st.shard < 0 {
 		out.res, err = maxpower.EstimateStreaming(c, st.spec, opt)
@@ -76,15 +61,12 @@ func sameOut(t *testing.T, label string, got, want reuseOut) {
 		t.Fatalf("%s: %d hyper-samples, fresh source %d", label, len(got.res.Trace), len(want.res.Trace))
 	}
 	for i := range got.res.Trace {
-		if got.res.Trace[i].Record() != want.res.Trace[i].Record() {
-			t.Errorf("%s: hyper-sample %d: %+v, fresh source %+v", label, i, got.res.Trace[i].Record(), want.res.Trace[i].Record())
+		if got.res.Trace[i].HyperRecord != want.res.Trace[i].HyperRecord {
+			t.Errorf("%s: hyper-sample %d: %+v, fresh source %+v", label, i, got.res.Trace[i].HyperRecord, want.res.Trace[i].HyperRecord)
 		}
 	}
 	if !slices.Equal(got.recs, want.recs) {
 		t.Errorf("%s: shard records %v, fresh source %v", label, got.recs, want.recs)
-	}
-	if got.fallbacks != want.fallbacks {
-		t.Errorf("%s: %d batch fallbacks, fresh source %d", label, got.fallbacks, want.fallbacks)
 	}
 }
 
@@ -92,16 +74,12 @@ func sameOut(t *testing.T, label string, got, want reuseOut) {
 // shards on one kernel cache, so most calls take the source an earlier
 // call parked, and requires each to bit-match the same call on a fresh
 // cache. The sequence changes seed, nominal size, generator, delay model
-// and worker budget (1 → 4 → 1) between calls, and one call recovers from
-// an injected batch failure: OnBatchFallback must fire for that call
-// only, and the source it parks must not carry the failure into the next.
+// and worker budget (1 → 4 → 1) between calls.
 func TestStreamingSourceReuse(t *testing.T) {
 	c, err := maxpower.Circuit("C432")
 	if err != nil {
 		t.Fatal(err)
 	}
-	faultpoint.Reset()
-	t.Cleanup(faultpoint.Reset)
 	est := func(seed uint64, workers int) maxpower.EstimateOptions {
 		return maxpower.EstimateOptions{Seed: seed, Epsilon: 0.02, MaxHyperSamples: 4, Workers: workers}
 	}
@@ -110,7 +88,7 @@ func TestStreamingSourceReuse(t *testing.T) {
 		{spec: maxpower.PopulationSpec{DelayModel: "fanout", Kind: maxpower.PopUniform, Size: 20000}, opt: est(2, 1), shard: -1},
 		{spec: maxpower.PopulationSpec{DelayModel: "fanout", Size: 5000}, opt: est(3, 4), shard: 1},
 		{spec: maxpower.PopulationSpec{DelayModel: "table", Kind: maxpower.PopConstrained, Activity: 0.4}, opt: est(4, 1), shard: -1},
-		{spec: maxpower.PopulationSpec{DelayModel: "zero", Size: 5000}, opt: est(5, 4), shard: -1, fault: true},
+		{spec: maxpower.PopulationSpec{DelayModel: "zero", Size: 5000}, opt: est(5, 4), shard: -1},
 		{spec: maxpower.PopulationSpec{DelayModel: "fanout", Activity: 0.5, Skew: 2}, opt: est(6, 1), shard: -1},
 		{spec: maxpower.PopulationSpec{DelayModel: "zero"}, opt: est(7, 4), shard: 0},
 		{spec: maxpower.PopulationSpec{DelayModel: "zero"}, opt: est(1, 1), shard: -1},
@@ -122,9 +100,6 @@ func TestStreamingSourceReuse(t *testing.T) {
 		got := runStep(t, c, st, shared)
 		want := runStep(t, c, st, maxpower.NewKernelCache(4))
 		sameOut(t, label, got, want)
-		if st.fault != (got.fallbacks > 0) {
-			t.Errorf("%s: %d batch fallbacks reported, fault injected: %v", label, got.fallbacks, st.fault)
-		}
 	}
 	if ks := shared.Stats(); ks.Misses != 3 {
 		t.Errorf("shared cache compiled %d programs, want 3 (one per delay model)", ks.Misses)

@@ -154,7 +154,7 @@ func TestEstimateContextCancellation(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		opt := maxpower.EstimateOptions{
 			Seed: 2, Epsilon: 0.001, MaxHyperSamples: 500,
-			Progress: func(p maxpower.ProgressSnapshot) {
+			Progress: func(p maxpower.Result) {
 				if p.HyperSamples == 3 {
 					cancel()
 				}
