@@ -2,6 +2,7 @@ package power
 
 import (
 	"repro/internal/bdd"
+	"repro/internal/delay"
 	"repro/internal/netlist"
 )
 
@@ -10,26 +11,26 @@ import (
 // BDD-based maximum-toggle engine (the Boolean-manipulation approach of
 // Devadas et al. [1]). It serves as a ground-truth oracle for validating
 // the statistical estimator; circuits with more than bdd.MaxExactInputs
-// inputs are rejected.
+// inputs are rejected, and so are params Validate rejects.
 //
 // Under zero delay every gate toggles at most once per cycle, so the
-// glitch-swing weighting is irrelevant and the per-gate weight is the
-// full ½·Vdd²·C·(1+sc) toggle energy.
+// glitch-swing weighting is irrelevant. The engine maximizes the sum of
+// the evaluator's integer weights, each gate's load in quanta, which
+// float64 adds exactly in any order, and the result converts to mW
+// through the evaluator's own formula: it has the bits of the same
+// cycle's power on every evaluator path.
 func ExactZeroDelayMaxMW(c *netlist.Circuit, p Params) (float64, bdd.ExactResult, error) {
-	if p == (Params{}) {
-		p = Defaults()
+	if err := p.Validate(); err != nil {
+		return 0, bdd.ExactResult{}, err
 	}
-	caps := NodeCapsF(c, p)
-	k := 0.5 * p.Vdd * p.Vdd * (1 + p.SCFraction) * 1e-15
-	weights := make([]float64, len(caps))
-	for i, cf := range caps {
-		weights[i] = k * cf
+	e := NewEvaluator(c, delay.Zero{}, p)
+	weights := make([]float64, len(e.weights))
+	for g, q := range e.weights {
+		weights[g] = float64(q)
 	}
 	res, err := bdd.ExactMaxToggle(c, weights)
 	if err != nil {
 		return 0, bdd.ExactResult{}, err
 	}
-	leakW := p.LeakNW * 1e-9 * float64(c.NumLogicGates())
-	clockS := p.ClockNS * 1e-9
-	return (res.MaxWeight/clockS + leakW) * 1e3, res, nil
+	return e.mw(int64(res.MaxWeight), 0), res, nil
 }

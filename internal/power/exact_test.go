@@ -12,8 +12,9 @@ import (
 
 // TestExactZeroDelayMaxMWAgainstExhaustive enumerates every vector pair
 // of small random circuits under zero delay and requires the largest
-// power to equal ExactZeroDelayMaxMW, the BDD oracle, which shares no
-// code with the simulators. Every case enumerates through
+// power to have the bits of ExactZeroDelayMaxMW, the BDD oracle, which
+// shares no simulation code with the evaluator, only its integer weights
+// and its conversion to mW. Every case enumerates through
 // BatchMWPacked, so the compiled kernel and the energy fold are checked
 // against the oracle; the 6-input case also enumerates through the
 // scalar CyclePowerMW. MaxFan 4 runs the settle walk's path for gates
@@ -41,7 +42,7 @@ func TestExactZeroDelayMaxMWAgainstExhaustive(t *testing.T) {
 			eval := NewEvaluator(c, delay.Zero{}, Params{})
 			check := func(path string, best float64) {
 				t.Helper()
-				if math.Abs(exact-best) > 1e-9*(1+best) {
+				if math.Float64bits(exact) != math.Float64bits(best) {
 					t.Fatalf("exact %v vs exhaustive %v through %s", exact, best, path)
 				}
 			}
@@ -61,7 +62,7 @@ func TestExactZeroDelayMaxMWAgainstExhaustive(t *testing.T) {
 				}
 				check("CyclePowerMW", best)
 			}
-			if p := eval.CyclePowerMW(res.V1, res.V2); math.Abs(p-exact) > 1e-9*(1+exact) {
+			if p := eval.CyclePowerMW(res.V1, res.V2); math.Float64bits(p) != math.Float64bits(exact) {
 				t.Errorf("witness power %v != exact %v", p, exact)
 			}
 		})

@@ -21,40 +21,50 @@ func logFold(tb testing.TB) {
 	tb.Log("stripeMW fold: Go; skipping the AVX-512 half: this host lacks AVX-512F and AVX-512BW")
 }
 
-// runFolds folds r with the Go fold and, where the host has AVX-512,
-// with the assembly one, and fails unless the two sums agree bit for bit
-// in every lane. It returns the Go fold's sums.
-func runFolds(t *testing.T, e *Evaluator, r *sim.StripedResult, what string) []float64 {
+// runFolds folds every mask plane of r, Any and each count plane, with
+// the Go fold and, where the host has AVX-512, with the assembly one,
+// and fails unless the two agree in every lane. It also fails on a lane
+// past lanes that sums anything: those lanes never toggle.
+func runFolds(t *testing.T, weights []int32, r *sim.StripedResult, lanes int, what string) {
 	t.Helper()
-	goAcc := make([]float64, r.AW*64)
-	e.foldGo(r, goAcc)
-	if !haveAVX512 {
-		return goAcc
+	planes := [][]uint64{r.Any}
+	for l := range r.Levels() {
+		planes = append(planes, r.CountPlane(l))
 	}
-	simdAcc := make([]float64, r.AW*64)
-	e.foldAVX512(r, simdAcc)
-	for l := range goAcc {
-		if math.Float64bits(simdAcc[l]) != math.Float64bits(goAcc[l]) {
-			t.Fatalf("%s lane %d: AVX-512 fold %v (%#x), Go fold %v (%#x)", what, l,
-				simdAcc[l], math.Float64bits(simdAcc[l]), goAcc[l], math.Float64bits(goAcc[l]))
+	goAcc := make([]int32, r.AW*64)
+	simdAcc := make([]int32, r.AW*64)
+	for l, masks := range planes {
+		foldGo(goAcc, weights, masks, r.AW)
+		for i := lanes; i < len(goAcc); i++ {
+			if goAcc[i] != 0 {
+				t.Fatalf("%s plane %d: inert lane %d folded %d", what, l, i, goAcc[i])
+			}
+		}
+		if !haveAVX512 {
+			continue
+		}
+		foldSIMD(simdAcc, weights, masks, r.AW)
+		for i := range goAcc {
+			if simdAcc[i] != goAcc[i] {
+				t.Fatalf("%s plane %d lane %d: AVX-512 fold %d, Go fold %d", what, l, i, simdAcc[i], goAcc[i])
+			}
 		}
 	}
-	return goAcc
 }
 
 // TestStripeFoldDifferential compares the AVX-512 fold with the Go fold
-// on every lane, and both (through stripeMW's dispatch) with per-pair
-// CyclePowerMW, bit for bit, on stripes from the production speculative
-// engine: five ISCAS circuits under zero, unit, fanout and table delay,
-// stripes of 1 to 8 active words, every one but the first with a ragged
-// last word. The timed rows reach overflow lanes (count ≥ 4), so the
-// kernel's early returns and resumes run too. On hosts without AVX-512
-// only the Go half runs.
+// on every lane of every mask plane, and stripeMW's powers with
+// per-pair CyclePowerMW, bit for bit, on stripes from the production
+// speculative engine: five ISCAS circuits under zero, unit, fanout and
+// table delay, stripes of 1 to 8 active words, every one but the first
+// with a ragged last word. The timed rows reach counts of 4 and more, so
+// deep count planes are folded too. On hosts without AVX-512 only the Go
+// half runs.
 func TestStripeFoldDifferential(t *testing.T) {
 	logFold(t)
 	const maxPairs = 8 * 64
 	models := []delay.Model{delay.Zero{}, delay.Unit{}, delay.FanoutLoaded{}, delay.StandardTable()}
-	overflowWords := 0
+	deep := 0
 	for _, name := range []string{"C432", "C880", "C3540", "C6288", "C7552"} {
 		c := bench.MustGenerate(name)
 		nIn := c.NumInputs()
@@ -66,7 +76,7 @@ func TestStripeFoldDifferential(t *testing.T) {
 		}
 		for _, m := range models {
 			e := NewEvaluator(c, m, Params{})
-			e.acc = make([]float64, maxPairs)
+			e.acc, e.n = make([]int32, 2*maxPairs), make([]int64, maxPairs)
 			sp := sim.NewSpeculative(e.program())
 			// The scalar oracle checks every third pair and each batch's
 			// last one; the two folds are compared on every lane.
@@ -91,48 +101,36 @@ func TestStripeFoldDifferential(t *testing.T) {
 					t.Fatalf("%d pairs ran at %d words, want %d", n, r.AW, aw)
 				}
 				what := name + "/" + m.Name()
-				acc := runFolds(t, e, r, what)
+				runFolds(t, e.weights, r, n, what)
 				out := make([]float64, n)
 				e.stripeMW(r, out)
 				for i := 0; i < n; i++ {
 					if i%3 != 0 && i != n-1 {
 						continue
 					}
-					w := want(i)
-					if got := (acc[i]/e.clockS + e.leakW) * 1e3; got != w {
-						t.Fatalf("%s aw %d pair %d: fold %v, CyclePowerMW %v", what, aw, i, got, w)
-					}
-					if out[i] != w {
+					if w := want(i); math.Float64bits(out[i]) != math.Float64bits(w) {
 						t.Fatalf("%s aw %d pair %d: stripeMW %v, CyclePowerMW %v", what, aw, i, out[i], w)
 					}
 				}
-				for l := n; l < aw*64; l++ {
-					if acc[l] != 0 {
-						t.Fatalf("%s aw %d: inert lane %d folded %v", what, aw, l, acc[l])
-					}
-				}
-				if _, ov := r.CountPlanes(); ov != nil {
-					for _, w := range ov[:r.NSlots*aw] {
-						if w != 0 {
-							overflowWords++
-						}
-					}
+				if r.Levels() > 2 {
+					deep++
 				}
 			}
 		}
 	}
-	if overflowWords == 0 {
-		t.Fatal("no word had an overflow lane: the fold's resume path went untested")
+	if deep == 0 {
+		t.Fatal("no stripe reached a count of 4: the deep count planes went unfolded")
 	}
-	t.Logf("%d words with overflow lanes", overflowWords)
+	t.Logf("%d stripes with deep count planes", deep)
 }
 
-// FuzzStripeFold compares the two folds and the scalar energy sum on
-// synthetic stripes: 1–8 words, up to 48 slots, per-lane toggle counts
-// up to 15 (so multi ⊆ any and ov ⊆ multi by construction, and the
-// kernel returns at overflow words and resumes), random non-negative
-// slot energies and glitch weights. Zero-delay stripes take counts of 0
-// and 1 alone.
+// FuzzStripeFold compares the two folds, stripeMW and the scalar
+// powerOf on synthetic stripes: 1–8 words, up to 48 slots, per-lane
+// toggle counts up to 255, so up to eight count planes are folded, and
+// random weights, glitch weights and leakage. Some weight draws sum to
+// just under maxLaneSum, where a lane with every slot toggled would wrap
+// if any fold summed past int32. Zero-delay stripes take counts of 0 and
+// 1 alone.
 func FuzzStripeFold(f *testing.F) {
 	logFold(f)
 	for i, seed := range []uint64{1, 2, 3, 42, 1 << 40, 99, 12345, 7} {
@@ -144,7 +142,7 @@ func FuzzStripeFold(f *testing.F) {
 		nslots := 1 + int(shape/8)%48
 		zero := density&1 != 0
 		// Lanes toggle with probability 1/2ⁱ for a density-picked i, and a
-		// toggling lane counts 1–15 with weights falling off from 1.
+		// toggling lane counts 1–255, most often a few, sometimes deep.
 		sparse := uint(density>>1) % 6
 		counts := make([][64]uint8, nslots*aw)
 		for i := range counts {
@@ -154,35 +152,43 @@ func FuzzStripeFold(f *testing.F) {
 				}
 				c := uint8(1)
 				if !zero {
-					c += uint8(geometric(rng, 14))
+					if rng.Uint64()%16 == 0 {
+						c = uint8(1 + rng.Uint64()%255)
+					} else {
+						c += uint8(geometric(rng, 14))
+					}
 				}
 				counts[i][l] = c
 			}
 		}
 		r := sim.NewStripedResult(aw, counts, zero)
-		energy := make([]float64, nslots)
-		for s := range energy {
-			switch scale % 5 {
+		weights := make([]int32, nslots)
+		for s := range weights {
+			switch scale % 3 {
 			case 0:
-				energy[s] = rng.Float64() * 1e-13
+				weights[s] = int32(rng.Uint64() % 2048)
 			case 1:
-				energy[s] = math.Ldexp(rng.Float64(), -1074+int(rng.Uint64()%64)) // subnormal
-			case 2:
-				energy[s] = math.Ldexp(rng.Float64(), int(rng.Uint64()%2048)-1074)
-			case 3:
-				energy[s] = float64(rng.Uint64() % 4)
+				weights[s] = int32(rng.Uint64() % 4)
 			default:
-				energy[s] = math.MaxFloat64 * rng.Float64() // sums overflow to +Inf
+				weights[s] = int32(maxLaneSum/nslots - int(rng.Uint64()%8))
 			}
 		}
-		glitch := float64(scale)/255 + 1e-3
-		e := &Evaluator{glitch: min(glitch, 1), energyW: energy}
-		acc := runFolds(t, e, r, "fuzz")
+		e := &Evaluator{
+			weights: weights,
+			unitW:   1e-6 * float64(1+scale),
+			leakW:   float64(scale%4) * 1e-7,
+			glitch:  min(float64(scale)/255+1e-3, 1),
+			acc:     make([]int32, 2*aw*64),
+			n:       make([]int64, aw*64),
+		}
+		runFolds(t, weights, r, aw*64, "fuzz")
+		out := make([]float64, aw*64)
+		e.stripeMW(r, out)
 		toggles := make([]int32, nslots)
-		for l := 0; l < aw*64; l++ {
+		for l := range out {
 			toggles = r.Toggles(l/64, l%64, toggles)
-			if want := e.energyOf(toggles); math.Float64bits(acc[l]) != math.Float64bits(want) {
-				t.Fatalf("lane %d: fold %v, energyOf %v", l, acc[l], want)
+			if want := e.powerOf(toggles); math.Float64bits(out[l]) != math.Float64bits(want) {
+				t.Fatalf("lane %d: stripeMW %v, powerOf %v", l, out[l], want)
 			}
 		}
 	})
@@ -197,9 +203,9 @@ func geometric(rng *stats.RNG, limit int) int {
 	return n
 }
 
-// BenchmarkStripeFold times the two folds alone on one 300-pair stripe
-// (the estimator's hyper-sample) of the wide zero-delay and the timed
-// benchmark workloads.
+// BenchmarkStripeFold times the two folds alone, over Any and every
+// count plane, on one 300-pair stripe (the estimator's hyper-sample) of
+// the wide zero-delay and the timed benchmark workloads.
 func BenchmarkStripeFold(b *testing.B) {
 	for _, w := range []struct {
 		circuit string
@@ -214,18 +220,20 @@ func BenchmarkStripeFold(b *testing.B) {
 			pp.SetPair(i, kernelPattern(c.NumInputs(), uint64(7*i+1)), kernelPattern(c.NumInputs(), uint64(7*i+4)))
 		}
 		r := sim.NewSpeculative(e.program()).Run(&pp, 0)
-		acc := make([]float64, r.AW*64)
-		run := func(name string, fold func(*sim.StripedResult, []float64)) {
+		acc := make([]int32, r.AW*64)
+		run := func(name string, fold func(acc, weights []int32, masks []uint64, aw int)) {
 			b.Run(w.circuit+"/"+w.model.Name()+"/"+name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					clear(acc)
-					fold(r, acc)
+					fold(acc, e.weights, r.Any, r.AW)
+					for l := range r.Levels() {
+						fold(acc, e.weights, r.CountPlane(l), r.AW)
+					}
 				}
 			})
 		}
-		run("go", e.foldGo)
+		run("go", foldGo)
 		if haveAVX512 {
-			run("avx512", e.foldAVX512)
+			run("avx512", foldSIMD)
 		}
 	}
 }

@@ -15,11 +15,17 @@
 // are not calibrated to the paper's 0.35 µm testbed — only the shape of
 // the induced distribution matters to the estimator (see DESIGN.md).
 //
+// Each gate's load is a whole number q_g of capacitance quanta
+// (quantize), so a cycle's energy is one quantum's times
+// A + s·(N − A), with A = Σ q_g over the gates that toggled and
+// N = Σ q_g·n_g: two exact integers, whatever order they are summed in.
+//
 // An Evaluator computes single pairs on the scalar sim.Simulator, the
 // oracle, and packed batches on the circuit's compiled sim.Program run by
 // the sim.Speculative executor, folding each stripe's toggle planes into
-// energies in gate order. The two paths give bit-identical powers on
-// every delay model.
+// A and N in integer lanes. Both paths, and the BDD oracle
+// ExactZeroDelayMaxMW, turn the two integers into mW through one formula,
+// so they give bit-identical powers on every delay model.
 package power
 
 import (
@@ -67,11 +73,16 @@ func Defaults() Params {
 	}
 }
 
+// maxCapF bounds each capacitance constant (fF), far above any real
+// node, so that every load and the sum of every circuit's loads are
+// finite and quantize can always find a quantum that fits them.
+const maxCapF = 1e12
+
 // Validate reports whether NewEvaluator accepts p: the zero value, which
 // selects Defaults, or constants that are all finite, with a positive
-// supply voltage and clock period and no negative capacitance,
-// short-circuit fraction, leakage or glitch swing. Anything else would
-// give non-finite or meaningless powers.
+// supply voltage and clock period, capacitances from 0 to maxCapF and no
+// negative short-circuit fraction, leakage or glitch swing. Anything
+// else would give non-finite or meaningless powers.
 func (p Params) Validate() error {
 	if p == (Params{}) {
 		return nil
@@ -89,7 +100,59 @@ func (p Params) Validate() error {
 		p.SCFraction < 0 || p.LeakNW < 0 || p.GlitchSwing < 0 {
 		return fmt.Errorf("power: capacitances, SCFraction, LeakNW and GlitchSwing must not be negative, got %+v", p)
 	}
+	if max(p.IntrinsicF, p.InputCapF, p.WireCapF, p.PadCapF) > maxCapF {
+		return fmt.Errorf("power: capacitances must be at most %g fF, got %+v", float64(maxCapF), p)
+	}
 	return nil
+}
+
+// maxLaneSum bounds the sum of a circuit's weights, the most any lane of
+// a fold can reach: the AVX-512 kernel adds in int32 lanes.
+const maxLaneSum = math.MaxInt32
+
+// quantize expresses every load in whole quanta of quantumF fF, the
+// integer weights all power paths sum. The quantum is 0.2·10⁻ʲ fF for the
+// smallest j ≥ 0 at which every load is whole (to 1e-9 relative), so the
+// weights are exact: under Defaults, j = 0 on every ISCAS circuit. Loads
+// that are whole on no quantum up to 0.2·10⁻¹² fF, or whose exact weights
+// would sum past maxLaneSum, round once to the finest quantum whose
+// weights fit, which is coarser than 0.2 fF only when even those
+// overflow; DESIGN.md §15 records what that rounding moves.
+func quantize(caps []float64) (quantumF float64, weights []int32) {
+	quantum := func(j int) float64 {
+		if j < 0 {
+			return 0.2 * math.Pow10(-j)
+		}
+		return 2 / math.Pow10(j+1)
+	}
+	whole := func(j int) bool {
+		for _, c := range caps {
+			n := c / quantum(j)
+			if math.Abs(n-math.Round(n)) > 1e-9*n {
+				return false
+			}
+		}
+		return true
+	}
+	fits := func(j int) bool {
+		var sum float64
+		for _, c := range caps {
+			sum += math.Round(c / quantum(j))
+		}
+		return sum <= maxLaneSum
+	}
+	j := 0
+	for j < 12 && !whole(j) && fits(j+1) {
+		j++
+	}
+	for !fits(j) {
+		j--
+	}
+	weights = make([]int32, len(caps))
+	for g, c := range caps {
+		weights[g] = int32(math.Round(c / quantum(j)))
+	}
+	return quantum(j), weights
 }
 
 // kindCapScale makes complex gates heavier, echoing transistor counts.
@@ -149,22 +212,22 @@ func NodeCapsF(c *netlist.Circuit, p Params) []float64 {
 // each worker an independent instance.
 type Evaluator struct {
 	simulator *sim.Simulator
-	// energyW[g] = ½·Vdd²·C_g·(1+sc), in joules per toggle (C in farads).
-	energyW []float64
-	leakW   float64 // total leakage power, watts
-	clockS  float64 // clock period, seconds
-	glitch  float64 // per-extra-toggle energy scale (partial swing)
+	weights   []int32 // weights[g]: gate g's load in quanta (quantize)
+	unitW     float64 // ½·Vdd²·quantum·(1+sc) per clock period, watts
+	leakW     float64 // total leakage power, watts
+	glitch    float64 // per-extra-toggle energy scale (partial swing)
 
 	// The compiled program is immutable and shared across clones and,
 	// through the cache when one is attached, across evaluators for the
 	// same (circuit, delay model). It is resolved on first batch use or
-	// at the first Clone; its slot s is gate s, so the folds read energyW
-	// directly. acc (the stripe-sized energy accumulator of stripeMW) and
-	// spec (the executor) are per-instance run state, built lazily.
+	// at the first Clone; its slot s is gate s, so the folds read weights
+	// directly. acc and n (stripeMW's lane sums) and spec (the executor)
+	// are per-instance run state, built lazily.
 	kernels   *sim.ProgramCache
 	kernelKey string
 	prog      *sim.Program
-	acc       []float64
+	acc       []int32
+	n         []int64
 	spec      *sim.Speculative
 }
 
@@ -179,12 +242,7 @@ func NewEvaluator(c *netlist.Circuit, m delay.Model, p Params) *Evaluator {
 	if p == (Params{}) {
 		p = Defaults()
 	}
-	caps := NodeCapsF(c, p)
-	energy := make([]float64, len(caps))
-	k := 0.5 * p.Vdd * p.Vdd * (1 + p.SCFraction) * 1e-15 // fF → F
-	for i, cf := range caps {
-		energy[i] = k * cf
-	}
+	quantumF, weights := quantize(NodeCapsF(c, p))
 	glitch := p.GlitchSwing
 	if glitch == 0 {
 		glitch = Defaults().GlitchSwing
@@ -194,9 +252,9 @@ func NewEvaluator(c *netlist.Circuit, m delay.Model, p Params) *Evaluator {
 	}
 	return &Evaluator{
 		simulator: sim.New(c, m),
-		energyW:   energy,
+		weights:   weights,
+		unitW:     0.5 * p.Vdd * p.Vdd * quantumF * 1e-15 * (1 + p.SCFraction) / (p.ClockNS * 1e-9),
 		leakW:     p.LeakNW * 1e-9 * float64(c.NumLogicGates()),
-		clockS:    p.ClockNS * 1e-9,
 		glitch:    glitch,
 	}
 }
@@ -210,9 +268,9 @@ func (e *Evaluator) Clone() *Evaluator {
 	e.program()
 	return &Evaluator{
 		simulator: e.simulator.Clone(),
-		energyW:   e.energyW,
+		weights:   e.weights,
+		unitW:     e.unitW,
 		leakW:     e.leakW,
-		clockS:    e.clockS,
 		glitch:    e.glitch,
 		kernels:   e.kernels,
 		kernelKey: e.kernelKey,
@@ -273,34 +331,41 @@ func (e *Evaluator) StripeWords() int { return e.program().StripeWords() }
 // Circuit returns the evaluated circuit.
 func (e *Evaluator) Circuit() *netlist.Circuit { return e.simulator.Circuit() }
 
-// CyclePowerW returns the cycle power in watts for the vector pair
-// (v1, v2): settle at v1, apply v2, average dissipation over one clock.
-func (e *Evaluator) CyclePowerW(v1, v2 []bool) float64 {
-	// res.Toggles aliases simulator scratch; it is consumed before the
-	// next RunCycle, so no defensive copy is needed.
-	res := e.simulator.RunCycle(v1, v2)
-	return e.energyOf(res.Toggles)/e.clockS + e.leakW
+// CyclePowerMW returns the cycle power in milliwatts, the unit of the
+// paper's Table 2, for the vector pair (v1, v2): settle at v1, apply v2,
+// average dissipation over one clock.
+func (e *Evaluator) CyclePowerMW(v1, v2 []bool) float64 {
+	// Toggles aliases simulator scratch; it is consumed before the next
+	// RunCycle, so no defensive copy is needed.
+	return e.powerOf(e.simulator.RunCycle(v1, v2).Toggles)
 }
 
-// energyOf converts per-gate toggle counts to joules: a gate's first
+// CyclePowerW returns CyclePowerMW in watts.
+func (e *Evaluator) CyclePowerW(v1, v2 []bool) float64 {
+	return e.CyclePowerMW(v1, v2) / 1e3
+}
+
+// powerOf converts per-gate toggle counts to mW: a gate's first
 // transition is a full C·V² event, further transitions (hazard pulses)
 // count at the partial GlitchSwing weight.
-func (e *Evaluator) energyOf(toggles []int32) float64 {
-	var energy float64
-	for g, n := range toggles {
-		if n == 0 {
-			continue
+func (e *Evaluator) powerOf(toggles []int32) float64 {
+	var a, n int64
+	for g, c := range toggles {
+		if c != 0 {
+			a += int64(e.weights[g])
+			n += int64(e.weights[g]) * int64(c)
 		}
-		eff := 1 + e.glitch*float64(n-1)
-		energy += eff * e.energyW[g]
 	}
-	return energy
+	return e.mw(a, n-a)
 }
 
-// CyclePowerMW returns CyclePowerW scaled to milliwatts, the unit of the
-// paper's Table 2.
-func (e *Evaluator) CyclePowerMW(v1, v2 []bool) float64 {
-	return e.CyclePowerW(v1, v2) * 1e3
+// mw turns a cycle's integer energy into power (mW): a quanta at full
+// swing, one toggle of each gate that toggled, and g quanta at the
+// partial glitch swing, the toggles after each gate's first. Every power
+// path ends here, so equal integers give equal bits, whatever
+// multiply-adds the compiler fuses.
+func (e *Evaluator) mw(a, g int64) float64 {
+	return (e.unitW*(float64(a)+e.glitch*float64(g)) + e.leakW) * 1e3
 }
 
 // BatchMWPacked evaluates a whole packed batch — any number of pairs, one
@@ -341,8 +406,9 @@ func (e *Evaluator) PackedStripeMW(pp *sim.PackedPairs, stripe int, out []float6
 	if stripe < 0 || lanes <= 0 || len(out) != lanes {
 		return fmt.Errorf("power: %d power slots for stripe %d of %d packed pairs", len(out), stripe, pp.N)
 	}
-	if len(e.acc) < sl {
-		e.acc = make([]float64, sl)
+	if len(e.n) < sl {
+		e.acc = make([]int32, 2*sl)
+		e.n = make([]int64, sl)
 	}
 	if e.spec == nil {
 		e.spec = sim.NewSpeculative(p)
@@ -351,22 +417,30 @@ func (e *Evaluator) PackedStripeMW(pp *sim.PackedPairs, stripe int, out []float6
 	return nil
 }
 
-// stripeMW folds a striped result into lane powers (mW): the energy
-// sums build up in the stripe-sized acc, through the AVX-512 kernels
-// where the host has them and foldGo elsewhere (the two are
-// bit-identical), and are scaled into out in one loop. Lanes past the
-// batch never toggle (their planes are zero) and are simply not copied
-// out.
+// stripeMW folds a striped result into lane powers (mW): A from Any,
+// and N as Σ_l 2^l times the fold of count plane l, so every int32 lane
+// sum stays within the weights' bound and N, in int64, cannot wrap. A
+// zero-delay result has no count planes: each gate toggles at most once,
+// and N = A. Lanes past the batch are not copied out.
 func (e *Evaluator) stripeMW(r *sim.StripedResult, out []float64) {
-	acc := e.acc[:r.AW*64]
-	clear(acc)
-	if haveAVX512 {
-		e.foldAVX512(r, acc)
-	} else {
-		e.foldGo(r, acc)
+	lanes := r.AW * 64
+	a, p, n := e.acc[:lanes], e.acc[lanes:2*lanes], e.n[:lanes]
+	fold(a, e.weights, r.Any, r.AW)
+	if r.Levels() == 0 {
+		for i := range out {
+			out[i] = e.mw(int64(a[i]), 0)
+		}
+		return
+	}
+	clear(n)
+	for l := range r.Levels() {
+		fold(p, e.weights, r.CountPlane(l), r.AW)
+		for i, v := range p {
+			n[i] += int64(v) << l
+		}
 	}
 	for i := range out {
-		out[i] = (acc[i]/e.clockS + e.leakW) * 1e3
+		out[i] = e.mw(int64(a[i]), n[i]-int64(a[i]))
 	}
 }
 
@@ -375,5 +449,5 @@ func (e *Evaluator) stripeMW(r *sim.StripedResult, out []float64) {
 // path-delay example uses SettleTime as its random variable).
 func (e *Evaluator) CycleDetail(v1, v2 []bool) (powerW float64, settlePS int64, events int) {
 	res := e.simulator.RunCycle(v1, v2)
-	return e.energyOf(res.Toggles)/e.clockS + e.leakW, res.SettleTime, res.Events
+	return e.powerOf(res.Toggles) / 1e3, res.SettleTime, res.Events
 }

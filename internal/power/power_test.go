@@ -8,6 +8,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/delay"
 	"repro/internal/netlist"
+	"repro/internal/sim"
 )
 
 func invChain(t *testing.T, n int) *netlist.Circuit {
@@ -220,6 +221,9 @@ func TestParamsValidate(t *testing.T) {
 		func(p *Params) { p.LeakNW = -5 },
 		func(p *Params) { p.GlitchSwing = -3 },
 		func(p *Params) { p.GlitchSwing = -5e-324 },
+		// Above maxCapF a circuit's loads could sum to +Inf, with no
+		// quantum to express them in.
+		func(p *Params) { p.PadCapF = 2e12 },
 	} {
 		p := Defaults()
 		set(&p)
@@ -231,6 +235,74 @@ func TestParamsValidate(t *testing.T) {
 		} else if !strings.HasPrefix(err.Error(), "power: ") {
 			t.Errorf("params %d: error %q lacks the package prefix", i, err)
 		}
+	}
+}
+
+// TestQuantize checks the integer weights every power path sums. Under
+// Defaults each ISCAS load is a whole number of 0.2-fF quanta. Loads on
+// a finer grid take the coarsest quantum they are whole on. Loads whose
+// weights would sum past maxLaneSum, here with 1.6e9-fF pads, take a
+// coarser quantum instead of wrapping: each weight is its load rounded
+// once and the weights sum within the bound. A timed stripe then still
+// folds to CyclePowerMW's bits, though its glitching pads take some
+// lanes' N past int32.
+func TestQuantize(t *testing.T) {
+	check := func(what string, c *netlist.Circuit, p Params, wantQuantum float64, exact bool) *Evaluator {
+		t.Helper()
+		caps := NodeCapsF(c, p)
+		quantumF, weights := quantize(caps)
+		if quantumF != wantQuantum {
+			t.Fatalf("%s: quantum %v fF, want %v", what, quantumF, wantQuantum)
+		}
+		var sum int64
+		for g, w := range weights {
+			sum += int64(w)
+			off := math.Abs(float64(w) - caps[g]/quantumF)
+			if off > 0.5 || exact && off > 1e-9*caps[g]/quantumF {
+				t.Fatalf("%s: gate %d load %v fF is %d quanta of %v fF", what, g, caps[g], w, quantumF)
+			}
+		}
+		if sum > maxLaneSum {
+			t.Fatalf("%s: weights sum to %d, past the int32 lanes' %d", what, sum, maxLaneSum)
+		}
+		t.Logf("%s: %v-fF quanta, weights sum to %d", what, quantumF, sum)
+		return NewEvaluator(c, delay.FanoutLoaded{}, p)
+	}
+	for _, name := range bench.Names() {
+		check(name, bench.MustGenerate(name), Defaults(), 0.2, true)
+	}
+	c := bench.MustGenerate("C880")
+	fine := Defaults()
+	fine.IntrinsicF, fine.PadCapF = 4.1, 40.1 // 1.1 × 4.1 = 4.51 fF
+	check("C880 on a 0.01-fF grid", c, fine, 0.002, true)
+	huge := Defaults()
+	huge.PadCapF = 1.6e9
+	e := check("C880 with 1.6e9-fF pads", c, huge, 20, false)
+	const n = 300
+	var pp sim.PackedPairs
+	pp.Reset(c.NumInputs(), n)
+	v1s, v2s := make([][]bool, n), make([][]bool, n)
+	for i := range v1s {
+		v1s[i], v2s[i] = kernelPattern(c.NumInputs(), uint64(5*i+1)), kernelPattern(c.NumInputs(), uint64(5*i+3))
+		pp.SetPair(i, v1s[i], v2s[i])
+	}
+	out := make([]float64, n)
+	if err := e.BatchMWPacked(&pp, out); err != nil {
+		t.Fatal(err)
+	}
+	var maxN int64
+	for i, p := range out {
+		if want := e.CyclePowerMW(v1s[i], v2s[i]); math.Float64bits(p) != math.Float64bits(want) {
+			t.Fatalf("pair %d: BatchMWPacked %v, CyclePowerMW %v", i, p, want)
+		}
+		var n int64
+		for g, k := range e.simulator.RunCycle(v1s[i], v2s[i]).Toggles {
+			n += int64(e.weights[g]) * int64(k)
+		}
+		maxN = max(maxN, n)
+	}
+	if maxN <= maxLaneSum {
+		t.Fatalf("largest N %d: no lane passed int32", maxN)
 	}
 }
 

@@ -145,15 +145,13 @@ func NewSpeculative(p *Program) *Speculative {
 	sp.res = StripedResult{
 		NSlots: p.n,
 		Any:    make([]uint64, capWords),
-		zero:   p.zeroDelay,
 	}
 	if p.zeroDelay {
 		return sp
 	}
-	sp.res.Multi = make([]uint64, capWords)
 	// Two full counter planes up front: every timed run has both count
-	// bits resident, so the aggregation pass and CountPlanes never branch
-	// on missing levels; deeper levels (counts ≥ 4) still grow lazily.
+	// bits resident, so the aggregation pass never branches on missing
+	// levels; deeper levels (counts ≥ 4) still grow lazily.
 	sp.res.planes = make([]uint64, 0, 2*capWords)
 	sp.res.ovAny = make([]uint64, capWords)
 	sp.offs = make([]int32, capWords)
@@ -212,13 +210,10 @@ func (sp *Speculative) prepare(pp *PackedPairs, stripe int) int {
 		for s, fab := range p.fab {
 			sp.fabRun[s] = uint64(uint32(fab))*a | (fab>>32)*a<<32
 		}
-		// The aggregation pass assigns Any/Multi only inside the active
-		// stride, so a shrink leaves the old shape's tail words behind;
-		// clear them once here so lanes beyond the batch always read zero.
+		// The aggregation pass assigns Any only inside the active stride,
+		// so a shrink leaves the old shape's tail words behind; clear them
+		// once here so lanes beyond the batch always read zero.
 		clear(sp.res.Any[sp.stride:])
-		if sp.res.Multi != nil {
-			clear(sp.res.Multi[sp.stride:])
-		}
 		sp.lastAW = aw
 	}
 	return b0
@@ -239,19 +234,17 @@ func (sp *Speculative) loadInputs(vals, plane []uint64, b0 int) {
 }
 
 // resetResult zeroes the per-run accounting and reshapes the toggle
-// planes to the current stride (reinterpreting the existing buffer as
-// however many full levels it holds).
+// planes to the current stride: the two count bits every timed run
+// writes, cleared. deepCarry appends the deeper levels a run reaches,
+// zeroed, so Levels covers exactly the planes this run can have set.
 func (sp *Speculative) resetResult() {
 	res := &sp.res
-	if sp.stride > 0 {
-		lv := cap(res.planes) / sp.stride
-		res.planes = res.planes[:lv*sp.stride]
-		res.levels = lv
-	}
+	res.planes = res.planes[:2*sp.stride]
+	res.levels = 2
 	clear(res.planes)
 	if res.ovAny != nil {
-		// Any/Multi need no pre-clearing — the aggregation pass assigns
-		// every active word.
+		// Any needs no pre-clearing — the aggregation pass assigns every
+		// active word.
 		clear(res.ovAny[:sp.stride])
 	}
 }
@@ -272,17 +265,14 @@ func (sp *Speculative) finalizeTimed() {
 	stride := sp.stride
 	res := &sp.res
 	// One sequential pass over the first two counter planes recovers Any
-	// (count ≥ 1: bit 0, bit 1, or the overflow union) and Multi
-	// (count ≥ 2: bit 1 or overflow — lanes that reached 4 may have both
-	// low bits clear). Both are assigned outright, which is why
-	// resetResult never pre-zeroes them.
+	// (count ≥ 1: bit 0, bit 1, or the overflow union — lanes that
+	// reached 4 may have both low bits clear). It is assigned outright,
+	// which is why resetResult never pre-zeroes it.
 	p0 := res.planes[:stride]
 	p1 := res.planes[stride : 2*stride]
 	ovp := res.ovAny[:stride]
 	for i, v0 := range p0 {
-		o := p1[i] | ovp[i]
-		res.Any[i] = v0 | o
-		res.Multi[i] = o
+		res.Any[i] = v0 | p1[i] | ovp[i]
 	}
 }
 
@@ -1056,9 +1046,8 @@ func (sp *Speculative) mergeN(idx, slot, k int, dly int64, n int) (int, bool) {
 
 // deepCarry ripples a carry into the lazily grown deep planes starting
 // at the given level (level l holds count bit l) and records the
-// spilling lanes in the per-word overflow union, which lets Count and the
-// power fold skip the deep planes for the words that never reach a count
-// of 4. It enters past the count bits that live in registers until a
+// spilling lanes in the per-word overflow union, which lets Count skip
+// the deep planes for the words that never reach a count of 4. It enters past the count bits that live in registers until a
 // gate-word completes (levels 2 to 4 from countSegment) or that replay
 // wrote directly.
 func (sp *Speculative) deepCarry(idx, lvl int, carry uint64) {

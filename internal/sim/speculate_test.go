@@ -10,7 +10,7 @@ import (
 
 // diffSpeculative compares every lane of every stripe of a packed batch
 // against the scalar oracle, the only reference: toggle counts through
-// Toggles and Count, the Any and Multi bits against the scalar counts,
+// Toggles and Count, the Any bits against the scalar counts,
 // and inert lanes past the batch. It is the executor's core contract:
 // compiling and speculating are execution strategies, never a result
 // change. A stripe that mispredicted would have replayed on the scalar
@@ -47,9 +47,6 @@ func diffSpeculative(t *testing.T, c *netlist.Circuit, m delay.Model, lanes int,
 				}
 				if any := r.Any[g*r.AW+word]>>uint(bit)&1 == 1; any != (wantC > 0) {
 					t.Fatalf("%s Any gate %d lane %d = %v, scalar toggles %d", m.Name(), g, li, any, wantC)
-				}
-				if multi := r.MultiMask(g, word)>>uint(bit)&1 == 1; multi != (wantC > 1) {
-					t.Fatalf("%s MultiMask gate %d lane %d = %v, scalar toggles %d", m.Name(), g, li, multi, wantC)
 				}
 			}
 		}
@@ -130,7 +127,7 @@ func TestSpeculativeRandomDifferential(t *testing.T) {
 
 // checkReplay runs every stripe of the batch through the waveform merges,
 // then replays it on the scalar oracle, and requires the replay to leave
-// exactly the merges' Any, Multi and every Count.
+// exactly the merges' Any, count planes and every Count.
 func checkReplay(t *testing.T, c *netlist.Circuit, m delay.Model, pairs int, seed uint64) {
 	t.Helper()
 	sp := NewSpeculative(CompileModel(c, m, CompileOptions{}))
@@ -139,7 +136,10 @@ func checkReplay(t *testing.T, c *netlist.Circuit, m delay.Model, pairs int, see
 		r := sp.Run(pp, stripe)
 		n := r.NSlots * r.AW
 		any := append([]uint64(nil), r.Any[:n]...)
-		multi := append([]uint64(nil), r.Multi[:n]...)
+		var planes [][]uint64
+		for l := 0; l < r.Levels(); l++ {
+			planes = append(planes, append([]uint64(nil), r.CountPlane(l)...))
+		}
 		counts := make([]int32, 0, n*64)
 		for i := 0; i < n; i++ {
 			for l := 0; l < 64; l++ {
@@ -152,12 +152,19 @@ func checkReplay(t *testing.T, c *netlist.Circuit, m delay.Model, pairs int, see
 			t.Helper()
 			t.Fatalf("%s %s %d pairs stripe %d: replay's %s %d differs from the merges'", c.Name, m.Name(), pairs, stripe, what, i)
 		}
+		if r.Levels() != len(planes) {
+			at("count levels", r.Levels())
+		}
+		for l, plane := range planes {
+			for i, w := range r.CountPlane(l) {
+				if w != plane[i] {
+					at("count plane word", l*n+i)
+				}
+			}
+		}
 		for i := 0; i < n; i++ {
 			if r.Any[i] != any[i] {
 				at("Any word", i)
-			}
-			if r.Multi[i] != multi[i] {
-				at("Multi word", i)
 			}
 			for l := 0; l < 64; l++ {
 				if r.Count(i/r.AW, i%r.AW, l) != counts[i*64+l] {

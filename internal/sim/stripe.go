@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // StripedResult holds the per-lane toggle counts of one Speculative.Run,
 // the Toggles of 512 scalar Results. Lane addressing is (word k, lane l)
@@ -19,28 +22,26 @@ type StripedResult struct {
 	// circuit: slot s is gate s.
 	NSlots int
 	// Any[slot·AW+k] is the mask of word-k lanes where the slot's gate
-	// toggled at least once during the cycle; Multi the lanes where it
-	// toggled more than once (nil on the glitch-free zero-delay kernel).
-	Any   []uint64
-	Multi []uint64
+	// toggled at least once during the cycle.
+	Any []uint64
 
 	// planes holds the per-lane toggle counters as bit planes, level-major
 	// at [lvl·stride + slot·AW + k] (level l = count bit l); ovAny is the
 	// per-word union of every level ≥ 2 — the lanes whose counts reached
-	// 4, which is what lets Count and the power accumulation settle
-	// everything below that from the first two planes alone.
+	// 4, which is what lets Count settle everything below that from the
+	// first two planes alone. levels is 0 on a zero-delay result, whose
+	// counts are 0/1 and encoded in Any alone, and at least 2 otherwise.
 	planes []uint64
 	ovAny  []uint64
 	levels int
 	stride int
-	zero   bool // zero-delay kernel: counts are 0/1, encoded in Any alone
 }
 
 // Count returns the toggle count of the gate at slot in lane (word, lane)
 // — the per-lane equivalent of Result.Toggles[g].
 func (r *StripedResult) Count(slot, word, lane int) int32 {
 	idx := slot*r.AW + word
-	if r.zero {
+	if r.levels == 0 {
 		return int32(r.Any[idx] >> uint(lane) & 1)
 	}
 	if r.ovAny[idx]>>uint(lane)&1 != 0 {
@@ -51,42 +52,25 @@ func (r *StripedResult) Count(slot, word, lane int) int32 {
 		return n
 	}
 	// Count ≤ 3: the first two planes are the whole number.
-	n := int32(r.planes[idx] >> uint(lane) & 1)
-	if r.levels > 1 {
-		n |= int32(r.planes[r.stride+idx]>>uint(lane)&1) << 1
-	}
-	return n
+	return int32(r.planes[idx]>>uint(lane)&1) | int32(r.planes[r.stride+idx]>>uint(lane)&1)<<1
 }
 
-// CountPlanes returns word-wide views of the toggle counters, laid out
-// like Any: b0[slot·AW+k] is count bit 0 of word k's lanes and
-// ov[slot·AW+k] the lanes whose counts overflow into the ≥ 4 range.
-// Multi lanes outside ov therefore count exactly 2 + their b0 bit — the
-// word-parallel shortcut the power accumulation uses instead of per-lane
-// Count walks. Both alias executor state under the aliasing contract
-// above. Zero-delay results have no counters (their counts live in Any
-// alone), so both are nil there.
-func (r *StripedResult) CountPlanes() (b0, ov []uint64) {
-	if r.zero || r.levels == 0 {
-		return nil, nil
-	}
-	return r.planes[:r.stride], r.ovAny[:r.stride]
-}
+// Levels returns the number of count planes: 0 on a zero-delay result,
+// whose counts are 0 or 1 and live in Any alone.
+func (r *StripedResult) Levels() int { return r.levels }
 
-// MultiMask returns the lanes of word where the slot's gate toggled more
-// than once (the glitching lanes); always zero for the glitch-free
-// zero-delay kernel.
-func (r *StripedResult) MultiMask(slot, word int) uint64 {
-	if r.zero {
-		return 0
-	}
-	return r.Multi[slot*r.AW+word]
+// CountPlane returns count bit l, for l below Levels, of every (slot,
+// word), laid out like Any: a lane's toggle count is the sum of 2^l over
+// the planes whose word has its bit set. It aliases executor state under
+// the aliasing contract above.
+func (r *StripedResult) CountPlane(l int) []uint64 {
+	return r.planes[l*r.stride : (l+1)*r.stride]
 }
 
 // Toggles expands one lane's per-gate toggle counts into dst (grown as
 // needed), indexed by gate id like the scalar Result.Toggles. The
-// returned slice is caller-owned: unlike Any and Multi it does
-// not alias executor state and survives subsequent Run calls.
+// returned slice is caller-owned: unlike Any and the count planes it
+// does not alias executor state and survives subsequent Run calls.
 func (r *StripedResult) Toggles(word, lane int, dst []int32) []int32 {
 	if cap(dst) < r.NSlots {
 		dst = make([]int32, r.NSlots)
@@ -99,19 +83,26 @@ func (r *StripedResult) Toggles(word, lane int, dst []int32) []int32 {
 }
 
 // NewStripedResult builds the result a run of aw words would leave for
-// the per-lane toggle counts counts[slot·aw+k][lane]: a timed run's, or
-// with zeroDelay a zero-delay run's, whose counts must be 0 or 1. Tests
-// of result consumers use it to reach count patterns no circuit produces on demand.
+// the per-lane toggle counts counts[slot·aw+k][lane]: a timed run's, with
+// the two count planes every run has and as many deeper ones as the
+// largest count needs, or with zeroDelay a zero-delay run's, whose counts
+// must be 0 or 1. Tests of result consumers use it to reach count
+// patterns no circuit produces on demand.
 func NewStripedResult(aw int, counts [][64]uint8, zeroDelay bool) *StripedResult {
 	n := len(counts)
 	if aw < 1 || n%aw != 0 {
 		panic(fmt.Sprintf("sim: %d count words do not split into %d-word slots", n, aw))
 	}
-	r := &StripedResult{AW: aw, NSlots: n / aw, Any: make([]uint64, n), stride: n, zero: zeroDelay}
+	r := &StripedResult{AW: aw, NSlots: n / aw, Any: make([]uint64, n), stride: n}
 	if !zeroDelay {
-		r.levels = 8 // one plane per bit of a uint8 count
+		var deepest uint8
+		for _, word := range counts {
+			for _, c := range word {
+				deepest = max(deepest, c)
+			}
+		}
+		r.levels = max(2, bits.Len8(deepest))
 		r.planes = make([]uint64, r.levels*n)
-		r.Multi = make([]uint64, n)
 		r.ovAny = make([]uint64, n)
 	}
 	for i, word := range counts {
@@ -131,9 +122,6 @@ func NewStripedResult(aw int, counts [][64]uint8, zeroDelay bool) *StripedResult
 				if c>>lvl&1 != 0 {
 					r.planes[lvl*n+i] |= bit
 				}
-			}
-			if c >= 2 {
-				r.Multi[i] |= bit
 			}
 			if c >= 4 {
 				r.ovAny[i] |= bit

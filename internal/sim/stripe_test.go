@@ -149,7 +149,8 @@ func TestStripedAllocFree(t *testing.T) {
 }
 
 // TestStripedZeroDelayEngine exercises the compiled zero-delay kernel's
-// glitch-free contract directly: counts are 0/1 and MultiMask is empty.
+// glitch-free contract directly: counts are 0/1 and live in Any alone,
+// with no count planes.
 func TestStripedZeroDelayEngine(t *testing.T) {
 	c := bench.MustGenerate("C432")
 	p := CompileModel(c, delay.Zero{}, CompileOptions{})
@@ -160,11 +161,11 @@ func TestStripedZeroDelayEngine(t *testing.T) {
 	v1s := xorshiftVectors(100, c.NumInputs(), 41)
 	v2s := xorshiftVectors(100, c.NumInputs(), 42)
 	r := st.Run(packVectors(c.NumInputs(), v1s, v2s), 0)
+	if r.Levels() != 0 {
+		t.Fatalf("zero-delay result has %d count planes", r.Levels())
+	}
 	for s := 0; s < r.NSlots; s++ {
 		for w := 0; w < r.AW; w++ {
-			if r.MultiMask(s, w) != 0 {
-				t.Fatalf("zero-delay MultiMask(%d,%d) nonzero", s, w)
-			}
 			for l := 0; l < 64; l++ {
 				if n := r.Count(s, w, l); n > 1 {
 					t.Fatalf("zero-delay Count(%d,%d,%d) = %d", s, w, l, n)
@@ -175,9 +176,9 @@ func TestStripedZeroDelayEngine(t *testing.T) {
 }
 
 // TestNewStripedResultMatchesRun: a result built from a run's per-lane
-// counts must read back exactly like the run's own — Any, Multi,
-// CountPlanes and every Count — on every delay model, with counts deep
-// enough (C6288, unit delay) to reach the overflow planes.
+// counts must read back exactly like the run's own — Any, every count
+// plane and every Count — on every delay model, with counts deep enough
+// (C6288, unit delay) to reach the overflow planes.
 func TestNewStripedResultMatchesRun(t *testing.T) {
 	c := bench.MustGenerate("C6288")
 	v1s := xorshiftVectors(300, c.NumInputs(), 7)
@@ -195,22 +196,23 @@ func TestNewStripedResultMatchesRun(t *testing.T) {
 				deepest = max(deepest, cnt)
 			}
 		}
-		got := NewStripedResult(r.AW, counts, r.Multi == nil)
-		if got.NSlots != r.NSlots || got.AW != r.AW {
-			t.Fatalf("%s: shape %d×%d, run %d×%d", m.Name(), got.NSlots, got.AW, r.NSlots, r.AW)
+		got := NewStripedResult(r.AW, counts, r.Levels() == 0)
+		if got.NSlots != r.NSlots || got.AW != r.AW || got.Levels() != r.Levels() {
+			t.Fatalf("%s: shape %d×%d×%d levels, run %d×%d×%d", m.Name(),
+				got.NSlots, got.AW, got.Levels(), r.NSlots, r.AW, r.Levels())
 		}
-		gb0, gov := got.CountPlanes()
-		rb0, rov := r.CountPlanes()
-		if (gb0 == nil) != (rb0 == nil) {
-			t.Fatalf("%s: CountPlanes nil %v, run nil %v", m.Name(), gb0 == nil, rb0 == nil)
+		for l := 0; l < r.Levels(); l++ {
+			gp, rp := got.CountPlane(l), r.CountPlane(l)
+			for i := range rp {
+				if gp[i] != rp[i] {
+					t.Fatalf("%s level %d word %d: %x, run %x", m.Name(), l, i, gp[i], rp[i])
+				}
+			}
 		}
 		for i := 0; i < n; i++ {
 			s, k := i/r.AW, i%r.AW
-			if got.Any[i] != r.Any[i] || got.MultiMask(s, k) != r.MultiMask(s, k) {
-				t.Fatalf("%s word %d: Any/Multi %x/%x, run %x/%x", m.Name(), i, got.Any[i], got.MultiMask(s, k), r.Any[i], r.MultiMask(s, k))
-			}
-			if rb0 != nil && (gb0[i] != rb0[i] || gov[i] != rov[i]) {
-				t.Fatalf("%s word %d: b0/ov %x/%x, run %x/%x", m.Name(), i, gb0[i], gov[i], rb0[i], rov[i])
+			if got.Any[i] != r.Any[i] {
+				t.Fatalf("%s word %d: Any %x, run %x", m.Name(), i, got.Any[i], r.Any[i])
 			}
 			for l := 0; l < 64; l++ {
 				if a, b := got.Count(s, k, l), r.Count(s, k, l); a != b {
