@@ -3,6 +3,7 @@ package evt
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/stats"
@@ -104,19 +105,41 @@ func TestResumeFromConvergedCheckpoint(t *testing.T) {
 }
 
 // TestCheckpointConsumesNoRandomness: a run with OnCheckpoint wired is
-// bit-identical to one without (same promise OnProgress makes).
+// bit-identical to one without (same promise OnProgress makes), even
+// when the callback keeps every Checkpoint and appends to its Records.
+// The records are shared with the run, so this also checks that each
+// kept checkpoint still holds exactly the run's first i + 1 records
+// and its own appended sentinel: the run must never write over them.
 func TestCheckpointConsumesNoRandomness(t *testing.T) {
 	pop := betaLikePopulation(20000, 31)
 	base, _ := New(pop, Config{Epsilon: 0.01, MaxHyperSamples: 50})
 	want := base.Run(stats.NewRNG(3))
+	if want.HyperSamples < 3 {
+		t.Fatalf("run too short to share records: k=%d", want.HyperSamples)
+	}
 
+	sentinel := HyperRecord{Estimate: -1, Units: -1, ObservedMax: -2}
+	var kept []Checkpoint
 	observed, _ := New(pop, Config{
 		Epsilon: 0.01, MaxHyperSamples: 50,
-		OnCheckpoint: func(Checkpoint) {},
+		OnCheckpoint: func(cp Checkpoint) {
+			cp.Records = append(cp.Records, sentinel)
+			kept = append(kept, cp)
+		},
 	})
 	got := observed.Run(stats.NewRNG(3))
 	if statFields(got) != statFields(want) {
 		t.Error("OnCheckpoint changed the run's result")
+	}
+	trace := traceRecords(want)
+	if len(kept) != len(trace) {
+		t.Fatalf("got %d checkpoints for %d hyper-samples", len(kept), len(trace))
+	}
+	for i, cp := range kept {
+		wantRecs := append(trace[:i+1:i+1], sentinel)
+		if !slices.Equal(cp.Records, wantRecs) {
+			t.Errorf("checkpoint %d holds %+v, want the run's first %d records and the sentinel", i, cp.Records, i+1)
+		}
 	}
 }
 

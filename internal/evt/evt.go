@@ -201,8 +201,9 @@ type Config struct {
 	// OnCheckpoint, when non-nil, receives the run's resumable state after
 	// every completed hyper-sample (after OnProgress). Invoked synchronously
 	// and consumes no randomness, so checkpointed and unobserved runs are
-	// bit-identical. The Checkpoint is a private copy the callback may
-	// retain or serialize.
+	// bit-identical. The Checkpoint's Records share the run's record list:
+	// the callback may keep or serialize the Checkpoint, and append to its
+	// Records, but must not change the records it holds.
 	OnCheckpoint func(Checkpoint)
 }
 
@@ -517,25 +518,27 @@ func (e *Estimator) RunContext(ctx context.Context, rng *stats.RNG) Result {
 
 func (e *Estimator) runContext(ctx context.Context, rng *stats.RNG) Result {
 	cfg := e.cfg
-	f := fold{cfg: cfg, res: Result{ObservedMax: math.Inf(-1)}}
+	f := NewFold(cfg)
 	// The run's records, kept only for OnCheckpoint: the fold itself
-	// needs the estimates alone.
+	// keeps running sums.
 	var recs []HyperRecord
 	if cp := cfg.Resume; cp != nil {
 		f.res.SimTime = time.Duration(cp.SimNS)
 		f.res.FitTime = time.Duration(cp.FitNS)
 		rng.SetState(cp.RNG)
-		// A checkpoint taken at the stopping point (a crash between the
-		// final checkpoint and the terminal record) resumes straight to
-		// the identical converged Result without drawing.
-		if f.addAll(cp.Records); f.res.Converged {
-			return f.res
+		for _, rec := range cp.Records {
+			f.Add(rec)
 		}
 		if cfg.OnCheckpoint != nil {
 			recs = append(recs, cp.Records...)
 		}
 	}
-	for k := len(f.estimates) + 1; k <= cfg.MaxHyperSamples; k++ {
+	// Draw until the fold stops; a resume goes on at hyper-sample k + 1
+	// of the k it folded. A checkpoint taken at the stopping point (a
+	// crash between the final checkpoint and the terminal record)
+	// resumes straight to the identical converged Result without
+	// drawing.
+	for !f.done() {
 		if ctx.Err() != nil {
 			break
 		}
@@ -543,21 +546,21 @@ func (e *Estimator) runContext(ctx context.Context, rng *stats.RNG) Result {
 		f.res.Trace = append(f.res.Trace, hs)
 		f.res.SimTime += hs.SimTime
 		f.res.FitTime += hs.FitTime
-		f.add(hs.HyperRecord)
+		f.Add(hs.HyperRecord)
 		if cfg.OnProgress != nil {
 			cfg.OnProgress(f.res)
 		}
 		if cfg.OnCheckpoint != nil {
 			recs = append(recs, hs.HyperRecord)
+			// The callback shares the records: the run only appends past
+			// them, and the clipped capacity sends an append by the
+			// callback to a new array.
 			cfg.OnCheckpoint(Checkpoint{
-				Records: append([]HyperRecord(nil), recs...),
+				Records: recs[:len(recs):len(recs)],
 				RNG:     rng.State(),
 				SimNS:   int64(f.res.SimTime),
 				FitNS:   int64(f.res.FitTime),
 			})
-		}
-		if f.res.Converged {
-			break
 		}
 	}
 	return f.res
@@ -567,12 +570,12 @@ func (e *Estimator) runContext(ctx context.Context, rng *stats.RNG) Result {
 // the per-iteration state the sequential procedure folds into its
 // running Result. A shard executed on a remote worker returns its
 // hyper-samples as HyperRecords, and a Checkpoint carries a run's
-// records so far; FoldRecords replays the stopping rule over them with
-// the same fold step as RunContext, which is what makes a sharded
-// (fleet) run bit-identical to a single-node run consuming the same
-// substreams in the same order. All fields are finite after a
-// completed hyper-sample, so the struct JSON-round-trips exactly (Go
-// encodes float64 shortest-form, which decodes to the same bits).
+// records so far; a Fold adds them with the same step as RunContext,
+// which is what makes a sharded (fleet) run bit-identical to a
+// single-node run consuming the same substreams in the same order. All
+// fields are finite after a completed hyper-sample, so the struct
+// JSON-round-trips exactly (Go encodes float64 shortest-form, which
+// decodes to the same bits).
 type HyperRecord struct {
 	// Estimate is the hyper-sample's maximum-power estimate.
 	Estimate float64 `json:"estimate"`
@@ -606,78 +609,57 @@ func (r HyperRecord) Validate(cfg Config) error {
 	return nil
 }
 
-// FoldRecords replays the sequential stopping rule of Figure 4 over
-// per-hyper-sample records: fold record k, check the Student-t interval
-// at k ≥ 2, stop at the first k that converges. It is the merge half of
-// the distributed determinism contract — for records produced by the
-// same substreams in the same global order, FoldRecords returns a
-// Result whose statistical fields (Estimate, CI, RelErr, HyperSamples,
-// Units, Converged, SigmaSq, ObservedMax) are bit-identical to
-// RunContext's, because both advance the same fold step over the same
-// records. Records beyond the stopping point (shards that ran past
-// fleet-wide convergence) or beyond MaxHyperSamples are ignored, exactly
-// as a sequential run would never have drawn them. Trace and wall-clock
-// timings are not reconstructed.
-func FoldRecords(cfg Config, recs []HyperRecord) Result {
-	cfg = cfg.Defaults()
-	if len(recs) > cfg.MaxHyperSamples {
-		recs = recs[:cfg.MaxHyperSamples]
+// Fold is the running state of Figure 4's loop between hyper-samples:
+// k, the units, the observed maximum and the running mean and deviation
+// of the estimates, from which the Student-t interval is formed. The
+// stopping rule needs nothing else, so the fold keeps no estimate list.
+// A run, a resume, the sharded reference and the fleet coordinator
+// each add every record to one Fold exactly once, in global
+// hyper-sample order; because all of them advance the same step over
+// the same records, a resumed or sharded run's statistical fields
+// (Estimate, CI, RelErr, HyperSamples, Units, Converged, SigmaSq,
+// ObservedMax) are bit-identical to the uninterrupted run's.
+type Fold struct {
+	cfg Config
+	res Result
+	est stats.Welford
+}
+
+// NewFold returns an empty fold for runs under cfg.
+func NewFold(cfg Config) Fold {
+	return Fold{cfg: cfg.Defaults(), res: Result{ObservedMax: math.Inf(-1)}}
+}
+
+// Add folds one hyper-sample: its cost, its observed maximum and its
+// estimate, then the interval and the stopping decision. Once the fold
+// has converged or holds MaxHyperSamples records, Add does nothing, as
+// a sequential run would never have drawn the record: records past the
+// stopping point (shards that ran past fleet-wide convergence) leave
+// the Result as it is. Pure arithmetic, no randomness.
+func (f *Fold) Add(rec HyperRecord) {
+	if f.done() {
+		return
 	}
-	f := fold{cfg: cfg, res: Result{ObservedMax: math.Inf(-1)}, estimates: make([]float64, 0, len(recs))}
-	f.addAll(recs)
-	return f.res
-}
-
-// fold is the running state of Figure 4's loop between hyper-samples:
-// the estimate list and the Result folded from it. RunContext, a resume
-// and FoldRecords all advance it one record at a time, which is what
-// lets the fleet and a resumed run promise bit-identical results.
-type fold struct {
-	cfg       Config
-	res       Result
-	estimates []float64
-}
-
-// add folds one hyper-sample: its cost, its observed maximum and its
-// estimate.
-func (f *fold) add(rec HyperRecord) {
-	f.res.Units += rec.Units
-	if rec.ObservedMax > f.res.ObservedMax {
-		f.res.ObservedMax = rec.ObservedMax
+	res := &f.res
+	res.Units += rec.Units
+	if rec.ObservedMax > res.ObservedMax {
+		res.ObservedMax = rec.ObservedMax
 	}
-	f.estimates = append(f.estimates, rec.Estimate)
-	f.interval()
-}
-
-// addAll folds recs in order and stops at the first that converges, as
-// a sequential run would.
-func (f *fold) addAll(recs []HyperRecord) {
-	for _, rec := range recs {
-		if f.add(rec); f.res.Converged {
-			return
-		}
-	}
-}
-
-// interval folds the estimate list into the Result: the running mean,
-// the Student-t interval (Eqn. 3.8), the σ² estimate and the stopping
-// decision. With one estimate no deviation exists, so the interval is
-// unbounded and the run cannot stop. Pure arithmetic — no randomness.
-func (f *fold) interval() {
-	res, estimates := &f.res, f.estimates
-	k := len(estimates)
+	f.est.Add(rec.Estimate)
+	res.HyperSamples++
+	k := res.HyperSamples
+	mean, sd := f.est.MeanStd()
+	res.Estimate = mean
 	if k == 1 {
-		res.Estimate = estimates[0]
+		// No deviation exists yet: the interval is unbounded and the
+		// run cannot stop.
 		res.CILow = math.Inf(-1)
 		res.CIHigh = math.Inf(1)
 		res.RelErr = math.Inf(1)
-		res.HyperSamples = 1
 		return
 	}
-	mean, sd := stats.MeanStd(estimates)
 	tq := stats.TwoSidedT(f.cfg.Confidence, float64(k-1))
 	half := tq * sd / math.Sqrt(float64(k))
-	res.Estimate = mean
 	res.SigmaSq = sd * sd
 	res.CILow = mean - half
 	res.CIHigh = mean + half
@@ -686,9 +668,18 @@ func (f *fold) interval() {
 	} else {
 		res.RelErr = math.Inf(1)
 	}
-	res.HyperSamples = k
 	res.Converged = res.RelErr <= f.cfg.Epsilon
 }
+
+// done reports whether the run stops here: it has converged or holds
+// MaxHyperSamples records.
+func (f *Fold) done() bool {
+	return f.res.Converged || f.res.HyperSamples >= f.cfg.MaxHyperSamples
+}
+
+// Result returns the Result folded so far. A Fold fed records rather
+// than run does not reconstruct Trace or the wall-clock timings.
+func (f *Fold) Result() Result { return f.res }
 
 // RelativeError returns (estimate − actual)/actual, the quantity reported
 // in the paper's error columns.

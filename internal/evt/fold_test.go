@@ -18,11 +18,21 @@ func traceRecords(r Result) []HyperRecord {
 	return recs
 }
 
-// TestFoldRecordsMatchesRun is the merge half of the distributed
-// determinism contract at its smallest scope: folding the records of a
-// sequential run reproduces that run's statistical fields to the last
-// bit, both for a converged run and for one that exhausts the cap.
-func TestFoldRecordsMatchesRun(t *testing.T) {
+// foldAll adds recs to a fresh Fold in order, as the fleet coordinator
+// and the sharded reference do.
+func foldAll(cfg Config, recs []HyperRecord) Result {
+	f := NewFold(cfg)
+	for _, rec := range recs {
+		f.Add(rec)
+	}
+	return f.Result()
+}
+
+// TestFoldMatchesRun is the merge half of the distributed determinism
+// contract at its smallest scope: folding the records of a sequential
+// run reproduces that run's statistical fields to the last bit, both
+// for a converged run and for one that exhausts the cap.
+func TestFoldMatchesRun(t *testing.T) {
 	pop := betaLikePopulation(20000, 31)
 	for _, cfg := range []Config{
 		{Epsilon: 0.01, MaxHyperSamples: 100},
@@ -33,7 +43,7 @@ func TestFoldRecordsMatchesRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := est.Run(stats.NewRNG(7))
-		got := FoldRecords(cfg, traceRecords(want))
+		got := foldAll(cfg, traceRecords(want))
 		if statFields(got) != statFields(want) {
 			t.Errorf("fold diverged from run (eps=%v):\n got  %+v\n want %+v",
 				cfg.Epsilon, statFields(got), statFields(want))
@@ -41,42 +51,51 @@ func TestFoldRecordsMatchesRun(t *testing.T) {
 	}
 }
 
-// TestFoldRecordsIgnoresOverrun: records past the stopping point — the
-// shards a fleet computed before the early-stop cancel reached them —
-// must not perturb the merged result.
-func TestFoldRecordsIgnoresOverrun(t *testing.T) {
+// TestFoldIgnoresOverrun: records past the stopping point (the shards a
+// fleet computed before the early-stop cancel reached them) and records
+// past MaxHyperSamples must not perturb the folded result.
+func TestFoldIgnoresOverrun(t *testing.T) {
 	pop := betaLikePopulation(20000, 31)
-	cfg := Config{Epsilon: 0.01, MaxHyperSamples: 100}
-	est, err := New(pop, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := est.Run(stats.NewRNG(7))
-	if !want.Converged {
-		t.Fatalf("run did not converge; pick a looser epsilon")
-	}
-	recs := traceRecords(want)
-	extra := append(append([]HyperRecord(nil), recs...),
-		HyperRecord{Estimate: 99, Units: 300, ObservedMax: 50},
-		HyperRecord{Estimate: 1, Units: 300, ObservedMax: 0.1})
-	got := FoldRecords(cfg, extra)
-	if statFields(got) != statFields(want) {
-		t.Errorf("overrun records changed the merged result:\n got  %+v\n want %+v",
-			statFields(got), statFields(want))
+	for _, tc := range []struct {
+		cfg       Config
+		converges bool
+	}{
+		{Config{Epsilon: 0.01, MaxHyperSamples: 100}, true},
+		{Config{Epsilon: 0.00001, MaxHyperSamples: 8}, false},
+	} {
+		cfg := tc.cfg
+		est, err := New(pop, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := est.Run(stats.NewRNG(7))
+		if want.Converged != tc.converges {
+			t.Fatalf("eps=%v: run converged %v at k=%d, want %v", cfg.Epsilon, want.Converged, want.HyperSamples, tc.converges)
+		}
+		extra := append(traceRecords(want),
+			HyperRecord{Estimate: 99, Units: 300, ObservedMax: 50},
+			HyperRecord{Estimate: 1, Units: 300, ObservedMax: 0.1})
+		got := foldAll(cfg, extra)
+		if statFields(got) != statFields(want) {
+			t.Errorf("eps=%v: overrun records changed the folded result:\n got  %+v\n want %+v",
+				cfg.Epsilon, statFields(got), statFields(want))
+		}
 	}
 }
 
-// TestFoldRecordsSingleAndEmpty covers the degenerate shapes: one record
-// (no deviation exists — unbounded interval, like MaxHyperSamples = 1)
-// and no records at all (a run cancelled before its first hyper-sample).
-func TestFoldRecordsSingleAndEmpty(t *testing.T) {
+// TestFoldSingleAndEmpty covers the degenerate shapes: one record (no
+// deviation exists: an unbounded interval, like MaxHyperSamples = 1)
+// and no records at all (a run cancelled before its first
+// hyper-sample). With one record the running mean is the record's
+// estimate, bit for bit.
+func TestFoldSingleAndEmpty(t *testing.T) {
 	cfg := Config{}
-	one := FoldRecords(cfg, []HyperRecord{{Estimate: 4.2, Units: 300, ObservedMax: 4.0}})
-	if one.HyperSamples != 1 || one.Estimate != 4.2 || one.Units != 300 ||
+	one := foldAll(cfg, []HyperRecord{{Estimate: 4.2, Units: 300, ObservedMax: 4.0}})
+	if one.HyperSamples != 1 || one.Estimate != 4.2 || one.Units != 300 || one.SigmaSq != 0 || one.Converged ||
 		!math.IsInf(one.CIHigh, 1) || !math.IsInf(one.CILow, -1) || !math.IsInf(one.RelErr, 1) {
 		t.Errorf("single-record fold wrong: %+v", one)
 	}
-	empty := FoldRecords(cfg, nil)
+	empty := foldAll(cfg, nil)
 	if empty.HyperSamples != 0 || empty.Units != 0 || !math.IsInf(empty.ObservedMax, -1) {
 		t.Errorf("empty fold wrong: %+v", empty)
 	}

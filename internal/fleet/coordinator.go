@@ -254,11 +254,13 @@ func shardID(jobID string, index int) string {
 // Shards are dispatched in plan order, at most max(capacity, prefix) of
 // them past the completed prefix, capacity being the shard-pool sizes
 // the workers report, summed; until every worker has reported one the
-// whole plan is dispatched. Each outcome that advances the prefix is
-// folded first, and only a prefix that has not converged refills the
-// window. So the fleet's pools stay full, nothing is dispatched at
-// convergence, an early-converging job wastes at most one shard per
-// pool slot, and a long job's window grows with its prefix.
+// whole plan is dispatched. The records of each shard that joins the
+// completed prefix are added to one evt.Fold, once each, in plan order,
+// and only a prefix that has not converged refills the window. So the
+// fleet's pools stay full, nothing is dispatched at convergence, an
+// early-converging job wastes at most one shard per pool slot, a long
+// job's window grows with its prefix, and the fold costs O(1) per
+// record however the shards land.
 //
 // Convergence-driven early stop: as soon as the folded prefix
 // converges, the dispatched shards still outstanding are cancelled
@@ -287,8 +289,9 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, job json.RawMessage
 	// coordinator has already returned.
 	ch := make(chan outcome, len(shards))
 	results := make([][]evt.HyperRecord, len(shards))
-	prefix := 0 // shards [0, prefix) are complete
+	prefix := 0 // shards [0, prefix) are complete and folded
 	next := 0   // shards [0, next) are dispatched
+	fold := evt.NewFold(cfg)
 	dispatch := func() {
 		width := c.capacity()
 		if width == 0 {
@@ -310,7 +313,7 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, job json.RawMessage
 			// as a cancelled single-node run keeps its completed
 			// hyper-samples.
 			c.cancelOutstanding(jobID, shards[:next], results)
-			return MergeShards(cfg, results[:prefix])
+			return fold.Result(), nil
 		}
 		if oc.err != nil {
 			cancelRun()
@@ -318,16 +321,16 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, job json.RawMessage
 			return evt.Result{}, fmt.Errorf("fleet: shard %d: %w", oc.idx, oc.err)
 		}
 		results[oc.idx] = oc.recs
-		advanced := false
-		for prefix < len(shards) && results[prefix] != nil {
-			prefix++
-			advanced = true
+		folded := prefix
+		for ; prefix < len(shards) && results[prefix] != nil; prefix++ {
+			for _, rec := range results[prefix] {
+				fold.Add(rec)
+			}
 		}
-		if !advanced {
+		if prefix == folded {
 			continue
 		}
-		// A complete prefix has no gap, so the merge cannot fail.
-		res, _ := MergeShards(cfg, results[:prefix])
+		res := fold.Result()
 		if onProgress != nil {
 			onProgress(res)
 		}
@@ -338,7 +341,7 @@ func (c *Coordinator) Run(ctx context.Context, jobID string, job json.RawMessage
 		}
 		dispatch()
 	}
-	return MergeShards(cfg, results)
+	return fold.Result(), nil
 }
 
 // dispatchShard drives one shard to completion: dispatch to a worker, poll,

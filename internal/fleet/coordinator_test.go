@@ -456,3 +456,69 @@ func TestCoordinatorNoWorkers(t *testing.T) {
 		t.Fatal("expected an error with no registered workers")
 	}
 }
+
+// TestCoordinatorLongPlan: a plan that never converges, 8,192
+// hyper-samples in 1,024 shards of 8, bit-matches the reference well
+// inside its deadline. The worker answers each submission with its
+// shard's records, and answers shard i only once the coordinator has
+// folded shards [0, i), so every shard extends the completed prefix on
+// its own, the way shards land on a busy fleet. The coordinator adds
+// each shard's records to its fold once; re-folding the whole prefix at
+// every shard took about 96 s of folding alone at this size. m = 3 and
+// n = 2 keep each hyper-sample cheap.
+func TestCoordinatorLongPlan(t *testing.T) {
+	pop := testPopulation(2000, 31)
+	cfg := evt.Config{SampleSize: 2, SamplesPerHyper: 3, Epsilon: 1e-9, MaxHyperSamples: 8192}
+	plan := fleet.Plan{Seed: 5, ShardSize: 8, MaxHyperSamples: 8192}
+	want := referenceRun(t, pop, cfg, plan)
+	if want.Converged || want.HyperSamples != plan.MaxHyperSamples {
+		t.Fatalf("reference converged %v at k=%d; the plan must run its whole budget", want.Converged, want.HyperSamples)
+	}
+
+	// turn[i] is closed once the coordinator has folded shards [0, i).
+	turn := make([]chan struct{}, plan.MaxHyperSamples/plan.ShardSize+1)
+	for i := range turn {
+		turn[i] = make(chan struct{})
+	}
+	close(turn[0])
+	worker := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		var req fleet.ShardRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(rw, err.Error(), http.StatusBadRequest)
+			return
+		}
+		est, err := evt.New(pop, cfg)
+		if err != nil {
+			http.Error(rw, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		recs, err := fleet.RunShard(r.Context(), est, req.Shard, nil)
+		if err != nil {
+			http.Error(rw, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		select {
+		case <-turn[req.Shard.Index]:
+		case <-r.Context().Done():
+			return
+		}
+		writeJSON(rw, http.StatusOK, fleet.ShardStatus{
+			ID: req.ID, State: fleet.ShardDone, Done: len(recs), Count: req.Shard.Count, Records: recs,
+		})
+	}))
+	defer worker.Close()
+
+	c := &fleet.Coordinator{Workers: []string{worker.URL}}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	start := time.Now()
+	got, err := c.Run(ctx, "job-long", json.RawMessage(`{}`), cfg, plan, func(res evt.Result) {
+		close(turn[res.HyperSamples/plan.ShardSize])
+	})
+	if err != nil {
+		t.Fatalf("coordinator run: %v", err)
+	}
+	if statFields(got) != statFields(want) {
+		t.Errorf("long plan diverged after %v:\n got  %+v\n want %+v", time.Since(start), statFields(got), statFields(want))
+	}
+}

@@ -4,7 +4,7 @@
 // The estimator's outer loop is embarrassingly parallel: each
 // hyper-sample is an independent MLE over m·n fresh unit draws, and the
 // only sequential coupling is the Student-t stopping rule — pure
-// arithmetic over the per-hyper-sample estimates (evt.FoldRecords).
+// arithmetic over the per-hyper-sample estimates (evt.Fold).
 // fleet exploits that structure in three pieces:
 //
 //   - A Plan splits a job's hyper-sample budget into fixed-size shards
@@ -20,15 +20,16 @@
 //   - A Coordinator fans shards out over HTTP to registered workers
 //     (POST /v1/shards on each), polls per-shard progress, retries
 //     failed / unreachable / timed-out shards on other workers, folds
-//     completed shards in global order as they land, and cancels the
-//     rest of the fleet as soon as the folded prefix converges.
+//     each shard once, in global order, as the completed prefix reaches
+//     it, and cancels the rest of the fleet as soon as the folded prefix
+//     converges.
 //
 // Determinism contract: for a fixed Plan, the merged Result's
 // statistical fields equal a single-node run consuming the same
 // substream order (maxpower.EstimateDistributed) to the last bit — for
 // any worker count, any completion order, and any pattern of retries,
-// because the merge folds records by global hyper-sample index through
-// the very arithmetic the sequential loop uses.
+// because the merge adds records by global hyper-sample index to the
+// same evt.Fold the sequential loop advances.
 package fleet
 
 import (

@@ -44,7 +44,7 @@ func statFields(r evt.Result) statisticalFields {
 }
 
 // referenceRun is the single-node sharded reference: shards executed
-// sequentially in plan order, folding after every hyper-sample and
+// sequentially in plan order, each record added to one evt.Fold,
 // stopping at convergence — the run every fleet execution must
 // bit-match (maxpower.EstimateDistributed wraps the same loop).
 func referenceRun(t *testing.T, pop *vectorgen.Population, cfg evt.Config, plan fleet.Plan) evt.Result {
@@ -53,26 +53,24 @@ func referenceRun(t *testing.T, pop *vectorgen.Population, cfg evt.Config, plan 
 	if err != nil {
 		t.Fatal(err)
 	}
-	var all []evt.HyperRecord
-	converged := false
+	fold := evt.NewFold(cfg)
 	for _, sh := range shards {
 		est, err := evt.New(pop, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		_, err = fleet.RunShard(context.Background(), est, sh, func(_ int, rec evt.HyperRecord) bool {
-			all = append(all, rec)
-			converged = evt.FoldRecords(cfg, all).Converged
-			return !converged
+			fold.Add(rec)
+			return !fold.Result().Converged
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if converged {
+		if fold.Result().Converged {
 			break
 		}
 	}
-	return evt.FoldRecords(cfg, all)
+	return fold.Result()
 }
 
 func TestPlanShards(t *testing.T) {
@@ -170,68 +168,5 @@ func TestRunShardDeterministicAcrossReruns(t *testing.T) {
 					sh.Index, i, runs[0][i], runs[1][i])
 			}
 		}
-	}
-}
-
-// TestMergeShards: shard-ordered merge equals the flat fold; gaps
-// before the stopping point are rejected; gaps past a converged prefix
-// are fine (those are the shards early stop cancelled).
-func TestMergeShards(t *testing.T) {
-	pop := testPopulation(20000, 31)
-	cfg := evt.Config{Epsilon: 0.01, MaxHyperSamples: 40}
-	plan := fleet.Plan{Seed: 5, ShardSize: 4, MaxHyperSamples: 40}
-	shards, err := plan.Shards()
-	if err != nil {
-		t.Fatal(err)
-	}
-	perShard := make([][]evt.HyperRecord, len(shards))
-	var flat []evt.HyperRecord
-	for i, sh := range shards {
-		est, err := evt.New(pop, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		perShard[i], err = fleet.RunShard(context.Background(), est, sh, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		flat = append(flat, perShard[i]...)
-	}
-	want := evt.FoldRecords(cfg, flat)
-	got, err := fleet.MergeShards(cfg, perShard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if statFields(got) != statFields(want) {
-		t.Errorf("merge diverged from flat fold:\n got  %+v\n want %+v", statFields(got), statFields(want))
-	}
-	if !want.Converged {
-		t.Fatal("run did not converge; the gap cases below need a converged prefix")
-	}
-
-	// Convergence happened somewhere; shards past it may be missing.
-	lastNeeded := (want.HyperSamples - 1) / 4 // shard index containing the stopping hyper-sample
-	withTail := make([][]evt.HyperRecord, len(shards))
-	copy(withTail, perShard)
-	for i := lastNeeded + 1; i < len(withTail); i++ {
-		withTail[i] = nil
-	}
-	got2, err := fleet.MergeShards(cfg, withTail)
-	if err != nil {
-		t.Fatalf("merge with cancelled tail failed: %v", err)
-	}
-	if statFields(got2) != statFields(want) {
-		t.Errorf("merge with cancelled tail diverged")
-	}
-
-	// A gap before the stopping point is a hard error.
-	gappy := make([][]evt.HyperRecord, len(shards))
-	copy(gappy, perShard)
-	if lastNeeded == 0 {
-		t.Fatalf("convergence inside shard 0; tighten epsilon so the gap case is meaningful")
-	}
-	gappy[0] = nil
-	if _, err := fleet.MergeShards(cfg, gappy); err == nil {
-		t.Error("merge accepted a gap before the stopping point")
 	}
 }

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/evt"
 	"repro/internal/stats"
@@ -35,26 +34,4 @@ func RunShard(ctx context.Context, est *evt.Estimator, sh Shard, onHyper func(do
 		}
 	}
 	return records, nil
-}
-
-// MergeShards folds per-shard record slices, ordered by shard index,
-// into the job's Result via evt.FoldRecords. Every shard up to the one
-// containing the stopping point must be present (nil slices past a
-// converged prefix are fine); a gap before the stopping point would
-// silently misalign the global hyper-sample order, so it is an error.
-func MergeShards(cfg evt.Config, shards [][]evt.HyperRecord) (evt.Result, error) {
-	var recs []evt.HyperRecord
-	for i, s := range shards {
-		if s == nil {
-			// Records so far must already decide the run: either they
-			// converge or they exhaust the budget.
-			res := evt.FoldRecords(cfg, recs)
-			if !res.Converged && len(recs) < cfg.Defaults().MaxHyperSamples {
-				return evt.Result{}, fmt.Errorf("fleet: merge gap at shard %d before the stopping point", i)
-			}
-			return res, nil
-		}
-		recs = append(recs, s...)
-	}
-	return evt.FoldRecords(cfg, recs), nil
 }

@@ -149,9 +149,9 @@ type job struct {
 	cacheHit bool
 	progress *Progress
 	result   *maxpower.Result
-	// resume is the last journaled checkpoint, set during replay; the
-	// worker hands it to the estimator so the job continues where the
-	// crashed process stopped.
+	// resume is the checkpoint replay rebuilt from the job's journal
+	// lines; the worker hands it to the estimator so the job continues
+	// where the crashed process stopped, and finishedLocked drops it.
 	resume *evt.Checkpoint
 	// recovered marks a job re-enqueued by journal replay.
 	recovered bool
@@ -421,16 +421,35 @@ func (m *Manager) replay(recs []record) []*job {
 			if j == nil || rec.Checkpoint == nil {
 				continue
 			}
+			// The line holds the run's records from rec.From on. One that
+			// starts past the records held is a gap (a line before it was
+			// lost): skip it, and the job resumes from the longest good
+			// prefix. An overlap (a line re-sent after a failed append)
+			// replaces the held records past rec.From.
+			var held []evt.HyperRecord
+			if j.resume != nil {
+				held = j.resume.Records
+			}
+			budget := evt.Config{MaxHyperSamples: j.req.Options.MaxHyperSamples}.Defaults().MaxHyperSamples
+			if rec.From < 0 || rec.From > len(held) || rec.From+len(rec.Checkpoint.Records) > budget {
+				continue
+			}
 			// A checkpoint no run of this job can have written would
 			// poison the resumed estimate; keep the previous good one
-			// instead. A line written before checkpoints carried records
-			// decodes with none and fails too, so its job re-runs from
-			// the submit record, to the same bits.
+			// instead. The held records passed this check when they were
+			// kept, so the line's records and RNG decide, and replay
+			// checks each record once. A line with no records fails it,
+			// among them a line written before checkpoints carried
+			// records, so its job re-runs from the submit record, to the
+			// same bits.
 			opt := j.req.Options.toLib()
 			opt.Checkpoint = rec.Checkpoint
-			if err := opt.Validate(); err == nil {
-				j.resume = rec.Checkpoint
+			if err := opt.Validate(); err != nil {
+				continue
 			}
+			cp := *rec.Checkpoint
+			cp.Records = append(held[:rec.From], cp.Records...)
+			j.resume = &cp
 		case recTerminal:
 			j := m.jobs[rec.Job]
 			if j == nil || !rec.State.Terminal() {
@@ -450,6 +469,7 @@ func (m *Manager) replay(recs []record) []*job {
 	for _, id := range m.order {
 		j := m.jobs[id]
 		if j.state.Terminal() {
+			j.resume = nil
 			m.done = append(m.done, j)
 			continue
 		}
@@ -512,11 +532,13 @@ func (m *Manager) cancelJobLocked(j *job) bool {
 	return true
 }
 
-// finishedLocked files a job that has just become terminal into m.done.
-// A job finishes after the jobs filed before it unless the clock ran
-// back or they were restored from a journal, so the walk back from the
-// end is short.
+// finishedLocked files a job that has just become terminal into m.done
+// and drops the checkpoint a recovered job resumed from: nothing reads
+// it again. A job finishes after the jobs filed before it unless the
+// clock ran back or they were restored from a journal, so the walk back
+// from the end is short.
 func (m *Manager) finishedLocked(j *job) {
+	j.resume = nil
 	i := len(m.done)
 	for i > 0 && evictsBefore(j, m.done[i-1]) {
 		i--
@@ -533,16 +555,19 @@ func evictsBefore(a, b *job) bool {
 	return a.ord < b.ord
 }
 
-// journalAppend writes a record if journaling is on. Journal failures
-// never fail the job — the daemon trades durability for availability
-// and surfaces the problem through the journal-error counters.
-func (m *Manager) journalAppend(rec record) {
+// journalAppend writes a record if journaling is on and reports
+// whether it was written and synced. Journal failures never fail the
+// job — the daemon trades durability for availability and surfaces the
+// problem through the journal-error counters.
+func (m *Manager) journalAppend(rec record) bool {
 	if m.journal == nil {
-		return
+		return false
 	}
 	if err := m.journal.append(rec); err != nil {
 		m.count(evJournalErrors, 1)
+		return false
 	}
+	return true
 }
 
 // Submit enqueues an anonymous-tenant job — the pre-tenant API,
@@ -999,11 +1024,21 @@ func (m *Manager) execute(ctx context.Context, j *job) (maxpower.Result, bool, e
 	// the estimator continues the interrupted run bit-identically.
 	opt.Checkpoint = j.resume
 	if m.journal != nil {
+		// synced counts the run's records the journal holds. Each line
+		// carries the records past it, so a line that was lost or failed
+		// is sent again inside the next one.
+		synced := 0
+		if j.resume != nil {
+			synced = len(j.resume.Records)
+		}
 		opt.OnCheckpoint = func(cp maxpower.Checkpoint) {
 			if ferr := faultpoint.Hit("service/checkpoint"); ferr != nil {
 				return // simulated checkpoint loss: this boundary goes unjournaled
 			}
-			m.journalAppend(record{Type: recCheckpoint, Job: j.id, Time: time.Now(), Checkpoint: &cp})
+			cp.Records = cp.Records[synced:]
+			if m.journalAppend(record{Type: recCheckpoint, Job: j.id, Time: time.Now(), Checkpoint: &cp, From: synced}) {
+				synced += len(cp.Records)
+			}
 		}
 	}
 	res, err := maxpower.Run(ctx, src, opt)

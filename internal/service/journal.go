@@ -20,11 +20,14 @@ import (
 // JSON records, one per line, fsync'd after every append. Each job
 // contributes a submit record, a start record when a worker picks it up,
 // a checkpoint record after every completed hyper-sample, and a terminal
-// record with its outcome. On restart the Manager replays the journal,
-// restores terminal results, re-enqueues interrupted jobs from their
-// last checkpoint (the estimator resumes them bit-identically — see
-// evt.Checkpoint), and compacts the file down to one submit + last
-// checkpoint/terminal record per live job.
+// record with its outcome. A checkpoint record carries the hyper-sample
+// records the job has not journaled yet, from index From on, so a job's
+// checkpoint lines add up to O(k) bytes. On restart the Manager replays
+// the journal, restores terminal results, re-enqueues interrupted jobs
+// from their last checkpoint (the estimator resumes them bit-identically
+// — see evt.Checkpoint), and compacts the file down to one submit +
+// last checkpoint/terminal record per live job, a checkpoint holding
+// the whole record list (From 0).
 //
 // Torn tails are expected: a crash mid-write leaves a partial last line,
 // which replay skips. Any record that fails to parse is likewise skipped
@@ -43,8 +46,8 @@ const (
 )
 
 // record is one journal line. Fields beyond Type/Job/Time are populated
-// per type: Req on submit, Checkpoint on checkpoint, State/Error/
-// CacheHit/Result on terminal.
+// per type: Req on submit, Checkpoint and From on checkpoint, State/
+// Error/CacheHit/Result on terminal.
 type record struct {
 	Type string      `json:"type"`
 	Job  string      `json:"job"`
@@ -53,8 +56,14 @@ type record struct {
 	// Tenant attributes a submit record to its owner. Absent in
 	// pre-tenant (PR 4-era) journals, which replay as the anonymous
 	// tenant "" — the backward-compat contract the fixture test pins.
-	Tenant     string          `json:"tenant,omitempty"`
+	Tenant string `json:"tenant,omitempty"`
+	// Checkpoint holds the run's hyper-sample records from index From
+	// on, and the RNG state after the last of them. Replay keeps the
+	// first From records it holds for the job and appends the line's.
+	// Lines written before per-record lines, and compaction, carry the
+	// whole list (From 0).
 	Checkpoint *evt.Checkpoint `json:"checkpoint,omitempty"`
+	From       int             `json:"from,omitempty"`
 	State      JobState        `json:"state,omitempty"`
 	Error      string          `json:"error,omitempty"`
 	CacheHit   bool            `json:"cache_hit,omitempty"`

@@ -83,7 +83,8 @@ func journalLines(lines ...string) []byte {
 // snapshotRecords and compact; then it recovers a second Manager from
 // the compacted file. It must not panic. Every job ID must appear once
 // in the order and the table; a job is re-queued exactly when no
-// terminal record applied to it; restored results are nil or finite.
+// terminal record applied to it; restored results are nil or finite; a
+// job resumes only from a checkpoint its options validate.
 // The second recovery must skip no line and give the same job table and
 // the same queued set, so no job is resurrected twice, and a submit
 // after it must not reuse a restored ID.
@@ -99,8 +100,14 @@ func FuzzJournalReplay(f *testing.F) {
 		st1  = `{"type":"start","job":"job-000001","time":"2026-04-01T09:00:02Z"}`
 		cp1  = `{"type":"checkpoint","job":"job-000001","time":"2026-04-01T09:00:03Z","checkpoint":{"estimates":[1.25,1.5],"units":600,"observed_max":1.1,"rng":[1,2,3,4]}}`
 		cp2  = `{"type":"checkpoint","job":"job-000001","time":"2026-04-01T09:00:03Z","checkpoint":{"records":[{"estimate":1.25,"units":300,"observed_max":1.1},{"estimate":1.5,"units":600,"observed_max":1.5}],"rng":[1,2,3,4]}}`
-		term = `{"type":"terminal","job":"job-000001","time":"2026-04-01T09:00:04Z","state":"done","result":{"estimate":12.5,"ci_low":11.5,"ci_high":13.5,"hyper_samples":6,"units":1800,"converged":true}}`
-		ev1  = `{"type":"evict","job":"job-000001","time":"2026-04-01T09:00:05Z"}`
+		// Lines of records from an index on: past the two records held,
+		// negative, overlapping them, and carrying none.
+		cpPast  = `{"type":"checkpoint","job":"job-000001","time":"2026-04-01T09:00:03Z","checkpoint":{"records":[{"estimate":1.75,"units":300,"observed_max":1.2}],"rng":[5,6,7,8]},"from":5}`
+		cpNeg   = `{"type":"checkpoint","job":"job-000001","time":"2026-04-01T09:00:03Z","checkpoint":{"records":[{"estimate":1.75,"units":300,"observed_max":1.2}],"rng":[5,6,7,8]},"from":-1}`
+		cpOver  = `{"type":"checkpoint","job":"job-000001","time":"2026-04-01T09:00:03Z","checkpoint":{"records":[{"estimate":1.5,"units":600,"observed_max":1.5},{"estimate":1.75,"units":300,"observed_max":1.2}],"rng":[5,6,7,8]},"from":1}`
+		cpEmpty = `{"type":"checkpoint","job":"job-000001","time":"2026-04-01T09:00:03Z","checkpoint":{"records":[],"rng":[5,6,7,8]},"from":2}`
+		term    = `{"type":"terminal","job":"job-000001","time":"2026-04-01T09:00:04Z","state":"done","result":{"estimate":12.5,"ci_low":11.5,"ci_high":13.5,"hyper_samples":6,"units":1800,"converged":true}}`
+		ev1     = `{"type":"evict","job":"job-000001","time":"2026-04-01T09:00:05Z"}`
 	)
 	for _, seed := range [][]byte{
 		// A torn tail and duplicate submits.
@@ -116,6 +123,11 @@ func FuzzJournalReplay(f *testing.F) {
 		// before records, and before a terminal record.
 		journalLines(sub1, st1, cp1, cp2),
 		journalLines(sub1, st1, cp2, term),
+		// Lines that extend the records held by index, good and bad.
+		journalLines(sub1, st1, cp2, cpPast),
+		journalLines(sub1, st1, cp2, cpNeg),
+		journalLines(sub1, st1, cp2, cpOver, cpPast),
+		journalLines(sub1, st1, cp2, cpEmpty),
 		// Garbage checkpoints: NaN-free but invalid, a wrong shape, junk.
 		journalLines(sub1, st1, cp1, `{"type":"checkpoint","job":"job-000001","time":"2026-04-01T09:00:03Z","checkpoint":{"estimates":[],"units":0}}`),
 		journalLines(sub1, `{"type":"checkpoint","job":"job-000001","checkpoint":{"estimates":"x","rng":[1]}}`, `{"type":"checkpoint","job":"job-000001","checkpoint":{"estimates":[1e400]}}`),
@@ -167,6 +179,13 @@ func FuzzJournalReplay(f *testing.F) {
 					if math.IsNaN(v) || math.IsInf(v, 0) {
 						t.Fatalf("job %q restored a non-finite result %+v", id, *r)
 					}
+				}
+			}
+			if j.resume != nil {
+				opt := j.req.Options.toLib()
+				opt.Checkpoint = j.resume
+				if err := opt.Validate(); err != nil {
+					t.Fatalf("job %q resumes from an invalid checkpoint: %v", id, err)
 				}
 			}
 		}

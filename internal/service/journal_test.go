@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -19,8 +20,9 @@ import (
 
 // TestJournalRoundTrip appends records through the journal and reads
 // them back byte-faithfully: every field a replay depends on — request,
-// checkpoint (including the exact RNG state and float64 records),
-// terminal state and result — must survive the trip.
+// checkpoint (including the exact RNG state, float64 records and the
+// index From of its first record), terminal state and result — must
+// survive the trip.
 func TestJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	jn, recs, skipped, err := newJournal(dir)
@@ -51,7 +53,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	want := []record{
 		{Type: recSubmit, Job: "job-000001", Time: now, Req: &req},
 		{Type: recStart, Job: "job-000001", Time: now},
-		{Type: recCheckpoint, Job: "job-000001", Time: now, Checkpoint: cp},
+		{Type: recCheckpoint, Job: "job-000001", Time: now, Checkpoint: cp, From: 4},
 		{Type: recTerminal, Job: "job-000001", Time: now, State: StateDone, Result: res},
 	}
 	for _, rec := range want {
@@ -75,8 +77,8 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Errorf("request did not round-trip: %+v != %+v", *got[0].Req, req)
 	}
 	gcp := got[2].Checkpoint
-	if gcp == nil || gcp.RNG != cp.RNG || gcp.SimNS != cp.SimNS || gcp.FitNS != cp.FitNS || len(gcp.Records) != len(cp.Records) {
-		t.Fatalf("checkpoint did not round-trip: %+v != %+v", gcp, cp)
+	if gcp == nil || gcp.RNG != cp.RNG || gcp.SimNS != cp.SimNS || gcp.FitNS != cp.FitNS || len(gcp.Records) != len(cp.Records) || got[2].From != 4 {
+		t.Fatalf("checkpoint did not round-trip: %+v from %d != %+v from 4", gcp, got[2].From, cp)
 	}
 	for i, r := range gcp.Records {
 		if r != cp.Records[i] {
@@ -89,13 +91,16 @@ func TestJournalRoundTrip(t *testing.T) {
 }
 
 // TestJournalCheckpointReplay replays a journal written by hand: the
-// chaos job's submit and start records and one checkpoint line. The
-// line is the job's real third checkpoint, that checkpoint in the list
-// form written before checkpoints carried records (estimates, summed
-// units, observed maximum), or it with one record no hyper-sample can
-// produce. Replay resumes from the first and drops the others, and the
-// job finishes with runOnce's bits either way: a dropped checkpoint
-// re-runs the job from its submit record, with the same seed.
+// chaos job's submit and start records and checkpoint lines. The lines
+// are the run's first three, each carrying one record from its From on;
+// the third checkpoint's whole record list in the list form written
+// before checkpoints carried records (estimates, summed units, observed
+// maximum); that list with one record no hyper-sample can produce; or
+// whole lists without From, as lines were written before per-record
+// lines, the last of them corrupt. Replay resumes from the last valid
+// checkpoint and drops the others, and the job finishes with runOnce's
+// bits either way: a dropped checkpoint re-runs the job from its submit
+// record, with the same seed. A job that finished keeps no checkpoint.
 func TestJournalCheckpointReplay(t *testing.T) {
 	req := chaosJob()
 	baseline := runOnce(t, req)
@@ -116,20 +121,28 @@ func TestJournalCheckpointReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var head []record // submit and start
-	var cps []evt.Checkpoint
+	var head, lines []record // submit and start; checkpoints
 	for _, rec := range recs {
 		switch rec.Type {
 		case recSubmit, recStart:
 			head = append(head, rec)
 		case recCheckpoint:
-			cps = append(cps, *rec.Checkpoint)
+			lines = append(lines, rec)
 		}
 	}
-	if len(head) != 2 || len(cps) < 4 {
-		t.Fatalf("journal has %d submit/start records and %d checkpoints, want 2 and ≥ 4", len(head), len(cps))
+	if len(head) != 2 || len(lines) < 4 {
+		t.Fatalf("journal has %d submit/start records and %d checkpoints, want 2 and ≥ 4", len(head), len(lines))
 	}
-	cp := cps[2]
+	// whole(k) is the run's k-th checkpoint with its whole record list.
+	whole := func(k int) evt.Checkpoint {
+		cp := *lines[k-1].Checkpoint
+		cp.Records = nil
+		for _, l := range lines[:k] {
+			cp.Records = append(cp.Records, l.Checkpoint.Records...)
+		}
+		return cp
+	}
+	cp := whole(3)
 	list := struct {
 		Estimates   []float64 `json:"estimates"`
 		Units       int       `json:"units"`
@@ -141,47 +154,55 @@ func TestJournalCheckpointReplay(t *testing.T) {
 		list.Units += r.Units
 		list.ObservedMax = math.Max(list.ObservedMax, r.ObservedMax)
 	}
-	withRecord := func(mutate func(*evt.HyperRecord)) evt.Checkpoint {
-		bad := cp
-		bad.Records = append([]evt.HyperRecord(nil), cp.Records...)
-		mutate(&bad.Records[1])
-		return bad
+	withRecord := func(cp evt.Checkpoint, mutate func(*evt.HyperRecord)) evt.Checkpoint {
+		cp.Records = slices.Clone(cp.Records)
+		mutate(&cp.Records[1])
+		return cp
+	}
+	belowMax := func(r *evt.HyperRecord) { r.Estimate = r.ObservedMax / 2 }
+	line := func(cp any) any {
+		return map[string]any{"type": recCheckpoint, "job": id, "time": head[1].Time, "checkpoint": cp}
 	}
 
 	for _, tc := range []struct {
-		name       string
-		checkpoint any
-		resumes    bool
+		name    string
+		lines   []any
+		resumes int // records the replayed checkpoint holds (0: none)
 	}{
-		{"records", cp, true},
-		{"list form before records", list, false},
-		{"estimate below its observed max", withRecord(func(r *evt.HyperRecord) { r.Estimate = r.ObservedMax / 2 }), false},
-		{"units not whole attempts", withRecord(func(r *evt.HyperRecord) { r.Units++ }), false},
+		{"records", []any{lines[0], lines[1], lines[2]}, 3},
+		{"list form before records", []any{line(list)}, 0},
+		{"estimate below its observed max", []any{line(withRecord(cp, belowMax))}, 0},
+		{"units not whole attempts", []any{line(withRecord(cp, func(r *evt.HyperRecord) { r.Units++ }))}, 0},
+		{"whole lists without from", []any{line(whole(1)), line(whole(2)), line(cp), line(withRecord(whole(4), belowMax))}, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var lines []string
-			for _, v := range []any{head[0], head[1], map[string]any{"type": recCheckpoint, "job": id, "time": head[1].Time, "checkpoint": tc.checkpoint}} {
+			var raw []string
+			for _, v := range append([]any{head[0], head[1]}, tc.lines...) {
 				b, err := json.Marshal(v)
 				if err != nil {
 					t.Fatal(err)
 				}
-				lines = append(lines, string(b))
+				raw = append(raw, string(b))
 			}
 			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, journalName), journalLines(lines...), 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, journalName), journalLines(raw...), 0o644); err != nil {
 				t.Fatal(err)
 			}
+			got := replayedCheckpoint(t, dir, id)
+			if tc.resumes == 0 && got != nil {
+				t.Fatalf("replay kept %+v, want no checkpoint", got)
+			}
+			if tc.resumes > 0 {
+				if want := whole(tc.resumes); got == nil || !slices.Equal(got.Records, want.Records) || got.RNG != want.RNG {
+					t.Fatalf("replay kept %+v, want the run's checkpoint %d", got, tc.resumes)
+				}
+			}
+
 			mgr, err := NewManager(ManagerConfig{Workers: 1, DataDir: dir})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer shutdownManager(t, mgr)
-			mgr.mu.Lock()
-			resumes := mgr.jobs[id].resume != nil
-			mgr.mu.Unlock()
-			if resumes != tc.resumes {
-				t.Errorf("replay kept the checkpoint: %v, want %v", resumes, tc.resumes)
-			}
 			if st := waitManagerTerminal(t, mgr, id); st.State != StateDone {
 				t.Fatalf("replayed job state = %s (%s), want done", st.State, st.Error)
 			}
@@ -191,6 +212,189 @@ func TestJournalCheckpointReplay(t *testing.T) {
 			}
 			if kernel(res) != kernel(baseline) {
 				t.Errorf("replayed job diverged:\n  replayed %+v\n  baseline %+v", res, baseline)
+			}
+			mgr.mu.Lock()
+			kept := mgr.jobs[id].resume
+			mgr.mu.Unlock()
+			if kept != nil {
+				t.Errorf("the finished job still holds its checkpoint of %d records", len(kept.Records))
+			}
+		})
+	}
+}
+
+// replayedCheckpoint recovers the journal in dir on a Manager without
+// workers, so no job runs, and returns the checkpoint job id would
+// resume from. Recovery compacts the journal, as NewManager does.
+func replayedCheckpoint(t *testing.T, dir, id string) *evt.Checkpoint {
+	t.Helper()
+	m := replayManager()
+	if err := m.recoverJournal(dir); err != nil {
+		t.Fatal(err)
+	}
+	m.journal.close()
+	return m.jobs[id].resume
+}
+
+// checkpointLines returns the checkpoint records of the journal in dir.
+func checkpointLines(t *testing.T, dir string) []record {
+	t.Helper()
+	recs, _, err := readRecords(filepath.Join(dir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return slices.DeleteFunc(recs, func(rec record) bool { return rec.Type != recCheckpoint })
+}
+
+// TestJournalCheckpointBytes: a journaled job that runs its whole
+// budget of 200 hyper-samples writes one record per checkpoint line,
+// line k holding record k − 1 with From k − 1, so its checkpoint lines
+// add up to O(k) bytes. Lines that each carried the whole list came to
+// 1,595,481 bytes for this job.
+func TestJournalCheckpointBytes(t *testing.T) {
+	req := chaosJob()
+	req.Options.Epsilon = 1e-9
+	req.Options.MaxHyperSamples = 200
+	dir := t.TempDir()
+	mgr, err := NewManager(ManagerConfig{Workers: 1, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := mgr.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitManagerTerminal(t, mgr, id); st.State != StateDone || st.Progress == nil || st.Progress.HyperSamples != 200 {
+		t.Fatalf("job = %+v, want done after 200 hyper-samples", st)
+	}
+	shutdownManager(t, mgr)
+
+	raw, err := os.ReadFile(filepath.Join(dir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, size := 0, 0
+	for _, line := range bytes.SplitAfter(raw, []byte("\n")) {
+		var rec record
+		if json.Unmarshal(line, &rec) != nil || rec.Type != recCheckpoint {
+			continue
+		}
+		if k++; rec.From != k-1 || len(rec.Checkpoint.Records) != 1 {
+			t.Errorf("checkpoint line %d has From %d and %d records, want From %d and 1 record",
+				k, rec.From, len(rec.Checkpoint.Records), k-1)
+		}
+		size += len(line)
+	}
+	if k != 200 {
+		t.Errorf("%d checkpoint lines, want 200", k)
+	}
+	if size >= 100_000 {
+		t.Errorf("checkpoint lines total %d bytes, want under 100 KB", size)
+	}
+}
+
+// TestJournalLineFaults crashes a journaled job at its fourth
+// hyper-sample after a fault in its checkpoint lines, restarts it, and
+// requires runOnce's bits. A line whose boundary was lost (the
+// service/checkpoint fault point) or whose fsync failed after the write
+// is sent again inside the next line, so the job resumes from the last
+// boundary before the crash; a corrupt line leaves the lines after it
+// a gap, so the job resumes from the boundary before it.
+func TestJournalLineFaults(t *testing.T) {
+	t.Cleanup(faultpoint.Reset)
+	baseline := runOnce(t, chaosJob())
+	for _, tc := range []struct {
+		name    string
+		fault   string // fault point failed at the second boundary
+		corrupt bool   // corrupt the second checkpoint line on disk
+		froms   []int  // From of the first three lines
+	}{
+		{"boundary lost", "service/checkpoint", false, []int{0, 1, 3}},
+		{"fsync failed, line re-sent", "service/journal-fsync", false, []int{0, 1, 1}},
+		{"corrupt middle line", "", true, []int{0, 1, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			mgr, err := NewManager(ManagerConfig{Workers: 1, DataDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The progress hook runs on the worker just before each
+			// boundary's checkpoint: wait at the first until the submit
+			// record is journaled, arm the fault for the second boundary
+			// and park the worker at the fourth.
+			submitted, gate, release := make(chan struct{}), make(chan struct{}), make(chan struct{})
+			mgr.OnProgress = func(_ string, p Progress) {
+				switch p.HyperSamples {
+				case 1:
+					<-submitted
+				case 2:
+					if tc.fault != "" {
+						faultpoint.Arm(tc.fault, 1, func() error { return errors.New("injected") })
+					}
+				case 4:
+					close(gate)
+					<-release
+				}
+			}
+			id, err := mgr.Submit(chaosJob())
+			if err != nil {
+				t.Fatal(err)
+			}
+			close(submitted)
+			<-gate
+			crash(t, mgr, release)
+			faultpoint.Reset()
+
+			lines := checkpointLines(t, dir)
+			if len(lines) < 3 {
+				t.Fatalf("%d checkpoint lines before the crash, want ≥ 3", len(lines))
+			}
+			for i, want := range tc.froms {
+				if lines[i].From != want {
+					t.Fatalf("checkpoint line %d has From %d, want %d", i+1, lines[i].From, want)
+				}
+			}
+			last := lines[len(lines)-1]
+			want := last.From + len(last.Checkpoint.Records)
+			if tc.corrupt {
+				path := filepath.Join(dir, journalName)
+				raw, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				second, err := json.Marshal(lines[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				i := bytes.Index(raw, second)
+				if i < 0 {
+					t.Fatal("second checkpoint line not found in the journal")
+				}
+				raw[i] = '#'
+				if err := os.WriteFile(path, raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				want = 1
+			}
+			if cp := replayedCheckpoint(t, dir, id); cp == nil || len(cp.Records) != want {
+				t.Fatalf("replay resumes from %+v, want the checkpoint of %d records", cp, want)
+			}
+
+			mgr2, err := NewManager(ManagerConfig{Workers: 1, DataDir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer shutdownManager(t, mgr2)
+			if st := waitManagerTerminal(t, mgr2, id); st.State != StateDone {
+				t.Fatalf("resumed job state = %s (%s), want done", st.State, st.Error)
+			}
+			res, err := mgr2.Result(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if kernel(res) != kernel(baseline) {
+				t.Errorf("resumed job diverged:\n  resumed  %+v\n  baseline %+v", res, baseline)
 			}
 		})
 	}

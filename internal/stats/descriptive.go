@@ -38,16 +38,40 @@ func MeanStd(xs []float64) (mean, std float64) {
 	if len(xs) == 0 {
 		panic("stats: MeanStd of empty slice")
 	}
-	var m, m2 float64
-	for i, x := range xs {
-		d := x - m
-		m += d / float64(i+1)
-		m2 += d * (x - m)
+	var w Welford
+	for _, x := range xs {
+		w.Add(x)
 	}
-	if len(xs) < 2 {
-		return m, 0
+	return w.MeanStd()
+}
+
+// Welford is a running mean and sum of squared deviations (Welford's
+// algorithm): after adding x_1 … x_n in order it holds what MeanStd
+// computes from them, bit for bit, because MeanStd is this loop. Its
+// step is the one implementation of the update, so wherever the
+// compiler fuses it into a fused multiply-add it does so for every
+// caller alike. The zero value is empty.
+type Welford struct {
+	n        int
+	mean, m2 float64
+}
+
+// Add folds in the next value.
+func (w *Welford) Add(x float64) {
+	w.n++
+	d := x - w.mean
+	w.mean += d / float64(w.n)
+	w.m2 += d * (x - w.mean)
+}
+
+// MeanStd returns the mean and unbiased standard deviation of the
+// values added; the deviation is 0 for fewer than two, and the mean 0
+// for none.
+func (w *Welford) MeanStd() (mean, std float64) {
+	if w.n < 2 {
+		return w.mean, 0
 	}
-	return m, math.Sqrt(m2 / float64(len(xs)-1))
+	return w.mean, math.Sqrt(w.m2 / float64(w.n-1))
 }
 
 // MinMax returns both extremes of xs in a single pass.

@@ -14,8 +14,8 @@ import (
 type Shard = fleet.Shard
 
 // HyperRecord is one hyper-sample's transportable outcome; see
-// evt.HyperRecord. A shard's records, folded in plan order with
-// MergeShardRecords, reproduce the sequential run bit for bit.
+// evt.HyperRecord. The records of a plan's shards, added in plan order
+// to one evt.Fold, reproduce the sequential run bit for bit.
 type HyperRecord = evt.HyperRecord
 
 // DefaultShardSize is the hyper-samples per shard when
@@ -78,8 +78,9 @@ func distributedPlan(opt EstimateOptions, dopt DistributedOptions) (fleet.Plan, 
 // degenerates to Run with the same options, bit for bit. When ctx is
 // cancelled the run stops at the next hyper-sample boundary and returns
 // the completed prefix folded into a partial Result (err stays nil),
-// mirroring Run. EstimateOptions.Checkpoint and OnCheckpoint are
-// rejected: sharded runs recover per shard.
+// mirroring Run. Each record is added to one evt.Fold, once.
+// EstimateOptions.Checkpoint and OnCheckpoint are rejected: sharded
+// runs recover per shard.
 func EstimateDistributed(ctx context.Context, src Source, opt EstimateOptions, dopt DistributedOptions) (Result, error) {
 	plan, err := distributedPlan(opt, dopt)
 	if err != nil {
@@ -89,30 +90,27 @@ func EstimateDistributed(ctx context.Context, src Source, opt EstimateOptions, d
 	if err != nil {
 		return Result{}, err
 	}
-	cfg := opt.evtParams()
-	var all []HyperRecord
-	stopped := false
+	fold := evt.NewFold(opt.evtParams())
 	for _, sh := range shards {
 		_, err := RunShard(ctx, src, opt, sh, func(_ int, rec HyperRecord) bool {
-			all = append(all, rec)
-			folded := evt.FoldRecords(cfg, all)
+			fold.Add(rec)
+			res := fold.Result()
 			if opt.Progress != nil {
-				opt.Progress(folded)
+				opt.Progress(res)
 			}
-			stopped = folded.Converged
-			return !stopped
+			return !res.Converged
 		})
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				break // fold the prefix, like a cancelled sequential run
+				break // keep the folded prefix, like a cancelled sequential run
 			}
 			return Result{}, err
 		}
-		if stopped {
+		if fold.Result().Converged {
 			break
 		}
 	}
-	return evt.FoldRecords(cfg, all), nil
+	return fold.Result(), nil
 }
 
 // RunFleet runs the same sharded estimation as EstimateDistributed on a
@@ -148,17 +146,4 @@ func RunShard(ctx context.Context, src Source, opt EstimateOptions, sh Shard, on
 		return err
 	})
 	return recs, err
-}
-
-// MergeShardRecords folds per-shard records, ordered by shard index,
-// into the job Result — the coordinator side of a fleet. Shards past a
-// converged prefix may be nil (early stop cancelled them); a gap before
-// the stopping point is an error. The fold replays the sequential
-// stopping rule through the same arithmetic, so the merge equals the
-// single-node sharded run to the last bit.
-func MergeShardRecords(opt EstimateOptions, shards [][]HyperRecord) (Result, error) {
-	if err := opt.Validate(); err != nil {
-		return Result{}, err
-	}
-	return fleet.MergeShards(opt.evtParams(), shards)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/evt"
 	"repro/internal/fleet"
 	"repro/maxpower"
 )
@@ -92,8 +93,9 @@ func TestEstimateDistributedOneShardMatchesEstimate(t *testing.T) {
 }
 
 // TestEstimateDistributedDeterministic: the sharded run is identical
-// across repeats and across shard-local recomputation (RunShard +
-// MergeShardRecords by hand), over a population and over a stream.
+// across repeats and across shard-local recomputation (RunShard, then
+// every shard's records added to one evt.Fold in plan order), over a
+// population and over a stream.
 func TestEstimateDistributedDeterministic(t *testing.T) {
 	opt := maxpower.EstimateOptions{Seed: 13, Epsilon: 0.02, MaxHyperSamples: 24}
 	dopt := maxpower.DistributedOptions{ShardSize: 4}
@@ -121,11 +123,13 @@ func TestEstimateDistributedDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		merged, err := maxpower.MergeShardRecords(opt, perShard)
-		if err != nil {
-			t.Fatal(err)
+		fold := evt.NewFold(evt.Config{Epsilon: opt.Epsilon, MaxHyperSamples: opt.MaxHyperSamples})
+		for _, recs := range perShard {
+			for _, rec := range recs {
+				fold.Add(rec)
+			}
 		}
-		sameResult(t, tc.name+" manual merge", merged, first)
+		sameResult(t, tc.name+" manual merge", fold.Result(), first)
 	}
 }
 

@@ -315,7 +315,10 @@ type EstimateOptions struct {
 	Checkpoint *Checkpoint
 	// OnCheckpoint, when non-nil, receives the run's resumable state
 	// after every completed hyper-sample. Synchronous, consumes no
-	// randomness, never changes the result.
+	// randomness, never changes the result. The Checkpoint's Records
+	// share the run's record list: the callback may keep or serialize
+	// the Checkpoint, but must not change its records; see
+	// evt.Config.OnCheckpoint.
 	OnCheckpoint func(Checkpoint)
 	// Kernels, when non-nil, deduplicates compiled simulation kernels
 	// across runs: streaming estimation (and streaming shard workers)
